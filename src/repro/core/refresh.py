@@ -479,7 +479,7 @@ def refresh(
             view, delta, recompute, variant, assume_all_new, locator
         )
         _record_refresh_stats(span, stats, locator)
-        view.freshness.mark_refreshed(stats.delta_rows)
+        view.mark_refreshed_in_place(stats.delta_rows)
         lineage_record_publish(view, delta, mode=RefreshMode.INPLACE.value)
         return stats
 

@@ -108,7 +108,7 @@ def refresh_atomically(
             view, delta, recompute, failure_hook, refresh_span, locator
         )
         _record_refresh_stats(refresh_span, stats, locator)
-        view.freshness.mark_refreshed(stats.delta_rows)
+        view.mark_refreshed_in_place(stats.delta_rows)
         # Commit reached (a rollback raised past us): pin the delta's
         # batches to the view's new version stamp.
         lineage_record_publish(view, delta, mode="atomic")
@@ -121,7 +121,6 @@ def refresh_versioned(
     recompute: RecomputeFn | None = None,
     variant: RefreshVariant = RefreshVariant.CURSOR,
     failure_hook: StageHook | None = None,
-    validate: bool = True,
 ) -> RefreshStats:
     """Apply *delta* to a shadow copy of *view* and atomically publish it.
 
@@ -135,8 +134,7 @@ def refresh_versioned(
        would the live table — readers see none of it;
     3. :meth:`~repro.views.materialize.MaterializedView.publish` validates
        the shadow's incrementally-maintained certificate against a fresh
-       digest of its rows (*validate*) and installs it with one reference
-       swap.
+       digest of its rows and installs it with one reference swap.
 
     A failure anywhere — including the injected *failure_hook*, invoked
     with ``"build"`` then ``"publish"`` — simply abandons the shadow: the
@@ -160,7 +158,7 @@ def refresh_versioned(
         stats = _refresh_impl(shadow, delta, recompute, variant, False, locator)
         if failure_hook is not None:
             failure_hook("publish")
-        published = view.publish(shadow, validate=validate)
+        published = view.publish(shadow)
         span.set_tag("epoch", published.epoch)
         _record_refresh_stats(span, stats, locator)
         if tracing.enabled():

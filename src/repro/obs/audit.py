@@ -41,7 +41,7 @@ import os
 import struct
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 from .tracing import current_span
 
@@ -53,6 +53,7 @@ __all__ = [
     "ViewCertificate",
     "ViewFreshness",
     "certificates_enabled",
+    "columns_certificate",
     "record_events",
     "row_digest",
     "rows_certificate",
@@ -65,6 +66,13 @@ CERTIFICATE_ENV_VAR = "REPRO_CERTIFICATES"
 CERT_MASK = (1 << 64) - 1
 
 _PACK_LEN = struct.Struct("<I").pack
+
+#: Types whose equal values canonicalise to equal bytes (exact types only:
+#: a subclass may override ``__str__``/``__eq__``).
+_BY_VALUE_TYPES = frozenset({int, float, bool, str, type(None)})
+
+#: Rows digested per block by :func:`columns_certificate`.
+_BLOCK_ROWS = 1 << 15
 
 
 def certificates_enabled() -> bool:
@@ -109,12 +117,60 @@ def row_digest(row: Iterable[Any]) -> int:
     return int.from_bytes(hasher.digest(), "little")
 
 
+def _cell_part(value: Any) -> bytes:
+    """What :func:`row_digest` feeds the hash for one cell."""
+    cell = _canonical_bytes(value)
+    return _PACK_LEN(len(cell)) + cell
+
+
+def columns_certificate(columns: Sequence[Sequence[Any]], count: int) -> int:
+    """The certificate of *count* rows given column-wise.
+
+    Equal, bit for bit, to ``sum(row_digest(row))`` over the transposed
+    rows, but the per-row interpreter work is one hash call: each column
+    is first mapped to its cells' hash input through a table holding one
+    entry per *distinct* value.  Sharing an entry between equal values is
+    sound for the built-in scalars only (``0 == 0.0 == False`` all
+    canonicalise to ``i0``; a ``Decimal`` equal to an ``int`` does not),
+    so a column holding any other type is canonicalised cell by cell.
+    Rows are taken a block at a time, which bounds the working memory
+    whatever the table's size.  *count* is needed for zero-arity rows,
+    which have no column to measure.
+    """
+    if not columns:
+        return (count * row_digest(())) & CERT_MASK
+    blake2b = hashlib.blake2b
+    total = 0
+    for start in range(0, count, _BLOCK_ROWS):
+        parts = []
+        for column in columns:
+            # A typed array boxes a new object per read; listing the block
+            # once makes the table's keys the very objects looked up, so
+            # NaN (never equal to itself) is still found, by identity.
+            cells = list(column[start:start + _BLOCK_ROWS])
+            if _BY_VALUE_TYPES.issuperset(map(type, cells)):
+                table = {value: _cell_part(value) for value in set(cells)}
+                parts.append(map(table.__getitem__, cells))
+            else:
+                parts.append(map(_cell_part, cells))
+        digests = b"".join([
+            blake2b(row, digest_size=8).digest()
+            for row in map(b"".join, zip(*parts))
+        ])
+        total += sum(struct.unpack(f"<{len(digests) // 8}Q", digests))
+    return total & CERT_MASK
+
+
 def rows_certificate(rows: Iterable[Iterable[Any]]) -> int:
     """The order-independent certificate of a collection of rows."""
-    total = 0
-    for row in rows:
-        total += row_digest(row)
-    return total & CERT_MASK
+    rows = list(map(tuple, rows))
+    arities = set(map(len, rows))
+    groups = [rows] if len(arities) < 2 else [
+        [row for row in rows if len(row) == arity] for arity in arities
+    ]
+    return sum(
+        columns_certificate(list(zip(*group)), len(group)) for group in groups
+    ) & CERT_MASK
 
 
 class ViewCertificate:
@@ -139,13 +195,19 @@ class ViewCertificate:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[Any]]) -> "ViewCertificate":
-        certificate = cls()
-        total = 0
-        count = 0
-        for row in rows:
-            total += row_digest(row)
-            count += 1
-        certificate.value = total & CERT_MASK
+        rows = list(rows)
+        certificate = cls(rows_certificate(rows))
+        certificate.digests_computed = len(rows)
+        return certificate
+
+    @classmethod
+    def from_columns(
+        cls, columns: Sequence[Sequence[Any]], count: int
+    ) -> "ViewCertificate":
+        """Certificate of *count* rows given column-wise (what
+        ``Table.columns()`` returns, so a columnar table is never
+        transposed into tuples)."""
+        certificate = cls(columns_certificate(columns, count))
         certificate.digests_computed = count
         return certificate
 

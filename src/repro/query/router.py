@@ -103,8 +103,9 @@ class QueryPlan:
     evaluation reads this exact reference rather than re-resolving
     ``source_view.table``, so a version swap published between planning
     and evaluation — or mid-evaluation — cannot tear the read.
-    ``source_epoch`` records which epoch was pinned, for caching and
-    explain output.
+    ``source_epoch`` records which epoch was pinned, for explain output,
+    and ``source_stamp`` the pinned version's
+    :meth:`~repro.views.materialize.ViewVersion.stamp`, for caching.
     """
 
     query: AggregateQuery
@@ -113,6 +114,7 @@ class QueryPlan:
     input_rows: int
     source_table: Table | None = None
     source_epoch: int | None = None
+    source_stamp: tuple[int, int] | None = None
 
     @property
     def uses_summary_table(self) -> bool:
@@ -186,6 +188,7 @@ class QueryRouter:
                 input_rows=cost,
                 source_table=version.table,
                 source_epoch=version.epoch,
+                source_stamp=version.stamp(),
             )
 
     def answer(

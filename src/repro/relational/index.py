@@ -40,7 +40,7 @@ class HashIndex:
         this; fact tables and summary tables do not.
     """
 
-    __slots__ = ("columns", "_positions", "unique", "_buckets")
+    __slots__ = ("columns", "_positions", "unique", "_buckets", "_owned")
 
     def __init__(self, columns: Sequence[str], positions: Sequence[int], unique: bool = False):
         if not columns:
@@ -49,6 +49,10 @@ class HashIndex:
         self._positions = tuple(positions)
         self.unique = unique
         self._buckets: dict[tuple[Any, ...], list[int]] = {}
+        #: ``None`` until the first :meth:`clone`; from then on the keys
+        #: whose bucket list this index has copied since, any other bucket
+        #: possibly being shared with a twin and so copied before a write.
+        self._owned: set[tuple[Any, ...]] | None = None
 
     def key_of(self, row: Sequence[Any]) -> tuple[Any, ...]:
         """Extract this index's key tuple from a full row."""
@@ -66,7 +70,7 @@ class HashIndex:
                 raise TableError(
                     f"unique index on {self.columns} violated by key {key!r}"
                 )
-            bucket.append(slot)
+            self._writable(key, bucket).append(slot)
 
     def remove(self, row: Sequence[Any], slot: int) -> None:
         """Unregister *row* previously stored at *slot*."""
@@ -74,6 +78,7 @@ class HashIndex:
         bucket = self._buckets.get(key)
         if not bucket:
             raise TableError(f"index on {self.columns}: key {key!r} not present")
+        bucket = self._writable(key, bucket)
         try:
             bucket.remove(slot)
         except ValueError:
@@ -82,6 +87,15 @@ class HashIndex:
             ) from None
         if not bucket:
             del self._buckets[key]
+
+    def _writable(self, key: tuple[Any, ...], bucket: list[int]) -> list[int]:
+        """*bucket* if this index alone holds it, else a private copy
+        installed in its place."""
+        owned = self._owned
+        if owned is not None and key not in owned:
+            bucket = self._buckets[key] = bucket.copy()
+            owned.add(key)
+        return bucket
 
     def lookup(self, key: tuple[Any, ...]) -> list[int]:
         """Return the row slots whose key equals *key* (empty when absent)."""
@@ -124,6 +138,17 @@ class HashIndex:
         """The number of distinct keys."""
         return len(self._buckets)
 
+    def clone(self) -> "HashIndex":
+        """A private copy with the same entries, in one ``dict.copy()``:
+        the bucket lists are shared, and whichever side writes to one
+        first copies it (lookups hand out buckets read-only already)."""
+        twin = HashIndex(self.columns, self._positions, unique=self.unique)
+        twin._buckets = self._buckets.copy()
+        twin._owned = set()
+        self._owned = set()
+        return twin
+
     def clear(self) -> None:
         """Drop all entries (used when a table is truncated or rebuilt)."""
         self._buckets.clear()
+        self._owned = None

@@ -323,6 +323,37 @@ class ColumnStore:
                     promoted += 1
         return promoted
 
+    def clone(self) -> "ColumnStore":
+        """A private copy of the storage: one slice (a memcpy) per column
+        and for the bitmap, tombstones and column types included."""
+        twin = ColumnStore(self._arity)
+        twin._columns = [col[:] for col in self._columns]
+        twin._valid = self._valid[:]
+        twin._dead = self._dead
+        return twin
+
+    def compact(self) -> list[tuple[int, int]]:
+        """Fill every tombstone with a row from the tail and truncate;
+        returns the ``(old slot, new slot)`` moves made, so the owner can
+        re-point its indexes.  One ``memchr`` pass over the bitmap plus
+        O(tombstones) work; row order changes."""
+        valid = self._valid
+        live = len(valid) - self._dead
+        holes = []
+        hole = valid.find(0, 0, live)
+        while hole >= 0:
+            holes.append(hole)
+            hole = valid.find(0, hole + 1, live)
+        tail = [slot for slot in range(live, len(valid)) if valid[slot]]
+        moves = list(zip(tail, holes))
+        for col in self._columns:
+            for source, target in moves:
+                col[target] = col[source]
+            del col[live:]
+        self._valid = bytearray(b"\x01") * live
+        self._dead = 0
+        return moves
+
     # Bulk primitives -------------------------------------------------
 
     def take(self, slots: Sequence[int]) -> list[list[Any]]:
@@ -813,16 +844,47 @@ class Table:
     # ------------------------------------------------------------------
 
     def copy(self, name: str | None = None) -> "Table":
-        """Return a deep copy (rows, index definitions, tracked domains).
+        """Return a private deep copy: rows, indexes, tracked domains.
 
-        The copy keeps the source's storage mode (row or columnar).
+        Observers are not inherited.  The copy keeps the source's storage
+        mode, and for columnar storage the column types too (a typed
+        array stays a typed array): the storage, the index bucket maps
+        and the domain counts are cloned structurally — memcpy-speed, no
+        per-row insert — and the clone comes out dense, its tombstones
+        filled from the tail in O(tombstones) moves.  Tables are bags, so
+        the clone's row order (and slot numbering) may differ from the
+        source's; the source is not touched.  Charged as one scan of the
+        source plus one insert per row, like the row-at-a-time copy it
+        replaces.
         """
-        clone = Table(name or self.name, self.schema, self.scan(),
-                      storage=self.storage)
-        for index in self._indexes.values():
-            clone.create_index(index.columns, unique=index.unique)
-        for position in self._domains:
-            clone.track_domain(self.schema.columns[position])
+        clone = Table(name or self.name, self.schema, storage=self.storage)
+        source = self._store
+        if not (isinstance(source, ColumnStore)
+                and isinstance(clone._store, ColumnStore)):
+            # Row and sharded storage re-insert (the clone of a sharded
+            # table is a plain one).
+            clone.insert_many(self.scan())
+            for index in self._indexes.values():
+                clone.create_index(index.columns, unique=index.unique)
+            for position in self._domains:
+                clone.track_domain(self.schema.columns[position])
+            return clone
+        store = clone._store = source.clone()
+        clone._live_count = self._live_count
+        clone._indexes = {
+            key: index.clone() for key, index in self._indexes.items()
+        }
+        clone._domains = {
+            position: counts.copy()
+            for position, counts in self._domains.items()
+        }
+        for old_slot, new_slot in store.compact():
+            row = store.get(new_slot)
+            for index in clone._indexes.values():
+                index.remove(row, old_slot)
+                index.add(row, new_slot)
+        charge_access("rows_scanned", self._live_count)
+        charge_access("rows_inserted", self._live_count)
         return clone
 
     def column_values(self, column: str) -> list[Any]:

@@ -14,11 +14,11 @@ mechanisms, both upstream of this module:
   consistent for as long as any reader references it.
 
 On top of that the server adds a hot-query result cache keyed by the
-query's structural fingerprint and stamped with the source view's
-``(epoch, refresh_count)`` pair: a published swap bumps the epoch, an
-in-place refresh bumps the freshness counter, and either way the stale
+query's structural fingerprint and stamped with the pinned source
+version's ``(epoch, revision)`` pair: a published swap installs the next
+epoch, an in-place refresh the next revision, and either way the stale
 entry stops matching — the cache can never serve an answer from a
-superseded view state.
+superseded view state, and one publish invalidates an entry once.
 
 Queries that no summary table can answer fall back to scanning the base
 fact table, which is *not* versioned; during a maintenance cycle those
@@ -47,7 +47,7 @@ from ..query.router import AggregateQuery, QueryRouter
 from ..relational.table import Table
 from ..warehouse.catalog import Warehouse
 
-#: Cache stamp: (view name, published epoch, in-place refresh count).
+#: Cache stamp: (view name, published epoch, in-place revision of it).
 CacheStamp = tuple[str, int, int]
 
 
@@ -76,7 +76,7 @@ class QueryResultCache:
     """A small LRU of answered queries, stamped with view versions.
 
     ``get`` returns a hit only when the caller's *stamp* — derived from
-    the routed view's current epoch and refresh count — equals the stamp
+    the routed view's pinned epoch and in-place revision — equals the stamp
     the entry was stored under; anything else is treated as a miss and
     the stale entry is dropped.  All operations take one lock, so the
     cache is safe under the server's thread pool.
@@ -251,11 +251,7 @@ class QueryServer:
                 stamp: CacheStamp | None = None
                 if cacheable:
                     key = query_fingerprint(query)
-                    stamp = (
-                        source.name,
-                        plan.source_epoch,
-                        source.freshness.refresh_count,
-                    )
+                    stamp = (source.name, *plan.source_stamp)
                     cached = self.cache.get(key, stamp)
                     if cached is not None:
                         span.set_tag("cache", "hit")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 from ..errors import DefinitionError, PublishError
@@ -24,7 +24,7 @@ from ..obs.audit import (
     ViewCertificate,
     ViewFreshness,
     certificates_enabled,
-    rows_certificate,
+    columns_certificate,
 )
 from ..obs.lineage import ViewLineage
 from ..relational.aggregation import group_by as physical_group_by
@@ -97,10 +97,18 @@ class ViewVersion:
     epoch: int
     table: Table
     certificate: ViewCertificate | None
+    #: In-place refreshes applied to this epoch's table since it was
+    #: installed (the versioned path never mutates a published table).
+    revision: int = 0
 
-    def stamp(self) -> int:
-        """Monotonic identity for cache keys: the epoch number."""
-        return self.epoch
+    def stamp(self) -> tuple[int, int]:
+        """Identity for cache keys: ``(epoch, revision)``.
+
+        Both come from the one version object a reader pinned, and a
+        publish or an in-place refresh installs a new one, so either
+        moves the stamp exactly once.
+        """
+        return (self.epoch, self.revision)
 
 
 class ShadowVersion:
@@ -166,11 +174,13 @@ class MaterializedView:
         #: Incremental consistency certificate, kept in sync with the
         #: stored rows via the table's mutation observers (``None`` when
         #: disabled through ``REPRO_CERTIFICATES=0``).  Built from
-        #: ``table.rows()`` — not ``scan()`` — because certificate
+        #: ``table.columns()`` — not ``scan()`` — because certificate
         #: bookkeeping must not charge tuple-access accounting.
         certificate: ViewCertificate | None = None
         if certificates_enabled():
-            certificate = ViewCertificate.from_rows(table.rows())
+            certificate = ViewCertificate.from_columns(
+                table.columns(), len(table)
+            )
             table.attach_observer(certificate)
         self._version = ViewVersion(0, table, certificate)
         #: Serialises publishers; readers never take it.
@@ -222,21 +232,34 @@ class MaterializedView:
         return self._version
 
     def version_stamp(self) -> tuple[int, int]:
-        """Cache-invalidation stamp: (epoch, refresh count).
+        """The view's state as (epoch, refresh count), which lineage
+        manifests record.
 
         Changes whenever either a versioned swap publishes a new epoch or
-        an in-place refresh mutates the current one, so result caches
-        keyed on it can never serve stale answers.
+        an in-place refresh mutates the current one — but in two steps
+        for a versioned refresh (the epoch at the swap, the count when
+        freshness is marked), so result caches stamp entries with
+        ``pin().stamp()`` instead.
         """
         return (self._version.epoch, self.freshness.refresh_count)
+
+    def mark_refreshed_in_place(self, delta_rows: int) -> None:
+        """Record a refresh that mutated the current epoch's table:
+        freshness, and the next revision of the same version, so answers
+        cached from the table's earlier state stop matching."""
+        self.freshness.mark_refreshed(delta_rows)
+        with self._publish_lock:
+            current = self._version
+            self._version = replace(current, revision=current.revision + 1)
 
     def begin_version(self) -> ShadowVersion:
         """Copy the current version into a private next-epoch shadow.
 
-        The copy carries the rows and index definitions but not the
-        observers; the shadow gets its own certificate, seeded O(1) from
-        the current one's digest-sum and maintained incrementally while
-        the refresh mutates the shadow table.
+        The copy (:meth:`Table.copy`: a structural clone, O(|view|) bytes
+        at memcpy speed) carries the rows, indexes and domains but not
+        the observers; the shadow gets its own certificate, seeded O(1)
+        from the current one's digest-sum and maintained incrementally
+        while the refresh mutates the shadow table.
         """
         current = self._version
         table = current.table.copy()
@@ -246,14 +269,15 @@ class MaterializedView:
             table.attach_observer(certificate)
         return ShadowVersion(self.definition, table, certificate, current.epoch)
 
-    def publish(self, shadow: ShadowVersion, validate: bool = True) -> ViewVersion:
+    def publish(self, shadow: ShadowVersion) -> ViewVersion:
         """Atomically install *shadow* as the new current version.
 
         Refuses to publish a shadow built from a superseded epoch (a
-        racing maintainer won) and, when *validate* is set and
-        certificates are enabled, a shadow whose incrementally-maintained
-        certificate disagrees with a fresh digest of its rows (a torn
-        build).  On success the swap is a single reference assignment;
+        racing maintainer won) and, when certificates are enabled, a
+        shadow whose incrementally-maintained certificate disagrees with
+        a fresh digest of every stored row (a torn build) — one
+        column-at-a-time pass, O(|view|) but with no per-cell interpreter
+        work.  On success the swap is a single reference assignment;
         committed epochs are never unpublished.
         """
         with self._publish_lock:
@@ -263,8 +287,10 @@ class MaterializedView:
                     f"stale shadow for {self.name!r}: built from epoch "
                     f"{shadow.base_epoch}, current is {current.epoch}"
                 )
-            if validate and shadow.certificate is not None:
-                expected = rows_certificate(shadow.table.rows())
+            if shadow.certificate is not None:
+                expected = columns_certificate(
+                    shadow.table.columns(), len(shadow.table)
+                )
                 if shadow.certificate.value != expected:
                     raise PublishError(
                         f"certificate mismatch publishing epoch "

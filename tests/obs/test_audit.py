@@ -1,8 +1,11 @@
 """Consistency certificates, freshness tracking, and integrity events."""
 
 import random
+from array import array
+from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     base_recompute_fn,
@@ -19,6 +22,7 @@ from repro.obs.audit import (
     certificates_enabled,
     record_events,
     row_digest,
+    columns_certificate,
     rows_certificate,
 )
 from repro.obs.metrics import MetricsRegistry
@@ -77,6 +81,99 @@ class TestRowsCertificate:
 
     def test_empty_is_zero(self):
         assert rows_certificate([]) == 0
+
+    def test_rows_of_different_arity(self):
+        rows = [(1, 2), (), (3,), (4, 5), ()]
+        assert rows_certificate(rows) == reference_certificate(rows)
+
+
+def reference_certificate(rows):
+    """The definition the batch kernel must reproduce bit for bit."""
+    return sum(row_digest(row) for row in rows) & CERT_MASK
+
+
+NAN = float("nan")
+
+#: Cells that stress value-sharing in the kernel: numeric values that are
+#: equal but typed differently (and must digest equally), NaN both as one
+#: shared object and as fresh ones, ints past the typed-array range, and
+#: values only equal *by comparison* to a builtin (canonicalised per cell).
+cells = st.one_of(
+    st.sampled_from([
+        0, 0.0, -0.0, False, 1, 1.0, True, None, "", "0", "a", NAN,
+        2 ** 63, -(2 ** 63) - 1, 2 ** 80, float("inf"), 1e300, 2.5,
+        Decimal("1"), Decimal("1.0"), (1, 2), b"a",
+    ]),
+    st.floats(allow_nan=True),
+    st.integers(-(2 ** 70), 2 ** 70),
+    st.text(max_size=3),
+)
+
+
+class TestBatchKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 4).flatmap(
+        lambda arity: st.lists(st.tuples(*[cells] * arity), max_size=30)
+    ))
+    def test_equals_sum_of_row_digests(self, rows):
+        columns = [list(column) for column in zip(*rows)]
+        expected = reference_certificate(rows)
+        assert columns_certificate(columns, len(rows)) == expected
+        assert rows_certificate(rows) == expected
+        assert ViewCertificate.from_rows(rows).value == expected
+
+    def test_zero_arity_rows_count(self):
+        assert columns_certificate([], 3) == reference_certificate([()] * 3)
+        assert columns_certificate([], 0) == 0
+
+    def test_same_and_distinct_nan_objects(self):
+        fresh = [float("nan") for _ in range(3)]
+        for column in (
+            [NAN, NAN, 1.5], fresh, array("d", [NAN, 2.0, NAN]),
+        ):
+            rows = [(value,) for value in column]
+            assert columns_certificate([column], len(rows)) == \
+                reference_certificate(rows)
+
+    def test_equal_numbers_of_different_type_share_a_digest(self):
+        column = [0, 0.0, -0.0, False, 1, 1.0, True]
+        rows = [(value,) for value in column]
+        assert columns_certificate([column], 7) == reference_certificate(rows)
+        assert len({row_digest(row) for row in rows}) == 2
+
+    def test_value_equal_to_a_builtin_is_not_merged_with_it(self):
+        # Decimal("1") == 1 and hashes alike, but canonicalises by repr.
+        column = [1, Decimal("1"), 1.0]
+        rows = [(value,) for value in column]
+        assert row_digest(rows[0]) != row_digest(rows[1])
+        assert columns_certificate([column], 3) == reference_certificate(rows)
+
+    def test_more_rows_than_one_block(self):
+        from repro.obs import audit
+
+        count = audit._BLOCK_ROWS * 2 + 17  # noqa: SLF001
+        keys = array("q", range(count))
+        values = [float(i % 7) for i in range(count)]
+        assert columns_certificate([keys, values], count) == \
+            reference_certificate(zip(keys, values))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 5), st.floats(allow_nan=True)),
+                 min_size=1, max_size=20),
+        st.data(),
+    )
+    def test_typed_columns_demotion_and_tombstones(self, rows, data):
+        """Fed from ``Table.columns()``: typed arrays, a column demoted by
+        a value that does not fit, and tombstoned slots left out."""
+        table = Table("t", ["k", "v"], storage="column")
+        table.append_batch([list(column) for column in zip(*rows)])
+        if data.draw(st.booleans()):
+            table.insert((2 ** 63, None))
+        doomed = data.draw(st.sets(st.integers(0, len(rows) - 1)))
+        table.delete_slots(sorted(doomed))
+        assert columns_certificate(table.columns(), len(table)) == \
+            reference_certificate(table.rows())
 
 
 class TestViewCertificate:

@@ -168,6 +168,20 @@ class TestTypedColumns:
         table.append_batch([[2 ** 80]])
         assert table.rows() == [(1,), (2 ** 80,)]
 
+    def test_copy_keeps_column_types(self):
+        table = self.batched([(1, 1.5, "a"), (2, 2.5, "b")], "kvs")
+        columns = table.copy()._store._columns  # noqa: SLF001
+        assert [type(column) for column in columns] == [array, array, list]
+        assert [column.typecode for column in columns[:2]] == ["q", "d"]
+
+    def test_write_that_demotes_a_clone_leaves_the_source_typed(self):
+        table = self.batched([(1,), (2,)])
+        clone = table.copy()
+        clone.insert((None,))
+        assert type(clone._store._columns[0]) is list  # noqa: SLF001
+        assert isinstance(table._store._columns[0], array)  # noqa: SLF001
+        assert table.rows() == [(1,), (2,)]
+
 
 class TestBulkPrimitives:
     def test_append_batch_matches_row_inserts(self):

@@ -66,6 +66,36 @@ class TestMutation:
         assert len(index) == 0
 
 
+class TestClone:
+    def test_clone_has_the_same_entries(self, index):
+        twin = index.clone()
+        assert {key: twin.lookup(key) for key in twin.keys()} == {
+            key: index.lookup(key) for key in index.keys()
+        }
+        assert twin.columns == index.columns and twin.unique == index.unique
+
+    def test_writes_to_either_side_leave_the_other_untouched(self, index):
+        twin = index.clone()
+        twin.add((1, "x", 5), 7)          # grows a shared bucket
+        index.remove((1, "x", 99), 0)     # shrinks the same one
+        twin.remove((2, "y", 97), 2)      # drops a key
+        index.add((3, "z", 1), 9)         # adds one
+        assert index.lookup((1, "x")) == [1]
+        assert twin.lookup((1, "x")) == [0, 1, 7]
+        assert index.lookup((2, "y")) == [2] and twin.lookup((2, "y")) == []
+        assert index.lookup((3, "z")) == [9] and twin.lookup((3, "z")) == []
+
+    def test_clone_of_a_clone_after_writes(self, index):
+        twin = index.clone()
+        twin.add((1, "x", 5), 7)
+        third = twin.clone()
+        twin.add((1, "x", 6), 8)
+        third.remove((1, "x", 99), 0)
+        assert index.lookup((1, "x")) == [0, 1]
+        assert twin.lookup((1, "x")) == [0, 1, 7, 8]
+        assert third.lookup((1, "x")) == [1, 7]
+
+
 class TestUnique:
     def test_unique_rejects_duplicate_key(self):
         idx = HashIndex(["a"], [0], unique=True)

@@ -1,8 +1,10 @@
 """Table mutation, bag semantics, and index consistency."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import TableError
+from repro.obs.audit import ViewCertificate, rows_certificate
 from repro.relational import Table
 
 
@@ -169,9 +171,100 @@ class TestCopyAndHelpers:
         clone = table.copy()
         assert clone.index_on(["a"]) is not None
 
+    def test_copy_is_dense_and_leaves_the_source_slots_alone(self):
+        table = Table("t", ["a", "b"], [(i, str(i)) for i in range(6)],
+                      storage="column")
+        table.create_index(["a"])
+        table.delete_slots([1, 4])
+        before = list(table.slots())
+        clone = table.copy()
+        assert list(table.slots()) == before
+        assert table._free_slots == [1, 4]  # noqa: SLF001
+        assert sorted(clone.rows()) == sorted(table.rows())
+        assert [slot for slot, _row in clone.slots()] == [0, 1, 2, 3]
+        assert clone._free_slots == []  # noqa: SLF001
+        assert clone.verify_indexes()
+        # The next insert appends; the source still recycles its hole.
+        assert clone.insert((9, "9")) == 4
+        assert table.insert((9, "9")) == 4 and table.insert((8, "8")) == 1
+
+    def test_copy_charges_a_scan_and_one_insert_per_row(self, table):
+        from repro.relational.stats import measuring
+
+        for storage in ("row", "column"):
+            source = Table("t", ["a", "b"], table.rows(), storage=storage)
+            with measuring() as stats:
+                source.copy()
+            assert (stats.rows_scanned, stats.rows_inserted) == (3, 3)
+
+    def test_copy_does_not_inherit_observers(self, table):
+        table.attach_observer(object())
+        assert table.copy().observers == ()
+
     def test_column_values(self, table):
         assert table.column_values("a") == [1, 2, 1]
 
     def test_sorted_rows_puts_nulls_first(self):
         table = Table("t", ["a"], [(2,), (None,), (1,)])
         assert table.sorted_rows() == [(None,), (1,), (2,)]
+
+
+# One step of a random table history: insert a row, delete or rewrite the
+# n-th live row.  Values include one no typed column can hold.
+values = st.one_of(st.integers(0, 3), st.sampled_from([2 ** 63, None, 1.5]))
+history = st.lists(st.one_of(
+    st.tuples(st.just("insert"), values, values),
+    st.tuples(st.just("delete"), st.integers(0, 50), st.none()),
+    st.tuples(st.just("update"), st.integers(0, 50), values),
+), max_size=40)
+
+
+def apply_history(table, steps):
+    for kind, first, second in steps:
+        live = [slot for slot, _row in table.slots()]
+        if kind == "insert":
+            table.insert((first, second))
+        elif live and kind == "delete":
+            table.delete_slot(live[first % len(live)])
+        elif live:
+            slot = live[first % len(live)]
+            table.update_slot(slot, (table.row_at(slot)[0], second))
+
+
+class TestCloneProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["row", "column"]), history, history, history)
+    def test_clone_is_an_independent_dense_equal_bag(
+        self, storage, before, on_source, on_clone
+    ):
+        table = Table("t", ["a", "b"], storage=storage)
+        table.append_batch([[0, 1, 2, 3], [0, 1, 2, 3]])  # typed when columnar
+        table.create_index(["a"])
+        table.create_index(["a", "b"])
+        table.track_domain("b")
+        certificate = table.attach_observer(ViewCertificate(
+            rows_certificate(table.rows())
+        ))
+        apply_history(table, before)
+
+        clone = table.copy()
+        assert rows_certificate(clone.rows()) == certificate.value
+        assert sorted(clone.rows(), key=repr) == sorted(table.rows(), key=repr)
+        assert clone.verify_indexes() and table.verify_indexes()
+        assert sorted(clone.domain("b"), key=repr) == \
+            sorted(table.domain("b"), key=repr)
+        assert clone._store.size() == len(clone)  # noqa: SLF001 — dense
+        assert clone.observers == ()
+
+        kept = sorted(clone.rows(), key=repr)
+        apply_history(table, on_source)
+        assert sorted(clone.rows(), key=repr) == kept
+        assert clone.verify_indexes()
+        kept = sorted(table.rows(), key=repr)
+        apply_history(clone, on_clone)
+        assert sorted(table.rows(), key=repr) == kept
+        assert table.verify_indexes() and clone.verify_indexes()
+        for side in (table, clone):
+            assert sorted(side.domain("b"), key=repr) == sorted(
+                {row[1] for row in side.rows()}, key=repr
+            )

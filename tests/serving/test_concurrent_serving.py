@@ -193,3 +193,37 @@ def test_cached_answers_stay_epoch_consistent(retail):
     # stamps can never be served).
     assert server.stats.cache_hits > 0
     assert server.stats.cache_misses >= len(queries) * 4
+
+
+@pytest.mark.parametrize("mode", ["versioned", "inplace", "atomic"])
+def test_one_refresh_invalidates_a_cached_answer_once(retail, mode):
+    """Regression: a versioned refresh moves the epoch at the swap and the
+    freshness count a moment later, and entries used to be stamped with
+    both — so an answer computed between the two was stored under a stamp
+    no later lookup matched, and the roll-up ran twice per publish."""
+    data, warehouse = retail
+    query = query_pool(data.pos)[0]
+    with QueryServer(warehouse, max_workers=1) as server:
+        view = server.router.plan(query).source_view
+        server.answer(query)
+        between = []
+        mark = view.freshness.mark_refreshed
+
+        def answer_then_mark(*args, **kwargs):
+            # What a reader thread does when it runs between the publish
+            # and the freshness update of a versioned refresh.
+            if mode == "versioned":
+                between.append(server.answer(query))
+            mark(*args, **kwargs)
+
+        view.freshness.mark_refreshed = answer_then_mark
+        run_cycle(data, warehouse, n_changes=150, mode=mode)
+        misses = server.stats.cache_misses
+        after = server.answer(query)
+        if between:
+            assert after is between[0]
+            assert server.stats.cache_misses == misses == 2
+        else:
+            assert server.stats.cache_misses == misses + 1 == 2
+        assert canon(after) == canon(server.router.answer(query))
+        assert server.answer(query) is after

@@ -84,13 +84,6 @@ class TestVersionLifecycle:
             view.publish(shadow)
         assert view.epoch == 0
 
-    def test_validation_can_be_skipped(self, view):
-        shadow = view.begin_version()
-        shadow.table.detach_observer(shadow.certificate)
-        shadow.table.insert((99, 99, 99, 1, 1.0, 1))
-        view.publish(shadow, validate=False)
-        assert view.epoch == 1
-
     def test_version_stamp_tracks_publishes_and_inplace_refreshes(
         self, pos, view
     ):
