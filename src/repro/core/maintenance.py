@@ -54,7 +54,8 @@ def base_recompute_fn(
     def recompute_by_scan(keys: list[GroupKey]) -> dict[GroupKey, tuple]:
         wanted = set(keys)
         source = definition.fact.join_dimensions(
-            definition.fact.table, definition.dimensions
+            definition.fact.table, definition.dimensions,
+            definition.referenced_columns(),
         )
         if definition.where is not None:
             source = select(source, definition.where)

@@ -39,7 +39,9 @@ def _prepare_one_side(
     *change_rows* shares the fact table's schema, so the view's dimension
     joins and WHERE clause apply to it unchanged.
     """
-    joined = definition.fact.join_dimensions(change_rows, definition.dimensions)
+    joined = definition.fact.join_dimensions(
+        change_rows, definition.dimensions, definition.referenced_columns()
+    )
     if definition.where is not None:
         joined = select(joined, definition.where)
 

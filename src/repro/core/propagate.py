@@ -291,7 +291,7 @@ def _propagate_preaggregated(
     for deletion, rows in ((False, changes.insertions), (True, changes.deletions)):
         if not len(rows) and sides:
             continue
-        joined = fact.join_dimensions(rows, early)
+        joined = fact.join_dimensions(rows, early, definition.referenced_columns())
         if definition.where is not None:
             joined = select(joined, definition.where)
         outputs: list[tuple[str, Expression]] = [

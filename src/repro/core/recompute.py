@@ -31,11 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Any
+from typing import Any, Callable, Sequence
 
 from ..relational.index import HashIndex
 from ..relational.operators import select
-from ..relational.table import Table
+from ..relational.table import Table, charge_access
 from ..views.definition import SummaryViewDefinition
 
 GroupKey = tuple[Any, ...]
@@ -56,16 +56,15 @@ class _Provider:
         if self.kind == "fixed":
             return 1.0
         if self.kind == "dim_attrs":
-            dimension = fact.dimension(self.dimension_name)
-            size = max(1, len(dimension.table))
-            # Assume attribute combinations partition the keys evenly.
-            combos = max(1, len({
-                tuple(row[p] for p in dimension.table.schema.positions(
-                    [definition.group_by[i] for i in self.attr_group_positions]
-                ))
-                for row in dimension.table.scan()
-            }))
-            return size / combos
+            table = fact.dimension(self.dimension_name).table
+            # Assume attribute combinations partition the keys evenly; the
+            # distinct combinations are counted column-wise (no row tuple
+            # per dimension row), charged as the scan they stand for.
+            charge_access("rows_scanned", len(table))
+            attributes = table.columns(
+                [definition.group_by[i] for i in self.attr_group_positions]
+            )
+            return max(1, len(table)) / max(1, len(set(zip(*attributes))))
         if self.kind == "dim_all":
             return float(max(1, len(fact.dimension(self.dimension_name).table)))
         domain = fact.table.domain(self.column)
@@ -81,36 +80,50 @@ class IndexRecomputePlan:
     providers: tuple[_Provider, ...]
     estimated_probes_per_group: float
 
-    def candidate_keys(self, key: GroupKey) -> list[tuple]:
-        """All index keys that rows of group *key* can have."""
+    def candidate_sources(
+        self,
+    ) -> tuple[list[Callable[[GroupKey], Sequence[Any]]], int]:
+        """Per index column, the function from a group key to that
+        column's candidate values, over dimension attribute → keys maps
+        and tracked-domain lists built once here; and the dimension rows
+        the per-group plan this stands for scans for each group, which is
+        what callers charge."""
         fact = self.definition.fact
-        per_column: list[list[Any]] = []
+        sources: list[Callable[[GroupKey], Sequence[Any]]] = []
+        scanned = 0
         for provider in self.providers:
             if provider.kind == "fixed":
-                per_column.append([key[provider.group_position]])
-            elif provider.kind == "dim_attrs":
-                dimension = fact.dimension(provider.dimension_name)
-                attrs = [
-                    self.definition.group_by[i]
-                    for i in provider.attr_group_positions
-                ]
-                positions = dimension.table.schema.positions(attrs)
-                key_position = dimension.table.schema.position(dimension.key)
-                wanted = tuple(key[i] for i in provider.attr_group_positions)
-                per_column.append([
-                    row[key_position]
-                    for row in dimension.table.scan()
-                    if tuple(row[p] for p in positions) == wanted
-                ])
-            elif provider.kind == "dim_all":
-                dimension = fact.dimension(provider.dimension_name)
-                key_position = dimension.table.schema.position(dimension.key)
-                per_column.append(
-                    [row[key_position] for row in dimension.table.scan()]
+                sources.append(
+                    lambda key, p=provider.group_position: (key[p],)
                 )
-            else:  # domain
-                per_column.append(list(fact.table.domain(provider.column) or ()))
-        return [tuple(combo) for combo in product(*per_column)]
+                continue
+            if provider.kind == "domain":
+                values = list(fact.table.domain(provider.column) or ())
+            else:
+                dimension = fact.dimension(provider.dimension_name)
+                scanned += len(dimension.table)
+                values = list(dimension.table.columns([dimension.key])[0])
+            if provider.kind == "dim_attrs":
+                where = provider.attr_group_positions
+                attributes = dimension.table.columns(
+                    [self.definition.group_by[i] for i in where]
+                )
+                keys_of: dict[tuple, list[Any]] = {}
+                for combination, value in zip(zip(*attributes), values):
+                    keys_of.setdefault(combination, []).append(value)
+                sources.append(
+                    lambda key, keys_of=keys_of, where=where:
+                    keys_of.get(tuple(key[i] for i in where), ())
+                )
+            else:
+                sources.append(lambda key, values=values: values)
+        return sources, scanned
+
+    def candidate_keys(self, key: GroupKey) -> list[tuple]:
+        """All index keys that rows of group *key* can have."""
+        sources, scanned = self.candidate_sources()
+        charge_access("rows_scanned", scanned)
+        return list(product(*[source(key) for source in sources]))
 
     def gather_rows(self, key: GroupKey) -> Table:
         """Fetch the fact rows of group *key* through the index."""
@@ -205,17 +218,21 @@ def recompute_groups_via_index(
 
     definition = plan.definition
     fact_table = definition.fact.table
+    sources, scanned = plan.candidate_sources()
+    charge_access("rows_scanned", scanned * len(keys))
     slots: dict[int, None] = {}
     for key in keys:
-        for candidate in plan.candidate_keys(key):
-            for slot in plan.index.lookup(candidate):
-                slots[slot] = None
+        candidates = product(*[source(key) for source in sources])
+        for bucket in plan.index.lookup_many(candidates):
+            slots.update(dict.fromkeys(bucket))
     if not slots:
         return {}
     rows = Table(f"recompute_{definition.name}", fact_table.schema,
                  storage=fact_table.storage)
     rows.append_batch(fact_table.take(list(slots)))
-    joined = definition.fact.join_dimensions(rows, definition.dimensions)
+    joined = definition.fact.join_dimensions(
+        rows, definition.dimensions, definition.referenced_columns()
+    )
     if definition.where is not None:
         joined = select(joined, definition.where)
     aggregates = [

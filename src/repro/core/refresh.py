@@ -51,7 +51,6 @@ from ..errors import InconsistentDeltaError, MaintenanceError
 from ..obs import metrics as obs_metrics
 from ..obs import tracing
 from ..obs.lineage import record_publish as lineage_record_publish
-from ..relational.stats import collector
 from ..relational.table import Row, charge_access
 from ..relational.types import null_max, null_min
 from ..views.definition import SummaryViewDefinition
@@ -131,7 +130,8 @@ def apply_refresh(
 
     The single dispatch point the lattice/maintenance layers go through,
     so a whole cycle switches discipline with one argument (or the
-    ``REPRO_VERSIONED`` environment default)."""
+    ``REPRO_VERSIONED`` environment default).  *variant* picks how an
+    in-place refresh executes; the other modes have one form each."""
     resolved = resolve_refresh_mode(mode)
     if resolved is RefreshMode.INPLACE:
         return refresh(view, delta, recompute, variant)
@@ -139,7 +139,7 @@ def apply_refresh(
 
     if resolved is RefreshMode.ATOMIC:
         return refresh_atomically(view, delta, recompute)
-    return refresh_versioned(view, delta, recompute, variant)
+    return refresh_versioned(view, delta, recompute)
 
 
 class GroupLocator:
@@ -204,13 +204,7 @@ class GroupLocator:
             if row[:arity] == key:
                 found = slot
                 break
-        if examined:
-            stats = collector()
-            if stats is not None:
-                stats.add("rows_scanned", examined)
-            span = tracing.current_span()
-            if span is not None:
-                span.add("rows_scanned", examined)
+        charge_access("rows_scanned", examined)
         return found
 
 
@@ -442,6 +436,55 @@ def decide(
     actions.updates.append((slot, tuple(new_row)))
 
 
+def decide_all(
+    view: MaterializedView,
+    delta: SummaryDelta,
+    plan: RefreshPlan,
+    locator: GroupLocator,
+) -> RefreshActions:
+    """Figure 7's decision for every delta tuple against the table as it
+    stands — the read-only half of the "summary-delta join": one scan of
+    the delta, one locator probe per tuple, the matched summary rows
+    gathered column-wise in one pass."""
+    actions = RefreshActions()
+    delta_rows = delta.table.rows()
+    charge_access("rows_scanned", len(delta_rows))
+    keys = [delta_row[:plan.group_arity] for delta_row in delta_rows]
+    slots = list(map(locator.slot_of, keys))
+    old_rows = zip(*view.table.take([s for s in slots if s is not None]))
+    for delta_row, key, slot in zip(delta_rows, keys, slots):
+        old_row = next(old_rows) if slot is not None else None
+        decide(plan, view.definition.name, old_row, delta_row, key, slot, actions)
+    return actions
+
+
+def recomputed_rows(
+    name: str, actions: RefreshActions, recompute: RecomputeFn | None
+) -> list[tuple[int | None, Row]]:
+    """The ``(slot, new row)`` of every group flagged for recomputation
+    (slot ``None``: the group is new to the view), from one batched call
+    to *recompute*."""
+    if not actions.recomputes:
+        return []
+    if recompute is None:
+        raise MaintenanceError(
+            f"view {name!r}: refresh needs base-data recomputation for "
+            f"{len(actions.recomputes)} group(s) but no recompute source "
+            "was provided"
+        )
+    fresh = recompute([key for _slot, key in actions.recomputes])
+    rows = []
+    for slot, key in actions.recomputes:
+        values = fresh.get(key)
+        if values is None:
+            raise InconsistentDeltaError(
+                f"view {name!r}: group {key!r} flagged for recomputation "
+                "has no base rows, but its COUNT(*) is positive"
+            )
+        rows.append((slot, key + values))
+    return rows
+
+
 def refresh(
     view: MaterializedView,
     delta: SummaryDelta,
@@ -530,19 +573,14 @@ def _refresh_impl(
 
     if assume_all_new:
         for delta_row in delta.table.scan():
-            key = delta_row[:g]
-            local = RefreshActions()
-            decide(plan, name, None, delta_row, key, None, local)
-            for row in local.inserts:
-                view.table.insert(row)
-                stats.inserted += 1
-            actions.recomputes.extend(local.recomputes)
+            decide(plan, name, None, delta_row, delta_row[:g], None, actions)
         if actions.recomputes:
             raise MaintenanceError(
                 f"view {name!r}: assume_all_new refresh hit groups needing "
                 "base-data recomputation; the all-new assumption is unsafe "
                 "for this delta"
             )
+        stats.inserted = view.table.insert_many(actions.inserts)
         return stats
 
     if variant is RefreshVariant.CURSOR:
@@ -565,46 +603,20 @@ def _refresh_impl(
                 stats.updated += 1
             actions.recomputes.extend(local.recomputes)
     else:
-        # OUTER_JOIN, batch form: resolve every group probe up front, make
-        # all decisions against the pre-apply table state, then apply the
-        # actions grouped by kind through the table's bulk mutators.  The
-        # bulk mutators still run per-row index/observer maintenance
-        # (certificates must see every mutation) but charge access stats
-        # once per batch — totals identical to the cursor path.
-        delta_rows = delta.table.rows()
-        charge_access("rows_scanned", len(delta_rows))
-        keys = [delta_row[:g] for delta_row in delta_rows]
-        slots = list(map(locator.slot_of, keys))
-        row_at = view.table.row_at
-        for delta_row, key, slot in zip(delta_rows, keys, slots):
-            old_row = row_at(slot) if slot is not None else None
-            decide(plan, name, old_row, delta_row, key, slot, actions)
-        if actions.inserts:
-            stats.inserted += view.table.insert_many(actions.inserts)
-        if actions.deletes:
-            stats.deleted += view.table.delete_slots(actions.deletes)
-        if actions.updates:
-            stats.updated += view.table.update_slots(actions.updates)
+        # OUTER_JOIN, batch form: all decisions against the pre-apply
+        # table state, then the actions grouped by kind through the
+        # table's batch mutators, which maintain indexes and the
+        # certificate a batch at a time and charge access stats once per
+        # batch — totals identical to the cursor path.
+        actions = decide_all(view, delta, plan, locator)
+        stats.inserted = view.table.insert_many(actions.inserts)
+        stats.deleted = view.table.delete_slots(actions.deletes)
+        stats.updated = view.table.update_slots(actions.updates)
 
-    if actions.recomputes:
-        if recompute is None:
-            raise MaintenanceError(
-                f"view {name!r}: refresh needs base-data recomputation for "
-                f"{len(actions.recomputes)} group(s) but no recompute source "
-                "was provided"
-            )
-        keys = [key for _slot, key in actions.recomputes]
-        recomputed = recompute(keys)
-        for slot, key in actions.recomputes:
-            values = recomputed.get(key)
-            if values is None:
-                raise InconsistentDeltaError(
-                    f"view {name!r}: group {key!r} flagged for recomputation "
-                    "has no base rows, but its COUNT(*) is positive"
-                )
-            if slot is None:
-                view.table.insert(key + values)
-            else:
-                view.table.update_slot(slot, key + values)
-            stats.recomputed += 1
+    for slot, row in recomputed_rows(name, actions, recompute):
+        if slot is None:
+            view.table.insert(row)
+        else:
+            view.table.update_slot(slot, row)
+        stats.recomputed += 1
     return stats

@@ -21,23 +21,22 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from ..errors import InconsistentDeltaError, MaintenanceError
+from ..errors import MaintenanceError
 from ..obs import metrics as obs_metrics
 from ..obs import tracing
 from ..obs.lineage import record_publish as lineage_record_publish
-from ..relational.table import charge_access
 from ..views.materialize import MaterializedView
 from .deltas import SummaryDelta
 from .refresh import (
     GroupLocator,
     RecomputeFn,
-    RefreshActions,
     RefreshPlan,
     RefreshStats,
     RefreshVariant,
     _record_refresh_stats,
     _refresh_impl,
-    decide,
+    decide_all,
+    recomputed_rows,
 )
 
 FailureHook = Callable[[int], None]
@@ -119,7 +118,6 @@ def refresh_versioned(
     view: MaterializedView,
     delta: SummaryDelta,
     recompute: RecomputeFn | None = None,
-    variant: RefreshVariant = RefreshVariant.CURSOR,
     failure_hook: StageHook | None = None,
 ) -> RefreshStats:
     """Apply *delta* to a shadow copy of *view* and atomically publish it.
@@ -130,8 +128,10 @@ def refresh_versioned(
        copies the current epoch's table (rows + index definitions) into a
        private :class:`~repro.views.materialize.ShadowVersion` whose
        certificate is seeded O(1) from the live one;
-    2. the shared Figure 7 machinery refreshes the shadow exactly as it
-       would the live table — readers see none of it;
+    2. the shared Figure 7 machinery refreshes the shadow in its batch
+       "summary-delta join" form (:attr:`RefreshVariant.OUTER_JOIN`): a
+       private shadow has no observer of intermediate states, so there is
+       nothing a per-tuple cursor could buy — readers see none of it;
     3. :meth:`~repro.views.materialize.MaterializedView.publish` validates
        the shadow's incrementally-maintained certificate against a fresh
        digest of its rows and installs it with one reference swap.
@@ -146,6 +146,7 @@ def refresh_versioned(
             f"delta for {delta.definition.name!r} applied to view "
             f"{view.definition.name!r}"
         )
+    variant = RefreshVariant.OUTER_JOIN
     with tracing.span(
         "refresh_versioned", view=view.definition.name, variant=variant.value,
     ) as span:
@@ -180,40 +181,13 @@ def _refresh_atomically_impl(
 ) -> RefreshStats:
     plan = RefreshPlan(view.definition, delta.policy)
     stats = RefreshStats(delta_rows=len(delta.table))
-    arity = plan.group_arity
     name = view.definition.name
 
-    # Phase 1: read-only decisions, with every group probe resolved in one
-    # batch pass up front (same access totals as the per-tuple loop: one
-    # scan of the delta, one locator probe per delta row).
-    actions = RefreshActions()
-    delta_rows = delta.table.rows()
-    charge_access("rows_scanned", len(delta_rows))
-    keys = [delta_row[:arity] for delta_row in delta_rows]
-    slots = list(map(locator.slot_of, keys))
-    row_at = view.table.row_at
-    for delta_row, key, slot in zip(delta_rows, keys, slots):
-        old_row = row_at(slot) if slot is not None else None
-        decide(plan, name, old_row, delta_row, key, slot, actions)
-
-    # Phase 2: resolve recomputations before touching the view.
-    recomputed_rows: list[tuple[int | None, tuple]] = []
-    if actions.recomputes:
-        if recompute is None:
-            raise MaintenanceError(
-                f"view {name!r}: refresh needs base-data recomputation but "
-                "no recompute source was provided"
-            )
-        keys = [key for _slot, key in actions.recomputes]
-        fresh = recompute(keys)
-        for slot, key in actions.recomputes:
-            values = fresh.get(key)
-            if values is None:
-                raise InconsistentDeltaError(
-                    f"view {name!r}: group {key!r} flagged for recomputation "
-                    "has no base rows, but its COUNT(*) is positive"
-                )
-            recomputed_rows.append((slot, key + values))
+    # Phase 1: read-only decisions (one scan of the delta, one locator
+    # probe per delta row).  Phase 2: recomputations resolved before the
+    # view is touched.
+    actions = decide_all(view, delta, plan, locator)
+    recomputed = recomputed_rows(name, actions, recompute)
 
     # Phase 3: journaled application.
     undo = UndoLog(view)
@@ -241,7 +215,7 @@ def _refresh_atomically_impl(
             undo.record_update(slot, old_row)
             stats.updated += 1
             step += 1
-        for slot, new_row in recomputed_rows:
+        for slot, new_row in recomputed:
             if failure_hook is not None:
                 failure_hook(step)
             if slot is None:

@@ -233,6 +233,23 @@ class ViewCertificate:
         ) & CERT_MASK
         self._charge(2)
 
+    # Batch forms (rows column-wise): the same sums, one hash call per row.
+
+    def _shift(self, sign: int, columns: Sequence[Sequence[Any]], count: int) -> None:
+        digests = columns_certificate(columns, count)
+        self.value = (self.value + sign * digests) & CERT_MASK
+        self._charge(count)
+
+    def rows_inserted(self, columns: Sequence[Sequence[Any]], count: int) -> None:
+        self._shift(1, columns, count)
+
+    def rows_deleted(self, columns: Sequence[Sequence[Any]], count: int) -> None:
+        self._shift(-1, columns, count)
+
+    def rows_updated(self, old: Sequence[Any], new: Sequence[Any], count: int) -> None:
+        self._shift(-1, old, count)
+        self._shift(1, new, count)
+
     def truncated(self) -> None:
         self.value = 0
 

@@ -30,7 +30,7 @@ from ..obs import metrics as obs_metrics
 from ..obs import tracing
 from .expressions import Expression
 from .schema import Schema
-from .stats import collector
+from .stats import charge_access
 from .table import Table
 
 
@@ -292,31 +292,12 @@ def _finalize(
 
 
 def _scanned_rows(table: Table) -> list[tuple]:
-    """Materialise the table's live rows, charging the scan to the active
-    access-stats collector and span in one step (the aggregation loops below
-    always consume every row, so bulk accounting matches per-row
-    accounting).  Charging the span keeps span-subtree access totals equal
-    to the :class:`~repro.relational.stats.AccessStats` totals, which the
-    cost model's predicted-vs-actual join relies on."""
+    """Materialise the table's live rows, charging the scan in one step
+    (the aggregation loops below always consume every row, so bulk
+    accounting matches per-row accounting)."""
     rows = table.rows()
-    stats = collector()
-    if stats is not None:
-        stats.add("rows_scanned", len(rows))
-    span = tracing.current_span()
-    if span is not None:
-        span.add("rows_scanned", len(rows))
+    charge_access("rows_scanned", len(rows))
     return rows
-
-
-def _charge_scan(count: int) -> None:
-    """Charge a bulk scan of *count* rows to the collector and span (the
-    column-batch twin of :func:`_scanned_rows`'s accounting)."""
-    stats = collector()
-    if stats is not None:
-        stats.add("rows_scanned", count)
-    span = tracing.current_span()
-    if span is not None:
-        span.add("rows_scanned", count)
 
 
 def group_by(
@@ -348,7 +329,7 @@ def group_by(
             fold_columns = _compiled_batch_fold(table.schema, keys, aggregates)
             if fold_columns is not None:
                 n = len(table)
-                _charge_scan(n)
+                charge_access("rows_scanned", n)
                 groups = fold_columns(table.columns(), n)
                 sp.add("rows_in", n)
                 sp.add("groups_out", len(groups))

@@ -17,8 +17,7 @@ from __future__ import annotations
 from typing import Any, Iterable, Sequence
 
 from ..errors import TableError
-from ..obs.tracing import current_span
-from .stats import collector
+from .stats import charge_access
 
 
 class HashIndex:
@@ -61,7 +60,10 @@ class HashIndex:
 
     def add(self, row: Sequence[Any], slot: int) -> None:
         """Register *row* stored at *slot*."""
-        key = self.key_of(row)
+        self.add_key(self.key_of(row), slot)
+
+    def add_key(self, key: tuple[Any, ...], slot: int) -> None:
+        """Register the row with index key *key* stored at *slot*."""
         bucket = self._buckets.get(key)
         if bucket is None:
             self._buckets[key] = [slot]
@@ -74,7 +76,10 @@ class HashIndex:
 
     def remove(self, row: Sequence[Any], slot: int) -> None:
         """Unregister *row* previously stored at *slot*."""
-        key = self.key_of(row)
+        self.remove_key(self.key_of(row), slot)
+
+    def remove_key(self, key: tuple[Any, ...], slot: int) -> None:
+        """Unregister the row with index key *key* stored at *slot*."""
         bucket = self._buckets.get(key)
         if not bucket:
             raise TableError(f"index on {self.columns}: key {key!r} not present")
@@ -88,6 +93,26 @@ class HashIndex:
         if not bucket:
             del self._buckets[key]
 
+    def keys_of(self, columns: Sequence[Sequence[Any]]) -> list[tuple[Any, ...]]:
+        """This index's key tuples for a batch of rows given column-wise
+        (what a batch mutator feeds ``add_key``/``remove_key``, in step
+        with the rows' slots)."""
+        return list(zip(*[columns[p] for p in self._positions]))
+
+    def check_addable(self, keys: Iterable[tuple], vacated: Iterable[tuple] = ()) -> None:
+        """Raise, with nothing changed, if adding *keys* would break
+        uniqueness — among themselves, or against the entries present
+        other than the *vacated* ones (removed before *keys* are added)."""
+        if self.unique:
+            freed = set(vacated)
+            seen: set[tuple[Any, ...]] = set()
+            for key in keys:
+                if (key in self._buckets and key not in freed) or key in seen:
+                    raise TableError(
+                        f"unique index on {self.columns} violated by key {key!r}"
+                    )
+                seen.add(key)
+
     def _writable(self, key: tuple[Any, ...], bucket: list[int]) -> list[int]:
         """*bucket* if this index alone holds it, else a private copy
         installed in its place."""
@@ -99,13 +124,15 @@ class HashIndex:
 
     def lookup(self, key: tuple[Any, ...]) -> list[int]:
         """Return the row slots whose key equals *key* (empty when absent)."""
-        stats = collector()
-        if stats is not None:
-            stats.add("index_lookups")
-        span = current_span()
-        if span is not None:
-            span.add("index_lookups")
+        charge_access("index_lookups", 1)
         return self._buckets.get(key, [])
+
+    def lookup_many(self, keys: Iterable[tuple[Any, ...]]) -> list[list[int]]:
+        """The non-empty buckets among *keys*, in order; charged as one
+        lookup per key, once for the batch."""
+        found = list(map(self._buckets.get, keys))
+        charge_access("index_lookups", len(found))
+        return list(filter(None, found))
 
     def lookup_one(self, key: tuple[Any, ...]) -> int | None:
         """Return the single slot for *key*, or ``None`` when absent.
@@ -114,12 +141,7 @@ class HashIndex:
         matches — callers use this for keys they expect to be unique (e.g.
         a summary table's group-by columns).
         """
-        stats = collector()
-        if stats is not None:
-            stats.add("index_lookups")
-        span = current_span()
-        if span is not None:
-            span.add("index_lookups")
+        charge_access("index_lookups", 1)
         bucket = self._buckets.get(key)
         if bucket is None:
             return None

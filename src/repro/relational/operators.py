@@ -5,23 +5,26 @@ Each operator consumes :class:`~repro.relational.table.Table` objects (or raw
 row iterables where noted) and produces a new table; none of them mutate
 their inputs.
 
-The join is a classic build/probe hash equi-join.  When the build side
-already has a hash index on the join columns the index is reused, matching
-the paper's setup where joins between the fact table and dimension tables run
-along indexed foreign keys.
+The join is a classic build/probe hash equi-join.  When the right side has
+a unique hash index on the join columns the join is charged as index probes,
+matching the paper's setup where joins between the fact table and dimension
+tables run along indexed foreign keys.
 
 Columnar inputs take batch fast paths: projection evaluates expressions
 column-wise through a compiled :class:`~repro.relational.codegen.ColumnKernel`,
-union concatenates column batches, and the unique-index join probes a whole
-foreign-key column at once — all landing in the output via
-``Table.append_batch`` with no per-row tuple construction.  Every fast path
-charges exactly the access counts of the row path it replaces, and falls
-back to the row path whenever its preconditions fail, so results, access
-accounting, and cost-model predictions are identical either way.
+union concatenates column batches, and the unique-index join resolves a
+whole foreign-key column to right-row positions and gathers each right
+column through them — no row tuple is built, and the columns an operator
+produced become its result's storage as they are
+(``Table.adopt_batch``).  Every fast path charges exactly the access
+counts of the row path it replaces, and falls back to the row path
+whenever its preconditions fail, so results, access accounting, and
+cost-model predictions are identical either way.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Any, Iterable, Sequence
 
 from ..errors import TableError
@@ -56,11 +59,6 @@ def _column_kernel(schema: Schema, expressions: Sequence[Expression]):
     return _column_kernel_cache[cache_key]
 
 
-def _as_list(column: Sequence[Any]) -> list[Any]:
-    """Normalise a stored column (possibly a typed array) to a list."""
-    return column if type(column) is list else list(column)
-
-
 def select(table: Table, predicate: Expression, name: str | None = None) -> Table:
     """Return the rows of *table* satisfying *predicate*."""
     result = Table(name or f"select({table.name})", table.schema,
@@ -73,13 +71,12 @@ def select(table: Table, predicate: Expression, name: str | None = None) -> Tabl
             columns = table.columns()
             mask = eval_columns(columns, n)[0]
             keep = [i for i, passed in enumerate(mask) if passed]
-            if keep:
-                if len(keep) == n:
-                    result.append_batch(columns)
-                else:
-                    result.append_batch(
-                        [[col[i] for i in keep] for col in columns]
-                    )
+            if len(keep) == n:
+                result.append_batch(columns)
+            elif keep:
+                result.adopt_batch(
+                    [list(map(col.__getitem__, keep)) for col in columns]
+                )
             return result
     test = predicate.bind(table.schema)
     result.insert_many(row for row in table.scan() if test(row))
@@ -107,7 +104,14 @@ def project(
             n = len(table)
             charge_access("rows_scanned", n)
             if n:
-                result.append_batch(eval_columns(table.columns(), n))
+                # A plain column reference passes the input's own storage
+                # through: the result adopts a slice of it instead.
+                columns = table.columns()
+                borrowed = set(map(id, columns))
+                result.adopt_batch([
+                    col[:] if id(col) in borrowed else col
+                    for col in eval_columns(columns, n)
+                ])
             return result
     evaluators = [expr.bind(table.schema) for _name, expr in outputs]
     result.insert_many(
@@ -153,14 +157,18 @@ def hash_join(
     right: Table,
     on: Sequence[tuple[str, str]],
     name: str | None = None,
+    right_columns: Sequence[str] | None = None,
 ) -> Table:
     """Equi-join *left* and *right* on pairs of ``(left_col, right_col)``.
 
-    The smaller side is used as the build side unless the right side already
-    carries a usable index.  Join keys containing SQL null never match, per
-    SQL semantics.  The output schema is the left schema followed by the
-    right schema, with conflicting right-side names prefixed by the right
-    table's name.
+    A right side with a unique index on its join columns is joined by
+    gather (see below) and charged one ``index_lookups`` per non-null left
+    key.  Only unique indexes are used: with a non-unique index, or none,
+    the smaller side is hashed and both sides are charged as scans.  Join
+    keys containing SQL null never match, per SQL semantics.  The output schema
+    is the left schema followed by the right schema — or by just
+    *right_columns* of it, when given — with conflicting right-side names
+    prefixed by the right table's name.
     """
     if not on:
         raise TableError("hash_join requires at least one join column pair")
@@ -168,65 +176,60 @@ def hash_join(
     right_cols = [pair[1] for pair in on]
     left_positions = left.schema.positions(left_cols)
     right_positions = right.schema.positions(right_cols)
+    carried = right.schema.columns if right_columns is None \
+        else tuple(right_columns)
+    carried_positions = right.schema.positions(carried)
 
-    out_schema = left.schema.concat(right.schema, prefix_conflicts=right.name)
+    def right_part(row: Row) -> Row:
+        if right_columns is None:
+            return row
+        return tuple(row[p] for p in carried_positions)
+
+    out_schema = left.schema.concat(
+        Schema(carried), prefix_conflicts=right.name
+    ) if carried else left.schema
     result = Table(name or f"join({left.name},{right.name})", out_schema,
                    storage=left.storage)
 
-    # Prefer probing into an existing index on the right side.
     right_index = right.index_on(right_cols)
-    if (
-        left.storage == "column"
-        and right_index is not None
-        and right_index.unique
-    ):
-        # Batch probe: resolve the whole foreign-key column against a
-        # key → row dict built from the unique index's coverage.  Null keys
-        # never probe (and never match), exactly as in the row loop below.
-        probe: dict[Any, Row] = {}
-        single = len(right_positions) == 1
-        rp0 = right_positions[0]
-        for row in right.rows():
-            key = row[rp0] if single else tuple(row[p] for p in right_positions)
-            if single:
-                if key is not None:
-                    probe[key] = row
-            elif None not in key:
-                probe[key] = row
+    if right_index is not None and right_index.unique:
+        # Gather join: resolve the whole foreign-key column to positions in
+        # the right side's live columns through one key → position dict (a
+        # unique index means one row per key), then gather each carried
+        # right column through them; charged as one index lookup per
+        # non-null key.  Null keys never probe and never match.
+        single = len(on) == 1
         n = len(left)
         charge_access("rows_scanned", n)
+        right_keys = right.columns(right_cols)
+        left_keys = left.columns(left_cols)
         if single:
-            keycol = _as_list(left.columns([left_cols[0]])[0])
-            probes = n - keycol.count(None)
-            matches = list(map(probe.get, keycol))
+            position_of = dict(zip(right_keys[0], range(len(right))))
+            position_of.pop(None, None)
+            keys = left_keys[0]
+            probes = n if isinstance(keys, array) else n - keys.count(None)
         else:
-            keycols = [_as_list(col) for col in left.columns(left_cols)]
-            probes = 0
-            matches = []
-            for key in zip(*keycols):
-                if None in key:
-                    matches.append(None)
-                else:
-                    probes += 1
-                    matches.append(probe.get(key))
+            position_of = {
+                key: position
+                for position, key in enumerate(zip(*right_keys))
+                if None not in key
+            }
+            keys = list(zip(*left_keys))
+            probes = n - sum(None in key for key in keys)
         charge_access("index_lookups", probes)
-        hits = [i for i, match in enumerate(matches) if match is not None]
-        if hits:
-            left_columns = left.columns()
-            if len(hits) == n:
-                out_left = left_columns
-            else:
-                out_left = [[col[i] for i in hits] for col in left_columns]
-            out_right = list(zip(*(matches[i] for i in hits)))
-            result.append_batch([*out_left, *out_right])
-        return result
-    if right_index is not None:
-        for left_row in left.scan():
-            key = tuple(left_row[p] for p in left_positions)
-            if any(value is None for value in key):
-                continue
-            for slot in right_index.lookup(key):
-                result.insert(left_row + right.row_at(slot))
+        matches = list(map(position_of.get, keys))
+        out_left = left.columns()
+        if None in matches:
+            hits = [i for i, match in enumerate(matches) if match is not None]
+            matches = list(map(matches.__getitem__, hits))
+            out_left = [list(map(col.__getitem__, hits)) for col in out_left]
+        else:
+            out_left = [col[:] for col in out_left]
+        if matches:
+            result.adopt_batch(out_left + [
+                list(map(col.__getitem__, matches))
+                for col in right.columns(carried)
+            ])
         return result
 
     # Otherwise build a transient hash table on the smaller input.
@@ -252,9 +255,9 @@ def hash_join(
             continue
         for build_row in buckets.get(key, ()):
             if build_is_right:
-                result.insert(probe_row + build_row)
+                result.insert(probe_row + right_part(build_row))
             else:
-                result.insert(build_row + probe_row)
+                result.insert(build_row + right_part(probe_row))
     return result
 
 

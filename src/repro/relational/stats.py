@@ -36,6 +36,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from ..obs.tracing import current_span
+
 #: The counter attributes of :class:`AccessStats`, in canonical order.
 #: Their sum is the paper's "tuple accesses" unit.
 ACCESS_FIELDS = (
@@ -108,6 +110,19 @@ _active: AccessStats | None = None
 def collector() -> AccessStats | None:
     """The currently active collector (``None`` when accounting is off)."""
     return _active
+
+
+def charge_access(counter: str, count: int) -> None:
+    """Charge *count* tuple accesses to the active collector and span: the
+    one accounting primitive, called once per operation with totals equal
+    to a per-row count's."""
+    if not count:
+        return
+    if _active is not None:
+        _active.add(counter, count)
+    span = current_span()
+    if span is not None:
+        span.add(counter, count)
 
 
 @contextmanager

@@ -33,10 +33,9 @@ from itertools import compress, repeat
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ..errors import TableError
-from ..obs.tracing import current_span
 from .index import HashIndex
 from .schema import Schema
-from .stats import collector
+from .stats import charge_access
 
 Row = tuple[Any, ...]
 
@@ -78,20 +77,14 @@ def resolve_storage(requested: str | None) -> str:
     return "column" if columnar_default() else "row"
 
 
-def charge_access(counter: str, count: int) -> None:
-    """Charge *count* tuple accesses to the active stats collector and span.
-
-    The bulk-accounting primitive the batch operators use: one call per
-    operation, totals identical to the per-row paths they replace.
-    """
-    if not count:
-        return
-    stats = collector()
-    if stats is not None:
-        stats.add(counter, count)
-    span = current_span()
-    if span is not None:
-        span.add(counter, count)
+def forget_values(counts: dict[Any, int], values: Iterable[Any]) -> None:
+    """Drop one occurrence of each of *values* from a tracked domain."""
+    for value in values:
+        remaining = counts.get(value, 0) - 1
+        if remaining <= 0:
+            counts.pop(value, None)
+        else:
+            counts[value] = remaining
 
 
 def _typed_column(values: Sequence[Any]) -> Any:
@@ -121,7 +114,24 @@ def _typed_column(values: Sequence[Any]) -> Any:
     return vals
 
 
-class RowStore:
+class SlotStore:
+    """The slot contract's batch forms, a slot at a time (row and sharded
+    storage inherit them; :class:`ColumnStore` works column-wise)."""
+
+    __slots__ = ()
+
+    def fill(self, slots: Sequence[int], columns: Sequence[Sequence[Any]]) -> None:
+        """Store the rows given column-wise at *slots*, which become live."""
+        for slot, row in zip(slots, zip(*columns)):
+            self.set(slot, row)
+
+    def kill(self, slots: Sequence[int]) -> None:
+        """Tombstone *slots* (live and distinct: the caller checked)."""
+        for slot in slots:
+            self.set(slot, None)
+
+
+class RowStore(SlotStore):
     """Row-major backing: a list of tuples with ``None`` tombstones."""
 
     __slots__ = ("_slots",)
@@ -175,7 +185,7 @@ class RowStore:
         self._slots.extend(zip(*columns))
 
 
-class ColumnStore:
+class ColumnStore(SlotStore):
     """Column-major backing: one sequence per column plus a validity bitmap.
 
     Columns are plain lists by default; a column whose first batch is
@@ -287,22 +297,49 @@ class ColumnStore:
         return [cols[p] for p in positions]
 
     def append_batch(self, columns: Sequence[Sequence[Any]], n: int) -> None:
-        fresh = not self._valid
+        base = len(self._valid)
         cols = self._columns
         for i, values in enumerate(columns):
             col = cols[i]
-            if fresh and not isinstance(col, array):
-                cols[i] = _typed_column(values)
+            if not base and type(values) in (list, array):
+                cols[i] = values[:]  # an empty store keeps the batch's type
                 continue
             try:
                 col.extend(values)
             except (TypeError, OverflowError):
                 # array.extend appends element-wise, so a mid-batch failure
                 # leaves a partial prefix behind — drop it before demoting.
-                del col[len(self._valid):]
+                del col[base:]
                 col = cols[i] = list(col)
                 col.extend(values)
         self._valid.extend(b"\x01" * n)
+
+    def adopt(self, columns: Sequence[Any], n: int) -> None:
+        """Make *columns*, *n* rows nobody else holds, this empty store's."""
+        self._columns = list(columns)
+        self._valid = bytearray(b"\x01") * n
+
+    def fill(self, slots: Sequence[int], columns: Sequence[Sequence[Any]]) -> None:
+        cols = self._columns
+        for i, values in enumerate(columns):
+            col = cols[i]
+            try:
+                for slot, value in zip(slots, values):
+                    col[slot] = value
+            except (TypeError, OverflowError):
+                col = cols[i] = list(col)
+                for slot, value in zip(slots, values):
+                    col[slot] = value
+        valid = self._valid
+        for slot in slots:
+            self._dead -= 1 - valid[slot]
+            valid[slot] = 1
+
+    def kill(self, slots: Sequence[int]) -> None:
+        valid = self._valid
+        for slot in slots:
+            valid[slot] = 0
+        self._dead += len(slots)
 
     def promote_columns(self) -> int:
         """Promote plain-list columns to typed arrays where possible.
@@ -438,12 +475,7 @@ class Table:
         stats branches.  (Scans in this engine are consumed to exhaustion;
         an abandoned scan therefore still counts all live rows.)
         """
-        stats = collector()
-        if stats is not None:
-            stats.add("rows_scanned", self._live_count)
-        span = current_span()
-        if span is not None:
-            span.add("rows_scanned", self._live_count)
+        charge_access("rows_scanned", self._live_count)
         yield from self._store.iter_live()
 
     def rows(self) -> list[Row]:
@@ -531,62 +563,6 @@ class Table:
 
     def insert(self, row: Sequence[Any]) -> int:
         """Insert one row; return the slot it was stored at."""
-        slot = self._store_row(row)
-        self._charge("rows_inserted", 1)
-        return slot
-
-    def insert_many(self, rows: Iterable[Sequence[Any]]) -> int:
-        """Insert many rows; return how many were inserted.
-
-        Access accounting (stats collector and active span) is charged
-        once for the whole batch, so bulk builders — aggregation outputs,
-        materialisation — stay free of per-row instrumentation lookups.
-        """
-        count = 0
-        for row in rows:
-            self._store_row(row)
-            count += 1
-        self._charge("rows_inserted", count)
-        return count
-
-    def append_batch(self, columns: Sequence[Sequence[Any]]) -> int:
-        """Insert a batch given column-wise; return how many rows.
-
-        The columnar fast path: when the table has no indexes, tracked
-        domains, observers, or recyclable free slots, the batch lands as
-        C-level column extends with no per-row work at all.  Otherwise it
-        degrades to the per-row insert path (identical semantics).  Access
-        accounting is charged once per batch either way, matching
-        :meth:`insert_many`.
-        """
-        arity = len(self.schema)
-        if len(columns) != arity:
-            raise TableError(
-                f"table {self.name!r}: {len(columns)} columns do not match "
-                f"schema arity {arity}"
-            )
-        if arity == 0:
-            return 0
-        n = len(columns[0])
-        for col in columns[1:]:
-            if len(col) != n:
-                raise TableError(
-                    f"table {self.name!r}: ragged column batch "
-                    f"({len(col)} != {n})"
-                )
-        if n == 0:
-            return 0
-        if not (self._indexes or self._domains or self._observers or self._free_slots):
-            self._store.append_batch(columns, n)
-            self._live_count += n
-        else:
-            for row in zip(*columns):
-                self._store_row(row)
-        self._charge("rows_inserted", n)
-        return n
-
-    def _store_row(self, row: Sequence[Any]) -> int:
-        """The structural part of an insert, with no access accounting."""
         stored = self._check_arity(row)
         if self._free_slots:
             slot = self._free_slots.pop()
@@ -595,94 +571,209 @@ class Table:
             slot = self._store.append(stored)
         for index in self._indexes.values():
             index.add(stored, slot)
-        if self._domains:
-            for position, counts in self._domains.items():
-                value = stored[position]
-                counts[value] = counts.get(value, 0) + 1
+        for position, counts in self._domains.items():
+            value = stored[position]
+            counts[value] = counts.get(value, 0) + 1
         self._live_count += 1
-        if self._observers:
-            for observer in self._observers:
-                observer.row_inserted(stored)
+        for observer in self._observers:
+            observer.row_inserted(stored)
+        charge_access("rows_inserted", 1)
         return slot
 
-    def _charge(self, counter: str, count: int) -> None:
-        charge_access(counter, count)
+    def insert_many(self, rows: Iterable[Sequence[Any]]) -> int:
+        """Insert many rows; return how many were inserted.
 
-    def _charge_inserts(self, count: int) -> None:
-        charge_access("rows_inserted", count)
+        The whole batch is validated before storage is touched, so a bad
+        row leaves the table exactly as it was; access accounting is
+        charged once for the batch.
+        """
+        rows = rows if isinstance(rows, (list, tuple)) else list(rows)
+        if set(map(len, rows)) - {len(self.schema)}:
+            list(map(self._check_arity, rows))  # raises at the first bad row
+        if rows:
+            self._insert_columns(list(zip(*rows)), len(rows))
+        charge_access("rows_inserted", len(rows))
+        return len(rows)
 
-    def _remove_row(self, slot: int) -> Row:
-        """The structural part of a delete, with no access accounting."""
+    def _batch_length(self, columns: Sequence[Sequence[Any]]) -> int:
+        """Rows in a column-wise batch, checked against the schema."""
+        lengths = set(map(len, columns))
+        if len(columns) != len(self.schema) or len(lengths) != 1:
+            raise TableError(
+                f"table {self.name!r}: ragged column batch (lengths "
+                f"{sorted(lengths)}) or not {len(self.schema)} columns"
+            )
+        return lengths.pop()
+
+    def append_batch(self, columns: Sequence[Sequence[Any]]) -> int:
+        """Insert a batch given column-wise; return how many rows.
+
+        :meth:`insert_many` without the transposition: on columnar
+        storage the batch lands as C-level column extends (the sequences
+        are copied, never kept), and the first batch of an empty table is
+        then promoted to typed arrays where uniform.
+        """
+        n = self._batch_length(columns)
+        if n:
+            fresh = not self._store.size()
+            self._insert_columns(columns, n)
+            if fresh:
+                self.promote_columns()
+        charge_access("rows_inserted", n)
+        return n
+
+    def adopt_batch(self, columns: Sequence[Any]) -> int:
+        """:meth:`append_batch` for columns an operator built itself: an
+        empty columnar table takes lists and typed arrays over as its
+        storage — no copy, no type probe — so the caller holds no other
+        reference to them (it passes a slice of a column it borrowed; a
+        wholly borrowed batch goes to :meth:`append_batch`, which copies)."""
+        n = self._batch_length(columns)
+        store = self._store
+        if not (n and type(store) is ColumnStore and not store.size()
+                and not (self._indexes or self._domains or self._observers)
+                and all(type(col) in (list, array) for col in columns)):
+            return self.append_batch(columns)
+        store.adopt(columns, n)
+        self._live_count = n
+        charge_access("rows_inserted", n)
+        return n
+
+    def _insert_columns(self, columns: Sequence[Sequence[Any]], n: int) -> None:
+        """The insert kernel, with no access accounting: unique keys checked
+        before anything is written, free slots refilled (most recently
+        freed first, as single inserts do), the rest appended in one batch;
+        then one pass per index and tracked domain, one observer call."""
+        store = self._store
+        keyed = [(index, index.keys_of(columns)) for index in self._indexes.values()]
+        for index, keys in keyed:
+            index.check_addable(keys)
+        free = self._free_slots
+        reuse = min(n, len(free))
+        reused: list[int] = []
+        if reuse:
+            reused = free[-reuse:][::-1]
+            del free[-reuse:]
+            store.fill(reused, [col[:reuse] for col in columns])
+        base = store.size()
+        if n > reuse:
+            rest = [col[reuse:] for col in columns] if reuse else columns
+            store.append_batch(rest, n - reuse)
+        if keyed:
+            slots = reused + list(range(base, base + n - reuse))
+            for index, keys in keyed:
+                for key, slot in zip(keys, slots):
+                    index.add_key(key, slot)
+        for position, counts in self._domains.items():
+            for value in columns[position]:
+                counts[value] = counts.get(value, 0) + 1
+        self._live_count += n
+        self._notify("inserted", n, columns)
+
+    def _notify(self, event: str, count: int, *batches: Sequence[Any]) -> None:
+        """One call per observer for a batch mutation of *count* rows, each
+        of *batches* column-wise: ``rows_<event>(*batches, count)``, or for
+        an observer without it ``row_<event>`` once per row."""
+        for observer in self._observers:
+            whole = getattr(observer, "rows_" + event, None)
+            if whole is not None:
+                whole(*batches, count)
+                continue
+            per_row = getattr(observer, "row_" + event)
+            for rows in zip(*(zip(*columns) for columns in batches)):
+                per_row(*rows)
+
+    def delete_slot(self, slot: int) -> Row:
+        """Delete the row at *slot*; return the removed row."""
         row = self.row_at(slot)
         for index in self._indexes.values():
             index.remove(row, slot)
         self._store.set(slot, None)
         self._free_slots.append(slot)
-        if self._domains:
-            for position, counts in self._domains.items():
-                value = row[position]
-                remaining = counts.get(value, 0) - 1
-                if remaining <= 0:
-                    counts.pop(value, None)
-                else:
-                    counts[value] = remaining
+        for position, counts in self._domains.items():
+            forget_values(counts, (row[position],))
         self._live_count -= 1
-        if self._observers:
-            for observer in self._observers:
-                observer.row_deleted(row)
-        return row
-
-    def delete_slot(self, slot: int) -> Row:
-        """Delete the row at *slot*; return the removed row."""
-        row = self._remove_row(slot)
-        self._charge("rows_deleted", 1)
+        for observer in self._observers:
+            observer.row_deleted(row)
+        charge_access("rows_deleted", 1)
         return row
 
     def delete_slots(self, slots: Sequence[int]) -> int:
-        """Delete many slots, charging access stats once for the batch.
-
-        Per-slot index/domain/observer maintenance still runs (certificates
-        must see every mutation); only the accounting is batched, and the
-        totals match per-slot deletes exactly.
-        """
-        for slot in slots:
-            self._remove_row(slot)
-        self._charge("rows_deleted", len(slots))
+        """Delete many slots as one batch (one gather of the doomed rows, one
+        pass per index and tracked domain, one observer call); an empty or
+        repeated slot raises with nothing deleted."""
+        slots = list(slots)
+        columns = self._take_distinct(slots)
+        for index in self._indexes.values():
+            for key, slot in zip(index.keys_of(columns), slots):
+                index.remove_key(key, slot)
+        self._store.kill(slots)
+        self._free_slots.extend(slots)
+        for position, counts in self._domains.items():
+            forget_values(counts, columns[position])
+        self._live_count -= len(slots)
+        self._notify("deleted", len(slots), columns)
+        charge_access("rows_deleted", len(slots))
         return len(slots)
 
-    def _replace_row(self, slot: int, new_row: Sequence[Any]) -> None:
-        """The structural part of an in-place update, with no accounting."""
+    def _take_distinct(self, slots: list[int]) -> list[list[Any]]:
+        """:meth:`take`, refusing a batch that names a slot twice."""
+        if len(set(slots)) != len(slots):
+            raise TableError(
+                f"table {self.name!r}: a slot appears twice in one batch"
+            )
+        return self.take(slots)
+
+    def update_slot(self, slot: int, new_row: Sequence[Any]) -> None:
+        """Replace the row at *slot* in place, keeping indexes consistent."""
         old_row = self.row_at(slot)
         stored = self._check_arity(new_row)
         for index in self._indexes.values():
             if index.key_of(old_row) != index.key_of(stored):
                 index.remove(old_row, slot)
                 index.add(stored, slot)
-        if self._domains:
-            for position, counts in self._domains.items():
-                old_value, new_value = old_row[position], stored[position]
-                if old_value != new_value:
-                    remaining = counts.get(old_value, 0) - 1
-                    if remaining <= 0:
-                        counts.pop(old_value, None)
-                    else:
-                        counts[old_value] = remaining
-                    counts[new_value] = counts.get(new_value, 0) + 1
+        for position, counts in self._domains.items():
+            old_value, new_value = old_row[position], stored[position]
+            if old_value != new_value:
+                forget_values(counts, (old_value,))
+                counts[new_value] = counts.get(new_value, 0) + 1
         self._store.set(slot, stored)
-        if self._observers:
-            for observer in self._observers:
-                observer.row_updated(old_row, stored)
-
-    def update_slot(self, slot: int, new_row: Sequence[Any]) -> None:
-        """Replace the row at *slot* in place, keeping indexes consistent."""
-        self._replace_row(slot, new_row)
-        self._charge("rows_updated", 1)
+        for observer in self._observers:
+            observer.row_updated(old_row, stored)
+        charge_access("rows_updated", 1)
 
     def update_slots(self, updates: Sequence[tuple[int, Sequence[Any]]]) -> int:
-        """Apply many in-place updates, charging stats once for the batch."""
-        for slot, new_row in updates:
-            self._replace_row(slot, new_row)
-        self._charge("rows_updated", len(updates))
+        """Apply many in-place updates as one batch, validated as a whole
+        first: arity, live and distinct slots, and unique keys against the
+        table as the batch leaves it (a key the batch vacates is free, so
+        rows may hand keys on to each other or swap them)."""
+        updates = list(updates)
+        if not updates:
+            return 0
+        slots = [slot for slot, _row in updates]
+        new = list(zip(*[self._check_arity(row) for _slot, row in updates]))
+        old = self._take_distinct(slots)
+        moves = [
+            (index, [move for move in zip(index.keys_of(old), index.keys_of(new),
+                                          slots) if move[0] != move[1]])
+            for index in self._indexes.values()
+        ]
+        for index, moved in moves:
+            index.check_addable([new_key for _old, new_key, _slot in moved],
+                                vacated=[old_key for old_key, _new, _slot in moved])
+        for index, moved in moves:
+            for old_key, _new, slot in moved:
+                index.remove_key(old_key, slot)
+            for _old, new_key, slot in moved:
+                index.add_key(new_key, slot)
+        for position, counts in self._domains.items():
+            for old_value, new_value in zip(old[position], new[position]):
+                if old_value != new_value:
+                    forget_values(counts, (old_value,))
+                    counts[new_value] = counts.get(new_value, 0) + 1
+        self._store.fill(slots, new)
+        self._notify("updated", len(slots), old, new)
+        charge_access("rows_updated", len(updates))
         return len(updates)
 
     def delete_where(self, predicate: Callable[[Row], bool]) -> int:

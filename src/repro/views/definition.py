@@ -145,6 +145,16 @@ class SummaryViewDefinition:
                     seen.add(column)
         return tuple(columns)
 
+    def referenced_columns(self) -> set[str]:
+        """Source columns the view reads: group-by attributes plus every
+        column an aggregate argument or the selection mentions."""
+        referenced = set(self.group_by)
+        for output in self.aggregates:
+            referenced |= output.function.referenced_columns()
+        if self.where is not None:
+            referenced |= self.where.columns()
+        return referenced
+
     def source_schema(self) -> Schema:
         """Schema of the joined source relation (fact-side names win)."""
         return Schema(self.source_columns())

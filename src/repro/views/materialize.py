@@ -42,7 +42,8 @@ def compute_rows(definition: SummaryViewDefinition, name: str | None = None) -> 
             f"view {definition.name!r} must be resolved before materialisation"
         )
     source = definition.fact.join_dimensions(
-        definition.fact.table, definition.dimensions
+        definition.fact.table, definition.dimensions,
+        definition.referenced_columns(),
     )
     if definition.where is not None:
         source = select(source, definition.where)

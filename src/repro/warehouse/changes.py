@@ -187,6 +187,5 @@ class ChangeSet:
         # doomed slots were live when scanned, and every deferred
         # insertion was arity-checked against this same schema when it
         # entered the change tables.
-        for slot in doomed_slots:
-            base.delete_slot(slot)
+        base.delete_slots(doomed_slots)
         base.insert_many(self.insertions.scan())

@@ -91,13 +91,21 @@ class FactTable:
             f"fact table {self.name!r} has no foreign key to {dimension_name!r}"
         )
 
-    def join_dimensions(self, source: Table, dimension_names: Sequence[str]) -> Table:
+    def join_dimensions(
+        self,
+        source: Table,
+        dimension_names: Sequence[str],
+        columns: Iterable[str] | None = None,
+    ) -> Table:
         """Join *source* (fact-shaped rows) with the named dimension tables.
 
         Used when materialising views and when building prepare-views from
         change sets: the change tables share the fact table's schema, so the
-        same foreign keys apply.
+        same foreign keys apply.  *columns* names what the caller will
+        reference afterwards; dimension columns outside it are not carried
+        (``None`` carries them all).
         """
+        wanted = None if columns is None else set(columns)
         result = source
         for name in dimension_names:
             fk = self.foreign_key_for(name)
@@ -105,6 +113,10 @@ class FactTable:
                 result,
                 fk.dimension.table,
                 on=[(fk.column, fk.dimension.key)],
+                right_columns=None if wanted is None else [
+                    column for column in fk.dimension.columns
+                    if column in wanted and column not in result.schema
+                ],
             )
         return result
 

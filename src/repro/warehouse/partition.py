@@ -62,8 +62,10 @@ from ..relational.table import (
     ColumnStore,
     Row,
     RowStore,
+    SlotStore,
     Table,
     charge_access,
+    forget_values,
     resolve_storage,
 )
 from ..relational.stats import ACCESS_FIELDS, measuring
@@ -106,7 +108,7 @@ def _row_sort_key(row: Row) -> tuple:
 # Sharded storage
 # ----------------------------------------------------------------------
 
-class ShardStore:
+class ShardStore(SlotStore):
     """Slot-contract storage that routes rows into per-date-range segments.
 
     Global slots index a *directory* mapping each slot to its
@@ -294,14 +296,11 @@ class ShardStore:
     def append_batch(self, columns: Sequence[Sequence[Any]], n: int) -> None:
         dates = columns[self._date_position]
         buckets: dict[Any, list[int]] = {}
-        for j in range(n):
-            key = self.key_of_date(dates[j])
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = [j]
-            else:
-                bucket.append(j)
-        directory = self._directory
+        for j, date in enumerate(dates):
+            buckets.setdefault(self.key_of_date(date), []).append(j)
+        # Global slots follow batch order, whatever shard a row lands in:
+        # the owning table indexes batch row j at slot ``size() + j``.
+        entries: list[tuple[Any, int] | None] = [None] * n
         for key in sorted(buckets, key=_shard_sort_key):
             picks = buckets[key]
             segment = self._segment(key)
@@ -311,7 +310,9 @@ class ShardStore:
             else:
                 sub = [[column[j] for j in picks] for column in columns]
                 segment.append_batch(sub, len(picks))
-            directory.extend((key, base + i) for i in range(len(picks)))
+            for local, j in enumerate(picks, base):
+                entries[j] = (key, local)
+        self._directory.extend(entries)
 
 
 class ShardedTable(Table):
@@ -378,25 +379,16 @@ class ShardedTable(Table):
         """
         store = self.shard_store
         if self._indexes or self._domains or self._observers:
-            victims = list(store.enumerate_shard(key))
-            for slot, row in victims:
+            for slot, row in list(store.enumerate_shard(key)):
                 for index in self._indexes.values():
                     index.remove(row, slot)
-                if self._domains:
-                    for position, counts in self._domains.items():
-                        value = row[position]
-                        remaining = counts.get(value, 0) - 1
-                        if remaining <= 0:
-                            counts.pop(value, None)
-                        else:
-                            counts[value] = remaining
+                for position, counts in self._domains.items():
+                    forget_values(counts, (row[position],))
                 for observer in self._observers:
                     observer.row_deleted(row)
-            dropped = store.drop_shard(key)
-        else:
-            dropped = store.drop_shard(key)
+        dropped = store.drop_shard(key)
         self._live_count -= dropped
-        self._charge("rows_deleted", dropped)
+        charge_access("rows_deleted", dropped)
         return dropped
 
 

@@ -84,6 +84,26 @@ class TestShardedTable:
         batched.append_batch([list(col) for col in zip(*ROWS)])
         assert batched.rows() == one_shot.rows()
 
+    def test_interleaved_batch_keeps_slots_in_batch_order(self):
+        """Regression: a batch spanning shards landed shard by shard, so
+        the slots the table indexed its rows at held other rows."""
+        table = sharded()
+        by_store = table.create_index(["storeID"])
+        table.create_index(["itemID", "date"], unique=True)
+        table.track_domain("date")
+        table.delete_slots([1, 3])                     # two slots to reuse
+        batch = [(7, 20, 5, 1, 1.0), (8, 21, 1, 1, 1.0), (7, 22, 5, 1, 1.0),
+                 (8, 23, 1, 1, 1.0), (7, 24, 9, 1, 1.0)]
+        table.insert_many(batch)
+        assert [table.row_at(slot) for slot in (3, 1, 5, 6, 7)] == batch
+        assert table.verify_indexes()
+        assert [table.row_at(slot) for slot in by_store.lookup((7,))] == batch[::2]
+        assert set(table.domain("date")) == {1, 2, 5, 9}
+        table.append_batch([list(column) for column in zip(
+            (9, 30, 9, 1, 1.0), (9, 31, None, 1, 1.0), (9, 32, 2, 1, 1.0))])
+        assert table.verify_indexes()
+        assert [row[1] for row in table.rows() if row[0] == 9] == [31, 32, 30]
+
     def test_width_must_be_positive_int(self):
         for bad in (0, -1, True, 1.5):
             with pytest.raises(TableError, match="shard width"):
@@ -241,6 +261,19 @@ class TestPartitionedFactTable:
         assert 9 in pos.table.shard_keys()
         assert 4 not in pos.table.shard_keys()
         assert pos.table.verify_indexes()
+
+    def test_apply_changes_indexes_insertions_across_shards(self, pos):
+        partitioned = partition_fact(pos)
+        index = pos.table.index_on(["storeID", "itemID", "date"])
+        changes = ChangeSet("pos", pos.table.schema)
+        inserted = [(4, 13, 9, 1, 1.0), (1, 10, 1, 3, 1.0), (4, 12, 9, 2, 1.0),
+                    (1, 11, 1, 4, 1.0), (4, 10, 9, 5, 1.0), (3, 13, 1, 6, 1.0)]
+        changes.insert_many(inserted)
+        changes.delete_many([(1, 10, 1, 2, 1.0)])
+        partitioned.apply_changes(changes)
+        assert pos.table.verify_indexes()
+        for row in inserted:
+            assert row in [pos.table.row_at(slot) for slot in index.lookup(row[:3])]
 
     def test_apply_changes_validates_before_mutating(self, pos):
         partitioned = partition_fact(pos)
