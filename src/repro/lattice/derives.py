@@ -30,6 +30,7 @@ insertion/deletion extrema when the ``SPLIT`` min/max policy is active.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from ..core.deltas import MinMaxPolicy, del_column, ins_column
 from ..errors import DerivationError
@@ -44,6 +45,9 @@ from ..relational.expressions import Case, Column, Literal, Mul
 from ..relational.operators import hash_join
 from ..relational.table import Table
 from ..views.definition import AggregateOutput, SummaryViewDefinition
+
+if TYPE_CHECKING:
+    from ..views.materialize import MaterializedView, ViewVersion
 
 
 @dataclass(frozen=True)
@@ -140,6 +144,39 @@ def try_derive(
         return derive(child, parent)
     except DerivationError:
         return None
+
+
+class DerivingView(NamedTuple):
+    """A materialised view some definition derives from, pinned."""
+
+    view: "MaterializedView"
+    edge: EdgeQuery
+    #: The version whose rows were counted, for the caller to read from:
+    #: a publish in between cannot make the choice and the read disagree.
+    version: "ViewVersion"
+
+
+def smallest_deriving_view(
+    definition: SummaryViewDefinition, views: Iterable["MaterializedView"]
+) -> DerivingView | None:
+    """The view with the fewest stored rows that *definition* (resolved)
+    derives from — the first such among equals — or ``None``.
+
+    The one place a source is chosen by size among materialised views: the
+    query router answers from it, and the catalog materialises a newly
+    defined summary table from it.
+    """
+    best: DerivingView | None = None
+    for view in views:
+        if view.definition.fact is not definition.fact:
+            continue
+        edge = try_derive(definition, view.definition)
+        if edge is None:
+            continue
+        version = view.pin()
+        if best is None or len(version.table) < len(best.version.table):
+            best = DerivingView(view, edge, version)
+    return best
 
 
 def derive(

@@ -641,11 +641,11 @@ def rematerialize_with_lattice(
     clock: BatchWindowClock | None = None,
 ) -> BatchReport:
     """Recompute all views inside the batch window, deriving along the
-    lattice (the paper's "Rematerialize" series)."""
+    lattice (the paper's "Rematerialize" series); each view's fresh table
+    is published as its next epoch."""
     clock = clock or BatchWindowClock()
     lattice = lattice or build_lattice_for_views(views)
     views_by_name = {view.name: view for view in views}
-    fresh: dict[str, MaterializedView] = {}
     for name in lattice.order:
         node = lattice.node(name)
         view = views_by_name.get(name)
@@ -655,8 +655,7 @@ def rematerialize_with_lattice(
             if node.is_root:
                 rows = compute_rows(node.definition)
             else:
-                rows = node.edge.apply(fresh[node.parent].table)
-            view.table.truncate()
-            view.table.insert_many(rows.scan())
-            fresh[name] = view
+                # Topological order: the parent's new epoch is installed.
+                rows = node.edge.apply(views_by_name[node.parent].table)
+            view.install(rows)
     return clock.report

@@ -24,13 +24,16 @@ from typing import Iterable
 
 from ..aggregates.base import AggregateFunction
 from ..errors import DefinitionError
-from ..lattice.derives import EdgeQuery, try_derive
+from ..lattice.derives import EdgeQuery, smallest_deriving_view
 from ..obs import tracing
 from ..obs.serving import current_request_id
-from ..relational.schema import Schema
 from ..relational.table import Table
 from ..views.definition import SummaryViewDefinition
-from ..views.materialize import MaterializedView, compute_rows
+from ..views.materialize import (
+    MaterializedView,
+    compute_rows,
+    project_user_columns,
+)
 from ..warehouse.catalog import Warehouse
 from ..warehouse.fact import FactTable
 
@@ -156,20 +159,11 @@ class QueryRouter:
             "query.plan", fact=query.definition.fact.name,
             request=current_request_id(),
         ) as span:
-            resolved = query.definition.resolved()
-            best: tuple[int, MaterializedView, EdgeQuery, "Table"] | None = None
-            for view in self.warehouse.views.values():
-                if view.definition.fact is not query.definition.fact:
-                    continue
-                edge = try_derive(resolved, view.definition)
-                if edge is None:
-                    continue
-                # Pin the candidate's version once; costing and (if chosen)
-                # evaluation both use this exact table reference.
-                version = view.pin()
-                cost = len(version.table)
-                if best is None or cost < best[0]:
-                    best = (cost, view, edge, version)
+            # The candidate's version is pinned once; costing and (if
+            # chosen) evaluation both use that exact table reference.
+            best = smallest_deriving_view(
+                query.definition.resolved(), self.warehouse.views.values()
+            )
             if best is None:
                 span.set_tag("source", "base")
                 return QueryPlan(
@@ -178,14 +172,14 @@ class QueryRouter:
                     edge=None,
                     input_rows=len(query.definition.fact.table),
                 )
-            cost, view, edge, version = best
+            view, edge, version = best
             span.set_tag("source", view.name)
             span.set_tag("epoch", version.epoch)
             return QueryPlan(
                 query=query,
                 source_view=view,
                 edge=edge,
-                input_rows=cost,
+                input_rows=len(version.table),
                 source_table=version.table,
                 source_epoch=version.epoch,
                 source_stamp=version.stamp(),
@@ -254,23 +248,6 @@ def _project_user_columns(
     full: Table, resolved: SummaryViewDefinition, query: AggregateQuery
 ) -> Table:
     """Strip self-maintainability companions; evaluate derived (AVG) outputs."""
-    wanted = query.user_columns()
-    storage = resolved.storage_schema()
-    derived = {d.name: d for d in resolved.derived}
-    result = Table("__query__", Schema(wanted))
-    positions = {column: storage.position(column) for column in storage.columns}
-    for row in full.scan():
-        values = []
-        for column in wanted:
-            if column in derived:
-                spec = derived[column]
-                numerator = row[positions[spec.numerator]]
-                denominator = row[positions[spec.denominator]]
-                if numerator is None or not denominator:
-                    values.append(None)
-                else:
-                    values.append(numerator / denominator)
-            else:
-                values.append(row[positions[column]])
-        result.insert(tuple(values))
-    return result
+    return project_user_columns(
+        full, resolved, query.user_columns(), "__query__"
+    )

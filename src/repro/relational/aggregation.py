@@ -31,7 +31,7 @@ from ..obs import tracing
 from .expressions import Expression
 from .schema import Schema
 from .stats import charge_access
-from .table import Table
+from .table import Table, transpose_rows
 
 
 class Reducer:
@@ -268,7 +268,8 @@ def _finalize(
     input's, so columnar pipelines stay columnar end to end).  When the
     output is columnar and every reducer's ``finalize`` is the identity
     (true for all five built-ins), the states are transposed straight into
-    column batches — no per-group output tuple is ever built.
+    column batches (:func:`~repro.relational.table.transpose_rows`) — no
+    per-group output tuple is ever built.
     """
     reducers: list[Reducer] = [reducer for _n, _e, reducer in aggregates]
     n_aggs = len(aggregates)
@@ -280,9 +281,10 @@ def _finalize(
         and result.storage == "column"
         and all(type(r).finalize is Reducer.finalize for r in reducers)
     ):
-        key_columns = list(zip(*groups.keys())) if keys else []
-        state_columns = list(zip(*groups.values())) if n_aggs else []
-        result.append_batch([*key_columns, *state_columns])
+        result.append_batch([
+            *transpose_rows(groups.keys(), len(keys)),
+            *transpose_rows(groups.values(), n_aggs),
+        ])
         return result
     result.insert_many(
         key + tuple(reducers[i].finalize(states[i]) for i in range(n_aggs))

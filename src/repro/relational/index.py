@@ -99,6 +99,24 @@ class HashIndex:
         with the rows' slots)."""
         return list(zip(*[columns[p] for p in self._positions]))
 
+    def load(self, keys: Iterable[tuple[Any, ...]], slots: Iterable[int]) -> None:
+        """Fill this new index in one pass over a whole table: the rows'
+        key tuples, in step with their *slots*.  A unique violation raises
+        mid-way, so the table registers the index only once this returns."""
+        buckets = self._buckets
+        get = buckets.get
+        unique = self.unique
+        for key, slot in zip(keys, slots):
+            bucket = get(key)
+            if bucket is None:
+                buckets[key] = [slot]
+            elif unique:
+                raise TableError(
+                    f"unique index on {self.columns} violated by key {key!r}"
+                )
+            else:
+                bucket.append(slot)
+
     def check_addable(self, keys: Iterable[tuple], vacated: Iterable[tuple] = ()) -> None:
         """Raise, with nothing changed, if adding *keys* would break
         uniqueness — among themselves, or against the entries present

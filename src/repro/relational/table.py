@@ -29,8 +29,10 @@ from __future__ import annotations
 
 import os
 from array import array
+from collections import Counter
 from itertools import compress, repeat
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Collection, Iterable, Iterator, Sequence
 
 from ..errors import TableError
 from .index import HashIndex
@@ -44,6 +46,16 @@ Row = tuple[Any, ...]
 #: the rest at C speed (raising ``TypeError``/``OverflowError`` on values
 #: that do not fit, which demotes the column back to a plain list).
 _PROMOTE_PROBE = 16
+
+#: Row batches at least this long are transposed one column at a time.
+#: ``zip(*rows)`` is a call with one argument per row, and past a few
+#: thousand rows its cost per row climbs (the argument tuple and one
+#: iterator per row fall out of cache), while one ``map(itemgetter(i),
+#: rows)`` per column stays linear.  Measured (EXPERIMENTS.md "PR 15"):
+#: at 16,384 rows the per-column form is 1.2x (arity 8) to 2.6x (arity 2)
+#: faster and at 500,000 x 5 it is 3.1x; below 4,096 rows the star call
+#: wins at arity 5 and up, by at most 1.5x.
+_TRANSPOSE_BY_COLUMN_ROWS = 16_384
 
 
 def columnar_default() -> bool:
@@ -87,6 +99,14 @@ def forget_values(counts: dict[Any, int], values: Iterable[Any]) -> None:
             counts[value] = remaining
 
 
+def transpose_rows(rows: Collection[Sequence[Any]], arity: int) -> list[Sequence[Any]]:
+    """The *arity* columns of *rows* (sized and re-iterable: a list, or a
+    dict's keys or values), each a tuple or a list."""
+    if len(rows) < _TRANSPOSE_BY_COLUMN_ROWS:
+        return list(zip(*rows))
+    return [list(map(itemgetter(i), rows)) for i in range(arity)]
+
+
 def _typed_column(values: Sequence[Any]) -> Any:
     """Store a fresh column batch, promoted to a typed array when uniform.
 
@@ -116,7 +136,9 @@ def _typed_column(values: Sequence[Any]) -> Any:
 
 class SlotStore:
     """The slot contract's batch forms, a slot at a time (row and sharded
-    storage inherit them; :class:`ColumnStore` works column-wise)."""
+    storage inherit them; :class:`ColumnStore` works column-wise).  Every
+    store also answers ``live_slots()``: the slots of its live rows in
+    scan order, in step with ``column_lists``."""
 
     __slots__ = ()
 
@@ -174,12 +196,12 @@ class RowStore(SlotStore):
     def slot_list(self) -> list[Row | None]:
         return self._slots
 
+    def live_slots(self) -> list[int]:
+        return [slot for slot, row in enumerate(self._slots) if row is not None]
+
     def column_lists(self, positions: Sequence[int]) -> list[list[Any]]:
         rows = self.rows()
-        if not rows:
-            return [[] for _ in positions]
-        cols = list(zip(*rows))
-        return [list(cols[p]) for p in positions]
+        return [list(map(itemgetter(p), rows)) for p in positions]
 
     def append_batch(self, columns: Sequence[Sequence[Any]], n: int) -> None:
         self._slots.extend(zip(*columns))
@@ -288,6 +310,10 @@ class ColumnStore(SlotStore):
                 if not v:
                     out[slot] = None
         return out
+
+    def live_slots(self) -> Sequence[int]:
+        slots = range(len(self._valid))
+        return list(compress(slots, self._valid)) if self._dead else slots
 
     def column_lists(self, positions: Sequence[int]) -> list[Any]:
         cols = self._columns
@@ -591,7 +617,9 @@ class Table:
         if set(map(len, rows)) - {len(self.schema)}:
             list(map(self._check_arity, rows))  # raises at the first bad row
         if rows:
-            self._insert_columns(list(zip(*rows)), len(rows))
+            self._insert_columns(
+                transpose_rows(rows, len(self.schema)), len(rows)
+            )
         charge_access("rows_inserted", len(rows))
         return len(rows)
 
@@ -827,7 +855,7 @@ class Table:
         Observers see every mutation path — inserts, slot deletes, in-place
         updates, truncation — which is what lets a
         :class:`~repro.obs.audit.ViewCertificate` stay consistent through
-        refresh, atomic rollback, and rematerialisation alike.  Copies
+        refresh and atomic rollback alike.  Copies
         (:meth:`copy`) do not inherit observers.
         """
         self._observers.append(observer)
@@ -854,16 +882,14 @@ class Table:
 
         Used by index-assisted recomputation plans
         (:mod:`repro.core.recompute`) to enumerate candidate index keys for
-        low-cardinality columns (e.g. ``date``).  Idempotent.
+        low-cardinality columns (e.g. ``date``).  Idempotent.  The initial
+        counts are one C-level count of the live column, uncharged.
         """
         position = self.schema.position(column)
         if position in self._domains:
             return
-        counts: dict[Any, int] = {}
-        for row in self._store.iter_live():
-            value = row[position]
-            counts[value] = counts.get(value, 0) + 1
-        self._domains[position] = counts
+        (column,) = self._store.column_lists((position,))
+        self._domains[position] = dict(Counter(column))
 
     def domain(self, column: str) -> tuple[Any, ...] | None:
         """Distinct live values of *column*, or ``None`` when untracked."""
@@ -878,7 +904,14 @@ class Table:
     # ------------------------------------------------------------------
 
     def create_index(self, columns: Sequence[str], unique: bool = False) -> HashIndex:
-        """Create (or return an existing) hash index on *columns*."""
+        """Create (or return an existing) hash index on *columns*.
+
+        Built from the store's columns on every backing — the key tuples
+        from one zip of the indexed columns, the slots from the store's
+        liveness, the buckets in one pass (:meth:`HashIndex.load`) — and
+        registered only once complete, so a unique violation raises with
+        :attr:`indexes` unchanged.  Uncharged, as a build always was.
+        """
         key = tuple(columns)
         existing = self._indexes.get(key)
         if existing is not None:
@@ -888,9 +921,10 @@ class Table:
                     f"unique={existing.unique}"
                 )
             return existing
-        index = HashIndex(key, self.schema.positions(columns), unique=unique)
-        for slot, row in self._store.enumerate_live():
-            index.add(row, slot)
+        positions = self.schema.positions(columns)
+        index = HashIndex(key, positions, unique=unique)
+        store = self._store
+        index.load(zip(*store.column_lists(positions)), store.live_slots())
         self._indexes[key] = index
         return index
 

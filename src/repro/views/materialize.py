@@ -16,7 +16,7 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import Sequence
 
 from ..errors import DefinitionError, PublishError
 from ..obs import metrics as obs_metrics
@@ -31,6 +31,7 @@ from ..relational.aggregation import group_by as physical_group_by
 from ..relational.expressions import col
 from ..relational.operators import select
 from ..relational.schema import Schema
+from ..relational.stats import charge_access
 from ..relational.table import Table
 from .definition import SummaryViewDefinition
 
@@ -57,6 +58,39 @@ def compute_rows(definition: SummaryViewDefinition, name: str | None = None) -> 
     return physical_group_by(
         source, definition.group_by, aggregates, name=name or definition.name
     )
+
+
+def project_user_columns(
+    stored: Table,
+    definition: SummaryViewDefinition,
+    wanted: Sequence[str],
+    name: str,
+) -> Table:
+    """The *wanted* user columns of rows *stored* in *definition*'s storage
+    schema: self-maintainability companions dropped, derived (AVG) outputs
+    evaluated with SQL division semantics (null numerator or a zero or
+    null denominator gives null).  One gather per stored column and one
+    pass per derived column; charged as one scan of *stored* plus one
+    insert per row."""
+    columns = dict(zip(stored.schema.columns, stored.columns()))
+    charge_access("rows_scanned", len(stored))
+    derived = {spec.name: spec for spec in definition.derived}
+    out = []
+    for column in wanted:
+        spec = derived.get(column)
+        if spec is None:
+            out.append(columns[column][:])  # a borrowed column goes in as a slice
+        else:
+            out.append([
+                None if numerator is None or not denominator
+                else numerator / denominator
+                for numerator, denominator in zip(
+                    columns[spec.numerator], columns[spec.denominator]
+                )
+            ])
+    result = Table(name, Schema(wanted))
+    result.adopt_batch(out)
+    return result
 
 
 @dataclass(frozen=True)
@@ -163,27 +197,8 @@ class MaterializedView:
     """
 
     def __init__(self, definition: SummaryViewDefinition, table: Table):
-        if table.schema != definition.storage_schema():
-            raise DefinitionError(
-                f"stored table for {definition.name!r} has schema "
-                f"{list(table.schema.columns)}, expected "
-                f"{list(definition.storage_schema().columns)}"
-            )
         self.definition = definition
-        if definition.group_by:
-            table.create_index(list(definition.group_by))
-        #: Incremental consistency certificate, kept in sync with the
-        #: stored rows via the table's mutation observers (``None`` when
-        #: disabled through ``REPRO_CERTIFICATES=0``).  Built from
-        #: ``table.columns()`` — not ``scan()`` — because certificate
-        #: bookkeeping must not charge tuple-access accounting.
-        certificate: ViewCertificate | None = None
-        if certificates_enabled():
-            certificate = ViewCertificate.from_columns(
-                table.columns(), len(table)
-            )
-            table.attach_observer(certificate)
-        self._version = ViewVersion(0, table, certificate)
+        self._version = ViewVersion(0, table, self._adopt(table))
         #: Serialises publishers; readers never take it.
         self._publish_lock = threading.Lock()
         #: Per-view freshness (last refresh time / run id / kind).
@@ -203,6 +218,29 @@ class MaterializedView:
 
     def __repr__(self) -> str:
         return f"MaterializedView({self.definition.name!r}, {len(self.table)} rows)"
+
+    def _adopt(self, table: Table) -> ViewCertificate | None:
+        """Make freshly computed rows a stored table of this view: the
+        schema checked, the group-key index built, and the incremental
+        consistency certificate attached, kept in sync from here on
+        through the table's mutation observers (``None`` when disabled
+        through ``REPRO_CERTIFICATES=0``).  The certificate is a full
+        digest of ``table.columns()`` — not ``scan()`` — because
+        certificate bookkeeping must not charge tuple-access accounting."""
+        definition = self.definition
+        if table.schema != definition.storage_schema():
+            raise DefinitionError(
+                f"stored table for {definition.name!r} has schema "
+                f"{list(table.schema.columns)}, expected "
+                f"{list(definition.storage_schema().columns)}"
+            )
+        if definition.group_by:
+            table.create_index(list(definition.group_by))
+        if not certificates_enabled():
+            return None
+        certificate = ViewCertificate.from_columns(table.columns(), len(table))
+        table.attach_observer(certificate)
+        return certificate
 
     @property
     def name(self) -> str:
@@ -299,13 +337,37 @@ class MaterializedView:
                         f"{shadow.certificate.hex}, recomputed "
                         f"{ViewCertificate(expected).hex}"
                     )
-            version = ViewVersion(shadow.epoch, shadow.table, shadow.certificate)
-            self._version = version
-            with self._epoch_lock:
-                self._superseded[current.epoch] = weakref.ref(current.table)
+            version = self._swap_in(shadow.table, shadow.certificate)
         # Outside the publish lock: prune epochs no reader kept alive and
         # refresh the retention gauges (serving telemetry records
         # unconditionally — see repro.obs.serving).
+        self.collect_epochs()
+        return version
+
+    def _swap_in(
+        self, table: Table, certificate: ViewCertificate | None
+    ) -> ViewVersion:
+        """The single reference swap to the next epoch (publish lock
+        held); the superseded table is tracked for retention."""
+        current = self._version
+        version = ViewVersion(current.epoch + 1, table, certificate)
+        self._version = version
+        with self._epoch_lock:
+            self._superseded[current.epoch] = weakref.ref(current.table)
+        return version
+
+    def install(self, table: Table) -> ViewVersion:
+        """Publish *table* — this view's rows computed afresh, held by
+        nobody else — as the next epoch.
+
+        The rematerialisation counterpart of :meth:`publish`: the table is
+        indexed and certified from its own rows off to the side, then
+        installed by the same swap, so cached answers stop matching and a
+        reader pinned on the old epoch keeps its rows.
+        """
+        certificate = self._adopt(table)
+        with self._publish_lock:
+            version = self._swap_in(table, certificate)
         self.collect_epochs()
         return version
 
@@ -369,29 +431,10 @@ class MaterializedView:
         """User-facing content: synthetic columns hidden, derived outputs
         (AVG) evaluated with SQL division semantics."""
         definition = self.definition
-        user_columns = definition.user_columns()
-        schema = Schema(user_columns)
-        positions = {
-            column: definition.storage_schema().position(column)
-            for column in definition.storage_schema().columns
-        }
-        derived_by_name = {d.name: d for d in definition.derived}
-        result = Table(f"{definition.name}_read", schema)
-        for row in self.table.scan():
-            values: list[Any] = []
-            for column in user_columns:
-                if column in derived_by_name:
-                    spec = derived_by_name[column]
-                    numerator = row[positions[spec.numerator]]
-                    denominator = row[positions[spec.denominator]]
-                    if numerator is None or not denominator:
-                        values.append(None)
-                    else:
-                        values.append(numerator / denominator)
-                else:
-                    values.append(row[positions[column]])
-            result.insert(tuple(values))
-        return result
+        return project_user_columns(
+            self.table, definition, definition.user_columns(),
+            f"{definition.name}_read",
+        )
 
     @staticmethod
     def build(definition: SummaryViewDefinition) -> "MaterializedView":
@@ -401,7 +444,6 @@ class MaterializedView:
         return MaterializedView(resolved, table)
 
     def rematerialize(self) -> None:
-        """Recompute this view's rows from base data, in place."""
-        fresh = compute_rows(self.definition)
-        self.table.truncate()
-        self.table.insert_many(fresh.scan())
+        """Recompute this view's rows from base data and publish them as
+        the next epoch (:meth:`install`)."""
+        self.install(compute_rows(self.definition))

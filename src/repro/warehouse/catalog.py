@@ -12,8 +12,9 @@ from __future__ import annotations
 from typing import Any, Iterable, Sequence
 
 from ..errors import DefinitionError, TableError
+from ..lattice.derives import smallest_deriving_view
 from ..views.definition import SummaryViewDefinition
-from ..views.materialize import MaterializedView
+from ..views.materialize import MaterializedView, compute_rows
 from .changes import ChangeSet
 from .dimension import DimensionTable
 from .fact import FactTable
@@ -71,7 +72,19 @@ class Warehouse:
     def define_summary_table(
         self, definition: SummaryViewDefinition
     ) -> MaterializedView:
-        """Resolve, materialise, index, and register a summary table."""
+        """Resolve, materialise, index, and register a summary table.
+
+        The rows come down the V-lattice (paper, Section 5): from the
+        smallest already-defined view of the same fact that derives this
+        one, through the Theorem 5.1 edge query, and from the fact table
+        only when no view derives it or none is smaller than the fact
+        table.  Either way the view is indexed and certified from its own
+        rows, and it starts in step with the views already defined —
+        those are what maintenance keeps consistent with each other.
+        Integer aggregates come out identical from either source; a float
+        SUM taken from a view is a sum of that view's partial sums, the
+        from-base value up to rounding (as a refresh leaves any float SUM).
+        """
         if definition.name in self.views:
             raise DefinitionError(
                 f"summary table {definition.name!r} already defined"
@@ -81,7 +94,13 @@ class Warehouse:
                 f"view {definition.name!r} references unregistered fact table "
                 f"{definition.fact.name!r}"
             )
-        view = MaterializedView.build(definition)
+        resolved = definition if definition.is_resolved() else definition.resolved()
+        source = smallest_deriving_view(resolved, self.views.values())
+        if source is None or len(source.version.table) >= len(resolved.fact.table):
+            table = compute_rows(resolved)
+        else:
+            table = source.edge.apply(source.version.table)
+        view = MaterializedView(resolved, table)
         self.views[definition.name] = view
         return view
 
@@ -168,7 +187,6 @@ class Warehouse:
         ``{view_name: consistent}``; raises nothing.
         """
         from ..obs.audit import rows_certificate
-        from ..views.materialize import compute_rows
 
         results: dict[str, bool] = {}
         for name, view in self.views.items():
@@ -187,8 +205,6 @@ class Warehouse:
         crash) to confirm no view has drifted from its definition.  Returns
         ``{view_name: consistent}``; raises nothing.
         """
-        from ..views.materialize import compute_rows
-
         results: dict[str, bool] = {}
         for name, view in self.views.items():
             expected = compute_rows(view.definition).sorted_rows()

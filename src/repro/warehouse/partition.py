@@ -266,6 +266,20 @@ class ShardStore(SlotStore):
             out.extend(self._shards[key].rows())
         return out
 
+    def live_slots(self) -> list[int]:
+        # A directory entry and a live local slot stand for each other.
+        back = {
+            entry: global_slot
+            for global_slot, entry in enumerate(self._directory)
+            if entry is not None
+        }
+        out: list[int] = []
+        for key in self.shard_keys():
+            out.extend(
+                back[key, local] for local in self._shards[key].live_slots()
+            )
+        return out
+
     def slot_list(self) -> list[Row | None]:
         out: list[Row | None] = [None] * len(self._directory)
         for slot, entry in enumerate(self._directory):

@@ -94,3 +94,72 @@ class TestMaterializedView:
         by_region = {row[0]: row for row in view.table.scan()}
         assert by_region["west"][1] == 1 and by_region["west"][2] == 3
         assert by_region["east"][1] == 1 and by_region["east"][2] == 4
+
+
+class TestProjectUserColumns:
+    """The one projection behind ``MaterializedView.read`` and the router:
+    equal to evaluating each output row by row."""
+
+    @staticmethod
+    def per_row(stored, definition, wanted):
+        position = stored.schema.position
+        derived = {spec.name: spec for spec in definition.derived}
+        out = []
+        for row in stored.rows():
+            values = []
+            for column in wanted:
+                if column in derived:
+                    numerator = row[position(derived[column].numerator)]
+                    denominator = row[position(derived[column].denominator)]
+                    values.append(None if numerator is None or not denominator
+                                  else numerator / denominator)
+                else:
+                    values.append(row[position(column)])
+            out.append(tuple(values))
+        return out
+
+    @pytest.mark.parametrize("storage", ["row", "column"])
+    def test_equals_the_per_row_evaluation(self, pos, storage):
+        from repro.relational.stats import measuring
+        from repro.views.materialize import project_user_columns
+
+        definition = SummaryViewDefinition.create(
+            "avg_view", pos, ["storeID", "date"],
+            [("n", CountStar()), ("AvgQty", Avg(col("qty")))],
+        ).resolved()
+        schema = definition.storage_schema()
+        numerator = definition.derived[0].numerator
+        denominator = definition.derived[0].denominator
+        # Null numerator, zero and null denominators, and a tombstone.
+        cells = [(7, 2), (None, 0), (None, 3), (5, 0), (9, None), (1, 4)]
+        stored = Table("stored", schema, storage=storage)
+        for i, (total, count) in enumerate(cells):
+            row = dict.fromkeys(schema.columns, i)
+            row.update({numerator: total, denominator: count})
+            stored.insert(tuple(row[column] for column in schema.columns))
+        stored.delete_slot(5)
+        wanted = ("date", "AvgQty", "n", "storeID")
+        with measuring() as stats:
+            got = project_user_columns(stored, definition, wanted, "out")
+        assert got.name == "out" and got.schema.columns == wanted
+        assert got.rows() == self.per_row(stored, definition, wanted)
+        assert [row[1] for row in got.rows()] == [3.5, None, None, None, None]
+        assert (stats.rows_scanned, stats.rows_inserted) == (5, 5)
+        # The answer owns its columns: the stored table is not aliased.
+        got.insert((0, 0.0, 0, 0))
+        assert len(stored) == 5
+
+    def test_read_and_the_router_share_it(self, pos, warehouse):
+        from repro.query import AggregateQuery, QueryRouter
+
+        definition = SummaryViewDefinition.create(
+            "avg_view", pos, ["storeID", "itemID", "date"],
+            [("AvgQty", Avg(col("qty")))],
+        )
+        view = warehouse.define_summary_table(definition)
+        answer = QueryRouter(warehouse).answer(AggregateQuery.create(
+            pos, ["storeID", "itemID", "date"], [("AvgQty", Avg(col("qty")))]))
+        assert answer.sorted_rows() == view.read().sorted_rows()
+        assert view.read().sorted_rows() == sorted(
+            self.per_row(view.table, view.definition,
+                         view.definition.user_columns()))
