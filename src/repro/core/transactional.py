@@ -132,9 +132,15 @@ def refresh_versioned(
        "summary-delta join" form (:attr:`RefreshVariant.OUTER_JOIN`): a
        private shadow has no observer of intermediate states, so there is
        nothing a per-tuple cursor could buy — readers see none of it;
-    3. :meth:`~repro.views.materialize.MaterializedView.publish` validates
-       the shadow's incrementally-maintained certificate against a fresh
-       digest of its rows and installs it with one reference swap.
+    3. the shadow is compacted (:meth:`Table.compact`: the slots the
+       refresh's deletions emptied are filled from the tail), so a
+       published table is dense and readers scan it without a liveness
+       filter;
+    4. :meth:`~repro.views.materialize.MaterializedView.publish` validates
+       the shadow's incrementally-maintained certificate against the rows
+       stored at the slots the shadow wrote and installs it with one
+       reference swap.  Steps 3 and 4 run under a ``publish`` span that
+       counts ``compacted_rows``, ``written_slots`` and ``validated_rows``.
 
     A failure anywhere — including the injected *failure_hook*, invoked
     with ``"build"`` then ``"publish"`` — simply abandons the shadow: the
@@ -159,7 +165,9 @@ def refresh_versioned(
         stats = _refresh_impl(shadow, delta, recompute, variant, False, locator)
         if failure_hook is not None:
             failure_hook("publish")
-        published = view.publish(shadow)
+        with tracing.span("publish", view=view.definition.name) as publish_span:
+            publish_span.add("compacted_rows", shadow.table.compact())
+            published = view.publish(shadow)
         span.set_tag("epoch", published.epoch)
         _record_refresh_stats(span, stats, locator)
         if tracing.enabled():

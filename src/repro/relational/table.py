@@ -152,6 +152,12 @@ class SlotStore:
         for slot in slots:
             self.set(slot, None)
 
+    def written_slots(self) -> set[int] | None:
+        """The slots written since this store was cloned from another, or
+        ``None`` for a store that was not: it may differ from any other
+        store everywhere.  Only :class:`ColumnStore` clones."""
+        return None
+
 
 class RowStore(SlotStore):
     """Row-major backing: a list of tuples with ``None`` tombstones."""
@@ -216,9 +222,13 @@ class ColumnStore(SlotStore):
     time a value arrives that does not fit.  The validity bitmap (one byte
     per slot, ``1`` = live) marks tombstones; a tombstoned slot keeps its
     stale column values, so typed arrays never need to represent nulls.
+
+    A :meth:`clone` records, from then on, every slot its write primitives
+    touch (:meth:`written_slots`), so that a reader holding the source can
+    tell where the two may differ without comparing them.
     """
 
-    __slots__ = ("_arity", "_columns", "_valid", "_dead")
+    __slots__ = ("_arity", "_columns", "_valid", "_dead", "_written")
     kind = "column"
 
     def __init__(self, arity: int) -> None:
@@ -226,6 +236,9 @@ class ColumnStore(SlotStore):
         self._columns: list[Any] = [[] for _ in range(arity)]
         self._valid = bytearray()
         self._dead = 0
+        #: ``None`` unless this store is a :meth:`clone`; then the slots
+        #: written since, one ``add``/``update`` per write primitive call.
+        self._written: set[int] | None = None
 
     def size(self) -> int:
         """Slot capacity (live rows plus tombstones)."""
@@ -238,6 +251,8 @@ class ColumnStore(SlotStore):
 
     def append(self, row: Row) -> int:
         slot = len(self._valid)
+        if self._written is not None:
+            self._written.add(slot)
         columns = self._columns
         for i, value in enumerate(row):
             col = columns[i]
@@ -251,6 +266,8 @@ class ColumnStore(SlotStore):
 
     def set(self, slot: int, row: Row | None) -> None:
         valid = self._valid
+        if self._written is not None:
+            self._written.add(slot)
         if row is None:
             if valid[slot]:
                 valid[slot] = 0
@@ -269,6 +286,8 @@ class ColumnStore(SlotStore):
             self._dead -= 1
 
     def clear(self) -> None:
+        if self._written is not None:
+            self._written.update(range(len(self._valid)))
         self._columns = [[] for _ in range(self._arity)]
         self._valid = bytearray()
         self._dead = 0
@@ -324,6 +343,8 @@ class ColumnStore(SlotStore):
 
     def append_batch(self, columns: Sequence[Sequence[Any]], n: int) -> None:
         base = len(self._valid)
+        if self._written is not None:
+            self._written.update(range(base, base + n))
         cols = self._columns
         for i, values in enumerate(columns):
             col = cols[i]
@@ -344,8 +365,12 @@ class ColumnStore(SlotStore):
         """Make *columns*, *n* rows nobody else holds, this empty store's."""
         self._columns = list(columns)
         self._valid = bytearray(b"\x01") * n
+        if self._written is not None:
+            self._written.update(range(n))
 
     def fill(self, slots: Sequence[int], columns: Sequence[Sequence[Any]]) -> None:
+        if self._written is not None:
+            self._written.update(slots)
         cols = self._columns
         for i, values in enumerate(columns):
             col = cols[i]
@@ -362,6 +387,8 @@ class ColumnStore(SlotStore):
             valid[slot] = 1
 
     def kill(self, slots: Sequence[int]) -> None:
+        if self._written is not None:
+            self._written.update(slots)
         valid = self._valid
         for slot in slots:
             valid[slot] = 0
@@ -388,18 +415,34 @@ class ColumnStore(SlotStore):
 
     def clone(self) -> "ColumnStore":
         """A private copy of the storage: one slice (a memcpy) per column
-        and for the bitmap, tombstones and column types included."""
+        and for the bitmap, tombstones and column types included, so slot
+        *s* of the twin is slot *s* of this store.  The twin starts an
+        empty :meth:`written_slots` record: any slot not in it still holds
+        what this store held when cloned."""
         twin = ColumnStore(self._arity)
         twin._columns = [col[:] for col in self._columns]
         twin._valid = self._valid[:]
         twin._dead = self._dead
+        twin._written = set()
         return twin
+
+    def written_slots(self) -> set[int] | None:
+        return self._written
+
+    def live_among(self, slots: Iterable[int]) -> list[int]:
+        """Those of *slots* that hold a live row here, ascending; a slot
+        past the end (appended by a clone, or truncated away) holds none."""
+        valid = self._valid
+        size = len(valid)
+        return [slot for slot in sorted(slots) if slot < size and valid[slot]]
 
     def compact(self) -> list[tuple[int, int]]:
         """Fill every tombstone with a row from the tail and truncate;
         returns the ``(old slot, new slot)`` moves made, so the owner can
         re-point its indexes.  One ``memchr`` pass over the bitmap plus
         O(tombstones) work; row order changes."""
+        if not self._dead:
+            return []
         valid = self._valid
         live = len(valid) - self._dead
         holes = []
@@ -409,6 +452,8 @@ class ColumnStore(SlotStore):
             hole = valid.find(0, hole + 1, live)
         tail = [slot for slot in range(live, len(valid)) if valid[slot]]
         moves = list(zip(tail, holes))
+        if self._written is not None:
+            self._written.update(tail, holes)
         for col in self._columns:
             for source, target in moves:
                 col[target] = col[source]
@@ -571,6 +616,23 @@ class Table:
         if not rows:
             return [[] for _ in range(len(self.schema))]
         return [list(column) for column in zip(*rows)]
+
+    def written_slots(self) -> set[int] | None:
+        """The slots this table's storage has written since :meth:`copy`
+        cloned it from another table's — the only places its rows can
+        differ from that table's as it was — or ``None`` when the storage
+        is no clone (row and sharded backings, a table built from rows).
+        Recorded by the store's own write primitives, below the indexes
+        and observers, so it needs nothing from them to be complete."""
+        return self._store.written_slots()
+
+    def take_live(self, slots: Iterable[int]) -> tuple[list[int], list[list[Any]]]:
+        """The live rows among *slots* of a columnar table, as (their
+        slots, ascending; their columns).  Unlike :meth:`take`, a slot
+        that is tombstoned or past the end simply holds no row: this is
+        how one table is read at slots another one wrote.  Uncharged."""
+        live = self._store.live_among(slots)
+        return live, self._store.take(live)
 
     def __repr__(self) -> str:
         return f"Table({self.name!r}, {len(self)} rows, {list(self.schema.columns)})"
@@ -844,6 +906,29 @@ class Table:
             for observer in self._observers:
                 observer.truncated()
 
+    def compact(self) -> int:
+        """Make the table dense: every tombstone filled with a row moved
+        from the tail, the indexes re-pointed at the moved rows, no free
+        slot left.  O(tombstones); the rows are the same bag, so observers
+        hear nothing and nothing is charged.  Returns the rows moved.  Row
+        and sharded storage move none: their tombstones go when
+        :meth:`copy` re-inserts the live rows."""
+        store = self._store
+        if not isinstance(store, ColumnStore):
+            return 0
+        moves = store.compact()
+        if moves:
+            sources, targets = zip(*moves)
+            columns = store.take(targets)
+            for index in self._indexes.values():
+                for key, source, target in zip(
+                    index.keys_of(columns), sources, targets
+                ):
+                    index.remove_key(key, source)
+                    index.add_key(key, target)
+        self._free_slots.clear()
+        return len(moves)
+
     # ------------------------------------------------------------------
     # Mutation observers
     # ------------------------------------------------------------------
@@ -964,6 +1049,19 @@ class Table:
                 return False
         return True
 
+    def indexes_hold(
+        self, slots: Sequence[int], columns: Sequence[Sequence[Any]]
+    ) -> bool:
+        """Whether every index files each of the rows *columns*, live at
+        *slots*, under its key at its slot: :meth:`verify_indexes` for the
+        rows of a few slots (what :meth:`take_live` returns), uncharged."""
+        for index in self._indexes.values():
+            buckets = index._buckets  # noqa: SLF001
+            for key, slot in zip(index.keys_of(columns), slots):
+                if slot not in buckets.get(key, ()):
+                    return False
+        return True
+
     # ------------------------------------------------------------------
     # Convenience
     # ------------------------------------------------------------------
@@ -973,14 +1071,15 @@ class Table:
 
         Observers are not inherited.  The copy keeps the source's storage
         mode, and for columnar storage the column types too (a typed
-        array stays a typed array): the storage, the index bucket maps
-        and the domain counts are cloned structurally — memcpy-speed, no
-        per-row insert — and the clone comes out dense, its tombstones
-        filled from the tail in O(tombstones) moves.  Tables are bags, so
-        the clone's row order (and slot numbering) may differ from the
-        source's; the source is not touched.  Charged as one scan of the
-        source plus one insert per row, like the row-at-a-time copy it
-        replaces.
+        array stays a typed array): the storage, the index bucket maps,
+        the free-slot list and the domain counts are cloned structurally
+        — memcpy-speed, no per-row insert, no row moved — so every row
+        keeps its slot, tombstones included, and the clone records the
+        slots it writes from here on (:meth:`written_slots`;
+        :meth:`compact` is what makes a table dense).  Row and sharded
+        storage re-insert the live rows instead, and record nothing.  The
+        source is not touched.  Charged as one scan of the source plus one
+        insert per row, like the row-at-a-time copy it replaces.
         """
         clone = Table(name or self.name, self.schema, storage=self.storage)
         source = self._store
@@ -994,7 +1093,8 @@ class Table:
             for position in self._domains:
                 clone.track_domain(self.schema.columns[position])
             return clone
-        store = clone._store = source.clone()
+        clone._store = source.clone()
+        clone._free_slots = self._free_slots.copy()
         clone._live_count = self._live_count
         clone._indexes = {
             key: index.clone() for key, index in self._indexes.items()
@@ -1003,11 +1103,6 @@ class Table:
             position: counts.copy()
             for position, counts in self._domains.items()
         }
-        for old_slot, new_slot in store.compact():
-            row = store.get(new_slot)
-            for index in clone._indexes.values():
-                index.remove(row, old_slot)
-                index.add(row, new_slot)
         charge_access("rows_scanned", self._live_count)
         charge_access("rows_inserted", self._live_count)
         return clone

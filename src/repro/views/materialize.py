@@ -21,12 +21,14 @@ from typing import Sequence
 from ..errors import DefinitionError, PublishError
 from ..obs import metrics as obs_metrics
 from ..obs.audit import (
+    CERT_MASK,
     ViewCertificate,
     ViewFreshness,
     certificates_enabled,
     columns_certificate,
 )
 from ..obs.lineage import ViewLineage
+from ..obs.tracing import current_span
 from ..relational.aggregation import group_by as physical_group_by
 from ..relational.expressions import col
 from ..relational.operators import select
@@ -161,15 +163,18 @@ class ShadowVersion:
         definition: SummaryViewDefinition,
         table: Table,
         certificate: ViewCertificate | None,
-        base_epoch: int,
+        base_stamp: tuple[int, int],
     ):
         self.definition = definition
         self.table = table
         self.certificate = certificate
-        #: Epoch of the published version this shadow was copied from.
-        self.base_epoch = base_epoch
+        #: :meth:`ViewVersion.stamp` of the published version this shadow
+        #: was copied from; a publish or an in-place refresh moves it.
+        self.base_stamp = base_stamp
+        #: Epoch of that version.
+        self.base_epoch = base_stamp[0]
         #: Epoch this shadow will become once published.
-        self.epoch = base_epoch + 1
+        self.epoch = self.base_epoch + 1
 
     def __repr__(self) -> str:
         return (
@@ -295,10 +300,14 @@ class MaterializedView:
         """Copy the current version into a private next-epoch shadow.
 
         The copy (:meth:`Table.copy`: a structural clone, O(|view|) bytes
-        at memcpy speed) carries the rows, indexes and domains but not
-        the observers; the shadow gets its own certificate, seeded O(1)
-        from the current one's digest-sum and maintained incrementally
-        while the refresh mutates the shadow table.
+        at memcpy speed, no row moved) carries the rows, indexes and
+        domains but not the observers; the shadow gets its own
+        certificate, seeded O(1) from the current one's digest-sum and
+        maintained incrementally while the refresh mutates the shadow
+        table.  On columnar storage every row of the shadow starts in the
+        slot it has in the current version and the shadow's storage
+        records the slots written from here on — what :meth:`publish`
+        re-reads.
         """
         current = self._version
         table = current.table.copy()
@@ -306,43 +315,98 @@ class MaterializedView:
         if current.certificate is not None:
             certificate = ViewCertificate(current.certificate.value)
             table.attach_observer(certificate)
-        return ShadowVersion(self.definition, table, certificate, current.epoch)
+        return ShadowVersion(
+            self.definition, table, certificate, current.stamp()
+        )
 
     def publish(self, shadow: ShadowVersion) -> ViewVersion:
         """Atomically install *shadow* as the new current version.
 
-        Refuses to publish a shadow built from a superseded epoch (a
-        racing maintainer won) and, when certificates are enabled, a
-        shadow whose incrementally-maintained certificate disagrees with
-        a fresh digest of every stored row (a torn build) — one
-        column-at-a-time pass, O(|view|) but with no per-cell interpreter
-        work.  On success the swap is a single reference assignment;
-        committed epochs are never unpublished.
+        Refuses a shadow whose base has moved since :meth:`begin_version`
+        — a racing maintainer published, or an in-place refresh changed
+        the epoch's table — and, when certificates are enabled, a torn
+        build: a shadow whose incrementally-maintained certificate
+        disagrees with what its storage holds.
+
+        **What is re-read.**  The shadow's storage recorded every slot
+        written since it was cloned (:meth:`Table.written_slots` — kept by
+        the store's write primitives, below the table's indexes and
+        observers).  The certificate the shadow *should* carry is the base
+        version's, less the digest of the base's live rows at those
+        slots, plus the digest of the shadow's live rows at them, both
+        gathered from storage now; the rows at the written slots must
+        also be filed in the shadow's indexes where they are stored.
+        Every other slot is a memcpy of the base, whose own certificate
+        was validated when it was published (or digested in full when it
+        was installed), so re-digesting it would prove nothing new: the
+        pass is O(slots written), not O(|view|).  Where that argument has
+        nothing to stand on or nothing to save, every stored row is
+        digested as before: row and sharded storage (their copy
+        re-inserts, so nothing is recorded), and a shadow that wrote half
+        the view or more.  One consequence: a certificate an *in-place*
+        refresh left wrong is carried forward by the next publish instead
+        of being caught by it; :meth:`Warehouse.verify_certificates` and
+        ``repro audit`` digest every stored row and are what re-prove it.
+
+        On success the swap is a single reference assignment; committed
+        epochs are never unpublished, and a refused shadow leaves the
+        published version as it was.  The span the caller opened, if any,
+        gets ``written_slots`` and ``validated_rows`` (rows digested).
         """
         with self._publish_lock:
             current = self._version
-            if shadow.base_epoch != current.epoch:
+            if shadow.base_stamp != current.stamp():
                 raise PublishError(
                     f"stale shadow for {self.name!r}: built from epoch "
-                    f"{shadow.base_epoch}, current is {current.epoch}"
+                    f"{shadow.base_epoch} revision {shadow.base_stamp[1]}, "
+                    f"current is epoch {current.epoch} revision "
+                    f"{current.revision}"
                 )
             if shadow.certificate is not None:
-                expected = columns_certificate(
-                    shadow.table.columns(), len(shadow.table)
-                )
-                if shadow.certificate.value != expected:
-                    raise PublishError(
-                        f"certificate mismatch publishing epoch "
-                        f"{shadow.epoch} of {self.name!r}: maintained "
-                        f"{shadow.certificate.hex}, recomputed "
-                        f"{ViewCertificate(expected).hex}"
-                    )
+                self._validate(current, shadow)
             version = self._swap_in(shadow.table, shadow.certificate)
         # Outside the publish lock: prune epochs no reader kept alive and
         # refresh the retention gauges (serving telemetry records
         # unconditionally — see repro.obs.serving).
         self.collect_epochs()
         return version
+
+    def _validate(self, base: ViewVersion, shadow: ShadowVersion) -> None:
+        """Raise :class:`PublishError` unless *shadow*'s storage bears out
+        its maintained certificate (see :meth:`publish`)."""
+        table = shadow.table
+        written = table.written_slots()
+        if written is not None:
+            slots, new = table.take_live(written)
+        if written is None or 2 * len(written) >= len(table):
+            validated = len(table)
+            expected = columns_certificate(table.columns(), validated)
+        else:
+            gone, old = base.table.take_live(written)
+            validated = len(gone) + len(slots)
+            expected = (
+                base.certificate.value
+                - columns_certificate(old, len(gone))
+                + columns_certificate(new, len(slots))
+            ) & CERT_MASK
+        span = current_span()
+        if span is not None:
+            span.add("validated_rows", validated)
+            if written is not None:
+                span.add("written_slots", len(written))
+        if shadow.certificate.value != expected:
+            raise PublishError(
+                f"certificate mismatch publishing epoch "
+                f"{shadow.epoch} of {self.name!r}: maintained "
+                f"{shadow.certificate.hex}, recomputed "
+                f"{ViewCertificate(expected).hex}"
+            )
+        if written is not None and not table.indexes_hold(slots, new):
+            raise PublishError(
+                f"index mismatch publishing epoch {shadow.epoch} of "
+                f"{self.name!r}: a row at a written slot is not indexed "
+                f"there"
+            )
 
     def _swap_in(
         self, table: Table, certificate: ViewCertificate | None

@@ -432,3 +432,61 @@ class TestDeltaScaling:
         assert same_delta_large_view <= 3 * same_delta_small_view
         # 5x the delta on the same dataset must grow the digest count.
         assert larger_delta > same_delta_small_view
+
+        # Publishing is held to the same standard, by count: the same
+        # delta against N and 10 N groups validates the same rows.
+        from repro.aggregates import CountStar, Min, Sum
+        from repro.core import refresh_versioned
+        from repro.relational import col
+        from repro.views import SummaryViewDefinition
+
+        from ..conftest import make_items, make_pos, make_stores
+
+        def publish_counts(groups, insertions, deletions):
+            pos = make_pos(make_stores(), make_items(), [
+                (1, 10, date, qty, 1.0)
+                for date in range(groups) for qty in (2, 5)
+            ])
+            view = MaterializedView.build(SummaryViewDefinition.create(
+                "SID_low", pos, group_by=["storeID", "itemID", "date"],
+                aggregates=[("n", CountStar()), ("total", Sum(col("qty"))),
+                            ("low", Min(col("qty")))],
+            ))
+            changes = ChangeSet("pos", pos.table.schema)
+            changes.insert_many(insertions)
+            changes.delete_many(deletions)
+            delta = compute_summary_delta(view.definition, changes)
+            changes.apply_to(pos.table)
+            with trace() as recorder:
+                stats = refresh_versioned(
+                    view, delta, recompute=base_recompute_fn(view.definition)
+                )
+            assert_view_matches_recomputation(view)
+            (span,) = recorder.spans("publish")
+            touched = (stats.inserted + stats.updated + stats.deleted
+                       + stats.recomputed)
+            return span.counters, touched, view
+
+        insertions = (
+            [(1, 10, date, 1, 1.0) for date in range(5)]          # updates
+            + [(2, 11, date, 3, 1.0) for date in range(3)]        # new groups
+        )
+        deletions = (
+            [(1, 10, date, qty, 1.0) for date in (10, 11) for qty in (2, 5)]
+            + [(1, 10, 20, 2, 1.0)]                 # the group's MIN: recompute
+        )
+        small, touched, view = publish_counts(200, insertions, deletions)
+        large, touched_large, _view = publish_counts(2000, insertions, deletions)
+        assert touched == touched_large == 5 + 3 + 2 + 1
+        if view.table.storage == "column":
+            assert small == large
+            assert small["compacted_rows"] == 2
+            assert 0 < small["validated_rows"] <= (
+                2 * touched + 2 * small["compacted_rows"]
+            )
+            assert small["written_slots"] <= touched + small["compacted_rows"]
+        else:   # row storage re-inserts: no validated base to lean on
+            assert small["validated_rows"] == len(view.table)
+        # Nothing to save when half the view was written: the full digest.
+        full, _touched, view = publish_counts(6, insertions[:5], [])
+        assert full["validated_rows"] == len(view.table) == 6

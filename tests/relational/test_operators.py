@@ -212,7 +212,8 @@ class TestGatherJoin:
 @pytest.mark.parametrize("build", [Table, typed])
 def test_passed_through_columns_are_copied(build):
     """An all-pass select and a union hand on whole input columns: the
-    result holds copies of them, typed like any fresh batch."""
+    result holds copies of them, typed like any fresh batch where the
+    result is columnar (``REPRO_COLUMNAR=0`` makes it row storage)."""
     source = build("s", ["k", "v"], [(1, 1.5), (2, 2.5)], storage="column")
     results = [select(source, col("k").ge(lit(0))), union_all([source, source])]
     kept = [result.rows() for result in results]
@@ -220,7 +221,8 @@ def test_passed_through_columns_are_copied(build):
     source.insert((3, 3.5))
     assert [result.rows() for result in results] == kept
     for result in results:
-        assert [column.typecode for column in result.columns()] == ["q", "d"]
+        if result.storage == "column":
+            assert [column.typecode for column in result.columns()] == ["q", "d"]
         result.insert((9, None))
     assert source.rows() == [(None, "x"), (2, 2.5), (3, 3.5)]
 

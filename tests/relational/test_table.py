@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import TableError
-from repro.obs.audit import ViewCertificate, rows_certificate
+from repro.obs.audit import (
+    CERT_MASK,
+    ViewCertificate,
+    columns_certificate,
+    rows_certificate,
+)
 from repro.relational import Table
 
 
@@ -171,22 +176,38 @@ class TestCopyAndHelpers:
         clone = table.copy()
         assert clone.index_on(["a"]) is not None
 
-    def test_copy_is_dense_and_leaves_the_source_slots_alone(self):
+    def test_copy_keeps_slots_and_compact_makes_the_clone_dense(self):
         table = Table("t", ["a", "b"], [(i, str(i)) for i in range(6)],
                       storage="column")
         table.create_index(["a"])
         table.delete_slots([1, 4])
         before = list(table.slots())
         clone = table.copy()
+        assert table.written_slots() is None
+        if table.storage == "column":   # REPRO_COLUMNAR=0 re-inserts the rows
+            # A structural clone: every row in the slot it had, the free
+            # slots too, and nothing written yet.
+            assert list(clone.slots()) == before
+            assert clone._free_slots == [1, 4]  # noqa: SLF001
+            assert clone.written_slots() == set()
+            assert clone.compact() == 1  # slot 5 fills slot 1; slot 4 is cut off
+            assert clone.written_slots() == {1, 5}
         assert list(table.slots()) == before
         assert table._free_slots == [1, 4]  # noqa: SLF001
         assert sorted(clone.rows()) == sorted(table.rows())
         assert [slot for slot, _row in clone.slots()] == [0, 1, 2, 3]
         assert clone._free_slots == []  # noqa: SLF001
         assert clone.verify_indexes()
+        assert clone.compact() == 0
         # The next insert appends; the source still recycles its hole.
         assert clone.insert((9, "9")) == 4
         assert table.insert((9, "9")) == 4 and table.insert((8, "8")) == 1
+
+    def test_compact_leaves_row_storage_alone(self):
+        table = Table("t", ["a"], [(i,) for i in range(4)], storage="row")
+        table.delete_slot(1)
+        assert table.compact() == 0
+        assert table.insert((9,)) == 1
 
     def test_copy_charges_a_scan_and_one_insert_per_row(self, table):
         from repro.relational.stats import measuring
@@ -253,7 +274,11 @@ class TestCloneProperty:
         assert clone.verify_indexes() and table.verify_indexes()
         assert sorted(clone.domain("b"), key=repr) == \
             sorted(table.domain("b"), key=repr)
+        if table.storage == "column":  # a structural clone: rows keep slots
+            assert list(clone.slots()) == list(table.slots())
+            clone.compact()
         assert clone._store.size() == len(clone)  # noqa: SLF001 — dense
+        assert clone.verify_indexes()
         assert clone.observers == ()
 
         kept = sorted(clone.rows(), key=repr)
@@ -268,3 +293,95 @@ class TestCloneProperty:
             assert sorted(side.domain("b"), key=repr) == sorted(
                 {row[1] for row in side.rows()}, key=repr
             )
+
+
+# A clone's history, through every mutator a table has: single and batch
+# forms, truncation, compaction.  Slot arguments pick among the live rows.
+pairs = st.tuples(values, values)
+picks = st.lists(st.integers(0, 50), min_size=1, max_size=4)
+clone_history = st.lists(st.one_of(
+    st.tuples(st.just("insert"), pairs),
+    st.tuples(st.just("insert_many"), st.lists(pairs, max_size=4)),
+    st.tuples(st.just("delete_slot"), st.integers(0, 50)),
+    st.tuples(st.just("delete_slots"), picks),
+    st.tuples(st.just("update_slot"), st.tuples(st.integers(0, 50), values)),
+    st.tuples(st.just("update_slots"), st.tuples(picks, values)),
+    st.tuples(st.just("truncate"), st.none()),
+    st.tuples(st.just("compact"), st.none()),
+), max_size=25)
+
+
+def apply_clone_history(table, steps):
+    for kind, argument in steps:
+        live = [slot for slot, _row in table.slots()]
+
+        def pick(n):
+            return live[n % len(live)]
+
+        if kind in ("insert", "insert_many", "truncate", "compact"):
+            getattr(table, kind)(*([] if argument is None else [argument]))
+        elif not live:
+            continue
+        elif kind == "delete_slot":
+            table.delete_slot(pick(argument))
+        elif kind == "delete_slots":
+            table.delete_slots(sorted({pick(n) for n in argument}))
+        elif kind == "update_slot":
+            slot = pick(argument[0])
+            table.update_slot(slot, (table.row_at(slot)[0], argument[1]))
+        else:
+            table.update_slots([
+                (slot, (table.row_at(slot)[0], argument[1]))
+                for slot in sorted({pick(n) for n in argument[0]})
+            ])
+
+
+class TestWrittenSlotsProperty:
+    """What ``MaterializedView.publish`` leans on: a clone's storage knows
+    every slot at which it may differ from its source."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.booleans(), history, clone_history)
+    def test_a_clone_differs_from_its_source_only_where_it_wrote(
+        self, holes, before, steps
+    ):
+        base = Table("t", ["a", "b"], storage="column")
+        if base.storage != "column":
+            pytest.skip("REPRO_COLUMNAR=0: copies re-insert, nothing recorded")
+        base.append_batch([[0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 5]])  # typed
+        base.create_index(["a"])
+        base.create_index(["a", "b"])
+        if holes:    # tombstones and free slots in the source, for certain
+            base.delete_slots([1, 4])
+        apply_history(base, before)
+        base_certificate = rows_certificate(base.rows())
+
+        clone = base.copy()
+        certificate = clone.attach_observer(ViewCertificate(base_certificate))
+        assert clone.written_slots() == set()
+        apply_clone_history(clone, steps)
+        written = clone.written_slots()
+
+        # The certificate derived from the written slots alone is the
+        # certificate of the whole clone, and the observer-kept one.
+        gone, old = base.take_live(written)
+        slots, new = clone.take_live(written)
+        derived = (
+            base_certificate
+            - columns_certificate(old, len(gone))
+            + columns_certificate(new, len(slots))
+        ) & CERT_MASK
+        assert derived == columns_certificate(clone.columns(), len(clone))
+        assert derived == certificate.value
+
+        # Slots never written hold what the source holds (or are absent or
+        # dead in both); the rows at written slots are indexed there.
+        base_rows, clone_rows = base._rows, clone._rows  # noqa: SLF001
+        size = max(len(base_rows), len(clone_rows))
+        base_rows += [None] * (size - len(base_rows))
+        clone_rows += [None] * (size - len(clone_rows))
+        for slot in set(range(size)) - written:
+            assert base_rows[slot] == clone_rows[slot]
+        assert clone.indexes_hold(slots, new)
+        assert clone.verify_indexes() and base.verify_indexes()
+        assert rows_certificate(base.rows()) == base_certificate  # untouched

@@ -194,3 +194,93 @@ def test_racing_publisher_loses_without_damaging_winner(retail):
     assert view.epoch == 1
     assert view.pin() is published
     assert view.table is winner.table
+
+
+# -- shadows written behind the table ---------------------------------------
+#
+# The publish validation re-reads the slots the shadow's *storage* recorded
+# as written, so a write that goes around the table's observers and indexes
+# — straight to the store — must still be refused, and a refused publish
+# must leave the published version exactly as it was.
+
+
+# Each fault writes the row of slot 1 somewhere through the store alone.
+STORE_FAULTS = {
+    "set": lambda store, row: store.set(0, row),
+    "fill": lambda store, row: store.fill([0], [[value] for value in row]),
+    "kill": lambda store, row: store.kill([0]),
+    "append": lambda store, row: store.append(row),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(STORE_FAULTS))
+@pytest.mark.parametrize("also_refreshed", [False, True])
+def test_store_level_write_behind_the_observers_is_refused(
+    retail, fault, also_refreshed
+):
+    data, warehouse = retail
+    view = warehouse.views["SID_sales"]
+    before = snapshot_state(view)
+    shadow = view.begin_version()
+    if shadow.table.written_slots() is None:
+        pytest.skip("row storage re-inserts: publish digests every row")
+    if also_refreshed:     # a legitimate write beside the torn one
+        shadow.table.insert(shadow.table.row_at(2)[:3] + (1, 1.0, 1))
+        shadow.table.delete_slot(2)
+    STORE_FAULTS[fault](shadow.table._store, shadow.table.row_at(1))
+    assert 2 * len(shadow.table.written_slots()) < len(shadow.table)
+    with pytest.raises(PublishError, match="certificate mismatch"):
+        view.publish(shadow)
+    assert snapshot_state(view) == before
+    assert view.certificate.value == rows_certificate(view.table.rows())
+    assert audit_warehouse(warehouse).passed
+
+
+@pytest.mark.parametrize("written_share", ["few", "most"])
+def test_compaction_that_skips_the_index_is_refused(retail, written_share):
+    """Rows moved by the store alone keep their certificate (a bag does
+    not care where a row sits) but the group-key index still points at
+    the slots they left."""
+    data, warehouse = retail
+    view = warehouse.views["SID_sales"]
+    before = snapshot_state(view)
+    shadow = view.begin_version()
+    if shadow.table.written_slots() is None:
+        pytest.skip("row storage is never compacted")
+    doomed = [0, 1] if written_share == "few" else list(
+        range(len(shadow.table) * 3 // 4)
+    )
+    shadow.table.delete_slots(doomed)
+    moves = shadow.table._store.compact()        # not Table.compact()
+    assert moves
+    with pytest.raises(PublishError, match="index mismatch"):
+        view.publish(shadow)
+    assert snapshot_state(view) == before
+    assert audit_warehouse(warehouse).passed
+
+    # The same build through the table's own compaction publishes.
+    shadow = view.begin_version()
+    shadow.table.delete_slots(doomed)
+    assert shadow.table.compact() == len(moves)
+    view.publish(shadow)
+    assert view.epoch == before[0] + 1
+    assert view.table.verify_indexes()
+    assert view.certificate.value == rows_certificate(view.table.rows())
+
+
+def test_base_with_tombstones_from_in_place_refresh_publishes(retail):
+    """An in-place refresh leaves holes in the published table; the next
+    shadow clones them slot for slot, refills or compacts them, and the
+    incremental validation still adds up."""
+    data, warehouse = retail
+    run_cycle(data, warehouse, n_changes=400, mode="inplace")
+    view = warehouse.views["SID_sales"]
+    assert view.table._free_slots, "the in-place refresh deleted no group"
+    run_cycle(data, warehouse, n_changes=40, mode="versioned")
+    assert view.epoch == 1
+    if view.table.storage == "column":
+        assert view.table._store.size() == len(view.table)   # dense again
+        assert view.table._free_slots == []
+    assert all(warehouse.verify_certificates().values())
+    assert all(warehouse.verify_views().values())
+    assert audit_warehouse(warehouse).passed

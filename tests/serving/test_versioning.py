@@ -69,6 +69,21 @@ class TestVersionLifecycle:
         assert view.epoch == 1
         assert view.table is first.table
 
+    def test_shadow_overtaken_by_in_place_refresh_rejected(self, pos, view):
+        """Same epoch, next revision: publishing the shadow would drop
+        the in-place refresh's rows without anyone noticing."""
+        shadow = view.begin_version()
+        changes = make_changes(pos, insertions=[(1, 1, 1, 2, 3.0)])
+        delta = compute_summary_delta(view.definition, changes)
+        changes.apply_to(pos.table)
+        refresh(view, delta)
+        assert view.pin().stamp() == (0, 1)
+        refreshed = view.pin()
+        with pytest.raises(PublishError, match="stale shadow"):
+            view.publish(shadow)
+        assert view.pin() is refreshed
+        assert_view_matches_recomputation(view)
+
     def test_epochs_are_monotonic(self, view):
         for expected in range(1, 5):
             view.publish(view.begin_version())
