@@ -25,12 +25,20 @@ The cartesian product of providers yields the exact index keys covering
 the group; if the estimated probe count beats the scan, the index path is
 used, otherwise the planner falls back to the batched scan.  Either way
 the recomputed values are identical — tested against each other.
+
+The index path (:func:`recompute_groups_via_index`) pools all the groups
+one refresh flags and runs column-at-a-time, each step once for the whole
+pool: one ``lookup_many`` over every group's candidate keys, one
+flatten / de-duplicate / sort of the slots found, one gather of the
+columns the view reads, one dimension join, one group-by.  Its cost is
+that of the rows it reads — about 0.1 s for 360 groups / 89k of 500k fact
+rows (EXPERIMENTS.md "PR 28") — whatever the size of the fact table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from typing import Any, Callable, Sequence
 
 from ..relational.index import HashIndex
@@ -125,15 +133,6 @@ class IndexRecomputePlan:
         charge_access("rows_scanned", scanned)
         return list(product(*[source(key) for source in sources]))
 
-    def gather_rows(self, key: GroupKey) -> Table:
-        """Fetch the fact rows of group *key* through the index."""
-        fact_table = self.definition.fact.table
-        rows = Table(f"recompute_{self.definition.name}", fact_table.schema)
-        for candidate in self.candidate_keys(key):
-            for slot in self.index.lookup(candidate):
-                rows.insert(fact_table.row_at(slot))
-        return rows
-
 
 def plan_index_recompute(
     definition: SummaryViewDefinition,
@@ -204,35 +203,43 @@ def recompute_groups_via_index(
 ) -> dict[GroupKey, tuple]:
     """Recompute the aggregate values of *keys* through the planned index.
 
-    All groups of one refresh are pooled: every candidate key is probed,
-    the matching fact slots are deduplicated, and a single gather →
-    dimension join → group-by pass recomputes every requested group
-    together, instead of one join+fold pipeline per group.  Candidate
-    keys constrain only the index columns, so a slot over-fetched for one
+    All groups of one refresh are pooled and each step runs once, over
+    all of them: the candidate keys of every distinct group go to the
+    index in one ``lookup_many``; the buckets found are flattened,
+    de-duplicated and sorted into one ascending slot list, so the gather
+    walks the fact columns in storage order and the fold meets the rows
+    in the order a scan would; those rows are gathered column-wise —
+    only the fact columns the view reads and the foreign keys of the
+    dimensions it joins — and a single dimension join → selection →
+    group-by recomputes every requested group together.  Candidate keys
+    constrain only the index columns, so a slot over-fetched for one
     group may truly belong to another; the final group-by routes each row
     to its actual group and the ``wanted`` filter drops groups nobody
-    asked for — results are identical to the per-group evaluation.
+    asked for — results are identical to a per-group evaluation.
     """
     from ..relational.aggregation import group_by as physical_group_by
     from ..relational.expressions import col as column_ref
 
     definition = plan.definition
-    fact_table = definition.fact.table
+    fact = definition.fact
+    wanted = dict.fromkeys(keys)
     sources, scanned = plan.candidate_sources()
-    charge_access("rows_scanned", scanned * len(keys))
-    slots: dict[int, None] = {}
-    for key in keys:
-        candidates = product(*[source(key) for source in sources])
-        for bucket in plan.index.lookup_many(candidates):
-            slots.update(dict.fromkeys(bucket))
+    charge_access("rows_scanned", scanned * len(wanted))
+    buckets = plan.index.lookup_many(chain.from_iterable(
+        product(*[source(key) for source in sources]) for key in wanted
+    ))
+    slots = sorted(set(chain.from_iterable(buckets)))
     if not slots:
         return {}
-    rows = Table(f"recompute_{definition.name}", fact_table.schema,
-                 storage=fact_table.storage)
-    rows.append_batch(fact_table.take(list(slots)))
-    joined = definition.fact.join_dimensions(
-        rows, definition.dimensions, definition.referenced_columns()
-    )
+    referenced = definition.referenced_columns()
+    needed = referenced | {
+        fact.foreign_key_for(name).column for name in definition.dimensions
+    }
+    names = [column for column in fact.columns if column in needed]
+    rows = Table(f"recompute_{definition.name}", names,
+                 storage=fact.table.storage)
+    rows.adopt_batch(fact.table.take(slots, names))
+    joined = fact.join_dimensions(rows, definition.dimensions, referenced)
     if definition.where is not None:
         joined = select(joined, definition.where)
     aggregates = [
@@ -244,7 +251,6 @@ def recompute_groups_via_index(
     ]
     grouped = physical_group_by(joined, definition.group_by, aggregates)
     arity = len(definition.group_by)
-    wanted = set(keys)
     return {
         row[:arity]: row[arity:]
         for row in grouped.scan()

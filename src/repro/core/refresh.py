@@ -602,21 +602,27 @@ def _refresh_impl(
                 view.table.update_slot(update_slot, new_row)
                 stats.updated += 1
             actions.recomputes.extend(local.recomputes)
+        for slot, row in recomputed_rows(name, actions, recompute):
+            if slot is None:
+                view.table.insert(row)
+            else:
+                view.table.update_slot(slot, row)
+            stats.recomputed += 1
     else:
         # OUTER_JOIN, batch form: all decisions against the pre-apply
-        # table state, then the actions grouped by kind through the
-        # table's batch mutators, which maintain indexes and the
-        # certificate a batch at a time and charge access stats once per
-        # batch — totals identical to the cursor path.
+        # table state, then the actions grouped by kind — the recomputed
+        # groups last, as new rows and as updates — through the table's
+        # batch mutators, which maintain indexes and the certificate a
+        # batch at a time and charge access stats once per batch — totals
+        # identical to the cursor path.
         actions = decide_all(view, delta, plan, locator)
         stats.inserted = view.table.insert_many(actions.inserts)
         stats.deleted = view.table.delete_slots(actions.deletes)
         stats.updated = view.table.update_slots(actions.updates)
-
-    for slot, row in recomputed_rows(name, actions, recompute):
-        if slot is None:
-            view.table.insert(row)
-        else:
-            view.table.update_slot(slot, row)
-        stats.recomputed += 1
+        recomputed = recomputed_rows(name, actions, recompute)
+        stats.recomputed = view.table.insert_many(
+            [row for slot, row in recomputed if slot is None]
+        ) + view.table.update_slots(
+            [update for update in recomputed if update[0] is not None]
+        )
     return stats

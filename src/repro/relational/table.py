@@ -158,6 +158,11 @@ class SlotStore:
         store everywhere.  Only :class:`ColumnStore` clones."""
         return None
 
+    def scan_order(self, slots: Iterable[int]) -> list[int]:
+        """*slots* in the order ``enumerate_live`` meets them: ascending,
+        wherever a scan is slot-major."""
+        return sorted(slots)
+
 
 class RowStore(SlotStore):
     """Row-major backing: a list of tuples with ``None`` tombstones."""
@@ -464,14 +469,15 @@ class ColumnStore(SlotStore):
 
     # Bulk primitives -------------------------------------------------
 
-    def take(self, slots: Sequence[int]) -> list[list[Any]]:
+    def take(
+        self, slots: Sequence[int], positions: Sequence[int] | None = None
+    ) -> list[list[Any]]:
         """Gather the column values at *slots* (assumed live), one output
-        list per column."""
-        out = []
-        for col in self._columns:
-            getter = col.__getitem__
-            out.append([getter(s) for s in slots])
-        return out
+        list per column, or per column position asked for."""
+        columns = self._columns
+        if positions is not None:
+            columns = [columns[p] for p in positions]
+        return [list(map(col.__getitem__, slots)) for col in columns]
 
     def gather(self, positions: Sequence[int]) -> list[Any]:
         """Live values of the chosen columns, in slot order.
@@ -561,6 +567,12 @@ class Table:
         """
         return self._store.enumerate_live()
 
+    def scan_order(self, slots: Iterable[int]) -> list[int]:
+        """The live *slots* in the order :meth:`slots` meets them, so a
+        caller that reached a few rows through an index can walk them as a
+        scan would have."""
+        return self._store.scan_order(slots)
+
     def row_at(self, slot: int) -> Row:
         """Return the live row stored at *slot*."""
         row = self._store.get(slot)
@@ -595,27 +607,28 @@ class Table:
         promote = getattr(self._store, "promote_columns", None)
         return promote() if promote is not None else 0
 
-    def take(self, slots: Sequence[int]) -> list[list[Any]]:
-        """Column-wise gather of the rows stored at *slots* (one output
-        list per column).
+    def take(
+        self, slots: Sequence[int], names: Sequence[str] | None = None
+    ) -> list[list[Any]]:
+        """Column-wise gather of the rows stored at *slots*: one output
+        list per column, or per column in *names*.
 
         Every slot must be live; a tombstoned slot raises.  Does not
         charge access stats (callers charge what they consume), matching
         :meth:`columns`.
         """
         store = self._store
+        positions = None if names is None else self.schema.positions(names)
         if isinstance(store, ColumnStore):
             valid = store._valid  # noqa: SLF001 — liveness check
-            for slot in slots:
-                if not valid[slot]:
-                    raise TableError(
-                        f"table {self.name!r}: slot {slot} is empty"
-                    )
-            return store.take(slots)
-        rows = [self.row_at(slot) for slot in slots]
-        if not rows:
-            return [[] for _ in range(len(self.schema))]
-        return [list(column) for column in zip(*rows)]
+            if not all(map(valid.__getitem__, slots)):
+                dead = next(slot for slot in slots if not valid[slot])
+                raise TableError(f"table {self.name!r}: slot {dead} is empty")
+            return store.take(slots, positions)
+        rows = list(map(self.row_at, slots))
+        if positions is None:
+            positions = range(len(self.schema))
+        return [list(map(itemgetter(p), rows)) for p in positions]
 
     def written_slots(self) -> set[int] | None:
         """The slots this table's storage has written since :meth:`copy`
@@ -873,25 +886,6 @@ class Table:
         for slot in doomed:
             self.delete_slot(slot)
         return len(doomed)
-
-    def delete_one_matching(self, row: Sequence[Any]) -> bool:
-        """Delete one occurrence of *row* (bag semantics); report success.
-
-        Uses an index covering all columns if one exists, otherwise scans.
-        """
-        target = self._check_arity(row)
-        full_index = self._indexes.get(self.schema.columns)
-        if full_index is not None:
-            slots = full_index.lookup(target)
-            if not slots:
-                return False
-            self.delete_slot(slots[0])
-            return True
-        for slot, existing in self._store.enumerate_live():
-            if existing == target:
-                self.delete_slot(slot)
-                return True
-        return False
 
     def truncate(self) -> None:
         """Remove every row but keep schema, index, and domain definitions."""

@@ -9,9 +9,10 @@ table's schema.  The maintenance algorithms read the change set during
 data).
 
 Deletion semantics are bag-style: each deletion row removes exactly one
-matching occurrence from the base table.  ``apply_to`` is transactional:
-every deferred deletion is validated against the base table *before* any
-mutation, so an inconsistent batch raises
+matching occurrence from the base table, found through the base table's
+index when the batch is small against the table and by one scan otherwise.
+``apply_to`` is transactional: every deferred deletion is validated against
+the base table *before* any mutation, so an inconsistent batch raises
 :class:`~repro.errors.InconsistentDeltaError` with the base table untouched.
 
 Every enqueue call is stamped as a **lineage batch**: a monotonically
@@ -29,12 +30,14 @@ from __future__ import annotations
 
 from collections import Counter
 from contextlib import contextmanager
+from itertools import chain
 from typing import Any, Iterable, Iterator, Sequence
 
 from ..errors import InconsistentDeltaError, TableError
+from ..obs import tracing
 from ..obs.lineage import BatchLineage, lineage_clock
 from ..relational.schema import Schema
-from ..relational.table import Row, Table
+from ..relational.table import Row, Table, charge_access
 
 
 class ChangeSet:
@@ -151,41 +154,86 @@ class ChangeSet:
     def apply_to(self, base: Table) -> None:
         """Apply the deferred changes to *base* in bulk, transactionally.
 
-        Deletions are resolved by counting requested rows and finding the
-        matching slots in a single read-only scan (one pass over the base
-        table, independent of the number of deletions); insertions are
-        arity-checked against the base schema.  Only after *every* change
-        validates does any mutation happen, so a bad batch — a deletion
-        matching no base row — raises
+        Deletions are resolved by counting the requested rows and walking
+        candidate base rows in scan order, counting each match down — of
+        several equal rows, the ones a scan meets first go.  Candidates
+        come from one of two plans, chosen per call:
+
+        * **index** — a batch under an eighth of an indexed base: the
+          distinct keys of the deletion rows go to the base's most
+          selective index in one ``lookup_many``, and only the rows filed
+          under them are gathered and compared: work proportional to the
+          batch, not to the base.
+        * **scan** — otherwise: every live row of the base, up to the
+          last one the batch was looking for.
+
+        Both doom the same slots in the same order (cross-tested), so
+        later slot assignment does not depend on which ran.  Only after
+        *every* change validates does any mutation happen, so a bad batch
+        — a deletion matching no base row — raises
         :class:`~repro.errors.InconsistentDeltaError` with *base* exactly
-        as it was.
+        as it was.  Runs under an ``apply_base`` span: counters
+        ``deleted`` and ``inserted`` and, when deletions were resolved,
+        the tag ``plan`` and ``candidate_rows`` (base rows compared).
         """
         if base.schema != self.schema:
             raise TableError(
                 f"change set for {self.base_name!r} does not match schema of "
                 f"table {base.name!r}"
             )
+        with tracing.span("apply_base", table=base.name) as span:
+            doomed_slots = (
+                self._resolve_deletions(base, span) if len(self.deletions)
+                else []
+            )
+            # Validation complete — mutations from here on cannot fail: the
+            # doomed slots were live when read, and every deferred
+            # insertion was arity-checked against this same schema when it
+            # entered the change tables.
+            span.add("deleted", base.delete_slots(doomed_slots))
+            span.add("inserted", base.insert_many(self.insertions.scan()))
+
+    def _resolve_deletions(self, base: Table, span: Any) -> list[int]:
+        """The slots of *base* the deferred deletions remove, in scan
+        order; read-only, raising if a deletion matches no row."""
+        remaining = len(self.deletions)
+        columns = self.deletions.columns()
+        charge_access("rows_scanned", remaining)
+        wanted: Counter[Row] = Counter(zip(*columns))
+        index = max(base.indexes.values(), key=len, default=None)
+        # A probed row costs more than a scanned one: with the few rows
+        # per key of a fact table's composite index the two plans cost
+        # the same at |base| / |deletions| of about 8 on both benchmark
+        # fact tables, the scan winning below and the index above
+        # (EXPERIMENTS.md "PR 28") — the probes-against-scan comparison
+        # ``base_recompute_fn`` makes for MIN/MAX recomputation, with the
+        # per-row costs measured.
+        if index is not None and 8 * remaining < len(base):
+            span.set_tag("plan", "index")
+            keys = dict.fromkeys(index.keys_of(columns))
+            slots = base.scan_order(
+                chain.from_iterable(index.lookup_many(keys))
+            )
+            candidates = zip(slots, zip(*base.take(slots)))
+        else:
+            span.set_tag("plan", "scan")
+            candidates = base.slots()
         doomed_slots: list[int] = []
-        if len(self.deletions):
-            wanted: Counter[Row] = Counter(self.deletions.scan())
-            remaining = sum(wanted.values())
-            for slot, row in base.slots():
-                if remaining == 0:
+        compared = 0
+        for slot, row in candidates:
+            compared += 1
+            count = wanted.get(row, 0)
+            if count:
+                wanted[row] = count - 1
+                doomed_slots.append(slot)
+                remaining -= 1
+                if not remaining:
                     break
-                count = wanted.get(row, 0)
-                if count:
-                    wanted[row] = count - 1
-                    remaining -= 1
-                    doomed_slots.append(slot)
-            if remaining:
-                missing = [row for row, count in wanted.items() if count > 0]
-                raise InconsistentDeltaError(
-                    f"{remaining} deferred deletion(s) match no row in "
-                    f"{base.name!r}; first missing row: {missing[0]!r}"
-                )
-        # Validation complete — mutations from here on cannot fail: the
-        # doomed slots were live when scanned, and every deferred
-        # insertion was arity-checked against this same schema when it
-        # entered the change tables.
-        base.delete_slots(doomed_slots)
-        base.insert_many(self.insertions.scan())
+        span.add("candidate_rows", compared)
+        if remaining:
+            missing = [row for row, count in wanted.items() if count > 0]
+            raise InconsistentDeltaError(
+                f"{remaining} deferred deletion(s) match no row in "
+                f"{base.name!r}; first missing row: {missing[0]!r}"
+            )
+        return doomed_slots

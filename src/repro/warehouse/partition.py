@@ -50,7 +50,7 @@ import pickle
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping, Sequence, TYPE_CHECKING
+from typing import Any, Iterable, Iterator, Mapping, Sequence, TYPE_CHECKING
 
 from ..core.deltas import MinMaxPolicy, SummaryDelta, delta_schema
 from ..core.propagate import PropagateOptions, _delta_specs
@@ -279,6 +279,17 @@ class ShardStore(SlotStore):
                 back[key, local] for local in self._shards[key].live_slots()
             )
         return out
+
+    def scan_order(self, slots: Iterable[int]) -> list[int]:
+        # Shard-major, then segment-local: a recycled global slot holds a
+        # row appended to its segment later than higher slots' rows.
+        directory = self._directory
+
+        def position(slot: int) -> tuple:
+            key, local = directory[slot]
+            return _shard_sort_key(key), local
+
+        return sorted(slots, key=position)
 
     def slot_list(self) -> list[Row | None]:
         out: list[Row | None] = [None] * len(self._directory)

@@ -8,6 +8,11 @@ from repro.core.recompute import (
     recompute_groups_via_index,
 )
 
+from repro.aggregates import CountStar, Max, Min
+from repro.relational import col, lit
+from repro.relational.stats import measuring
+from repro.views import SummaryViewDefinition, compute_rows
+
 from ..conftest import minmax_definition, sic_definition, sid_definition
 
 
@@ -65,35 +70,113 @@ class TestCandidateKeys:
             if row[0] == 1 and row[1] in (10, 13):   # apple, pear
                 assert (row[0], row[1], row[2]) in candidates
 
-    def test_gather_rows_fetches_exactly_group_rows(self, indexed_pos):
+    def test_recompute_folds_exactly_the_group_rows(self, indexed_pos):
         definition = sic_definition(indexed_pos).resolved()
         plan = plan_index_recompute(definition)
-        rows = plan.gather_rows((3, "fruit")).rows()
         expected = [
             row for row in indexed_pos.table.scan()
             if row[0] == 3 and row[1] in (10, 13)
         ]
-        assert sorted(rows) == sorted(expected)
+        values = recompute_groups_via_index(plan, [(3, "fruit")])
+        by_name = dict(zip(
+            definition.storage_schema().columns[2:], values[(3, "fruit")]
+        ))
+        assert by_name["TotalCount"] == len(expected)
+        assert by_name["EarliestSale"] == min(row[2] for row in expected)
+        assert by_name["TotalQuantity"] == sum(row[3] for row in expected)
+
+
+def where_definition(pos):
+    """A selection on a fact column the group key does not mention."""
+    return SummaryViewDefinition.create(
+        "bulk_sales",
+        pos,
+        group_by=["storeID", "category"],
+        aggregates=[
+            ("TotalCount", CountStar()),
+            ("EarliestSale", Min(col("date"))),
+            ("HighestPrice", Max(col("price"))),
+        ],
+        dimensions=["items"],
+        where=col("qty").ge(lit(2)),
+    )
+
+
+def by_date_definition(pos):
+    """Groups by ``date`` alone: both foreign-key columns of the index are
+    unconstrained (``dim_all``) and no dimension is joined."""
+    return SummaryViewDefinition.create(
+        "daily_sales",
+        pos,
+        group_by=["date"],
+        aggregates=[
+            ("TotalCount", CountStar()),
+            ("SmallestSale", Min(col("qty"))),
+        ],
+    )
+
+
+DEFINITIONS = [
+    sid_definition, sic_definition, minmax_definition, where_definition,
+    by_date_definition,
+]
+
+
+def punch_holes(pos):
+    """Leave tombstones and a recycled slot in the fact table."""
+    pos.table.delete_slots([1, 4, 7])
+    pos.table.insert((2, 13, 5, 7, 1.4))     # lands in slot 7
+    return pos
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize(
-        "definition_factory", [sid_definition, sic_definition, minmax_definition]
-    )
-    def test_index_and_scan_agree(self, indexed_pos, definition_factory):
-        definition = definition_factory(indexed_pos).resolved()
+    @pytest.mark.parametrize("prepare", [lambda pos: pos, punch_holes],
+                             ids=["dense", "tombstones"])
+    @pytest.mark.parametrize("definition_factory", DEFINITIONS)
+    def test_index_and_scan_agree(self, indexed_pos, definition_factory, prepare):
+        definition = definition_factory(prepare(indexed_pos)).resolved()
         arity = len(definition.group_by)
         all_keys = list({
-            row[:arity]
-            for row in __import__("repro.views", fromlist=["compute_rows"])
-            .compute_rows(definition).scan()
+            row[:arity] for row in compute_rows(definition).scan()
         })
         via_scan = base_recompute_fn(definition, use_index=False)(all_keys)
         plan = plan_index_recompute(definition)
-        if plan is None:
-            pytest.skip("no feasible index plan for this view")
-        via_index = recompute_groups_via_index(plan, all_keys)
-        assert via_index == via_scan
+        assert plan is not None
+        assert recompute_groups_via_index(plan, all_keys) == via_scan
+        # A key listed twice, and a key with no base rows, change nothing.
+        absent = tuple(-1 for _ in range(arity))
+        noisy = all_keys + all_keys[:1] + [absent]
+        assert recompute_groups_via_index(plan, noisy) == via_scan
+        some = all_keys[::2]
+        assert recompute_groups_via_index(plan, some) == {
+            key: via_scan[key] for key in some
+        }
+
+    def test_by_date_plan_enumerates_both_dimensions(self, indexed_pos):
+        plan = plan_index_recompute(by_date_definition(indexed_pos).resolved())
+        assert [provider.kind for provider in plan.providers] == [
+            "dim_all", "dim_all", "fixed",
+        ]
+
+    def test_access_charge_is_pinned(self, indexed_pos):
+        # One fixed input, so the charge cannot drift (the numbers are the
+        # per-group loop's, PR 16): per group a scan of the 4-row items
+        # dimension and |items in category| x |date domain| = 2 x 4 index
+        # probes; then the 6 fact rows found are gathered, joined (one
+        # probe each) and folded into 3 groups.
+        plan = plan_index_recompute(sic_definition(indexed_pos).resolved())
+        keys = [(1, "fruit"), (3, "fruit"), (4, "drink")]
+        with measuring() as stats:
+            values = recompute_groups_via_index(plan, keys)
+        assert set(values) == set(keys)
+        assert stats.as_dict() == {
+            "rows_scanned": 3 * 4 + 6 + 6 + 3,
+            "rows_inserted": 6 + 6 + 3,
+            "rows_deleted": 0,
+            "rows_updated": 0,
+            "index_lookups": 3 * 2 * 4 + 6,
+            "total": 72,
+        }
 
     def test_default_recompute_fn_prefers_index(self, indexed_pos):
         # Functional check through the full refresh path.

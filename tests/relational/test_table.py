@@ -60,13 +60,6 @@ class TestMutation:
         assert removed == 2
         assert table.rows() == [(2, "y")]
 
-    def test_delete_one_matching_removes_single_occurrence(self, table):
-        assert table.delete_one_matching((1, "x"))
-        assert table.rows().count((1, "x")) == 1
-
-    def test_delete_one_matching_missing_returns_false(self, table):
-        assert not table.delete_one_matching((9, "q"))
-
     def test_truncate(self, table):
         table.create_index(["a"])
         table.truncate()
