@@ -29,7 +29,7 @@ the recomputed values are identical — tested against each other.
 The index path (:func:`recompute_groups_via_index`) pools all the groups
 one refresh flags and runs column-at-a-time, each step once for the whole
 pool: one ``lookup_many`` over every group's candidate keys, one
-flatten / de-duplicate / sort of the slots found, one gather of the
+de-duplicate / sort of the slots found, one gather of the
 columns the view reads, one dimension join, one group-by.  Its cost is
 that of the rows it reads — about 0.1 s for 360 groups / 89k of 500k fact
 rows (EXPERIMENTS.md "PR 28") — whatever the size of the fact table.
@@ -205,7 +205,7 @@ def recompute_groups_via_index(
 
     All groups of one refresh are pooled and each step runs once, over
     all of them: the candidate keys of every distinct group go to the
-    index in one ``lookup_many``; the buckets found are flattened,
+    index in one ``lookup_many``; the slots found, one flat list, are
     de-duplicated and sorted into one ascending slot list, so the gather
     walks the fact columns in storage order and the fold meets the rows
     in the order a scan would; those rows are gathered column-wise —
@@ -225,10 +225,9 @@ def recompute_groups_via_index(
     wanted = dict.fromkeys(keys)
     sources, scanned = plan.candidate_sources()
     charge_access("rows_scanned", scanned * len(wanted))
-    buckets = plan.index.lookup_many(chain.from_iterable(
+    slots = sorted(set(plan.index.lookup_many(chain.from_iterable(
         product(*[source(key) for source in sources]) for key in wanted
-    ))
-    slots = sorted(set(chain.from_iterable(buckets)))
+    ))))
     if not slots:
         return {}
     referenced = definition.referenced_columns()

@@ -54,7 +54,7 @@ from ..obs.lineage import record_publish as lineage_record_publish
 from ..relational.table import Row, charge_access
 from ..relational.types import null_max, null_min
 from ..views.definition import SummaryViewDefinition
-from ..views.materialize import MaterializedView
+from ..views.materialize import MaterializedView, index_group_key
 from .deltas import MinMaxPolicy, SummaryDelta, del_column, ins_column
 
 GroupKey = tuple[Any, ...]
@@ -179,7 +179,7 @@ class GroupLocator:
         if self._arity and refresh_index_enabled():
             index = view.group_key_index()
             if index is None:
-                index = view.table.create_index(list(definition.group_by))
+                index = index_group_key(view.table, definition)
             self._index = index
 
     @property
@@ -504,8 +504,9 @@ def refresh(
     alludes to in §2.1: when the caller *knows* every delta group is absent
     from the view — e.g. new-date insertions into a view grouping by date —
     the per-tuple index lookup is skipped and all delta rows are
-    bulk-inserted.  Using it when the assumption is false silently corrupts
-    the view (detectable afterwards with ``Warehouse.verify_views``); it is
+    bulk-inserted.  Using it when the assumption is false — a delta group
+    already in the view — raises :class:`~repro.errors.TableError` from
+    the view's unique group-key index, before anything is written; it is
     never enabled implicitly.
     """
     if delta.definition.name != view.definition.name:

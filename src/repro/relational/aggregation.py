@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Collection, Sequence
 
 from ..obs import metrics as obs_metrics
 from ..obs import tracing
@@ -254,7 +254,8 @@ def _fold_rows(
 
 
 def _finalize(
-    groups: dict[tuple[Any, ...], list[Any]],
+    group_keys: Collection[tuple[Any, ...]],
+    states: Sequence[Sequence[Any]],
     table_name: str,
     keys: Sequence[str],
     aggregates: Sequence[AggregateSpec],
@@ -262,34 +263,32 @@ def _finalize(
     default_prefix: str,
     storage: str | None = None,
 ) -> Table:
-    """Build the output table from folded group states.
+    """Build the output table from folded group states: the groups' key
+    tuples (sized and re-iterable, first-occurrence order) and one state
+    column per aggregate, in step with them.
 
-    *storage* selects the output backing (aggregation outputs inherit their
-    input's, so columnar pipelines stay columnar end to end).  When the
-    output is columnar and every reducer's ``finalize`` is the identity
-    (true for all five built-ins), the states are transposed straight into
-    column batches (:func:`~repro.relational.table.transpose_rows`) — no
-    per-group output tuple is ever built.
+    A batch fold hands over its accumulators as they are; a fold that
+    kept a state list per group passes ``groups.keys()`` and
+    ``transpose_rows(groups.values(), n_aggs)``.  *storage* selects the
+    output backing (aggregation outputs inherit their input's, so
+    columnar pipelines stay columnar end to end).  The keys are
+    transposed (:func:`~repro.relational.table.transpose_rows`) and
+    appended with the state columns as one batch — a reducer whose
+    ``finalize`` is not the identity (all five built-ins' is) has its
+    column mapped through it first — so no per-group output tuple is
+    ever built.
     """
-    reducers: list[Reducer] = [reducer for _n, _e, reducer in aggregates]
-    n_aggs = len(aggregates)
     out_schema = Schema(list(keys) + [output for output, _e, _r in aggregates])
     result = Table(name or f"{default_prefix}({table_name})", out_schema,
                    storage=storage)
-    if (
-        groups
-        and result.storage == "column"
-        and all(type(r).finalize is Reducer.finalize for r in reducers)
-    ):
-        result.append_batch([
-            *transpose_rows(groups.keys(), len(keys)),
-            *transpose_rows(groups.values(), n_aggs),
-        ])
+    if not group_keys:
         return result
-    result.insert_many(
-        key + tuple(reducers[i].finalize(states[i]) for i in range(n_aggs))
-        for key, states in groups.items()
-    )
+    finals = [
+        column if type(reducer).finalize is Reducer.finalize
+        else list(map(reducer.finalize, column))
+        for (_n, _e, reducer), column in zip(aggregates, states)
+    ]
+    result.append_batch([*transpose_rows(group_keys, len(keys)), *finals])
     return result
 
 
@@ -322,9 +321,9 @@ def group_by(
     to insist on compilation (raises ``ValueError`` if unavailable).  A
     columnar input additionally takes the batch kernel
     (:func:`~repro.relational.codegen.compile_batch_aggregation`): key
-    columns are extracted once, the batch is hashed once, and one linear
-    gather-and-reduce pass per group produces identical states without ever
-    materialising row tuples.
+    columns are extracted once and one pass over them folds identical
+    states into one accumulator list per aggregate, which become the
+    output's columns — no row tuple and no state container per group.
     """
     with tracing.span("group_by", table=table.name) as sp:
         if table.storage == "column" and compiled is not False:
@@ -332,17 +331,21 @@ def group_by(
             if fold_columns is not None:
                 n = len(table)
                 charge_access("rows_scanned", n)
-                groups = fold_columns(table.columns(), n)
+                group_keys, states = fold_columns(table.columns(), n)
                 sp.add("rows_in", n)
-                sp.add("groups_out", len(groups))
-                return _finalize(groups, table.name, keys, aggregates, name,
-                                 "groupby", storage=table.storage)
+                sp.add("groups_out", len(group_keys))
+                return _finalize(group_keys, states, table.name, keys,
+                                 aggregates, name, "groupby",
+                                 storage=table.storage)
         rows = _scanned_rows(table)
         groups = _fold_rows(table.schema, keys, aggregates, rows, compiled)
         sp.add("rows_in", len(rows))
         sp.add("groups_out", len(groups))
-        return _finalize(groups, table.name, keys, aggregates, name, "groupby",
-                         storage=table.storage)
+        return _finalize(
+            groups.keys(), transpose_rows(groups.values(), len(aggregates)),
+            table.name, keys, aggregates, name, "groupby",
+            storage=table.storage,
+        )
 
 
 def _chunk_bounds(n_rows: int, chunks: int) -> list[tuple[int, int]]:
@@ -500,6 +503,7 @@ def group_by_chunked(
 
         sp.add("groups_out", len(merged))
         return _finalize(
-            merged, table.name, keys, aggregates, name, "groupby_chunked",
+            merged.keys(), transpose_rows(merged.values(), n_aggs),
+            table.name, keys, aggregates, name, "groupby_chunked",
             storage=table.storage,
         )

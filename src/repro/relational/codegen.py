@@ -382,8 +382,12 @@ def compile_aggregation(
 # lowers the same semantics to column form: expressions become single
 # comprehensions over ``zip``-ped input columns, and a whole group-by
 # becomes one inline fold over the zipped key and source columns — key
-# tuples are built by an inner ``zip`` at C speed, and each aggregate
-# state is accumulated with the row kernel's own step statements.  (An
+# tuples are built by an inner ``zip`` at C speed, each key is mapped to
+# a group ordinal, and each aggregate's states live in one list indexed
+# by that ordinal, accumulated with the row kernel's own step
+# statements — one container per aggregate, where a state list per group
+# would be one object per group for the cyclic garbage collector to
+# traverse on every full pass.  (An
 # earlier bucket-then-gather design — hash the keys into index lists,
 # then a per-group gather-and-reduce — lost in measurement once group
 # counts approach row counts: the per-group list comprehensions and
@@ -394,14 +398,15 @@ def compile_aggregation(
 # * every accumulation statement is the row kernel's template (guarded
 #   running add for ``sum``, first-extremal comparison for ``min``/
 #   ``max``), so running states are bit-identical — ``bool``/``-0.0``/
-#   mixed-type sums included;
-# * ``SUM(<int literal>)`` seeds the state with ``0`` and adds the
-#   literal per row: groups only exist with at least one row and
+#   mixed-type sums included; a group's first row stores what that step
+#   makes of the initial state (the value itself, or a count of 0 / 1);
+# * ``SUM(<int literal>)`` starts the state at the literal and adds it
+#   per further row: groups only exist with at least one row and
 #   repeated int addition has no rounding, so the result equals the
 #   guarded None-seeded chain (and the zero-key closed form ``L * n``);
 # * groups land in first-occurrence order (dict insertion order), and
-#   states are plain lists merge/finalize-compatible with the
-#   interpreted and row-compiled paths.
+#   the state lists are the row kernels' per-group states transposed, so
+#   ``aggregation._finalize`` takes either.
 
 
 class _BatchExpr:
@@ -605,35 +610,49 @@ def _emit_group_fold(
     agg_plan: Sequence[tuple[str, str | None, int | None]],
     n_expr: str,
     indent: str,
-) -> None:
-    """Emit a single-pass inline group fold over zipped columns.
+) -> str:
+    """Emit a single-pass inline group fold over zipped columns; return
+    the source of its result, ``(groups, [accumulator per aggregate])``.
 
     ``agg_plan`` holds one ``(kind, source_var, literal_int)`` per
     aggregate: ``source_var`` names the full-batch source value list
     (``None`` for ``count_rows`` and for statically-null sources), and
     ``literal_int`` carries the exact-int fast path for ``SUM(<int>)``.
-    Fills *groups_var* with ``{key tuple: state list}`` in
-    first-occurrence order; each state is accumulated with the row
-    kernel's own step statements, so running states are identical.
+    Fills *groups_var* with ``{key tuple: group ordinal}`` in
+    first-occurrence order, and one accumulator list per aggregate whose
+    element *g* is group *g*'s state: one container per aggregate, none
+    per group.  A group's first row sets each state to what the row
+    kernel's step makes of the initial state (the value itself for
+    ``sum``/``min``/``max``), later rows apply the row kernel's own step
+    statements, so running states are identical.
     """
+    accumulators = [f"{groups_var}_a{slot}" for slot in range(len(agg_plan))]
     writer.append(f"{indent}{groups_var} = {{}}")
+    for accumulator in accumulators:
+        writer.append(f"{indent}{accumulator} = []")
+    result = f"({groups_var}, [{', '.join(accumulators)}])"
     if not key_vars:
-        _emit_zero_key_fold(writer, groups_var, agg_plan, n_expr, indent)
-        return
+        _emit_zero_key_fold(writer, groups_var, accumulators, agg_plan,
+                            n_expr, indent)
+        return result
     # Distinct source columns become loop variables of the single pass.
     value_of: dict[str, str] = {}
     for _kind, source_var, literal_int in agg_plan:
         if (source_var is not None and literal_int is None
                 and source_var not in value_of):
             value_of[source_var] = f"_av{len(value_of)}"
-    inits: list[str] = []
+    firsts: list[str] = []
     for kind, source_var, literal_int in agg_plan:
-        if kind == "count_rows" or literal_int is not None:
-            inits.append("0")
+        if kind == "count_rows":
+            firsts.append("1")
+        elif literal_int is not None:
+            firsts.append(repr(literal_int))
         elif source_var is None:  # statically-null source
-            inits.append("0" if kind == "count_non_null" else "None")
+            firsts.append("0" if kind == "count_non_null" else "None")
+        elif kind == "count_non_null":
+            firsts.append(f"0 if {value_of[source_var]} is None else 1")
         else:
-            inits.append(_INITIAL_STATE[kind])
+            firsts.append(value_of[source_var])
     keys = f"zip({', '.join(key_vars)})"
     if value_of:
         srcs = ", ".join(value_of)
@@ -644,42 +663,49 @@ def _emit_group_fold(
     writer.append(f"{indent}_gget = {groups_var}.get")
     writer.append(f"{indent}{head}")
     body = indent + "    "
-    writer.append(f"{body}_st = _gget(_key)")
-    writer.append(f"{body}if _st is None:")
-    writer.append(f"{body}    {groups_var}[_key] = _st = [{', '.join(inits)}]")
-    for slot, (kind, source_var, literal_int) in enumerate(agg_plan):
+    writer.append(f"{body}_g = _gget(_key)")
+    writer.append(f"{body}if _g is None:")
+    writer.append(f"{body}    {groups_var}[_key] = len({groups_var})")
+    for accumulator, first in zip(accumulators, firsts):
+        writer.append(f"{body}    {accumulator}.append({first})")
+    writer.append(f"{body}    continue")
+    for (kind, source_var, literal_int), accumulator in zip(
+        agg_plan, accumulators
+    ):
+        state = f"{accumulator}[_g]"
         if kind == "count_rows":
-            writer.append(f"{body}_st[{slot}] += 1")
+            writer.append(f"{body}{state} += 1")
             continue
         if literal_int is not None:
-            writer.append(f"{body}_st[{slot}] += {literal_int!r}")
+            writer.append(f"{body}{state} += {literal_int!r}")
             continue
         if source_var is None:  # statically-null source: step is a no-op
             continue
         value = value_of[source_var]
         if kind == "count_non_null":
             writer.append(f"{body}if {value} is not None:")
-            writer.append(f"{body}    _st[{slot}] += 1")
+            writer.append(f"{body}    {state} += 1")
         elif kind == "sum":
             writer.append(f"{body}if {value} is not None:")
-            writer.append(f"{body}    _a = _st[{slot}]")
+            writer.append(f"{body}    _a = {state}")
             writer.append(
-                f"{body}    _st[{slot}] = "
-                f"{value} if _a is None else _a + {value}"
+                f"{body}    {state} = {value} if _a is None else _a + {value}"
             )
         elif kind in ("min", "max"):
             op = "<" if kind == "min" else ">"
             writer.append(f"{body}if {value} is not None:")
-            writer.append(f"{body}    _a = _st[{slot}]")
+            writer.append(f"{body}    _a = {state}")
             writer.append(f"{body}    if _a is None or {value} {op} _a:")
-            writer.append(f"{body}        _st[{slot}] = {value}")
+            writer.append(f"{body}        {state} = {value}")
         else:  # pragma: no cover - guarded by _reducer_kind
             raise _Unsupported(kind)
+    return result
 
 
 def _emit_zero_key_fold(
     writer: list[str],
     groups_var: str,
+    accumulators: Sequence[str],
     agg_plan: Sequence[tuple[str, str | None, int | None]],
     n_expr: str,
     indent: str,
@@ -721,7 +747,9 @@ def _emit_zero_key_fold(
             states.append(f"max({nn}) if {nn} else None")
         else:  # pragma: no cover - guarded by _reducer_kind
             raise _Unsupported(kind)
-    writer.append(f"{body}{groups_var}[()] = [{', '.join(states)}]")
+    writer.append(f"{body}{groups_var}[()] = 0")
+    for accumulator, state in zip(accumulators, states):
+        writer.append(f"{body}{accumulator}.append({state})")
 
 
 def _batch_agg_plan(
@@ -774,12 +802,17 @@ class CompiledBatchAggregation:
     """One compiled batch (columnar) group-by.
 
     ``fold_columns(columns, n)`` folds the input columns (live values in
-    slot order) into the same ``{key tuple: state list}`` dict the row
-    kernels produce — identical content, group order, and state layout.
+    slot order) into ``(groups, states)``: the key tuples, as a
+    ``{key tuple: group ordinal}`` dict in first-occurrence order, and one
+    list per aggregate holding every group's state by ordinal — the row
+    kernels' ``{key tuple: state list}`` dict, transposed: identical
+    content, group order and states.
     """
 
     source: str
-    fold_columns: Callable[[Sequence[Sequence[Any]], int], dict]
+    fold_columns: Callable[
+        [Sequence[Sequence[Any]], int], tuple[dict, list[list[Any]]]
+    ]
 
 
 def compile_batch_aggregation(
@@ -804,13 +837,11 @@ def compile_batch_aggregation(
             _emit_vectorized(w, e, var, expr, schema, "    ")
 
         plan = _batch_agg_plan(writer, env, aggregates, schema, emit_source)
-        key_vars = []
-        for p in key_positions:
-            key_vars.append(f"_cols[{p}]")
-        _emit_group_fold(writer, "_groups", key_vars, plan, "_n", "    ")
+        key_vars = [f"_cols[{p}]" for p in key_positions]
+        result = _emit_group_fold(writer, "_groups", key_vars, plan, "_n", "    ")
     except _Unsupported:
         return None
-    writer.append("    return _groups")
+    writer.append(f"    return {result}")
     source = "\n".join(writer) + "\n"
     namespace: dict[str, Any] = dict(env)
     namespace["_reduce"] = _functools.reduce

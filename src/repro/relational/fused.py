@@ -16,8 +16,8 @@ each child's group key, and applies each child's inlined reducer steps into
 that child's accumulator dict.  One scan, k accumulator sets, zero
 intermediate tables.
 
-Correctness contract: for every child the resulting group dict is
-*identical* — content and insertion order — to the legacy per-child
+Correctness contract: for every child the resulting groups are
+*identical* — content and first-occurrence order — to the legacy per-child
 ``EdgeQuery.apply_delta`` pipeline, because (a) ``hash_join`` against a
 unique right-side index preserves left-row order and drops exactly the rows
 whose foreign key is null or unmatched, and (b) the reducer steps are the
@@ -55,7 +55,7 @@ from .codegen import (
     codegen_enabled,
 )
 from .schema import Schema
-from .table import Table
+from .table import Table, transpose_rows
 
 __all__ = [
     "FusedChild",
@@ -97,16 +97,18 @@ class FusedScan:
     """A compiled shared scan over one parent delta for k sibling children.
 
     ``fold(rows)`` runs the single-pass kernel and returns
-    ``(group_dicts, probe_counts)`` — one accumulator dict and one exact
-    dimension-probe count per child, in child order.  ``fold_columns``
-    is the batch twin for columnar parent deltas: it consumes the delta's
-    columns directly (whole-column probe resolution, one boundary pass per
-    child) and produces the same dicts and counts; ``supports_columns``
-    reports whether the batch kernel compiled.  ``fold_chunked`` composes
-    the shared scan with §4.1.2's parallel decomposition: each input slice
-    is folded independently and per-child partials merge in chunk order.
-    ``finalize(i, groups)`` builds child *i*'s output table from its folded
-    states, using the same finaliser as the interpreted group-by.
+    ``(groups, probe_counts)`` — per child, in child order, its folded
+    groups as (key tuples, one state column per aggregate) and one exact
+    dimension-probe count.  ``fold_columns`` is the batch twin for
+    columnar parent deltas: it consumes the delta's columns directly
+    (whole-column probe resolution, one boundary pass per child) and
+    produces the same groups and counts, its state columns accumulated as
+    columns; ``supports_columns`` reports whether the batch kernel
+    compiled.  ``fold_chunked`` composes the shared scan with §4.1.2's
+    parallel decomposition: each input slice is folded independently and
+    per-child partials merge in chunk order.  ``finalize(i, groups)``
+    builds child *i*'s output table from its folded groups, using the same
+    finaliser as the interpreted group-by.
     ``source`` / ``batch_source`` are the generated Python, kept for tests
     and debugging.
     """
@@ -150,13 +152,23 @@ class FusedScan:
             dims.append(probe)
         return dims
 
-    def fold(self, rows: Sequence[tuple]) -> tuple[list[dict], list[int]]:
+    def fold(self, rows: Sequence[tuple]) -> tuple[list[tuple], list[int]]:
         *groups, probes = self._fold(rows, self._dim_probes())
-        return list(groups), list(probes)
+        return self._transposed(groups), list(probes)
+
+    def _transposed(self, groups: Sequence[dict]) -> list[tuple]:
+        """The row kernel's ``{key: state list}`` dicts, one per child, in
+        the batch kernel's form: (key tuples, one state column per
+        aggregate)."""
+        return [
+            (child_groups.keys(),
+             transpose_rows(child_groups.values(), len(child.aggregates)))
+            for child, child_groups in zip(self.children, groups)
+        ]
 
     def fold_columns(
         self, columns: Sequence[Sequence[Any]], n: int
-    ) -> tuple[list[dict], list[int]]:
+    ) -> tuple[list[tuple], list[int]]:
         """Batch twin of :meth:`fold` over a columnar parent delta."""
         if self._fold_cols is None:
             raise ValueError("this fused scan has no batch kernel")
@@ -170,7 +182,7 @@ class FusedScan:
         *,
         backend: str = "serial",
         max_workers: int | None = None,
-    ) -> tuple[list[dict], list[int]]:
+    ) -> tuple[list[tuple], list[int]]:
         """Chunked shared scan: fold slices independently, merge per child.
 
         Same contract as :func:`~repro.relational.aggregation.group_by_chunked`
@@ -225,8 +237,9 @@ class FusedScan:
 
     def _merge_parts(
         self, parts: Sequence[tuple]
-    ) -> tuple[list[dict], list[int]]:
-        """Merge per-chunk fold outputs (chunk order) into one result."""
+    ) -> tuple[list[tuple], list[int]]:
+        """Merge per-chunk row-kernel outputs (chunk order) into one
+        result, in :meth:`fold`'s form."""
 
         k = len(self.children)
         merged: list[dict[Any, list]] = [{} for _ in range(k)]
@@ -253,18 +266,18 @@ class FusedScan:
                             existing[a] = child_reducers[a].merge(
                                 existing[a], states[a]
                             )
-        return merged, probes
+        return self._transposed(merged), probes
 
     def finalize(
         self,
         index: int,
-        groups: dict,
+        groups: tuple,
         name: str | None = None,
         storage: str | None = None,
     ) -> Table:
         child = self.children[index]
         return _finalize(
-            groups,
+            *groups,
             child.name,
             list(child.keys),
             list(child.aggregates),
@@ -451,9 +464,10 @@ def _compile_fused_batch(
     dimension dict in one ``map``, survivors form a keep-list, group keys
     and aggregate sources gather at the keep-list, and the shared inline
     group-fold emitter from :mod:`repro.relational.codegen` produces the
-    same ``{key: state list}`` dicts — content, group order, and state
-    layout — as the row kernel.  Probe counts are exact: one per surviving
-    non-null foreign key, matching the row kernel's nested guards.
+    same groups — content, group order and states — as the row kernel,
+    held as one accumulator list per aggregate.  Probe counts are exact:
+    one per surviving non-null foreign key, matching the row kernel's
+    nested guards.
     """
     writer: list[str] = ["def _fold_cols(_cols, _n, _dims):"]
     env: dict[str, Any] = {}
@@ -540,8 +554,9 @@ def _compile_fused_batch(
             plan = _batch_agg_plan(
                 writer, env, child.aggregates, parent_schema, emit_source
             )
-            _emit_group_fold(writer, f"_g{i}", key_vars, plan, n_expr, ind)
-            returns.append(f"_g{i}")
+            returns.append(
+                _emit_group_fold(writer, f"_g{i}", key_vars, plan, n_expr, ind)
+            )
             probe_vars.append(f"_p{i}")
     except _Unsupported:
         return None

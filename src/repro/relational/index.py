@@ -14,6 +14,7 @@ index maintenance, as a real RDBMS would.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Iterable, Sequence
 
 from ..errors import TableError
@@ -27,6 +28,13 @@ class HashIndex:
     owning table's internal row list.  Deleted slots are tombstoned by the
     table; the index removes slots eagerly so lookups never see dead rows.
 
+    There is one representation per ``unique`` value.  A unique index maps
+    each key to its one slot, a bare ``int``: a summary table's group-key
+    index holds one entry per group, and a container per entry would be
+    one garbage-collected object per group for nothing.  Any other index
+    maps each key to a list of slots, in the order they were added.
+    Callers read either through :meth:`slots_of` and the lookups.
+
     Parameters
     ----------
     columns:
@@ -35,11 +43,11 @@ class HashIndex:
         The tuple positions of those columns in the owning table's schema.
     unique:
         When true, inserting a second row with an existing key raises
-        :class:`~repro.errors.TableError`.  Dimension-table primary keys use
-        this; fact tables and summary tables do not.
+        :class:`~repro.errors.TableError`.  Dimension-table primary keys and
+        summary tables' group-by columns use this; fact tables do not.
     """
 
-    __slots__ = ("columns", "_positions", "unique", "_buckets", "_owned")
+    __slots__ = ("columns", "_positions", "unique", "_entries", "_owned")
 
     def __init__(self, columns: Sequence[str], positions: Sequence[int], unique: bool = False):
         if not columns:
@@ -47,10 +55,12 @@ class HashIndex:
         self.columns = tuple(columns)
         self._positions = tuple(positions)
         self.unique = unique
-        self._buckets: dict[tuple[Any, ...], list[int]] = {}
-        #: ``None`` until the first :meth:`clone`; from then on the keys
-        #: whose bucket list this index has copied since, any other bucket
-        #: possibly being shared with a twin and so copied before a write.
+        #: key → slot when unique, key → list of slots otherwise.
+        self._entries: dict[tuple[Any, ...], Any] = {}
+        #: Non-unique only: ``None`` until the first :meth:`clone`; from
+        #: then on the keys whose bucket list this index has copied since,
+        #: any other bucket possibly being shared with a twin and so copied
+        #: before a write.
         self._owned: set[tuple[Any, ...]] | None = None
 
     def key_of(self, row: Sequence[Any]) -> tuple[Any, ...]:
@@ -58,20 +68,27 @@ class HashIndex:
         positions = self._positions
         return tuple(row[p] for p in positions)
 
+    def _violation(self, key: tuple[Any, ...]) -> TableError:
+        return TableError(
+            f"unique index on {self.columns} violated by key {key!r}"
+        )
+
     def add(self, row: Sequence[Any], slot: int) -> None:
         """Register *row* stored at *slot*."""
         self.add_key(self.key_of(row), slot)
 
     def add_key(self, key: tuple[Any, ...], slot: int) -> None:
         """Register the row with index key *key* stored at *slot*."""
-        bucket = self._buckets.get(key)
+        entries = self._entries
+        if self.unique:
+            if key in entries:
+                raise self._violation(key)
+            entries[key] = slot
+            return
+        bucket = entries.get(key)
         if bucket is None:
-            self._buckets[key] = [slot]
+            entries[key] = [slot]
         else:
-            if self.unique:
-                raise TableError(
-                    f"unique index on {self.columns} violated by key {key!r}"
-                )
             self._writable(key, bucket).append(slot)
 
     def remove(self, row: Sequence[Any], slot: int) -> None:
@@ -80,18 +97,27 @@ class HashIndex:
 
     def remove_key(self, key: tuple[Any, ...], slot: int) -> None:
         """Unregister the row with index key *key* stored at *slot*."""
-        bucket = self._buckets.get(key)
-        if not bucket:
+        entries = self._entries
+        found = entries.get(key)
+        if found is None:
             raise TableError(f"index on {self.columns}: key {key!r} not present")
-        bucket = self._writable(key, bucket)
+        if self.unique:
+            if found != slot:
+                raise self._unregistered(key, slot)
+            del entries[key]
+            return
+        bucket = self._writable(key, found)
         try:
             bucket.remove(slot)
         except ValueError:
-            raise TableError(
-                f"index on {self.columns}: slot {slot} not registered for key {key!r}"
-            ) from None
+            raise self._unregistered(key, slot) from None
         if not bucket:
-            del self._buckets[key]
+            del entries[key]
+
+    def _unregistered(self, key: tuple[Any, ...], slot: int) -> TableError:
+        return TableError(
+            f"index on {self.columns}: slot {slot} not registered for key {key!r}"
+        )
 
     def keys_of(self, columns: Sequence[Sequence[Any]]) -> list[tuple[Any, ...]]:
         """This index's key tuples for a batch of rows given column-wise
@@ -103,17 +129,23 @@ class HashIndex:
         """Fill this new index in one pass over a whole table: the rows'
         key tuples, in step with their *slots*.  A unique violation raises
         mid-way, so the table registers the index only once this returns."""
-        buckets = self._buckets
-        get = buckets.get
-        unique = self.unique
+        entries = self._entries
+        if self.unique:
+            keys = keys if isinstance(keys, list) else list(keys)
+            expected = len(entries) + len(keys)
+            entries.update(zip(keys, slots))
+            if len(entries) != expected:
+                seen: set[tuple[Any, ...]] = set()
+                for key in keys:
+                    if key in seen:
+                        raise self._violation(key)
+                    seen.add(key)
+            return
+        get = entries.get
         for key, slot in zip(keys, slots):
             bucket = get(key)
             if bucket is None:
-                buckets[key] = [slot]
-            elif unique:
-                raise TableError(
-                    f"unique index on {self.columns} violated by key {key!r}"
-                )
+                entries[key] = [slot]
             else:
                 bucket.append(slot)
 
@@ -125,10 +157,8 @@ class HashIndex:
             freed = set(vacated)
             seen: set[tuple[Any, ...]] = set()
             for key in keys:
-                if (key in self._buckets and key not in freed) or key in seen:
-                    raise TableError(
-                        f"unique index on {self.columns} violated by key {key!r}"
-                    )
+                if (key in self._entries and key not in freed) or key in seen:
+                    raise self._violation(key)
                 seen.add(key)
 
     def _writable(self, key: tuple[Any, ...], bucket: list[int]) -> list[int]:
@@ -136,21 +166,31 @@ class HashIndex:
         installed in its place."""
         owned = self._owned
         if owned is not None and key not in owned:
-            bucket = self._buckets[key] = bucket.copy()
+            bucket = self._entries[key] = bucket.copy()
             owned.add(key)
         return bucket
+
+    def slots_of(self, key: tuple[Any, ...]) -> list[int]:
+        """The row slots filed under *key*, in the order they were added
+        (empty when absent); uncharged, and read-only."""
+        found = self._entries.get(key)
+        if found is None:
+            return []
+        return [found] if self.unique else found
 
     def lookup(self, key: tuple[Any, ...]) -> list[int]:
         """Return the row slots whose key equals *key* (empty when absent)."""
         charge_access("index_lookups", 1)
-        return self._buckets.get(key, [])
+        return self.slots_of(key)
 
-    def lookup_many(self, keys: Iterable[tuple[Any, ...]]) -> list[list[int]]:
-        """The non-empty buckets among *keys*, in order; charged as one
-        lookup per key, once for the batch."""
-        found = list(map(self._buckets.get, keys))
+    def lookup_many(self, keys: Iterable[tuple[Any, ...]]) -> list[int]:
+        """The slots filed under any of *keys*, key by key in order, as one
+        flat list; charged as one lookup per key, once for the batch."""
+        found = list(map(self._entries.get, keys))
         charge_access("index_lookups", len(found))
-        return list(filter(None, found))
+        if self.unique:
+            return [slot for slot in found if slot is not None]
+        return list(chain.from_iterable(filter(None, found)))
 
     def lookup_one(self, key: tuple[Any, ...]) -> int | None:
         """Return the single slot for *key*, or ``None`` when absent.
@@ -160,35 +200,38 @@ class HashIndex:
         a summary table's group-by columns).
         """
         charge_access("index_lookups", 1)
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            return None
-        if len(bucket) > 1:
+        found = self._entries.get(key)
+        if found is None or self.unique:
+            return found
+        if len(found) > 1:
             raise TableError(
-                f"index on {self.columns}: key {key!r} matches {len(bucket)} rows, "
+                f"index on {self.columns}: key {key!r} matches {len(found)} rows, "
                 "expected at most one"
             )
-        return bucket[0]
+        return found[0]
 
     def keys(self) -> Iterable[tuple[Any, ...]]:
         """Iterate over the distinct keys currently present."""
-        return self._buckets.keys()
+        return self._entries.keys()
 
     def __len__(self) -> int:
         """The number of distinct keys."""
-        return len(self._buckets)
+        return len(self._entries)
 
     def clone(self) -> "HashIndex":
-        """A private copy with the same entries, in one ``dict.copy()``:
-        the bucket lists are shared, and whichever side writes to one
-        first copies it (lookups hand out buckets read-only already)."""
+        """A private copy with the same entries, in one ``dict.copy()``.
+        A unique index's entries are bare slots, so that is all; any other
+        index shares its bucket lists with the twin, and whichever side
+        writes to one first copies it (lookups hand out buckets read-only
+        already)."""
         twin = HashIndex(self.columns, self._positions, unique=self.unique)
-        twin._buckets = self._buckets.copy()
-        twin._owned = set()
-        self._owned = set()
+        twin._entries = self._entries.copy()
+        if not self.unique:
+            twin._owned = set()
+            self._owned = set()
         return twin
 
     def clear(self) -> None:
         """Drop all entries (used when a table is truncated or rebuilt)."""
-        self._buckets.clear()
+        self._entries.clear()
         self._owned = None

@@ -663,15 +663,19 @@ class Table:
         return tuple(row)
 
     def insert(self, row: Sequence[Any]) -> int:
-        """Insert one row; return the slot it was stored at."""
+        """Insert one row; return the slot it was stored at.  A unique key
+        already present raises with nothing written."""
         stored = self._check_arity(row)
+        keyed = [(index, index.key_of(stored)) for index in self._indexes.values()]
+        for index, key in keyed:
+            index.check_addable((key,))
         if self._free_slots:
             slot = self._free_slots.pop()
             self._store.set(slot, stored)
         else:
             slot = self._store.append(stored)
-        for index in self._indexes.values():
-            index.add(stored, slot)
+        for index, key in keyed:
+            index.add_key(key, slot)
         for position, counts in self._domains.items():
             value = stored[position]
             counts[value] = counts.get(value, 0) + 1
@@ -828,13 +832,19 @@ class Table:
         return self.take(slots)
 
     def update_slot(self, slot: int, new_row: Sequence[Any]) -> None:
-        """Replace the row at *slot* in place, keeping indexes consistent."""
+        """Replace the row at *slot* in place, keeping indexes consistent.
+        A new key that is unique and taken raises with nothing written."""
         old_row = self.row_at(slot)
         stored = self._check_arity(new_row)
+        moves = []
         for index in self._indexes.values():
-            if index.key_of(old_row) != index.key_of(stored):
-                index.remove(old_row, slot)
-                index.add(stored, slot)
+            old_key, new_key = index.key_of(old_row), index.key_of(stored)
+            if old_key != new_key:
+                index.check_addable((new_key,))
+                moves.append((index, old_key, new_key))
+        for index, old_key, new_key in moves:
+            index.remove_key(old_key, slot)
+            index.add_key(new_key, slot)
         for position, counts in self._domains.items():
             old_value, new_value = old_row[position], stored[position]
             if old_value != new_value:
@@ -1037,8 +1047,8 @@ class Table:
                     rebuilt.add(row, slot)
             except TableError:
                 return False
-            live = {key: sorted(index._buckets[key]) for key in index.keys()}  # noqa: SLF001
-            fresh = {key: sorted(rebuilt._buckets[key]) for key in rebuilt.keys()}  # noqa: SLF001
+            live = {key: sorted(index.slots_of(key)) for key in index.keys()}
+            fresh = {key: sorted(rebuilt.slots_of(key)) for key in rebuilt.keys()}
             if live != fresh:
                 return False
         return True
@@ -1050,9 +1060,8 @@ class Table:
         *slots*, under its key at its slot: :meth:`verify_indexes` for the
         rows of a few slots (what :meth:`take_live` returns), uncharged."""
         for index in self._indexes.values():
-            buckets = index._buckets  # noqa: SLF001
             for key, slot in zip(index.keys_of(columns), slots):
-                if slot not in buckets.get(key, ()):
+                if slot not in index.slots_of(key):
                     return False
         return True
 

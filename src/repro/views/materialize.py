@@ -148,6 +148,12 @@ class ViewVersion:
         return (self.epoch, self.revision)
 
 
+def index_group_key(table: Table, definition: SummaryViewDefinition):
+    """Build *table*'s index on *definition*'s group-by columns: unique,
+    because the group-by columns are a summary table's key."""
+    return table.create_index(list(definition.group_by), unique=True)
+
+
 class ShadowVersion:
     """A next-epoch build in progress: a private copy of the view's table.
 
@@ -226,7 +232,8 @@ class MaterializedView:
 
     def _adopt(self, table: Table) -> ViewCertificate | None:
         """Make freshly computed rows a stored table of this view: the
-        schema checked, the group-key index built, and the incremental
+        schema checked, the group-key index built
+        (:func:`index_group_key`), and the incremental
         consistency certificate attached, kept in sync from here on
         through the table's mutation observers (``None`` when disabled
         through ``REPRO_CERTIFICATES=0``).  The certificate is a full
@@ -240,7 +247,7 @@ class MaterializedView:
                 f"{list(definition.storage_schema().columns)}"
             )
         if definition.group_by:
-            table.create_index(list(definition.group_by))
+            index_group_key(table, definition)
         if not certificates_enabled():
             return None
         certificate = ViewCertificate.from_columns(table.columns(), len(table))

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from collections import Counter
 from contextlib import contextmanager
-from itertools import chain
 from typing import Any, Iterable, Iterator, Sequence
 
 from ..errors import InconsistentDeltaError, TableError
@@ -211,9 +210,7 @@ class ChangeSet:
         if index is not None and 8 * remaining < len(base):
             span.set_tag("plan", "index")
             keys = dict.fromkeys(index.keys_of(columns))
-            slots = base.scan_order(
-                chain.from_iterable(index.lookup_many(keys))
-            )
+            slots = base.scan_order(index.lookup_many(keys))
             candidates = zip(slots, zip(*base.take(slots)))
         else:
             span.set_tag("plan", "scan")

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import compute_summary_delta, refresh
-from repro.errors import InconsistentDeltaError, MaintenanceError
+from repro.errors import InconsistentDeltaError, MaintenanceError, TableError
 from repro.views import MaterializedView, compute_rows
 from repro.warehouse import ChangeSet, Warehouse
 
@@ -53,16 +53,53 @@ class TestAssumeAllNew:
         with pytest.raises(InconsistentDeltaError):
             refresh(view, delta, assume_all_new=True)
 
-    def test_misuse_detectable_by_verification(self, pos, warehouse):
-        # Violating the assumption (an existing group) corrupts the view —
-        # silently at refresh time, loudly under verify_views.
+    def test_misuse_is_refused_before_any_write(self, pos, warehouse):
+        # Violating the assumption (an existing group) is refused by the
+        # view's unique group-key index before anything is written.
         view = warehouse.define_summary_table(sid_definition(pos))
         changes = ChangeSet("pos", pos.table.schema)
-        changes.insert((1, 10, 1, 7, 1.0))  # group (1,10,1) already exists!
+        changes.insert((1, 10, 99, 3, 1.0))  # a new group …
+        changes.insert((1, 10, 1, 7, 1.0))  # … and (1,10,1), which exists
         delta = compute_summary_delta(view.definition, changes)
+        before = stored_state(view)
+        with pytest.raises(TableError, match="unique index"):
+            refresh(view, delta, assume_all_new=True)
+        assert stored_state(view) == before
+        assert warehouse.verify_views() == {"SID_sales": True}
+        # The same delta through the normal path is fine.
         changes.apply_to(pos.table)
-        refresh(view, delta, assume_all_new=True)
-        assert warehouse.verify_views() == {"SID_sales": False}
+        refresh(view, delta)
+        assert warehouse.verify_views() == {"SID_sales": True}
+
+    def test_duplicate_group_row_is_refused_before_any_write(self, pos, warehouse):
+        # The same refusal through the table's single-row mutators.
+        view = warehouse.define_summary_table(sid_definition(pos))
+        table = view.table
+        table.delete_slot(0)          # a free slot the insert could take
+        before = stored_state(view)
+        with pytest.raises(TableError, match="unique index"):
+            table.insert(table.row_at(1))
+        with pytest.raises(TableError, match="unique index"):
+            table.update_slot(2, table.row_at(1))
+        assert stored_state(view) == before
+        assert len(table) == len(table.rows())
+        assert table.verify_indexes()
+
+
+def stored_state(view):
+    """Everything a refresh may write: rows by slot, free slots, index
+    entries, tracked domains, the certificate and the version stamp."""
+    table = view.table
+    return (
+        table._rows,                                            # noqa: SLF001
+        sorted(table._free_slots),                              # noqa: SLF001
+        {columns: {key: list(index.slots_of(key)) for key in index.keys()}
+         for columns, index in table.indexes.items()},
+        [table.domain(column) for column in table.schema.columns],
+        view.certificate.value if view.certificate is not None else None,
+        view.pin().stamp(),
+        view.freshness.refresh_count,
+    )
 
 
 class TestChunkedGroupBy:

@@ -195,7 +195,9 @@ class TestExactness:
         index = view.group_key_index()
         assert view.table.verify_indexes()
         key = next(iter(index.keys()))
-        index._buckets[key] = [slot + 1 for slot in index._buckets[key]]  # noqa: SLF001
+        (slot,) = index.slots_of(key)
+        index.remove_key(key, slot)       # behind the table's back
+        index.add_key(key, slot + 1)
         assert not view.table.verify_indexes()
 
 

@@ -22,6 +22,7 @@ from repro.relational.aggregation import (
     Reducer,
     SumReducer,
     _finalize,
+    _fold_rows,
 )
 from repro.relational.expressions import col
 from repro.relational.index import HashIndex
@@ -80,11 +81,16 @@ def apply(table, steps):
             table.update_slots(list(by_slot.items()))
 
 
-def per_row_buckets(table, columns, unique=False):
+def entries(index):
+    """Every key of *index* with its slots, in the order they were added."""
+    return {key: index.slots_of(key) for key in index.keys()}
+
+
+def per_row_entries(table, columns, unique=False):
     reference = HashIndex(columns, table.schema.positions(columns), unique=unique)
     for slot, row in table.slots():
         reference.add(row, slot)
-    return reference._buckets  # noqa: SLF001
+    return entries(reference)
 
 
 class TestCreateIndex:
@@ -94,8 +100,9 @@ class TestCreateIndex:
         table = build(storage, typed)
         apply(table, steps)
         for columns in INDEXES:
-            index = table.create_index(columns, unique=columns[-1] == "u")
-            assert index._buckets == per_row_buckets(table, columns)  # noqa: SLF001
+            unique = columns[-1] == "u"
+            index = table.create_index(columns, unique=unique)
+            assert entries(index) == per_row_entries(table, columns, unique)
             assert index is table.index_on(columns)
         assert table.verify_indexes()
         # And it is a live index from here on.
@@ -118,19 +125,95 @@ class TestCreateIndex:
         assert table.verify_indexes()
         # The same columns still take a plain index afterwards.
         plain = table.create_index(["a", "b"])
-        assert plain._buckets == per_row_buckets(table, ["a", "b"])  # noqa: SLF001
+        assert entries(plain) == per_row_entries(table, ["a", "b"])
 
-    def test_load_is_the_per_row_add(self):
+    @pytest.mark.parametrize("unique", [False, True])
+    def test_load_is_the_per_row_add(self, unique):
         keys = [(1,), (None,), (1,), (2 ** 63,)]
-        loaded, added = HashIndex(["k"], [0]), HashIndex(["k"], [0])
+        if unique:
+            keys[2] = (3,)
+        loaded = HashIndex(["k"], [0], unique=unique)
+        added = HashIndex(["k"], [0], unique=unique)
         loaded.load(keys, [4, 0, 2, 9])
         for key, slot in zip(keys, [4, 0, 2, 9]):
             added.add_key(key, slot)
-        assert loaded._buckets == added._buckets == {  # noqa: SLF001
-            (1,): [4, 2], (None,): [0], (2 ** 63,): [9],
-        }
+        expected = {(1,): [4, 2], (None,): [0], (2 ** 63,): [9]}
+        if unique:
+            expected = {(1,): [4], (None,): [0], (3,): [2], (2 ** 63,): [9]}
+        assert entries(loaded) == entries(added) == expected
+        assert loaded.lookup_many([(None,), (7,), (1,)]) == [0] + expected[(1,)]
         with pytest.raises(TableError, match=r"violated by key \(1,\)"):
-            HashIndex(["k"], [0], unique=True).load(keys, range(4))
+            HashIndex(["k"], [0], unique=True).load([(1,), (2,), (1,)], range(3))
+
+
+unique_history = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["insert", "append"]),
+              st.lists(st.tuples(a_values, values), max_size=6)),
+    st.tuples(st.just("delete"), picks),
+    st.tuples(st.just("update"), st.lists(
+        st.tuples(st.integers(0, 60), a_values, st.booleans()), max_size=6
+    )),
+    st.tuples(st.sampled_from(["compact", "clone"]), st.none()),
+), max_size=25)
+
+UNIQUE_INDEXES = [["u"], ["b", "a", "u"]]
+
+
+class TestUniqueIndex:
+    """A unique index files each key's bare slot; incremental maintenance
+    through every mutator, refills of freed slots (slot 0 among them: a
+    bare 0 is falsy), compaction and copy-on-write clones must leave it
+    equal to a per-row ``add`` rebuild."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(STORAGES), st.booleans(), unique_history)
+    def test_equals_per_row_rebuild(self, storage, typed, steps):
+        table = build(storage, typed)
+        for columns in UNIQUE_INDEXES:
+            table.create_index(columns, unique=True)
+        fresh = itertools.count(100)
+        for kind, payload in steps:
+            if kind == "clone":
+                source, kept = table, self.state(table)
+                table = table.copy()
+            elif kind == "compact":
+                table.compact()
+            elif kind == "delete":
+                table.delete_slots(distinct_live(table, payload))
+            elif kind == "update":
+                by_slot = {}
+                for chosen, a, rekey in payload:
+                    for slot in distinct_live(table, [chosen]):
+                        u, _a, b = table.row_at(slot)
+                        by_slot[slot] = (next(fresh) if rekey else u, a, b)
+                table.update_slots(list(by_slot.items()))
+            else:
+                rows = [(next(fresh), a, b) for a, b in payload]
+                if kind == "append" and rows:
+                    table.append_batch([list(column) for column in zip(*rows)])
+                else:
+                    table.insert_many(rows)
+            self.check(table)
+        if any(kind == "clone" for kind, _payload in steps):
+            assert self.state(source) == kept    # the twin wrote alone
+
+    @staticmethod
+    def state(table):
+        return {columns: entries(table.index_on(columns))
+                for columns in map(tuple, UNIQUE_INDEXES)}
+
+    @staticmethod
+    def check(table):
+        for columns in UNIQUE_INDEXES:
+            index = table.index_on(columns)
+            assert index.unique
+            expected = per_row_entries(table, columns, unique=True)
+            assert entries(index) == expected
+            keys = list(expected)
+            assert index.lookup_many(keys) == [slot for (slot,) in expected.values()]
+            assert [index.lookup_one(key) for key in keys] == \
+                [slot for (slot,) in expected.values()]
+        assert table.verify_indexes()
 
 
 class TestTrackDomain:
@@ -220,7 +303,8 @@ class TestTransposition:
 
 def star_call_finalize(groups, table_name, keys, aggregates, name,
                        default_prefix, storage=None):
-    """``_finalize`` with the two star-call transpositions it used to make."""
+    """``_finalize`` over a ``{key: state list}`` dict with the two
+    star-call transpositions it used to make."""
     reducers = [reducer for _n, _e, reducer in aggregates]
     n_aggs = len(aggregates)
     out_schema = Schema(list(keys) + [output for output, _e, _r in aggregates])
@@ -271,10 +355,11 @@ class TestFinalize:
     @given(folded_groups(), st.integers(0, 11), st.sampled_from(["row", "column"]))
     def test_equals_the_star_call_form(self, shape, threshold, storage):
         groups, keys, aggregates = shape
-        args = (groups, "t", keys, aggregates, None, "groupby")
-        expected = star_call_finalize(*args, storage=storage)
+        args = ("t", keys, aggregates, None, "groupby")
+        expected = star_call_finalize(groups, *args, storage=storage)
         with small_threshold(threshold):
-            got = _finalize(*args, storage=storage)
+            states = transpose_rows(groups.values(), len(aggregates))
+            got = _finalize(groups.keys(), states, *args, storage=storage)
         assert got.schema == expected.schema and got.name == expected.name
         assert got.rows() == expected.rows()     # values, first-occurrence order
         assert [tuple(map(type, row)) for row in got.rows()] == \
@@ -289,8 +374,10 @@ class TestFinalize:
         source = Table("t", ["g", "h", "v"])
         source.append_batch([list(range(40)), [1.5] * 40, [None, 2] * 20])
         spec = [("n", col("v"), CountRowsReducer()), ("s", col("v"), SumReducer())]
-        with mock.patch.object(aggregation, "_finalize", star_call_finalize):
-            expected = aggregation.group_by(source, ["g", "h"], spec)
+        expected = star_call_finalize(
+            _fold_rows(source.schema, ["g", "h"], spec, source.rows()),
+            "t", ["g", "h"], spec, None, "groupby", storage=source.storage,
+        )
         with small_threshold(8):
             got = aggregation.group_by(source, ["g", "h"], spec)
         assert got.rows() == expected.rows()

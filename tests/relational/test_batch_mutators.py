@@ -185,7 +185,7 @@ def snapshot(table, certificate):
     return (
         table._rows,  # noqa: SLF001
         sorted(table._free_slots),  # noqa: SLF001
-        {key: sorted((k, list(slots)) for k, slots in index._buckets.items())  # noqa: SLF001
+        {key: sorted((k, list(index.slots_of(k))) for k in index.keys())
          for key, index in table.indexes.items()},
         table.domain("a"), table.domain("b"),
         certificate.value, certificate.digests_computed,
@@ -239,6 +239,23 @@ class TestBadBatchLeavesTheTableAlone:
             mutate(table)
         assert snapshot(table, certificate) == before
         assert table.verify_indexes()
+
+
+@pytest.mark.parametrize("storage", STORAGES + ["sharded"])
+@pytest.mark.parametrize("mutate", [
+    lambda table: table.insert((0, 1, 1)),               # u=0 taken
+    lambda table: table.update_slot(2, (0, 2, 1)),       # u=0 taken
+], ids=["insert", "update_slot"])
+def test_refused_single_row_write_leaves_the_table_alone(storage, mutate):
+    """Regression: a single-row write refused by a unique index used to
+    store the row (or drop its old key) before the index raised."""
+    table, certificate = build(storage)
+    before = snapshot(table, certificate)
+    with pytest.raises(TableError, match="unique"):
+        mutate(table)
+    assert snapshot(table, certificate) == before
+    assert len(table) == len(table.rows())
+    assert table.verify_indexes()
 
 
 @pytest.mark.parametrize("storage", STORAGES + ["sharded"])

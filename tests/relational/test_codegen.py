@@ -32,6 +32,14 @@ from repro.relational import (
 from repro.relational.aggregation import _chunk_bounds
 
 
+@pytest.fixture(autouse=True)
+def codegen_on(monkeypatch):
+    """These tests compare the compiled kernels with the interpreter: pin
+    codegen on so CI's ``REPRO_CODEGEN=0`` leg does not mask them (the
+    kill-switch tests set the variable themselves)."""
+    monkeypatch.delenv("REPRO_CODEGEN", raising=False)
+
+
 def standard_specs():
     """A spec list exercising every compiled reducer and expression kind."""
     return [

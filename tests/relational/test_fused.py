@@ -140,10 +140,16 @@ class TestKernel:
         assert scan.source.count("for _r in _rows:") == 1
 
 
+def finalized(scan, groups):
+    """Every child's output rows (values and order) from folded groups."""
+    return [scan.finalize(index, folded).rows()
+            for index, folded in enumerate(groups)]
+
+
 class TestBatchFolds:
     """The batch (columnar) and chunked folds of one fused scan must equal
-    the row fold — same group dicts, same probe counts, same finalized
-    tables in either storage mode."""
+    the row fold — same finalized tables, same probe counts, in either
+    storage mode."""
 
     def scan_and_delta(self, fused_inputs, policy=MinMaxPolicy.PAPER):
         parent_delta, edges = fused_inputs
@@ -161,7 +167,7 @@ class TestBatchFolds:
         col_groups, col_probes = scan.fold_columns(
             parent_delta.table.columns(), len(parent_delta.table)
         )
-        assert col_groups == row_groups
+        assert finalized(scan, col_groups) == finalized(scan, row_groups)
         assert col_probes == row_probes
 
     @pytest.mark.parametrize("chunks", [1, 2, 3, 7])
@@ -172,7 +178,7 @@ class TestBatchFolds:
         chunked_groups, chunked_probes = scan.fold_chunked(
             rows, chunks, backend="thread", max_workers=2
         )
-        assert chunked_groups == serial_groups
+        assert finalized(scan, chunked_groups) == finalized(scan, serial_groups)
         assert chunked_probes == serial_probes
 
     def test_fold_chunked_process_backend_equals_fold(self, fused_inputs):
@@ -185,7 +191,7 @@ class TestBatchFolds:
         chunked_groups, chunked_probes = scan.fold_chunked(
             rows, 2, backend="process", max_workers=2
         )
-        assert chunked_groups == serial_groups
+        assert finalized(scan, chunked_groups) == finalized(scan, serial_groups)
         assert chunked_probes == serial_probes
 
     def test_fold_chunked_process_degrades_without_columns(self, fused_inputs):
@@ -199,7 +205,7 @@ class TestBatchFolds:
         degraded_groups, degraded_probes = bare.fold_chunked(
             rows, 3, backend="process", max_workers=2
         )
-        assert degraded_groups == serial_groups
+        assert finalized(scan, degraded_groups) == finalized(scan, serial_groups)
         assert degraded_probes == serial_probes
 
     def test_finalize_inherits_requested_storage(self, fused_inputs):
@@ -229,5 +235,5 @@ class TestBatchFolds:
         col_groups, col_probes = scan.fold_columns(
             columnar.columns(), len(columnar)
         )
-        assert col_groups == row_groups
+        assert finalized(scan, col_groups) == finalized(scan, row_groups)
         assert col_probes == row_probes

@@ -13,7 +13,7 @@ from repro.core import (
     refresh_atomically,
     refresh_versioned,
 )
-from repro.errors import PublishError
+from repro.errors import PublishError, TableError
 from repro.obs.audit import rows_certificate
 from repro.warehouse import ChangeSet
 from repro.warehouse.health import audit_warehouse
@@ -224,8 +224,16 @@ def test_store_level_write_behind_the_observers_is_refused(
     shadow = view.begin_version()
     if shadow.table.written_slots() is None:
         pytest.skip("row storage re-inserts: publish digests every row")
-    if also_refreshed:     # a legitimate write beside the torn one
-        shadow.table.insert(shadow.table.row_at(2)[:3] + (1, 1.0, 1))
+    if also_refreshed:
+        # A second row for slot 2's group is refused at the write by the
+        # unique group-key index, with nothing written; a new group and a
+        # deletion are legitimate writes next to the torn one.
+        rows = shadow.table._rows  # noqa: SLF001
+        with pytest.raises(TableError, match="unique index"):
+            shadow.table.insert(shadow.table.row_at(2)[:3] + (1, 1.0, 1))
+        assert shadow.table.written_slots() == set()
+        assert shadow.table._rows == rows  # noqa: SLF001
+        shadow.table.insert(shadow.table.row_at(2)[:2] + (999, 1, 1.0, 1))
         shadow.table.delete_slot(2)
     STORE_FAULTS[fault](shadow.table._store, shadow.table.row_at(1))
     assert 2 * len(shadow.table.written_slots()) < len(shadow.table)

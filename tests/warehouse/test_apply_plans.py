@@ -68,7 +68,7 @@ def state(table):
     return (
         list(table._rows),                                      # noqa: SLF001
         list(table._free_slots),                                # noqa: SLF001
-        {columns: dict(index._buckets)                          # noqa: SLF001
+        {columns: {key: list(index.slots_of(key)) for key in index.keys()}
          for columns, index in table.indexes.items()},
         sorted(table.domain("d")),
     )
