@@ -10,7 +10,6 @@ from .figure9 import (
     run_pos_size_panel,
     scaled,
 )
-from .propagate_bench import run_lattice as run_propagate_lattice_bench
 from .propagate_bench import run_micro as run_propagate_micro_bench
 from .reporting import (
     ShapeClaim,
@@ -44,7 +43,6 @@ __all__ = [
     "run_change_size_panel",
     "run_panel",
     "run_pos_size_panel",
-    "run_propagate_lattice_bench",
     "run_propagate_micro_bench",
     "scaled",
     "write_bench_json",

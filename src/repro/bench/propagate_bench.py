@@ -1,22 +1,17 @@
-"""Micro-benchmark for the parallel propagate engine (§4.1.2).
+"""Micro-benchmark for the propagate engine.
 
-Measures the three rungs of the engine on a pos-shaped aggregation — the
+Measures the two rungs of the engine on a pos-shaped aggregation — the
 exact hot loop of summary-delta computation:
 
 * **serial** — the seed path: interpreted ``group_by`` with per-row closure
   dispatch (``compiled=False`` forces it);
 * **compiled** — the same call through the codegen fast path
-  (:mod:`repro.relational.codegen`);
-* **parallel** — ``group_by_chunked`` with compiled chunk folds on an
-  executor backend, partial states merged via ``Reducer.merge``.
+  (:mod:`repro.relational.codegen`).
 
-A second section times :func:`~repro.lattice.plan.propagate_lattice` over
-the Figure 9 retail lattice, serial walk vs level-parallel scheduling, and
-cross-checks that the deltas are identical.  The ``shared_scan`` section
-additionally times the stacked shared-scan + chunked-parallel engine, and
-the ``partition`` section times serial vs date-sharded propagation through
-:mod:`repro.warehouse.partition` (per-shard summary deltas on a process
-pool, merged with ``Reducer.merge``).
+Further sections time :func:`~repro.lattice.plan.propagate_lattice` over
+the Figure 9 retail lattice with the shared-scan engine off vs on and with
+row vs columnar storage, the refresh locator's access growth, and the
+tracing overhead.
 
 Results are printed and merged into ``BENCH_propagate.json`` at the repo
 root (see :func:`repro.bench.reporting.write_bench_json`), seeding the
@@ -40,9 +35,7 @@ from ..core.propagate import PropagateOptions, compute_summary_delta
 from ..core.refresh import refresh
 from ..lattice.plan import (
     build_lattice_for_views,
-    effective_level_workers,
     propagate_lattice,
-    propagation_levels,
     refresh_lattice,
 )
 from ..obs import tracing
@@ -53,7 +46,6 @@ from ..relational.aggregation import (
     MinReducer,
     SumReducer,
     group_by,
-    group_by_chunked,
 )
 from ..relational.expressions import col, lit
 from ..relational.table import Table
@@ -123,104 +115,32 @@ def _best_of(thunk: Callable[[], object], repeats: int) -> float:
 
 
 def run_micro(
-    rows: int = DEFAULT_ROWS,
-    chunks: int | None = None,
-    backend: str = "thread",
-    repeats: int = DEFAULT_REPEATS,
+    rows: int = DEFAULT_ROWS, repeats: int = DEFAULT_REPEATS
 ) -> dict:
-    """Time serial / compiled / parallel aggregation on *rows* input rows."""
-    chunks = chunks or (os.cpu_count() or 4)
+    """Time interpreted vs compiled aggregation on *rows* input rows."""
     table = build_pos_shaped_table(rows)
     specs = delta_style_specs()
     keys = list(MICRO_KEYS)
 
     serial = group_by(table, keys, specs, compiled=False)
     compiled = group_by(table, keys, specs, compiled=True)
-    parallel = group_by_chunked(table, keys, specs, chunks=chunks, backend=backend)
     if serial.rows() != compiled.rows():
         raise AssertionError(
             "propagate engine paths disagree: compiled output does not "
             "match the serial group_by"
         )
-    # Chunked float SUMs associate across chunk boundaries, so they can
-    # differ from the serial fold in the last ulp; everything else is exact.
-    if not _rows_equivalent(serial.rows(), parallel.rows()):
-        raise AssertionError(
-            "propagate engine paths disagree: parallel chunked output does "
-            "not match the serial group_by"
-        )
 
     serial_s = _best_of(lambda: group_by(table, keys, specs, compiled=False), repeats)
     compiled_s = _best_of(lambda: group_by(table, keys, specs, compiled=True), repeats)
-    parallel_s = _best_of(
-        lambda: group_by_chunked(table, keys, specs, chunks=chunks, backend=backend),
-        repeats,
-    )
     return {
         "rows": rows,
         "groups": len(serial),
-        "chunks": chunks,
-        "backend": backend,
         "repeats": repeats,
         "cpu_count": os.cpu_count(),
         "serial_group_by_s": round(serial_s, 6),
         "compiled_group_by_s": round(compiled_s, 6),
-        "parallel_chunked_s": round(parallel_s, 6),
         "speedup_compiled": round(serial_s / compiled_s, 3),
-        "speedup_compiled_parallel": round(serial_s / parallel_s, 3),
     }
-
-
-def run_lattice(
-    pos_rows: int = 50_000, change_size: int = 5_000, repeats: int = DEFAULT_REPEATS
-) -> dict:
-    """Time serial vs level-parallel lattice propagate on the retail views."""
-    data = generate_retail(RetailConfig(pos_rows=pos_rows, seed=1997))
-    views = [
-        MaterializedView.build(definition)
-        for definition in retail_view_definitions(data.pos)
-    ]
-    changes = update_generating_changes(data.pos, data.config, change_size, data.rng)
-    lattice = build_lattice_for_views(views)
-
-    serial_options = PropagateOptions()
-    parallel_options = PropagateOptions(level_parallel=True, parallel=True)
-
-    serial_deltas = propagate_lattice(lattice, changes, serial_options)
-    parallel_deltas = propagate_lattice(lattice, changes, parallel_options)
-    for name, delta in serial_deltas.items():
-        if not _rows_equivalent(
-            delta.table.sorted_rows(), parallel_deltas[name].table.sorted_rows()
-        ):
-            raise AssertionError(f"level-parallel delta differs for {name!r}")
-
-    serial_s = _best_of(
-        lambda: propagate_lattice(lattice, changes, serial_options), repeats
-    )
-    parallel_s = _best_of(
-        lambda: propagate_lattice(lattice, changes, parallel_options), repeats
-    )
-    workers, fallback = effective_level_workers(
-        parallel_options, propagation_levels(lattice)
-    )
-    result = {
-        "pos_rows": pos_rows,
-        "change_size": change_size,
-        "views": list(lattice.order),
-        "repeats": repeats,
-        "serial_propagate_s": round(serial_s, 6),
-        "level_parallel_propagate_s": round(parallel_s, 6),
-        "level_parallel_workers": workers,
-        "level_parallel_fallback": fallback,
-    }
-    if fallback:
-        # The dispatcher degraded to the serial walk (one usable CPU), so a
-        # "speedup" would just be noise around 1.0x measured twice; record
-        # why instead of a misleading ratio.
-        result["fallback_reason"] = "single_cpu"
-    else:
-        result["speedup_level_parallel"] = round(serial_s / parallel_s, 3)
-    return result
 
 
 def _access_units(snapshot: dict) -> int:
@@ -263,27 +183,11 @@ def run_shared_scan(
         propagate_lattice(lattice, changes, shared_options)
     shared_units = _access_units(measured.snapshot().as_dict())
 
-    # Stacked engine: the fused sibling kernels now run inside each
-    # chunk worker (``FusedScan.fold_chunked``), so the shared-scan and
-    # chunked-parallel speedups compose instead of excluding each other.
-    stacked_options = PropagateOptions(shared_scan=True, parallel=True)
-    stacked = propagate_lattice(lattice, changes, stacked_options)
-    for name, delta in legacy.items():
-        if not _rows_equivalent(
-            delta.table.sorted_rows(), stacked[name].table.sorted_rows()
-        ):
-            raise AssertionError(
-                f"shared-scan+parallel delta differs for {name!r}"
-            )
-
     legacy_s = _best_of(
         lambda: propagate_lattice(lattice, changes, legacy_options), repeats
     )
     shared_s = _best_of(
         lambda: propagate_lattice(lattice, changes, shared_options), repeats
-    )
-    parallel_s = _best_of(
-        lambda: propagate_lattice(lattice, changes, stacked_options), repeats
     )
     groups = [list(group) for group in lattice.sibling_groups()]
     return {
@@ -294,105 +198,11 @@ def run_shared_scan(
         "scans_saved": sum(len(group) - 1 for group in groups),
         "legacy_propagate_s": round(legacy_s, 6),
         "shared_propagate_s": round(shared_s, 6),
-        "parallel_propagate_s": round(parallel_s, 6),
         "speedup_shared_scan": round(legacy_s / shared_s, 3),
-        "speedup_shared_parallel": round(legacy_s / parallel_s, 3),
         "legacy_access_units": legacy_units,
         "shared_access_units": shared_units,
         "access_units_saved": legacy_units - shared_units,
     }
-
-
-def run_partition(
-    pos_rows: int = 50_000,
-    change_size: int = 5_000,
-    width: int | None = None,
-    repeats: int = DEFAULT_REPEATS,
-) -> dict:
-    """Serial vs date-sharded propagate over the retail lattice.
-
-    The change set is generated *before* the fact table is partitioned
-    (routing must split the exact same rows), then the same propagation
-    runs through :func:`~repro.warehouse.partition.propagate_partitioned`:
-    per-shard summary deltas on the process pool, merged with
-    ``Reducer.merge``.  The merged deltas must match the serial ones
-    before anything is timed.  Recorded invariants: the routed per-shard
-    change rows sum exactly to the change-set size, and per-shard access
-    units are reported next to the serial total (shards re-scan dimension
-    build sides, so their access total bounds the serial one from above).
-    Like the ``lattice`` section, a single-CPU host records
-    ``fallback_reason`` instead of a meaningless speedup.
-    """
-    from ..warehouse.partition import partition_fact, propagate_partitioned
-
-    data = generate_retail(RetailConfig(pos_rows=pos_rows, seed=1997))
-    views = [
-        MaterializedView.build(definition)
-        for definition in retail_view_definitions(data.pos)
-    ]
-    changes = update_generating_changes(data.pos, data.config, change_size, data.rng)
-    lattice = build_lattice_for_views(views)
-    options = PropagateOptions()
-
-    serial_deltas = propagate_lattice(lattice, changes, options)
-    with measuring() as measured:
-        propagate_lattice(lattice, changes, options)
-    serial_units = _access_units(measured.snapshot().as_dict())
-    serial_s = _best_of(
-        lambda: propagate_lattice(lattice, changes, options), repeats
-    )
-
-    width = width or max(1, data.config.n_dates // 8)
-    partitioned = partition_fact(data.pos, width=width)
-    sharded_deltas = propagate_partitioned(lattice, partitioned, changes, options)
-    for name, delta in serial_deltas.items():
-        if not _rows_equivalent(
-            delta.table.sorted_rows(), sharded_deltas[name].table.sorted_rows()
-        ):
-            raise AssertionError(f"sharded delta differs for {name!r}")
-    sharded_s = _best_of(
-        lambda: propagate_partitioned(lattice, partitioned, changes, options),
-        repeats,
-    )
-    info = partitioned.last_run
-    shard_change_total = sum(stats.change_rows for stats in info.shards)
-    if shard_change_total != changes.size():
-        raise AssertionError(
-            f"routed shard change rows ({shard_change_total}) do not sum to "
-            f"the change-set size ({changes.size()})"
-        )
-    result = {
-        "pos_rows": pos_rows,
-        "change_size": change_size,
-        "repeats": repeats,
-        "shards": info.shard_count,
-        "width": width,
-        "shard_workers": info.workers,
-        "pool": info.pool,
-        "serial_propagate_s": round(serial_s, 6),
-        "sharded_propagate_s": round(sharded_s, 6),
-        "serial_access_units": serial_units,
-        "per_shard": [
-            {
-                "key": stats.key,
-                "change_rows": stats.change_rows,
-                "delta_rows": stats.delta_rows,
-                "access_units": stats.access_units,
-            }
-            for stats in info.shards
-        ],
-        "shard_change_rows_total": shard_change_total,
-        "shard_access_units_total": sum(
-            stats.access_units for stats in info.shards
-        ),
-    }
-    if not info.pool:
-        # One effective worker: the driver ran the shards inline, so a
-        # "speedup" would be pure pool-bookkeeping noise around 1.0x.
-        result["fallback_reason"] = "single_cpu"
-    else:
-        result["speedup_sharded"] = round(serial_s / sharded_s, 3)
-    return result
 
 
 def run_columnar(
@@ -649,17 +459,13 @@ def run_trace_overhead(
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.bench.propagate_bench",
-        description="propagate-engine micro-benchmark (serial/compiled/parallel)",
+        description="propagate-engine micro-benchmark",
     )
     parser.add_argument(
         "--quick", action="store_true",
         help="smoke-test scale (20k rows, 1 repeat) for CI",
     )
     parser.add_argument("--rows", type=int, default=None, help="input rows")
-    parser.add_argument("--chunks", type=int, default=None, help="chunk count")
-    parser.add_argument(
-        "--backend", choices=("serial", "thread", "process"), default="thread"
-    )
     parser.add_argument("--repeats", type=int, default=None)
     parser.add_argument(
         "--output", default=None,
@@ -674,33 +480,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     rows = args.rows or (20_000 if args.quick else DEFAULT_ROWS)
     repeats = args.repeats or (1 if args.quick else DEFAULT_REPEATS)
 
-    micro = run_micro(rows=rows, chunks=args.chunks,
-                      backend=args.backend, repeats=repeats)
+    micro = run_micro(rows=rows, repeats=repeats)
     print(
         f"group_by over {micro['rows']:,} rows -> {micro['groups']:,} groups: "
         f"serial {micro['serial_group_by_s']:.3f}s, "
         f"compiled {micro['compiled_group_by_s']:.3f}s "
-        f"({micro['speedup_compiled']:.2f}x), "
-        f"compiled+parallel[{micro['backend']} x{micro['chunks']}] "
-        f"{micro['parallel_chunked_s']:.3f}s "
-        f"({micro['speedup_compiled_parallel']:.2f}x)"
-    )
-
-    lattice = run_lattice(
-        pos_rows=max(rows // 4, 2_000),
-        change_size=max(rows // 40, 500),
-        repeats=repeats,
-    )
-    if "speedup_level_parallel" in lattice:
-        verdict = f"({lattice['speedup_level_parallel']:.2f}x)"
-    else:
-        verdict = f"(fallback: {lattice['fallback_reason']})"
-    print(
-        f"propagate_lattice over {lattice['pos_rows']:,} pos rows, "
-        f"{lattice['change_size']:,} changes: "
-        f"serial {lattice['serial_propagate_s']:.3f}s, "
-        f"level-parallel {lattice['level_parallel_propagate_s']:.3f}s "
-        f"{verdict}"
+        f"({micro['speedup_compiled']:.2f}x)"
     )
 
     shared = run_shared_scan(
@@ -714,30 +499,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         f"legacy {shared['legacy_propagate_s']:.3f}s, "
         f"shared {shared['shared_propagate_s']:.3f}s "
         f"({shared['speedup_shared_scan']:.2f}x, "
-        f"shared+parallel {shared['parallel_propagate_s']:.3f}s "
-        f"({shared['speedup_shared_parallel']:.2f}x), "
         f"{shared['scans_saved']} scans saved, "
         f"{shared['legacy_access_units']:,} -> "
         f"{shared['shared_access_units']:,} access units)"
-    )
-
-    partition = run_partition(
-        pos_rows=max(rows // 4, 2_000),
-        change_size=max(rows // 40, 500),
-        repeats=repeats,
-    )
-    if "speedup_sharded" in partition:
-        verdict = f"({partition['speedup_sharded']:.2f}x)"
-    else:
-        verdict = f"(fallback: {partition['fallback_reason']})"
-    print(
-        f"partitioned propagate over {partition['pos_rows']:,} pos rows, "
-        f"{partition['change_size']:,} changes, {partition['shards']} shards "
-        f"x{partition['shard_workers']} workers: "
-        f"serial {partition['serial_propagate_s']:.3f}s, "
-        f"sharded {partition['sharded_propagate_s']:.3f}s {verdict}; "
-        f"shard accesses {partition['shard_access_units_total']:,} "
-        f"vs serial {partition['serial_access_units']:,}"
     )
 
     columnar = run_columnar(
@@ -777,9 +541,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
 
     path = write_bench_json("micro", micro, args.output)
-    write_bench_json("lattice", lattice, args.output)
     write_bench_json("shared_scan", shared, args.output)
-    write_bench_json("partition", partition, args.output)
     write_bench_json("columnar", columnar, args.output)
     write_bench_json("refresh_index", refresh_index, args.output)
     write_bench_json("trace_overhead", overhead, args.output)

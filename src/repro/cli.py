@@ -15,9 +15,9 @@ Commands
 ``select``
     HRU greedy view selection over the combined lattice.
 ``bench-propagate``
-    Micro-benchmark of the parallel propagate engine (serial vs compiled
-    vs chunked-parallel aggregation, plus level-parallel lattice walks);
-    merges results into ``BENCH_propagate.json``.
+    Micro-benchmark of the propagate engine (interpreted vs compiled
+    aggregation, shared-scan and columnar lattice propagation, refresh
+    locator, trace overhead); merges results into ``BENCH_propagate.json``.
 ``bench-serve``
     Query throughput with maintenance running vs quiesced: reader threads
     hammer the query server while a background loop runs full versioned
@@ -33,10 +33,7 @@ Commands
     Render the maintenance plan *before* running it: propagation levels,
     each node's derivation source and joins, predicted delta rows and
     tuple accesses from the cost model (:mod:`repro.lattice.cost`), and
-    the §2.2 with-lattice vs without-lattice comparison.
-    ``--partition`` date-partitions the fact table first and adds a
-    shards column plus per-shard predicted accesses (and the predicted
-    shard-parallel speedup at the effective worker count).  With
+    the §2.2 with-lattice vs without-lattice comparison.  With
     ``--execute`` the plan then runs under tracing and the table is
     re-printed with measured accesses and error percentages;
     ``--bench-json`` merges that comparison into ``BENCH_propagate.json``.
@@ -138,9 +135,7 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
 
 
 def _cmd_maintain(args: argparse.Namespace) -> int:
-    from .core.propagate import PropagateOptions
     from .lattice import maintain_lattice, rematerialize_with_lattice
-    from .warehouse.partition import partition_enabled, partition_fact
     from .workload import (
         RetailConfig,
         build_retail_warehouse,
@@ -161,20 +156,7 @@ def _cmd_maintain(args: argparse.Namespace) -> int:
             data.pos, data.config, args.changes, data.rng
         )
 
-    options = PropagateOptions()
-    partitioned = None
-    if args.partition or partition_enabled():
-        partitioned = partition_fact(data.pos, width=args.shard_width)
-        options = PropagateOptions(
-            partition=True, shard_workers=args.shard_workers
-        )
-
-    result = maintain_lattice(views, changes, options=options)
-    if partitioned is not None and partitioned.last_run is not None:
-        info = partitioned.last_run
-        mode = "process pool" if info.pool else "inline"
-        print(f"Shard-parallel propagate: {info.shard_count} date shard(s) "
-              f"on {info.workers} worker(s) ({mode}).")
+    result = maintain_lattice(views, changes)
     print(f"Maintained {len(views)} summary tables over "
           f"{changes.size():,} changes:")
     for name, stats in result.stats.items():
@@ -218,7 +200,6 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from .core.propagate import PropagateOptions
     from .obs import (
         format_span_tree,
         registry,
@@ -259,12 +240,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     for row in staged.deletions.scan():
         pending.delete(row)
 
-    options = PropagateOptions(
-        parallel=args.parallel, level_parallel=args.parallel
-    )
     registry().reset()
     with trace() as recorder:
-        result = run_nightly_maintenance(warehouse, options=options)
+        result = run_nightly_maintenance(warehouse)
     root = recorder.finish()
 
     print(format_span_tree(root, max_depth=args.max_depth))
@@ -441,10 +419,6 @@ def _cmd_bench_propagate(args: argparse.Namespace) -> int:
         forwarded.append("--quick")
     if args.rows is not None:
         forwarded += ["--rows", str(args.rows)]
-    if args.chunks is not None:
-        forwarded += ["--chunks", str(args.chunks)]
-    if args.backend is not None:
-        forwarded += ["--backend", args.backend]
     if args.repeats is not None:
         forwarded += ["--repeats", str(args.repeats)]
     if args.output is not None:
@@ -475,16 +449,12 @@ def _retail_run_inputs(pos_rows: int, change_rows: int, workload: str):
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    from .core.propagate import PropagateOptions
     from .lattice import (
         actual_node_accesses,
         actual_refresh_accesses,
-        actual_shard_accesses,
         build_lattice_for_views,
         collect_statistics,
         compare_plan,
-        effective_level_workers,
-        estimate_partitioned_plan,
         estimate_plan_cost,
         maintain_lattice,
     )
@@ -496,36 +466,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     )
     lattice = build_lattice_for_views(views)
     stats = collect_statistics(lattice, changes, views=views)
-    options = PropagateOptions(
-        parallel=args.parallel, level_parallel=args.parallel,
-        partition=True if args.partition else None,
-        shard_workers=args.shard_workers,
-    )
-    estimate = estimate_plan_cost(
-        lattice, stats, shared_scan=options.shared_scan_active()
-    )
-    workers, fallback = effective_level_workers(options, estimate.levels)
-
-    part_estimate = None
-    if args.partition:
-        from .warehouse.partition import (
-            effective_shard_workers,
-            partition_fact,
-        )
-
-        partitioned = partition_fact(
-            views[0].definition.fact, width=args.shard_width
-        )
-        routed = partitioned.route_changes(changes)
-        part_estimate = estimate_partitioned_plan(
-            lattice, stats,
-            [
-                (s.key, (len(s.insertions), len(s.deletions)))
-                for s in routed
-            ],
-            shared_scan=estimate.shared_scan,
-        )
-        shard_workers, _ = effective_shard_workers(options, len(routed))
+    estimate = estimate_plan_cost(lattice, stats)
 
     print(
         f"Maintenance plan: {len(views)} summary tables over "
@@ -536,8 +477,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         f"{'node':<12} {'lvl':>3}  {'source':<12} {'joins':<16} "
         f"{'scan':<6} {'est.delta':>10} {'est.accesses':>13}"
     )
-    if part_estimate is not None:
-        header += f" {'shards':>6} {'est.sharded':>13}"
     print(header)
     print("-" * len(header))
     for name in estimate.order:
@@ -552,17 +491,11 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             scan = "owner"
         else:
             scan = "fused"
-        line = (
+        print(
             f"{node.name:<12} {node.level:>3}  {node.source:<12} "
             f"{','.join(node.joins) or '-':<16} {scan:<6} "
             f"{node.delta_rows:>10,.0f} {node.propagate_accesses:>13,.0f}"
         )
-        if part_estimate is not None:
-            line += (
-                f" {part_estimate.shard_count:>6} "
-                f"{part_estimate.node_accesses(name):>13,.0f}"
-            )
-        print(line)
     print(
         f"\npropagate with lattice:    "
         f"{estimate.with_lattice_accesses:>13,.0f} accesses"
@@ -578,39 +511,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             f"{estimate.shared_scan_saved_accesses:>13,.0f} accesses saved "
             f"vs per-child pipelines ({estimate.per_child_accesses:,.0f})"
         )
-    if part_estimate is not None:
-        print(
-            f"\npartitioned plan: {part_estimate.shard_count} date shards "
-            f"(width {args.shard_width}), {shard_workers} shard worker(s)"
-        )
-        shard_header = (
-            f"{'shard':>8} {'ins':>7} {'del':>7} {'est.accesses':>13}"
-        )
-        print(shard_header)
-        print("-" * len(shard_header))
-        for shard in part_estimate.shards:
-            print(
-                f"{str(shard.key):>8} {shard.side_rows[0]:>7,} "
-                f"{shard.side_rows[1]:>7,} "
-                f"{shard.propagate_accesses:>13,.0f}"
-            )
-        print(
-            f"sharded total: {part_estimate.propagate_accesses:,.0f} accesses"
-            f" over {part_estimate.change_rows:,} routed change rows; "
-            f"predicted propagate speedup at {shard_workers} worker(s): "
-            f"{part_estimate.predicted_speedup(shard_workers):.2f}x "
-            f"(critical path {part_estimate.makespan(shard_workers):,.0f})"
-        )
-    if not options.level_parallel:
-        schedule = "serial topological walk"
-    elif fallback:
-        schedule = (
-            "serial topological walk (level-parallel requested, but only "
-            "one effective worker — automatic fallback)"
-        )
-    else:
-        schedule = f"level-parallel, {workers} workers"
-    print(f"schedule: {schedule}")
     from .relational.table import columnar_killed
 
     if columnar_killed():
@@ -633,17 +533,11 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         return 2
 
     with trace() as recorder:
-        maintain_lattice(views, changes, options=options, lattice=lattice)
+        maintain_lattice(views, changes, lattice=lattice)
     root = recorder.finish()
     rows = compare_plan(estimate, actual_node_accesses(root))
     refresh_actuals = actual_refresh_accesses(root)
 
-    if part_estimate is not None:
-        print(
-            "\nnote: under the shard-parallel path the node spans record "
-            "only the\nper-view merge step — per-shard propagate work is "
-            "compared in the shard\ntable below."
-        )
     print("\npredicted vs actual (propagate tuple accesses):")
     header = (
         f"{'node':<12} {'predicted':>12} {'actual':>12} "
@@ -664,25 +558,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         f"{estimate.refresh_accesses:,.0f}, measured "
         f"{measured_refresh:,.0f} accesses (gap = MIN/MAX recompute scans)"
     )
-    if part_estimate is not None:
-        shard_actuals = actual_shard_accesses(root)
-        info = partitioned.last_run
-        print(
-            f"\nper-shard predicted vs actual "
-            f"({'process pool' if info and info.pool else 'inline'}, "
-            f"{info.workers if info else shard_workers} worker(s)):"
-        )
-        by_key = {str(s.key): s for s in part_estimate.shards}
-        run_stats = {str(s.key): s for s in info.shards} if info else {}
-        for key in sorted(by_key, key=lambda k: by_key[k].key):
-            predicted = by_key[key].propagate_accesses
-            measured = run_stats[key].access_units if key in run_stats \
-                else shard_actuals.get(key, 0)
-            ratio = f"{predicted / measured:.2f}" if measured else "-"
-            print(
-                f"  shard {key:>6}: predicted {predicted:>10,.0f}  "
-                f"actual {measured:>10,}  ratio {ratio}"
-            )
 
     if args.bench_json is not None:
         from .bench.reporting import write_bench_json
@@ -1096,14 +971,6 @@ def build_parser() -> argparse.ArgumentParser:
     maintain.add_argument("--changes", type=int, default=5_000)
     maintain.add_argument("--workload", choices=["update", "insert"],
                           default="update")
-    maintain.add_argument("--partition", action="store_true",
-                          help="date-partition the fact table and run the "
-                               "shard-parallel propagate path (also taken "
-                               "when REPRO_PARTITION=1)")
-    maintain.add_argument("--shard-width", type=int, default=1,
-                          help="dates per shard for --partition (default 1)")
-    maintain.add_argument("--shard-workers", type=int, default=None,
-                          help="shard pool size (default: CPU count)")
     maintain.set_defaults(func=_cmd_maintain)
 
     select = sub.add_parser("select", help="HRU greedy view selection")
@@ -1113,14 +980,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench-propagate",
-        help="micro-benchmark the parallel propagate engine",
+        help="micro-benchmark the propagate engine",
     )
     bench.add_argument("--quick", action="store_true",
                        help="smoke-test scale (20k rows, 1 repeat)")
     bench.add_argument("--rows", type=int, default=None)
-    bench.add_argument("--chunks", type=int, default=None)
-    bench.add_argument("--backend", choices=["serial", "thread", "process"],
-                       default=None)
     bench.add_argument("--repeats", type=int, default=None)
     bench.add_argument("--output", default=None,
                        help="JSON path (default: BENCH_propagate.json)")
@@ -1159,8 +1023,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--changes", type=int, default=5_000)
     trace.add_argument("--workload", choices=["update", "insert"],
                        default="update")
-    trace.add_argument("--parallel", action="store_true",
-                       help="chunked-parallel propagate + level-parallel walk")
     trace.add_argument("--max-depth", type=int, default=None,
                        help="limit the printed span-tree depth")
     trace.add_argument("--jsonl", default=None, metavar="PATH",
@@ -1175,19 +1037,6 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--changes", type=int, default=5_000)
     explain.add_argument("--workload", choices=["update", "insert"],
                          default="update")
-    explain.add_argument("--parallel", action="store_true",
-                         help="plan for the parallel engine (affects only "
-                              "the schedule line; costs are identical)")
-    explain.add_argument("--partition", action="store_true",
-                         help="date-partition the fact table and add the "
-                              "shards column with per-shard predicted "
-                              "accesses (with --execute, the run takes the "
-                              "shard-parallel path)")
-    explain.add_argument("--shard-width", type=int, default=1,
-                         help="dates per shard for --partition (default 1)")
-    explain.add_argument("--shard-workers", type=int, default=None,
-                         help="process-pool size for the shard-parallel "
-                              "path (default: CPU count)")
     explain.add_argument("--execute", action="store_true",
                          help="run the plan under tracing and print "
                               "predicted-vs-actual accesses")

@@ -25,12 +25,10 @@ from dataclasses import dataclass
 
 from ..obs import metrics, tracing
 from ..relational.aggregation import (
-    BACKENDS,
     AggregateSpec,
     MaxReducer,
     MinReducer,
     group_by,
-    group_by_chunked,
 )
 
 __all__ = [
@@ -57,24 +55,11 @@ from .prepare import prepare_changes, source_column
 class PropagateOptions:
     """Tuning knobs for the propagate function.
 
-    The parallel-engine knobs (§4.1.2's "techniques for parallelizing
-    aggregation"):
-
-    ``parallel``
-        Run every propagate aggregation through
-        :func:`~repro.relational.aggregation.group_by_chunked`, splitting
-        the input into ``chunks`` slices folded on ``backend`` and merging
-        partial states with the distributive ``Reducer.merge``.  Output is
-        identical to the serial path.
-    ``chunks`` / ``backend`` / ``max_workers``
-        Chunk count and executor for the chunked aggregation
-        (``"serial"``, ``"thread"``, or ``"process"``), and the worker
-        cap for executor backends (``None`` = executor default).
-    ``level_parallel``
-        In :func:`~repro.lattice.plan.propagate_lattice`, dispatch
-        same-level (antichain) D-lattice nodes concurrently once their
-        parents' deltas are ready, instead of walking the strict
-        topological order.
+    ``policy``
+        How MIN/MAX deltas are carried (:class:`~repro.core.deltas.MinMaxPolicy`).
+    ``pre_aggregate``
+        Delay joins with dimensions that no aggregate or selection reads
+        until after a first aggregation pass (§4.1.3).
     ``shared_scan``
         In :func:`~repro.lattice.plan.propagate_lattice`, fuse the
         group-bys of sibling D-lattice children into a single compiled
@@ -83,48 +68,11 @@ class PropagateOptions:
         pipeline per child.  ``None`` (the default) defers to the
         ``REPRO_SHARED_SCAN`` environment kill-switch; the deltas are
         identical either way.
-    ``partition`` / ``shard_workers``
-        In :func:`~repro.lattice.plan.maintain_lattice`, when the fact
-        table is date-partitioned (see :mod:`repro.warehouse.partition`),
-        compute per-shard summary deltas on a process pool of
-        ``shard_workers`` workers (``None`` = CPU count) and merge them
-        with ``Reducer.merge`` before one standard refresh per view.
-        ``partition=None`` (the default) defers to the ``REPRO_PARTITION``
-        environment switch; the merged deltas, certificates, and lineage
-        manifests are identical to the serial path either way.
     """
 
     policy: MinMaxPolicy = MinMaxPolicy.PAPER
     pre_aggregate: bool = False
-    parallel: bool = False
-    chunks: int = 4
-    backend: str = "thread"
-    max_workers: int | None = None
-    level_parallel: bool = False
     shared_scan: bool | None = None
-    partition: bool | None = None
-    shard_workers: int | None = None
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.chunks, int) or isinstance(self.chunks, bool) \
-                or self.chunks < 1:
-            raise ValueError(
-                f"chunks must be a positive integer, got {self.chunks!r}"
-            )
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; expected one of "
-                f"{', '.join(BACKENDS)}"
-            )
-        if self.shard_workers is not None and (
-            not isinstance(self.shard_workers, int)
-            or isinstance(self.shard_workers, bool)
-            or self.shard_workers < 1
-        ):
-            raise ValueError(
-                f"shard_workers must be a positive integer or None, "
-                f"got {self.shard_workers!r}"
-            )
 
     def shared_scan_active(self) -> bool:
         """Whether lattice propagation should run the shared-scan engine:
@@ -135,26 +83,6 @@ class PropagateOptions:
         from ..relational.fused import shared_scan_enabled
 
         return shared_scan_enabled()
-
-    def partition_active(self) -> bool:
-        """Whether maintenance should take the shard-parallel path for a
-        partitioned fact table: the explicit ``partition`` option when
-        set, otherwise the ``REPRO_PARTITION`` environment switch."""
-        if self.partition is not None:
-            return self.partition
-        from ..warehouse.partition import partition_enabled
-
-        return partition_enabled()
-
-    def aggregate(self, table, keys, specs, name=None):
-        """Run one propagate aggregation under these options: chunked and
-        possibly parallel when ``parallel`` is set, plain otherwise."""
-        if self.parallel:
-            return group_by_chunked(
-                table, keys, specs, chunks=self.chunks, name=name,
-                backend=self.backend, max_workers=self.max_workers,
-            )
-        return group_by(table, keys, specs, name=name)
 
 
 def _delta_specs(
@@ -194,13 +122,13 @@ def compute_summary_delta(
     """Compute the summary delta for one view directly from a change set."""
     with tracing.span(
         "compute_delta", view=definition.name,
-        pre_aggregate=options.pre_aggregate, parallel=options.parallel,
+        pre_aggregate=options.pre_aggregate,
     ) as sp:
         if options.pre_aggregate:
             delta_rows = _propagate_preaggregated(definition, changes, options)
         else:
             pc = prepare_changes(definition, changes, options.policy)
-            delta_rows = options.aggregate(
+            delta_rows = group_by(
                 pc,
                 definition.group_by,
                 _delta_specs(definition, options.policy),
@@ -262,13 +190,12 @@ def _propagate_preaggregated(
     and aggregates on (fact-side group-bys ∪ early-dimension group-bys ∪
     the foreign keys of delayed dimensions).  Phase 2 joins the delayed
     dimensions and re-aggregates on the view's true group-by attributes.
-    Both aggregation passes honour the options' parallel engine settings.
     """
     policy = options.policy
     early, delayed = classify_dimensions(definition)
     if not delayed:
         pc = prepare_changes(definition, changes, policy)
-        return options.aggregate(
+        return group_by(
             pc, definition.group_by, _delta_specs(definition, policy),
             name=f"sd_{definition.name}",
         )
@@ -319,7 +246,7 @@ def _propagate_preaggregated(
                 )
         sides.append(project(joined, outputs))
 
-    pre = options.aggregate(
+    pre = group_by(
         union_all(sides),
         phase1_keys,
         _pre_specs(definition, policy),
@@ -333,7 +260,7 @@ def _propagate_preaggregated(
             joined, fk.dimension.table, on=[(fk.column, fk.dimension.key)]
         )
 
-    return options.aggregate(
+    return group_by(
         joined,
         definition.group_by,
         _delta_specs(definition, policy),

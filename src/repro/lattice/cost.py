@@ -64,16 +64,12 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "LatticeStatistics",
     "NodeCostEstimate",
-    "PartitionedPlanEstimate",
     "PlanCostEstimate",
     "PredictionRow",
-    "ShardCostEstimate",
     "actual_node_accesses",
     "actual_refresh_accesses",
-    "actual_shard_accesses",
     "collect_statistics",
     "compare_plan",
-    "estimate_partitioned_plan",
     "estimate_plan_cost",
     "expected_groups",
     "group_fusion_choice",
@@ -206,7 +202,6 @@ class PlanCostEstimate:
 
     nodes: dict[str, NodeCostEstimate]
     order: tuple[str, ...]
-    levels: tuple[tuple[str, ...], ...]
     #: Whether the estimate models shared-scan propagation.
     shared_scan: bool = False
 
@@ -315,9 +310,7 @@ def estimate_plan_cost(
     """Predict per-node propagate and refresh work for a lattice plan.
 
     The estimates depend only on the plan, the statistics, and the
-    propagation *strategy*: the parallel engine knobs (chunked folds,
-    level scheduling) change wall-clock overlap, not the number of tuples
-    touched — but shared-scan propagation genuinely touches fewer tuples,
+    propagation *strategy*: shared-scan propagation touches fewer tuples,
     so *shared_scan* selects which engine the estimate mirrors.  ``None``
     (the default) follows the ``REPRO_SHARED_SCAN`` environment switch,
     i.e. what a default :func:`~repro.lattice.plan.maintain_lattice` run
@@ -384,127 +377,8 @@ def estimate_plan_cost(
     return PlanCostEstimate(
         nodes=nodes,
         order=tuple(lattice.order),
-        levels=tuple(tuple(level) for level in levels),
         shared_scan=shared_scan,
     )
-
-
-# ----------------------------------------------------------------------
-# Partitioned (per-shard) plans
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ShardCostEstimate:
-    """One shard's slice of a partitioned maintenance plan: the full
-    lattice plan re-estimated over just that shard's change rows."""
-
-    key: object
-    side_rows: tuple[int, int]
-    estimate: PlanCostEstimate
-
-    @property
-    def change_rows(self) -> int:
-        return self.side_rows[0] + self.side_rows[1]
-
-    @property
-    def propagate_accesses(self) -> float:
-        return self.estimate.with_lattice_accesses
-
-
-@dataclass(frozen=True)
-class PartitionedPlanEstimate:
-    """A shard-parallel plan prediction: the serial estimate plus one
-    :class:`ShardCostEstimate` per shard of the routed change set.
-
-    Each shard re-runs the same lattice plan over its slice of the
-    changes, so the per-row pipeline terms (joins, projection, union,
-    aggregation scans) sum *exactly* to the serial plan's; only the
-    delta-row insert terms carry slack, because the occupancy estimate
-    :func:`expected_groups` is concave — a shard's small change slice
-    spreads over proportionally more distinct groups.  The change-row
-    counts themselves always partition exactly
-    (``sum(shard.change_rows) == stats.change_rows``), which is the
-    invariant the bench suite pins.
-    """
-
-    serial: PlanCostEstimate
-    shards: tuple[ShardCostEstimate, ...]
-
-    @property
-    def shard_count(self) -> int:
-        return len(self.shards)
-
-    @property
-    def change_rows(self) -> int:
-        return sum(shard.change_rows for shard in self.shards)
-
-    @property
-    def propagate_accesses(self) -> float:
-        """Total predicted propagate accesses across all shards (what a
-        one-worker sharded run performs)."""
-        return sum(shard.propagate_accesses for shard in self.shards)
-
-    def node_accesses(self, name: str) -> float:
-        """Predicted propagate accesses for one lattice node summed over
-        every shard (the per-shard fan-out of that node's work)."""
-        return sum(
-            shard.estimate.nodes[name].propagate_accesses
-            for shard in self.shards
-        )
-
-    def makespan(self, workers: int) -> float:
-        """Predicted critical-path accesses with *workers* shard workers:
-        the LPT greedy assignment of shard workloads to workers (shards
-        are indivisible units on the process pool)."""
-        loads = [0.0] * max(1, workers)
-        for accesses in sorted(
-            (shard.propagate_accesses for shard in self.shards), reverse=True
-        ):
-            slot = loads.index(min(loads))
-            loads[slot] += accesses
-        return max(loads)
-
-    def predicted_speedup(self, workers: int) -> float:
-        """Ideal propagate speedup at *workers* workers over the sharded
-        one-worker run (tuple accesses on the critical path; ignores pool
-        overheads, so it is an upper bound)."""
-        span = self.makespan(workers)
-        if span <= 0:
-            return 1.0
-        return self.propagate_accesses / span
-
-
-def estimate_partitioned_plan(
-    lattice: ViewLattice,
-    stats: LatticeStatistics,
-    shard_side_rows: Sequence[tuple[object, tuple[int, int]]],
-    shared_scan: bool | None = None,
-) -> PartitionedPlanEstimate:
-    """Predict a shard-parallel maintenance run, shard by shard.
-
-    *shard_side_rows* is the routed change set as ``(shard_key,
-    (insertions, deletions))`` pairs — exactly what
-    ``PartitionedFactTable.route_changes`` yields.  Every shard reuses the
-    serial plan's group cardinalities: shards partition the *changes*, not
-    the views, and each shard's merge still lands on the full view.
-    """
-    serial = estimate_plan_cost(lattice, stats, shared_scan=shared_scan)
-    shards = tuple(
-        ShardCostEstimate(
-            key=key,
-            side_rows=(int(ins), int(dels)),
-            estimate=estimate_plan_cost(
-                lattice,
-                LatticeStatistics(
-                    side_rows=(int(ins), int(dels)),
-                    group_counts=stats.group_counts,
-                ),
-                shared_scan=serial.shared_scan,
-            ),
-        )
-        for key, (ins, dels) in shard_side_rows
-    )
-    return PartitionedPlanEstimate(serial=serial, shards=shards)
 
 
 # ----------------------------------------------------------------------
@@ -524,32 +398,16 @@ def span_access_units(span: "Span") -> int | float:
 def actual_node_accesses(root: "Span") -> dict[str, int | float]:
     """Per-node propagate accesses measured from a traced run.
 
-    Every ``node:<name>`` span (recorded by ``propagate_lattice`` under
-    both the serial and the level-parallel schedule) contributes its
-    subtree's access units; repeated propagations of the same node — e.g.
-    a nightly run over several fact tables sharing view names — accumulate.
+    Every ``node:<name>`` span (recorded by ``propagate_lattice``)
+    contributes its subtree's access units; repeated propagations of the
+    same node — e.g. a nightly run over several fact tables sharing view
+    names — accumulate.
     """
     actuals: dict[str, int | float] = {}
     for span in root.walk():
         if span.name.startswith("node:"):
             name = span.name[len("node:"):]
             actuals[name] = actuals.get(name, 0) + span_access_units(span)
-    return actuals
-
-
-def actual_shard_accesses(root: "Span") -> dict[str, int | float]:
-    """Per-shard propagate accesses measured from a traced partitioned run
-    (the ``shard:<key>`` spans recorded by ``ParallelMaintenance``).
-
-    Only process-pool runs re-charge worker access counters onto these
-    spans; in the inline fallback the charges flow through the surrounding
-    propagate span instead and every shard span reads zero.
-    """
-    actuals: dict[str, int | float] = {}
-    for span in root.walk():
-        if span.name.startswith("shard:"):
-            key = span.name[len("shard:"):]
-            actuals[key] = actuals.get(key, 0) + span_access_units(span)
     return actuals
 
 

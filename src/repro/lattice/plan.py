@@ -22,8 +22,6 @@ This is the paper's Section 5.5 put together:
 from __future__ import annotations
 
 import dataclasses
-import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -67,38 +65,6 @@ def build_lattice_for_views(
     return ViewLattice.build(definitions, size_hints=size_hints)
 
 
-def propagation_levels(lattice: ViewLattice) -> list[list[str]]:
-    """Group the D-lattice nodes into parent-depth levels (antichains).
-
-    Delegates to the lattice's memoized
-    :meth:`~repro.lattice.vlattice.ViewLattice.propagation_levels` — the
-    decomposition depends only on the (immutable) plan, so explain, the
-    cost model, and repeated maintenance runs share one computation.
-    Callers must treat the result as read-only.
-    """
-    return lattice.propagation_levels()
-
-
-def effective_level_workers(
-    options: PropagateOptions, levels: Sequence[Sequence[str]]
-) -> tuple[int, bool]:
-    """The worker count a level-parallel walk would use, and whether the
-    schedule should fall back to the serial topological walk.
-
-    With no explicit ``max_workers`` the pool is capped at the CPU count:
-    same-level node computations are pure-CPU folds, so threads beyond
-    cores only add dispatch overhead (the ``lattice`` section of
-    ``BENCH_propagate.json`` recorded level-parallel as a net *slowdown* on
-    a 1-CPU container before this fallback existed).  One effective worker
-    means no overlap is possible, so the serial walk — identical deltas,
-    zero dispatch overhead — is the right schedule.
-    """
-    widest = max((len(level) for level in levels), default=1)
-    requested = options.max_workers or os.cpu_count() or 1
-    workers = max(1, min(requested, widest))
-    return workers, workers <= 1
-
-
 def propagate_lattice(
     lattice: ViewLattice,
     changes: ChangeSet,
@@ -107,34 +73,25 @@ def propagate_lattice(
 ) -> dict[str, SummaryDelta]:
     """Compute all summary deltas, exploiting the D-lattice.
 
-    With ``options.level_parallel`` the strict topological walk is replaced
-    by level scheduling (:func:`propagation_levels`): sibling nodes of one
-    antichain are dispatched together on a thread pool, with a barrier
-    between levels so every node still reads a fully computed parent delta.
-    Each node's delta is computed by the same code either way, so the
-    resulting deltas are identical; only wall-clock overlap changes.  Each
-    node still records its own ``propagate:<name>`` phase on *clock*
-    (concurrent phases overlap in wall-clock time, as in any parallel
-    schedule).
-
-    When :func:`effective_level_workers` reports a single effective worker
-    the walk automatically falls back to the serial schedule; the decision
-    is tagged on the ``propagate`` span (``level_parallel_fallback``) so a
-    trace — and ``repro explain`` — shows which schedule actually ran.
+    Nodes are computed one after another in topological order: roots
+    directly from the change set, every other node from its parent's delta
+    through the Theorem 5.1 edge query.  Each node records its own
+    ``propagate:<name>`` phase on *clock*.
 
     With shared-scan propagation active (``options.shared_scan``, default
-    the ``REPRO_SHARED_SCAN`` environment switch) every level is first
-    partitioned into *sibling groups* — derived nodes sharing a derivation
-    parent — and each group's k group-bys are fused into a single compiled
-    pass over the parent's delta (:mod:`repro.relational.fused`): one scan
-    instead of k join+aggregate pipelines.  Groups, not nodes, become the
-    unit of level-parallel dispatch.  Each node still gets its own
-    ``propagate:<name>`` phase and ``node:<name>`` span; the one shared
-    input scan is charged to the group's first node (the *scan owner*), so
-    span-subtree access totals still equal the
-    :class:`~repro.relational.stats.AccessStats` totals.  Nodes whose edge
-    falls outside the fused-kernel subset fall back to the per-child path,
-    tagged ``shared_scan_fallback`` on their group's span.
+    the ``REPRO_SHARED_SCAN`` environment switch) the roots come first,
+    then the derived nodes as *sibling groups*
+    (:meth:`~repro.lattice.vlattice.ViewLattice.sibling_groups`, level by
+    level) — derived nodes sharing a derivation parent — whose k group-bys
+    are fused into a single compiled pass over the parent's delta
+    (:mod:`repro.relational.fused`): one scan instead of k join+aggregate
+    pipelines.  Each node still gets its own ``propagate:<name>`` phase and
+    ``node:<name>`` span; the one shared input scan is charged to the
+    group's first node (the *scan owner*), so span-subtree access totals
+    still equal the :class:`~repro.relational.stats.AccessStats` totals.
+    Nodes whose edge falls outside the fused-kernel subset fall back to
+    the per-child path, tagged ``shared_scan_fallback`` on their group's
+    span.
     """
     clock = clock or BatchWindowClock()
     deltas: dict[str, SummaryDelta] = {}
@@ -142,15 +99,12 @@ def propagate_lattice(
     depth_of = {
         name: depth for depth, level in enumerate(levels) for name in level
     }
-    workers, fallback = effective_level_workers(options, levels)
-    run_level_parallel = options.level_parallel and not fallback
     shared_scan = options.shared_scan_active()
 
-    def compute(name: str,
-                parent_span: "tracing.Span | None" = None) -> SummaryDelta:
+    def compute(name: str) -> SummaryDelta:
         node = lattice.node(name)
         with clock.online(
-            f"propagate:{name}", parent=parent_span, node=name,
+            f"propagate:{name}", node=name,
             kind="root" if node.is_root else "derived",
             level=depth_of[name],
         ), tracing.span("node:" + name) as node_span:
@@ -180,10 +134,7 @@ def propagate_lattice(
         if span is not tracing.NOOP_SPAN:
             span.add(counter, amount)
 
-    def compute_group(
-        names: Sequence[str],
-        parent_span: "tracing.Span | None" = None,
-    ) -> dict[str, SummaryDelta]:
+    def compute_group(names: Sequence[str]) -> dict[str, SummaryDelta]:
         """Compute one sibling group's deltas through the fused kernel,
         falling back to the per-child path when the kernel declines."""
         parent_name = lattice.node(names[0]).parent
@@ -202,10 +153,7 @@ def propagate_lattice(
         ) as group_span:
             if scan is None:
                 group_span.set_tag("shared_scan_fallback", "unsupported-edge")
-                return {
-                    name: compute(name, parent_span=parent_span)
-                    for name in names
-                }
+                return {name: compute(name) for name in names}
             group_span.set_tag("scans_saved", len(names) - 1)
             if tracing.enabled():
                 registry = obs_metrics.registry()
@@ -215,13 +163,7 @@ def propagate_lattice(
                 )
             source = parent_delta.table
             n = len(source)
-            if options.parallel:
-                # Shared-scan × parallel compose: chunk the one input scan.
-                # All three backends work — the process backend ships the
-                # (picklable) fused children and recompiles the kernel per
-                # worker process, degrading to threads if pickling fails.
-                fold_strategy = "chunked"
-            elif source.storage == "column" and scan.supports_columns:
+            if source.storage == "column" and scan.supports_columns:
                 fold_strategy = "columns"
             else:
                 fold_strategy = "rows"
@@ -231,20 +173,14 @@ def propagate_lattice(
             probes: list[int] = []
             for index, name in enumerate(names):
                 with clock.online(
-                    f"propagate:{name}", parent=parent_span, node=name,
+                    f"propagate:{name}", node=name,
                     kind="derived", level=depth_of[name], shared_scan=True,
                 ), tracing.span("node:" + name) as node_span:
                     if index == 0:
                         # The single input scan (and the fold it feeds) is
                         # charged to — and timed inside — the scan owner.
                         charge("rows_scanned", n, node_span)
-                        if fold_strategy == "chunked":
-                            groups, probes = scan.fold_chunked(
-                                source.rows(), options.chunks,
-                                backend=options.backend,
-                                max_workers=options.max_workers,
-                            )
-                        elif fold_strategy == "columns":
+                        if fold_strategy == "columns":
                             groups, probes = scan.fold_columns(
                                 source.columns(), n
                             )
@@ -261,84 +197,30 @@ def propagate_lattice(
                     )
             return out
 
-    def level_units(level: Sequence[str]) -> list[tuple[str, ...]]:
-        """Partition one level into dispatch units: sibling groups under
-        shared scan, single nodes otherwise (roots are always single)."""
-        if not shared_scan:
-            return [(name,) for name in level]
-        units: list[tuple[str, ...]] = []
-        group_at: dict[str, int] = {}
-        for name in level:
-            node = lattice.node(name)
-            if node.is_root:
-                units.append((name,))
-                continue
-            position = group_at.get(node.parent)
-            if position is None:
-                group_at[node.parent] = len(units)
-                units.append((name,))
-            else:
-                units[position] = units[position] + (name,)
-        return units
-
-    def run_unit(
-        unit: tuple[str, ...],
-        parent_span: "tracing.Span | None" = None,
-    ) -> dict[str, SummaryDelta]:
-        if len(unit) == 1:
-            node = lattice.node(unit[0])
-            if (
-                not shared_scan
-                or node.is_root
-                # Cost-based fusion (mirrored by estimate_plan_cost): a
-                # lone child with no dimension joins gains nothing from
-                # the fused kernel, so replay the edge directly.
-                or not group_fusion_choice(
-                    [len(node.edge.dimension_joins)]
-                )
-            ):
-                return {unit[0]: compute(unit[0], parent_span=parent_span)}
-        return compute_group(unit, parent_span=parent_span)
-
     with tracing.span(
-        "propagate", views=len(lattice.order),
-        level_parallel=run_level_parallel, shared_scan=shared_scan,
-    ) as propagate_span:
-        if options.level_parallel and fallback:
-            propagate_span.set_tag("level_parallel_fallback", "single-worker")
-        if not run_level_parallel:
-            if not shared_scan:
-                for name in lattice.order:
-                    deltas[name] = compute(name)
-                return deltas
-            for level in levels:
-                for unit in level_units(level):
-                    deltas.update(run_unit(unit))
-            # Report deltas in lattice order regardless of the level walk.
-            return {name: deltas[name] for name in lattice.order}
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for depth, level in enumerate(levels):
-                units = level_units(level)
-                with tracing.span(
-                    f"level:{depth}", nodes=len(level), units=len(units),
-                ) as level_span:
-                    if len(units) == 1:  # no dispatch overhead for singletons
-                        deltas.update(run_unit(units[0]))
-                        continue
-                    # Worker threads have their own (empty) span stacks, so
-                    # their node spans must be parented explicitly.
-                    anchor = (
-                        level_span
-                        if level_span is not tracing.NOOP_SPAN
-                        else None
-                    )
-                    results = pool.map(
-                        lambda unit: run_unit(unit, parent_span=anchor), units
-                    )
-                    for computed in results:
-                        deltas.update(computed)
-    return {name: deltas[name] for name in lattice.order}
+        "propagate", views=len(lattice.order), shared_scan=shared_scan,
+    ):
+        if not shared_scan:
+            for name in lattice.order:
+                deltas[name] = compute(name)
+            return deltas
+        for name in lattice.order:
+            if lattice.node(name).is_root:
+                deltas[name] = compute(name)
+        # Sibling groups come level by level, so every parent delta is
+        # ready before its group runs.
+        for group in lattice.sibling_groups():
+            # Cost-based fusion (mirrored by estimate_plan_cost): a lone
+            # child with no dimension joins gains nothing from the fused
+            # kernel, so replay the edge directly.
+            if group_fusion_choice(
+                [len(lattice.node(name).edge.dimension_joins) for name in group]
+            ):
+                deltas.update(compute_group(group))
+            else:
+                deltas[group[0]] = compute(group[0])
+        # Report deltas in lattice order regardless of the group walk.
+        return {name: deltas[name] for name in lattice.order}
 
 
 def propagate_without_lattice(
@@ -489,18 +371,7 @@ def maintain_lattice(
                     collect_statistics(lattice, changes, views=views),
                     shared_scan=options.shared_scan_active(),
                 )
-            partitioned = (
-                getattr(fact, "partition", None)
-                if options.partition_active() else None
-            )
-            if partitioned is not None:
-                from ..warehouse.partition import propagate_partitioned
-
-                deltas = propagate_partitioned(
-                    lattice, partitioned, changes, options, clock
-                )
-            else:
-                deltas = propagate_lattice(lattice, changes, options, clock)
+            deltas = propagate_lattice(lattice, changes, options, clock)
             deltas = {
                 name: delta for name, delta in deltas.items()
                 if name in views_by_name
@@ -512,16 +383,7 @@ def maintain_lattice(
 
         if apply_base_changes:
             with clock.offline("apply-base", fact=fact.name):
-                partitioned = (
-                    getattr(fact, "partition", None)
-                    if options.partition_active() else None
-                )
-                if partitioned is not None:
-                    # Per-shard apply: whole expired segments drop O(1),
-                    # semantics identical to ChangeSet.apply_to.
-                    partitioned.apply_changes(changes)
-                else:
-                    changes.apply_to(views[0].definition.fact.table)
+                changes.apply_to(fact.table)
 
         stats = refresh_lattice(views_by_name, deltas, variant, clock, mode=mode)
         result = LatticeMaintenanceResult(

@@ -148,10 +148,10 @@ class ViewLattice:
 
         Level 0 holds the roots; level *k* holds every node whose chosen
         derivation parent sits at level *k*-1.  Each node's delta depends
-        only on its parent's delta, so all nodes of one level can be
-        computed concurrently once the previous level is complete.  Within
-        a level, nodes keep their ``order`` relative order, which makes the
-        level schedule deterministic.
+        only on its parent's delta, so every node of one level can be
+        computed once the previous level is complete.  Within a level,
+        nodes keep their ``order`` relative order, which makes the walk
+        deterministic.
 
         Memoized: callers must treat the result as read-only.
         """

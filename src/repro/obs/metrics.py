@@ -2,8 +2,8 @@
 
 Where spans (:mod:`repro.obs.tracing`) answer "where did *this* run's time
 go", metrics accumulate across runs: total rows scanned by propagate,
-refresh actions by kind, undo-log entries written, rollbacks taken, chunk
-sizes seen by the parallel aggregation engine, executor queue waits.
+refresh actions by kind, undo-log entries written, rollbacks taken, query
+latencies served.
 
 The registry is a plain process-wide object — no background threads, no
 export protocol — because the consumers are the ``repro trace`` CLI, the
@@ -84,8 +84,7 @@ class Gauge:
 
 
 #: Histogram bucket upper bounds: powers of four from 1 up, which spans
-#: chunk sizes (1..10^6 rows) and sub-second queue waits equally well once
-#: waits are recorded in microseconds-as-floats.
+#: row counts from 1 to 10^6.
 _BUCKET_BOUNDS = tuple(4 ** k for k in range(12))
 
 #: Public view of the histogram bucket upper bounds (exporters need them).
@@ -115,8 +114,8 @@ class Histogram:
 
     Buckets are cumulative-style upper bounds (``value <= bound``), by
     default powers of four plus an overflow bucket — enough resolution to
-    see whether chunk sizes are balanced or queue waits are bimodal
-    without configuring anything.  Callers measuring sub-second latencies
+    see whether a row-count distribution is skewed without configuring
+    anything.  Callers measuring sub-second latencies
     pass explicit *bounds* (e.g. :data:`LATENCY_BUCKETS_S`).
     """
 

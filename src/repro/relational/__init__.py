@@ -6,7 +6,6 @@ experiments.  See ``DESIGN.md`` for the substitution rationale.
 """
 
 from .aggregation import (
-    BACKENDS,
     CountNonNullReducer,
     CountRowsReducer,
     MaxReducer,
@@ -14,7 +13,6 @@ from .aggregation import (
     Reducer,
     SumReducer,
     group_by,
-    group_by_chunked,
 )
 from .codegen import CompiledAggregation, codegen_enabled, compile_aggregation
 from .expressions import (
@@ -50,7 +48,6 @@ from .table import Row, Table
 from .types import NULL, is_null, null_max, null_min
 
 __all__ = [
-    "BACKENDS",
     "NULL",
     "AccessStats",
     "Add",
@@ -82,7 +79,6 @@ __all__ = [
     "compile_aggregation",
     "distinct",
     "group_by",
-    "group_by_chunked",
     "hash_join",
     "is_null",
     "left_outer_join",

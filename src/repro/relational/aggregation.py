@@ -22,11 +22,8 @@ input rows.)
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any, Callable, Collection, Sequence
 
-from ..obs import metrics as obs_metrics
 from ..obs import tracing
 from .expressions import Expression
 from .schema import Schema
@@ -37,11 +34,10 @@ from .table import Table, transpose_rows
 class Reducer:
     """A fold over the values of one column within one group.
 
-    Every reducer here is *distributive* in the paper's sense, witnessed by
-    :meth:`merge`: folding the whole input equals folding each part and
-    merging the partial states.  That property is what licenses
-    pre-aggregation (§4.1.3), delta-from-delta computation (§5.4), and the
-    chunked/parallelisable aggregation of :func:`group_by_chunked`.
+    Every reducer here is *distributive* in the paper's sense: folding the
+    whole input gives the same result as combining the folds of its parts.
+    That property is what licenses pre-aggregation (§4.1.3) and
+    delta-from-delta computation (§5.4).
     """
 
     def create(self) -> Any:
@@ -50,10 +46,6 @@ class Reducer:
 
     def step(self, state: Any, value: Any) -> Any:
         """Fold *value* into *state*; return the new state."""
-        raise NotImplementedError
-
-    def merge(self, state: Any, other: Any) -> Any:
-        """Combine two partial states (distributivity witness)."""
         raise NotImplementedError
 
     def finalize(self, state: Any) -> Any:
@@ -74,13 +66,6 @@ class SumReducer(Reducer):
             return value
         return state + value
 
-    def merge(self, state: Any, other: Any) -> Any:
-        if state is None:
-            return other
-        if other is None:
-            return state
-        return state + other
-
 
 class CountRowsReducer(Reducer):
     """SQL ``COUNT(*)``: counts rows, ignores the (unused) input value."""
@@ -90,9 +75,6 @@ class CountRowsReducer(Reducer):
 
     def step(self, state: int, value: Any) -> int:
         return state + 1
-
-    def merge(self, state: int, other: int) -> int:
-        return state + other
 
 
 class CountNonNullReducer(Reducer):
@@ -105,9 +87,6 @@ class CountNonNullReducer(Reducer):
         if value is None:
             return state
         return state + 1
-
-    def merge(self, state: int, other: int) -> int:
-        return state + other
 
 
 class MinReducer(Reducer):
@@ -123,13 +102,6 @@ class MinReducer(Reducer):
             return value
         return state
 
-    def merge(self, state: Any, other: Any) -> Any:
-        if state is None:
-            return other
-        if other is None:
-            return state
-        return state if state <= other else other
-
 
 class MaxReducer(Reducer):
     """SQL ``MAX``: skip nulls; all-null/empty group yields null."""
@@ -144,19 +116,9 @@ class MaxReducer(Reducer):
             return value
         return state
 
-    def merge(self, state: Any, other: Any) -> Any:
-        if state is None:
-            return other
-        if other is None:
-            return state
-        return state if state >= other else other
-
 
 #: One aggregate column in a group-by: (output name, input expression, reducer).
 AggregateSpec = tuple[str, Expression, Reducer]
-
-#: Executor backends accepted by :func:`group_by_chunked`.
-BACKENDS = ("serial", "thread", "process")
 
 #: Cache of compiled fold loops, keyed by (schema, keys, aggregate shape).
 #: Misses (unsupported specs) are cached as None so the fallback decision is
@@ -344,166 +306,5 @@ def group_by(
         return _finalize(
             groups.keys(), transpose_rows(groups.values(), len(aggregates)),
             table.name, keys, aggregates, name, "groupby",
-            storage=table.storage,
-        )
-
-
-def _chunk_bounds(n_rows: int, chunks: int) -> list[tuple[int, int]]:
-    """Split ``range(n_rows)`` into at most *chunks* non-empty slices.
-
-    Balanced sizes (they differ by at most one row), and never more slices
-    than rows — ``chunks > n_rows`` must not create empty trailing tasks,
-    which on an executor would be pure dispatch overhead.
-    """
-    effective = min(chunks, n_rows)
-    if effective == 0:
-        return []
-    base, extra = divmod(n_rows, effective)
-    bounds: list[tuple[int, int]] = []
-    start = 0
-    for index in range(effective):
-        size = base + (1 if index < extra else 0)
-        bounds.append((start, start + size))
-        start += size
-    return bounds
-
-
-def _process_chunk_task(
-    columns: tuple[str, ...],
-    keys: tuple[str, ...],
-    aggregates: Sequence[AggregateSpec],
-    rows: list[tuple],
-) -> dict[tuple[Any, ...], list[Any]]:
-    """Fold one chunk in a worker process.
-
-    Module-level so it pickles; the worker re-resolves the compiled fold
-    from its own (per-process) cache.  States travel back as plain lists of
-    plain values, so merging in the parent is backend-agnostic.
-    """
-    return _fold_rows(Schema(columns), keys, aggregates, rows)
-
-
-def group_by_chunked(
-    table: Table,
-    keys: Sequence[str],
-    aggregates: Sequence[AggregateSpec],
-    chunks: int = 4,
-    name: str | None = None,
-    *,
-    backend: str = "serial",
-    max_workers: int | None = None,
-    compiled: bool | None = None,
-) -> Table:
-    """Hash-aggregate in independent input chunks, then merge partials.
-
-    The realisation of the paper's remark that "techniques for
-    parallelizing aggregation can be used to speed up computation of the
-    summary-delta table" (§4.1.2): the input is split into at most *chunks*
-    contiguous slices, each aggregated independently, and per-group partial
-    states are merged with each reducer's distributive
-    :meth:`~Reducer.merge`.
-
-    *backend* selects where chunk folds run:
-
-    ``"serial"``
-        In the calling thread, one chunk after another (the demonstrated
-        decomposition; zero dispatch overhead).
-    ``"thread"``
-        On a ``ThreadPoolExecutor``.  Low overhead; true overlap only to
-        the extent the fold releases the GIL, so this is the low-risk
-        option rather than the big-win option in CPython.
-    ``"process"``
-        On a ``ProcessPoolExecutor``: chunk rows and aggregate specs are
-        pickled to worker processes and partial states pickled back.  Real
-        multi-core scaling for large inputs, at per-row serialisation cost.
-
-    Partials are merged in chunk order regardless of backend, so the output
-    (content *and* group order: first occurrence) is identical to
-    :func:`group_by` on any input and any chunk count.
-    """
-    if not isinstance(chunks, int) or isinstance(chunks, bool) or chunks < 1:
-        raise ValueError(f"chunks must be a positive integer, got {chunks!r}")
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {', '.join(BACKENDS)}"
-        )
-    if max_workers is not None and max_workers < 1:
-        raise ValueError(f"max_workers must be a positive integer, got {max_workers!r}")
-
-    with tracing.span(
-        "group_by_chunked", table=table.name, backend=backend,
-    ) as sp:
-        rows = _scanned_rows(table)
-        bounds = _chunk_bounds(len(rows), chunks)
-        sp.add("rows_in", len(rows))
-        sp.add("chunks", len(bounds))
-        if tracing.enabled():
-            chunk_histogram = obs_metrics.registry().histogram(
-                "aggregation.chunk_rows"
-            )
-            for start, stop in bounds:
-                chunk_histogram.observe(stop - start)
-        schema = table.schema
-        reducers: list[Reducer] = [reducer for _n, _e, reducer in aggregates]
-        n_aggs = len(aggregates)
-
-        partials: list[dict[tuple[Any, ...], list[Any]]]
-        if backend == "serial" or len(bounds) <= 1:
-            partials = [
-                _fold_rows(schema, keys, aggregates, rows[start:stop], compiled)
-                for start, stop in bounds
-            ]
-        else:
-            executor: Executor
-            if backend == "thread":
-                # Queue wait = dispatch-to-start latency per chunk, observable
-                # only on the thread backend (process workers have their own
-                # monotonic clocks, not comparable to ours).
-                dispatched = time.perf_counter()
-                observe_wait = tracing.enabled()
-
-                def run_chunk(bound: tuple[int, int]):
-                    if observe_wait:
-                        obs_metrics.registry().histogram(
-                            "executor.queue_wait_s"
-                        ).observe(time.perf_counter() - dispatched)
-                    return _fold_rows(
-                        schema, keys, aggregates,
-                        rows[bound[0]:bound[1]], compiled,
-                    )
-
-                with ThreadPoolExecutor(max_workers=max_workers) as executor:
-                    partials = list(executor.map(run_chunk, bounds))
-            else:  # process
-                columns = schema.columns
-                key_tuple = tuple(keys)
-                with ProcessPoolExecutor(max_workers=max_workers) as executor:
-                    partials = list(
-                        executor.map(
-                            _process_chunk_task,
-                            (columns for _ in bounds),
-                            (key_tuple for _ in bounds),
-                            (aggregates for _ in bounds),
-                            (rows[start:stop] for start, stop in bounds),
-                        )
-                    )
-
-        merged: dict[tuple[Any, ...], list[Any]] = {}
-        for partial in partials:
-            if not merged:
-                merged = partial
-                continue
-            for key, states in partial.items():
-                existing = merged.get(key)
-                if existing is None:
-                    merged[key] = states
-                else:
-                    for i in range(n_aggs):
-                        existing[i] = reducers[i].merge(existing[i], states[i])
-
-        sp.add("groups_out", len(merged))
-        return _finalize(
-            merged.keys(), transpose_rows(merged.values(), n_aggs),
-            table.name, keys, aggregates, name, "groupby_chunked",
             storage=table.storage,
         )

@@ -13,11 +13,9 @@ aggregation (§4.1.2).
 
 Correctness contract: the generated code replicates, branch for branch, the
 semantics of :mod:`repro.relational.types` null handling and of the five
-distributive reducers in :mod:`repro.relational.aggregation`.  The partial
-states it produces are exactly the states the interpreted path produces, so
-they can be merged with ``Reducer.merge`` and finalised with
-``Reducer.finalize`` interchangeably — chunked/parallel aggregation can mix
-compiled and interpreted workers freely.
+distributive reducers in :mod:`repro.relational.aggregation`.  The states
+it produces are exactly the states the interpreted path produces, so they
+are finalised with ``Reducer.finalize`` interchangeably.
 
 Fallback contract: :func:`compile_aggregation` returns ``None`` whenever it
 sees an expression node or reducer it cannot prove it reproduces exactly

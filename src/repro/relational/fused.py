@@ -37,12 +37,10 @@ from __future__ import annotations
 import functools
 import operator
 import os
-import pickle
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from .aggregation import AggregateSpec, Reducer, _chunk_bounds, _finalize
+from .aggregation import AggregateSpec, _finalize
 from .codegen import (
     _BatchExpr,
     _Emitter,
@@ -104,11 +102,9 @@ class FusedScan:
     (whole-column probe resolution, one boundary pass per child) and
     produces the same groups and counts, its state columns accumulated as
     columns; ``supports_columns`` reports whether the batch kernel
-    compiled.  ``fold_chunked`` composes the shared scan with §4.1.2's
-    parallel decomposition: each input slice is folded independently and
-    per-child partials merge in chunk order.  ``finalize(i, groups)``
-    builds child *i*'s output table from its folded groups, using the same
-    finaliser as the interpreted group-by.
+    compiled.  ``finalize(i, groups)`` builds child *i*'s output table
+    from its folded groups, using the same finaliser as the interpreted
+    group-by.
     ``source`` / ``batch_source`` are the generated Python, kept for tests
     and debugging.
     """
@@ -120,10 +116,6 @@ class FusedScan:
     _dims: tuple[tuple[Table, str], ...]
     batch_source: str | None = None
     _fold_cols: Callable | None = None
-    #: Parent-delta column names; lets the process backend re-prepare an
-    #: identical scan inside a worker (``None`` on hand-built instances,
-    #: which then degrade the process backend to threads).
-    parent_columns: tuple[str, ...] | None = None
 
     @property
     def supports_columns(self) -> bool:
@@ -154,17 +146,13 @@ class FusedScan:
 
     def fold(self, rows: Sequence[tuple]) -> tuple[list[tuple], list[int]]:
         *groups, probes = self._fold(rows, self._dim_probes())
-        return self._transposed(groups), list(probes)
-
-    def _transposed(self, groups: Sequence[dict]) -> list[tuple]:
-        """The row kernel's ``{key: state list}`` dicts, one per child, in
-        the batch kernel's form: (key tuples, one state column per
-        aggregate)."""
+        # The row kernel's {key: state list} dicts, in the batch kernel's
+        # form: (key tuples, one state column per aggregate).
         return [
             (child_groups.keys(),
              transpose_rows(child_groups.values(), len(child.aggregates)))
             for child, child_groups in zip(self.children, groups)
-        ]
+        ], list(probes)
 
     def fold_columns(
         self, columns: Sequence[Sequence[Any]], n: int
@@ -174,99 +162,6 @@ class FusedScan:
             raise ValueError("this fused scan has no batch kernel")
         *groups, probes = self._fold_cols(columns, n, self._dim_probes())
         return list(groups), list(probes)
-
-    def fold_chunked(
-        self,
-        rows: Sequence[tuple],
-        chunks: int = 4,
-        *,
-        backend: str = "serial",
-        max_workers: int | None = None,
-    ) -> tuple[list[tuple], list[int]]:
-        """Chunked shared scan: fold slices independently, merge per child.
-
-        Same contract as :func:`~repro.relational.aggregation.group_by_chunked`
-        — partials merge with each reducer's distributive ``merge`` in chunk
-        order, so content, group order, and probe counts are identical to
-        one-shot :meth:`fold` for any chunk count.  Backends: ``"serial"``
-        (in the calling thread), ``"thread"`` (a ``ThreadPoolExecutor``),
-        and ``"process"`` (a ``ProcessPoolExecutor``).  The compiled kernel
-        and probe dicts are process-local, so the process backend ships the
-        *inputs* instead: each worker re-prepares an identical scan from
-        the (picklable) parent columns and fused children — compiled once
-        per worker process via the kernel cache — and folds its slice.  A
-        scan whose children fail to pickle degrades to the thread backend.
-        """
-        if not isinstance(chunks, int) or isinstance(chunks, bool) or chunks < 1:
-            raise ValueError(
-                f"chunks must be a positive integer, got {chunks!r}"
-            )
-        if backend not in ("serial", "thread", "process"):
-            raise ValueError(
-                f"unknown backend {backend!r}; expected 'serial', 'thread', "
-                f"or 'process'"
-            )
-        rows = rows if isinstance(rows, list) else list(rows)
-        bounds = _chunk_bounds(len(rows), chunks)
-
-        if backend == "process" and len(bounds) > 1:
-            if self.parent_columns is not None and _pickles(
-                (self.parent_columns, self.children)
-            ):
-                task = functools.partial(
-                    _process_fused_task, self.parent_columns, self.children
-                )
-                with ProcessPoolExecutor(max_workers=max_workers) as executor:
-                    parts = list(executor.map(
-                        task, (rows[b0:b1] for b0, b1 in bounds)
-                    ))
-                return self._merge_parts(parts)
-            backend = "thread"
-
-        dims = self._dim_probes()
-
-        def run(bound: tuple[int, int]):
-            return self._fold(rows[bound[0]:bound[1]], dims)
-
-        if backend == "serial" or len(bounds) <= 1:
-            parts = [run(bound) for bound in bounds]
-        else:
-            with ThreadPoolExecutor(max_workers=max_workers) as executor:
-                parts = list(executor.map(run, bounds))
-        return self._merge_parts(parts)
-
-    def _merge_parts(
-        self, parts: Sequence[tuple]
-    ) -> tuple[list[tuple], list[int]]:
-        """Merge per-chunk row-kernel outputs (chunk order) into one
-        result, in :meth:`fold`'s form."""
-
-        k = len(self.children)
-        merged: list[dict[Any, list]] = [{} for _ in range(k)]
-        probes = [0] * k
-        reducers: list[list[Reducer]] = [
-            [reducer for _n, _e, reducer in child.aggregates]
-            for child in self.children
-        ]
-        for part in parts:
-            for i in range(k):
-                probes[i] += part[k][i]
-                target = merged[i]
-                if not target:
-                    merged[i] = part[i]
-                    continue
-                child_reducers = reducers[i]
-                n_aggs = len(child_reducers)
-                for key, states in part[i].items():
-                    existing = target.get(key)
-                    if existing is None:
-                        target[key] = states
-                    else:
-                        for a in range(n_aggs):
-                            existing[a] = child_reducers[a].merge(
-                                existing[a], states[a]
-                            )
-        return self._transposed(merged), probes
 
     def finalize(
         self,
@@ -285,31 +180,6 @@ class FusedScan:
             "fused",
             storage=storage,
         )
-
-
-def _pickles(payload: Any) -> bool:
-    try:
-        pickle.dumps(payload)
-    except Exception:
-        return False
-    return True
-
-
-def _process_fused_task(
-    parent_columns: tuple[str, ...],
-    children: tuple[FusedChild, ...],
-    rows: list[tuple],
-) -> tuple:
-    """Fold one chunk in a worker process.
-
-    Re-prepares the scan from the shipped shape: the kernel cache keys on
-    column names, table names, and expression shapes (not object identity),
-    so after the first chunk each worker reuses its compiled kernel.
-    """
-    scan = prepare_fused_scan(Schema(parent_columns), children)
-    if scan is None:  # pragma: no cover — parent compiled the same shape
-        raise RuntimeError("fused kernel failed to compile in worker process")
-    return scan._fold(rows, scan._dim_probes())
 
 
 #: Cache of compiled shared-scan kernels, keyed by the full shape of the
@@ -643,7 +513,6 @@ def prepare_fused_scan(
         _dims=dims,
         batch_source=batch_source,
         _fold_cols=fold_cols,
-        parent_columns=parent_schema.columns,
     )
 
 

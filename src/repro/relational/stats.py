@@ -10,11 +10,11 @@ Accounting is off by default and costs one branch per *operation* (not per
 row) when disabled: ``Table.scan`` wraps its iterator only while a
 :func:`measuring` block is active.
 
-The collector is shared process-wide, and the engine's parallel paths
-(level-parallel lattice propagation, ``group_by_chunked`` on the thread
-backend) charge it from worker threads concurrently, so every charge goes
-through :meth:`AccessStats.add`, which serialises the read-modify-write
-under a lock.  Bare ``stats.rows_scanned += n`` from instrumented code
+The collector is shared process-wide, and the ``QueryServer`` pool's
+worker threads (:mod:`repro.serve.server`) charge it concurrently with
+each other and with maintenance, so every charge goes through
+:meth:`AccessStats.add`, which serialises the read-modify-write under a
+lock.  Bare ``stats.rows_scanned += n`` from instrumented code
 would silently lose increments under thread interleaving — an undercount,
 not a crash — which is exactly the failure mode the lock exists to prevent.
 Charges happen per operation, never per row, so the lock is uncontended in

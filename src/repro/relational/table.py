@@ -135,8 +135,8 @@ def _typed_column(values: Sequence[Any]) -> Any:
 
 
 class SlotStore:
-    """The slot contract's batch forms, a slot at a time (row and sharded
-    storage inherit them; :class:`ColumnStore` works column-wise).  Every
+    """The slot contract's batch forms, a slot at a time (row storage
+    inherits them; :class:`ColumnStore` works column-wise).  Every
     store also answers ``live_slots()``: the slots of its live rows in
     scan order, in step with ``column_lists``."""
 
@@ -157,11 +157,6 @@ class SlotStore:
         ``None`` for a store that was not: it may differ from any other
         store everywhere.  Only :class:`ColumnStore` clones."""
         return None
-
-    def scan_order(self, slots: Iterable[int]) -> list[int]:
-        """*slots* in the order ``enumerate_live`` meets them: ascending,
-        wherever a scan is slot-major."""
-        return sorted(slots)
 
 
 class RowStore(SlotStore):
@@ -567,12 +562,6 @@ class Table:
         """
         return self._store.enumerate_live()
 
-    def scan_order(self, slots: Iterable[int]) -> list[int]:
-        """The live *slots* in the order :meth:`slots` meets them, so a
-        caller that reached a few rows through an index can walk them as a
-        scan would have."""
-        return self._store.scan_order(slots)
-
     def row_at(self, slot: int) -> Row:
         """Return the live row stored at *slot*."""
         row = self._store.get(slot)
@@ -634,7 +623,7 @@ class Table:
         """The slots this table's storage has written since :meth:`copy`
         cloned it from another table's — the only places its rows can
         differ from that table's as it was — or ``None`` when the storage
-        is no clone (row and sharded backings, a table built from rows).
+        is no clone (row backing, a table built from rows).
         Recorded by the store's own write primitives, below the indexes
         and observers, so it needs nothing from them to be complete."""
         return self._store.written_slots()
@@ -915,8 +904,8 @@ class Table:
         from the tail, the indexes re-pointed at the moved rows, no free
         slot left.  O(tombstones); the rows are the same bag, so observers
         hear nothing and nothing is charged.  Returns the rows moved.  Row
-        and sharded storage move none: their tombstones go when
-        :meth:`copy` re-inserts the live rows."""
+        storage moves none: its tombstones go when :meth:`copy` re-inserts
+        the live rows."""
         store = self._store
         if not isinstance(store, ColumnStore):
             return 0
@@ -1079,8 +1068,8 @@ class Table:
         — memcpy-speed, no per-row insert, no row moved — so every row
         keeps its slot, tombstones included, and the clone records the
         slots it writes from here on (:meth:`written_slots`;
-        :meth:`compact` is what makes a table dense).  Row and sharded
-        storage re-insert the live rows instead, and record nothing.  The
+        :meth:`compact` is what makes a table dense).  Row storage
+        re-inserts the live rows instead, and records nothing.  The
         source is not touched.  Charged as one scan of the source plus one
         insert per row, like the row-at-a-time copy it replaces.
         """
@@ -1088,8 +1077,7 @@ class Table:
         source = self._store
         if not (isinstance(source, ColumnStore)
                 and isinstance(clone._store, ColumnStore)):
-            # Row and sharded storage re-insert (the clone of a sharded
-            # table is a plain one).
+            # Row storage re-inserts.
             clone.insert_many(self.scan())
             for index in self._indexes.values():
                 clone.create_index(index.columns, unique=index.unique)

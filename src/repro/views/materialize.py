@@ -348,8 +348,8 @@ class MaterializedView:
         was installed), so re-digesting it would prove nothing new: the
         pass is O(slots written), not O(|view|).  Where that argument has
         nothing to stand on or nothing to save, every stored row is
-        digested as before: row and sharded storage (their copy
-        re-inserts, so nothing is recorded), and a shadow that wrote half
+        digested as before: row storage (its copy re-inserts, so nothing
+        is recorded), and a shadow that wrote half
         the view or more.  One consequence: a certificate an *in-place*
         refresh left wrong is carried forward by the next publish instead
         of being caught by it; :meth:`Warehouse.verify_certificates` and

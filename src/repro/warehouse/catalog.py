@@ -50,25 +50,6 @@ class Warehouse:
                 self.dimensions[fk.dimension.name] = fk.dimension
         return fact
 
-    def partition_fact(
-        self, fact_name: str, date_column: str = "date", width: int = 1
-    ):
-        """Date-partition a registered fact table (idempotent).
-
-        Re-stores the fact as per-date-range shards
-        (:class:`~repro.warehouse.partition.PartitionedFactTable`); nightly
-        maintenance then takes the shard-parallel path whenever
-        ``REPRO_PARTITION`` (or an explicit ``PropagateOptions.partition``)
-        turns it on, and expiration drops whole expired segments.
-        """
-        from .partition import partition_fact
-
-        if fact_name not in self.facts:
-            raise TableError(f"no fact table named {fact_name!r}")
-        return partition_fact(
-            self.facts[fact_name], date_column=date_column, width=width
-        )
-
     def define_summary_table(
         self, definition: SummaryViewDefinition
     ) -> MaterializedView:

@@ -210,7 +210,8 @@ class ChangeSet:
         if index is not None and 8 * remaining < len(base):
             span.set_tag("plan", "index")
             keys = dict.fromkeys(index.keys_of(columns))
-            slots = base.scan_order(index.lookup_many(keys))
+            # A scan meets rows in ascending slot order.
+            slots = sorted(index.lookup_many(keys))
             candidates = zip(slots, zip(*base.take(slots)))
         else:
             span.set_tag("plan", "scan")

@@ -1,4 +1,4 @@
-"""Refresh optimisations: the assume-all-new fast path and chunked deltas."""
+"""Refresh optimisations: the assume-all-new fast path."""
 
 import pytest
 
@@ -101,42 +101,3 @@ def stored_state(view):
         view.freshness.refresh_count,
     )
 
-
-class TestChunkedGroupBy:
-    @pytest.mark.parametrize("chunks", [1, 2, 3, 7, 100])
-    def test_matches_plain_group_by(self, pos, chunks):
-        from repro.relational import (
-            CountRowsReducer,
-            MinReducer,
-            SumReducer,
-            col,
-            group_by,
-            group_by_chunked,
-        )
-
-        specs = [
-            ("n", col("qty"), CountRowsReducer()),
-            ("total", col("qty"), SumReducer()),
-            ("first", col("date"), MinReducer()),
-        ]
-        plain = group_by(pos.table, ["storeID"], specs)
-        chunked = group_by_chunked(pos.table, ["storeID"], specs, chunks=chunks)
-        assert chunked.sorted_rows() == plain.sorted_rows()
-
-    def test_empty_input(self):
-        from repro.relational import SumReducer, Table, col, group_by_chunked
-
-        table = Table("t", ["k", "v"])
-        result = group_by_chunked(
-            table, ["k"], [("s", col("v"), SumReducer())], chunks=4
-        )
-        assert len(result) == 0
-
-    def test_invalid_chunks_rejected(self, pos):
-        from repro.relational import SumReducer, col, group_by_chunked
-
-        with pytest.raises(ValueError):
-            group_by_chunked(
-                pos.table, ["storeID"],
-                [("s", col("qty"), SumReducer())], chunks=0,
-            )

@@ -36,9 +36,11 @@ DELETES = [(2, 12, 3, 5, 1.6), (3, 10, 1, 6, 1.0)]
 
 @pytest.fixture(autouse=True)
 def default_switches(monkeypatch):
-    """These tests exercise the locator itself: pin the default (enabled)
-    environment so CI's kill-switch matrix runs don't mask it."""
+    """These tests exercise the locator itself and read its probe spans:
+    pin the default (enabled) environment so CI's kill-switch matrix runs
+    don't mask it."""
     monkeypatch.delenv("REPRO_REFRESH_INDEX", raising=False)
+    monkeypatch.delenv("REPRO_TRACE", raising=False)
 
 
 def prepared(pos, definition_factory, inserts=INSERTS, deletes=DELETES):

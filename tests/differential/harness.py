@@ -2,8 +2,7 @@
 
 The differential suite runs the *same* randomly generated star-schema
 change set through every execution engine the repo has — interpreted
-``group_by``, the codegen fast path, the chunked-parallel engine, and the
-SQLite backend — and demands identical results.  Hypothesis shrinks any
+``group_by``, the codegen fast path, and the SQLite backend — and demands identical results.  Hypothesis shrinks any
 disagreement to a minimal change set; :func:`describe_changes` renders that
 change set so the failure message is directly re-runnable by hand.
 """
@@ -35,7 +34,7 @@ def env(name: str, value: str | None):
 
 def rows_equivalent(expected, actual) -> bool:
     """Sorted-row-set equality, tolerating last-ulp drift in float
-    aggregates (chunked SUMs associate differently across chunk bounds)."""
+    aggregates (SUMs summed in a different order)."""
     if len(expected) != len(actual):
         return False
     for row_a, row_b in zip(expected, actual):

@@ -4,9 +4,8 @@ Hypothesis generates random star-schema change sets (base rows, inserted
 rows, a sampled subset of base rows to delete — always consistent) and
 asserts that
 
-* interpreted ``group_by`` (``REPRO_CODEGEN=0``),
-* the codegen fast path, and
-* the chunked-parallel engine (``PropagateOptions(parallel=True)``)
+* interpreted ``group_by`` (``REPRO_CODEGEN=0``) and
+* the codegen fast path
 
 produce identical summary deltas, land identical post-refresh views, and
 that the in-memory engine and the SQLite backend agree on the final
@@ -17,7 +16,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
-    PropagateOptions,
     base_recompute_fn,
     compute_summary_delta,
     refresh,
@@ -34,8 +32,6 @@ from ..property.test_property_refresh import (
 )
 from .harness import describe_changes, differ_message, env, rows_equivalent
 
-CHUNKED = PropagateOptions(parallel=True, chunks=3, backend="thread")
-
 delete_picks = st.lists(st.integers(0, 10_000), max_size=12)
 
 
@@ -50,7 +46,7 @@ def build_changes(pos, to_insert, to_delete) -> ChangeSet:
 @settings(max_examples=25, deadline=None)
 @given(base=fact_rows, inserted=fact_rows, picks=delete_picks)
 def test_propagate_engines_agree(shape, base, inserted, picks):
-    """Interpreter, codegen, and chunked-parallel deltas are identical."""
+    """Interpreter and codegen deltas are identical."""
     pos = build_fact(base)
     definition = make_view(pos, shape)
     to_insert, to_delete = split_changes(base, inserted, picks)
@@ -60,20 +56,12 @@ def test_propagate_engines_agree(shape, base, inserted, picks):
         interpreted = compute_summary_delta(definition, changes)
     with env("REPRO_CODEGEN", None):
         compiled = compute_summary_delta(definition, changes)
-        chunked = compute_summary_delta(definition, changes, CHUNKED)
 
     reference = interpreted.table.sorted_rows()
     assert compiled.table.sorted_rows() == reference, differ_message(
         "interpreted and codegen summary deltas",
         base, to_insert, to_delete,
         reference, compiled.table.sorted_rows(),
-    )
-    assert rows_equivalent(reference, chunked.table.sorted_rows()), (
-        differ_message(
-            "interpreted and chunked-parallel summary deltas",
-            base, to_insert, to_delete,
-            reference, chunked.table.sorted_rows(),
-        )
     )
 
 
@@ -85,17 +73,15 @@ def test_post_refresh_views_agree(shape, base, inserted, picks):
     that state matches from-scratch recomputation."""
     to_insert, to_delete = split_changes(base, inserted, picks)
     final_states = {}
-    for engine in ("interpreted", "compiled", "chunked"):
+    for engine in ("interpreted", "compiled"):
         pos = build_fact(base)
         view = MaterializedView.build(make_view(pos, shape))
         changes = build_changes(pos, to_insert, to_delete)
         if engine == "interpreted":
             with env("REPRO_CODEGEN", "0"):
                 delta = compute_summary_delta(view.definition, changes)
-        elif engine == "compiled":
-            delta = compute_summary_delta(view.definition, changes)
         else:
-            delta = compute_summary_delta(view.definition, changes, CHUNKED)
+            delta = compute_summary_delta(view.definition, changes)
         changes.apply_to(pos.table)
         refresh(view, delta, recompute=base_recompute_fn(view.definition))
         final_states[engine] = view.table.sorted_rows()
@@ -115,13 +101,6 @@ def test_post_refresh_views_agree(shape, base, inserted, picks):
             final_states["interpreted"], final_states["compiled"],
         )
     )
-    assert rows_equivalent(
-        final_states["interpreted"], final_states["chunked"]
-    ), differ_message(
-        "interpreted and chunked-parallel post-refresh views",
-        base, to_insert, to_delete,
-        final_states["interpreted"], final_states["chunked"],
-    )
 
 
 @settings(max_examples=25, deadline=None)
@@ -134,9 +113,7 @@ def test_memory_and_sqlite_backends_agree(base, inserted, picks):
     engine_pos = build_fact(base)
     engine_view = MaterializedView.build(make_view(engine_pos, "minmax"))
     engine_changes = build_changes(engine_pos, to_insert, to_delete)
-    delta = compute_summary_delta(
-        engine_view.definition, engine_changes, CHUNKED
-    )
+    delta = compute_summary_delta(engine_view.definition, engine_changes)
     engine_changes.apply_to(engine_pos.table)
     refresh(engine_view, delta,
             recompute=base_recompute_fn(engine_view.definition))

@@ -1,0 +1,163 @@
+"""Seeded retail cycles' counts, pinned exactly.
+
+A maintenance cycle is deterministic for a fixed seed: the tuple-access
+totals, every node's summary-delta size and every view's refresh outcome
+repeat run for run.  A refactor that claims to change no behaviour must
+leave all three untouched, with and without the D-lattice.  The counts do
+not depend on tracing or on the table backing.
+
+One cycle per paper workload over the same 20,000-row fact table: the
+update-generating and insertion-generating changes of Section 6 (2,000
+changes each) and the expiration of the oldest date (Section 2.1), whose
+deletions force MIN(date) groups to be recomputed from base data.
+"""
+
+import pytest
+
+from repro.lattice import maintain_lattice
+from repro.relational.stats import measuring
+from repro.workload import (
+    RetailConfig,
+    build_retail_warehouse,
+    expiration_changes,
+    generate_retail,
+    insertion_generating_changes,
+    update_generating_changes,
+)
+
+WORKLOADS = {
+    "update": lambda data: update_generating_changes(
+        data.pos, data.config, 2_000, data.rng
+    ),
+    "insertion": lambda data: insertion_generating_changes(
+        data.pos, data.config, 2_000, data.rng
+    ),
+    "expiration": lambda data: expiration_changes(data.pos, 1),
+}
+
+DELTA_ROWS = {
+    "update": {"SID_sales": 1921, "SiC_sales": 1247, "sCD_sales": 493,
+               "sR_sales": 5},
+    "insertion": {"SID_sales": 1982, "SiC_sales": 1263, "sCD_sales": 100,
+                  "sR_sales": 5},
+    "expiration": {"SID_sales": 794, "SiC_sales": 667, "sCD_sales": 20,
+                   "sR_sales": 5},
+}
+
+# (inserted, updated, deleted, recomputed) per view.
+REFRESH = {
+    "update": {
+        "SID_sales": (0, 1004, 917, 0),
+        "SiC_sales": (0, 1018, 0, 229),
+        "sCD_sales": (0, 493, 0, 0),
+        "sR_sales": (0, 5, 0, 0),
+    },
+    "insertion": {
+        "SID_sales": (1982, 0, 0, 0),
+        "SiC_sales": (0, 1263, 0, 0),
+        "sCD_sales": (100, 0, 0, 0),
+        "sR_sales": (0, 5, 0, 0),
+    },
+    "expiration": {
+        "SID_sales": (0, 0, 794, 0),
+        "SiC_sales": (0, 0, 0, 667),
+        "sCD_sales": (0, 0, 20, 0),
+        "sR_sales": (0, 5, 0, 0),
+    },
+}
+
+# Keyed by (workload, use_lattice).
+ACCESS = {
+    ("update", True): {
+        "rows_scanned": 78939,
+        "rows_inserted": 53325,
+        "rows_deleted": 1917,
+        "rows_updated": 2749,
+        "index_lookups": 28507,
+        "total": 165437,
+    },
+    ("update", False): {
+        "rows_scanned": 100525,
+        "rows_inserted": 71325,
+        "rows_deleted": 1917,
+        "rows_updated": 2749,
+        "index_lookups": 30665,
+        "total": 207181,
+    },
+    ("insertion", True): {
+        "rows_scanned": 35551,
+        "rows_inserted": 33551,
+        "rows_deleted": 0,
+        "rows_updated": 1268,
+        "index_lookups": 7314,
+        "total": 77684,
+    },
+    ("insertion", False): {
+        "rows_scanned": 57469,
+        "rows_inserted": 51551,
+        "rows_deleted": 0,
+        "rows_updated": 1268,
+        "index_lookups": 9350,
+        "total": 119638,
+    },
+    ("expiration", True): {
+        "rows_scanned": 73307,
+        "rows_inserted": 51490,
+        "rows_deleted": 1617,
+        "rows_updated": 672,
+        "index_lookups": 23065,
+        "total": 150151,
+    },
+    ("expiration", False): {
+        "rows_scanned": 82129,
+        "rows_inserted": 58717,
+        "rows_deleted": 1617,
+        "rows_updated": 672,
+        "index_lookups": 23886,
+        "total": 167021,
+    },
+}
+
+CYCLES = [(workload, lattice) for workload in WORKLOADS
+          for lattice in (True, False)]
+
+
+@pytest.fixture(
+    scope="module",
+    params=CYCLES,
+    ids=[f"{w}-{'lattice' if lat else 'direct'}" for w, lat in CYCLES],
+)
+def cycle(request):
+    workload, use_lattice = request.param
+    data = generate_retail(RetailConfig(pos_rows=20_000))
+    warehouse = build_retail_warehouse(data)
+    changes = WORKLOADS[workload](data)
+    with measuring() as access:
+        result = maintain_lattice(
+            warehouse.views_over("pos"), changes, use_lattice=use_lattice
+        )
+    return workload, use_lattice, warehouse, access, result
+
+
+def test_views_converge(cycle):
+    _, _, warehouse, _, _ = cycle
+    assert all(warehouse.verify_views().values())
+
+
+def test_access_units(cycle):
+    workload, use_lattice, _, access, _ = cycle
+    assert access.as_dict() == ACCESS[workload, use_lattice]
+
+
+def test_delta_rows(cycle):
+    workload, _, _, _, result = cycle
+    assert {name: len(delta.table) for name, delta in result.deltas.items()} \
+        == DELTA_ROWS[workload]
+
+
+def test_refresh_stats(cycle):
+    workload, _, _, _, result = cycle
+    assert {
+        name: (s.inserted, s.updated, s.deleted, s.recomputed)
+        for name, s in result.stats.items()
+    } == REFRESH[workload]

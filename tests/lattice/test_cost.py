@@ -22,7 +22,6 @@ from repro.lattice import (
     expected_groups,
     greedy_select,
     maintain_lattice,
-    propagation_levels,
     span_access_units,
 )
 from repro.obs import trace
@@ -83,9 +82,6 @@ class TestPlanEstimate:
         )
         assert set(estimate.nodes) == set(lattice.order)
         assert estimate.order == tuple(lattice.order)
-        assert estimate.levels == tuple(
-            tuple(level) for level in propagation_levels(lattice)
-        )
         for name, node in estimate.nodes.items():
             lattice_node = lattice.node(name)
             assert node.is_root == lattice_node.is_root
@@ -153,6 +149,35 @@ class TestPredictedVsActual:
             )
             assert row.error_pct == pytest.approx(
                 (row.predicted - row.actual) / row.actual * 100.0
+            )
+
+    @pytest.mark.parametrize("pos_rows,change_rows", [
+        (2_000, 250),
+        (6_000, 600),
+    ])
+    def test_per_node_schedule_predictions_within_factor(
+        self, pos_rows, change_rows
+    ):
+        """With sibling groups not fused, the estimate made for that
+        schedule holds to the same bound."""
+        _data, views, changes = retail_setup(pos_rows, change_rows)
+        lattice = build_lattice_for_views(views)
+        estimate = estimate_plan_cost(
+            lattice, collect_statistics(lattice, changes, views=views),
+            shared_scan=False,
+        )
+        with trace() as recorder:
+            maintain_lattice(
+                views, changes, lattice=lattice,
+                options=PropagateOptions(shared_scan=False),
+            )
+        rows = compare_plan(estimate, actual_node_accesses(recorder.finish()))
+        assert {row.name for row in rows} == set(lattice.order)
+        for row in rows:
+            assert row.actual > 0, row.name
+            assert 1.0 / PREDICTION_FACTOR <= row.ratio <= PREDICTION_FACTOR, (
+                f"{row.name}: predicted {row.predicted:.0f} vs actual "
+                f"{row.actual:.0f} (ratio {row.ratio:.2f})"
             )
 
     def test_span_units_equal_access_stats_units(self):
@@ -254,65 +279,3 @@ class TestSelectionAgreement:
         with_model = greedy_select(lattice, model_sizes, view_budget=budget)
         assert with_exact.selected == with_model.selected
 
-
-class TestPartitionedPlan:
-    """estimate_partitioned_plan against the routing it models.
-
-    Shards partition the change set, so change-row counts must be exactly
-    additive; access predictions bound the serial plan from above (the
-    expected_groups occupancy estimate is concave, so small shard slices
-    spread over proportionally more distinct groups); and the LPT makespan
-    must behave like a schedule: equal to the total at one worker, never
-    below the largest shard, monotone in worker count.
-    """
-
-    def partitioned_plan(self, width=4):
-        from repro.lattice import estimate_partitioned_plan
-        from repro.warehouse.partition import partition_fact
-
-        data, views, changes = retail_setup()
-        lattice = build_lattice_for_views(views)
-        stats = collect_statistics(lattice, changes, views=views)
-        routed = partition_fact(data.pos, width=width).route_changes(changes)
-        plan = estimate_partitioned_plan(
-            lattice,
-            stats,
-            [
-                (shard.key, (len(shard.insertions), len(shard.deletions)))
-                for shard in routed
-            ],
-        )
-        return plan, routed, changes, lattice
-
-    def test_change_rows_are_exactly_additive(self):
-        plan, routed, changes, _lattice = self.partitioned_plan()
-        assert plan.shard_count == len(routed) > 1
-        assert plan.change_rows == changes.size()
-        for shard, slice_ in zip(plan.shards, routed):
-            assert shard.key == slice_.key
-            assert shard.change_rows == slice_.change_rows
-
-    def test_shard_totals_bound_serial_from_above(self):
-        plan, _routed, _changes, lattice = self.partitioned_plan()
-        assert (
-            plan.propagate_accesses >= plan.serial.with_lattice_accesses > 0
-        )
-        per_node = sum(plan.node_accesses(name) for name in lattice.order)
-        assert per_node == pytest.approx(plan.propagate_accesses)
-        for name in lattice.order:
-            assert plan.node_accesses(name) >= (
-                plan.serial.nodes[name].propagate_accesses
-            )
-
-    def test_makespan_behaves_like_a_schedule(self):
-        plan, _routed, _changes, _lattice = self.partitioned_plan()
-        total = plan.propagate_accesses
-        largest = max(shard.propagate_accesses for shard in plan.shards)
-        assert plan.makespan(1) == pytest.approx(total)
-        spans = [plan.makespan(w) for w in (1, 2, 3, plan.shard_count + 5)]
-        assert spans == sorted(spans, reverse=True)
-        assert spans[-1] == pytest.approx(largest)
-        assert plan.predicted_speedup(1) == pytest.approx(1.0)
-        for workers in (2, 3):
-            speedup = plan.predicted_speedup(workers)
-            assert 1.0 <= speedup <= workers + 1e-9

@@ -14,7 +14,6 @@ from repro.lattice import (
     collect_statistics,
     estimate_plan_cost,
     group_fusion_choice,
-    propagation_levels,
 )
 from repro.views import MaterializedView
 from repro.workload import (
@@ -50,8 +49,6 @@ class TestMemoization:
         lattice = build_lattice_for_views(views)
         first = lattice.propagation_levels()
         assert lattice.propagation_levels() is first
-        # The module-level helper delegates to the same cached object.
-        assert propagation_levels(lattice) is first
 
     def test_sibling_groups_memoized_and_cover_derived_nodes(self, retail):
         _data, views, _changes = retail

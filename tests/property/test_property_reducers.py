@@ -6,6 +6,7 @@ input.  These properties are what make pre-aggregation (§4.1.3) and
 delta-from-delta computation (§5.4) sound, so we check them directly.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.relational import (
@@ -14,7 +15,12 @@ from repro.relational import (
     MaxReducer,
     MinReducer,
     SumReducer,
+    Table,
+    col,
+    group_by,
 )
+
+from ..differential.harness import env
 
 values = st.lists(st.one_of(st.none(), st.integers(-1000, 1000)), max_size=40)
 splits = st.integers(0, 40)
@@ -70,6 +76,36 @@ def test_nulls_never_contribute(data):
     assert fold(CountRowsReducer(), data) == len(data)
 
 
+@pytest.mark.parametrize(
+    "reducer_type", [reducer for _n, reducer, _c in REDUCERS],
+    ids=[name for name, _r, _c in REDUCERS],
+)
+@settings(max_examples=60, deadline=None)
+@given(keys=st.lists(st.sampled_from([None, 0, 1, 2]), max_size=40),
+       data=st.data())
+def test_compiled_kernels_fold_like_the_reducer(reducer_type, keys, data):
+    """Every reducer folds the same under the interpreter, the compiled
+    row fold and the columnar batch kernel: same groups, same order,
+    same values."""
+    measures = data.draw(st.lists(
+        st.one_of(st.none(), st.integers(-1000, 1000)),
+        min_size=len(keys), max_size=len(keys),
+    ))
+    rows = list(zip(keys, measures))
+    specs = [("agg", col("v"), reducer_type())]
+    expected = {}
+    for key, value in rows:
+        expected.setdefault(key, []).append(value)
+    expected = [(key, fold(reducer_type(), values))
+                for key, values in expected.items()]
+    with env("REPRO_CODEGEN", None):
+        for storage in ("row", "column"):
+            table = Table("t", ["k", "v"], rows, storage=storage)
+            for compiled in (False, None):
+                assert group_by(table, ["k"], specs,
+                                compiled=compiled).rows() == expected
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.lists(st.integers(-1000, 1000), min_size=1, max_size=40))
 def test_sum_of_signed_pairs_cancels(data):
@@ -77,26 +113,3 @@ def test_sum_of_signed_pairs_cancels(data):
     signed = [value for v in data for value in (v, -v)]
     assert fold(SumReducer(), signed) == 0
 
-
-@settings(max_examples=200, deadline=None)
-@given(data=values, split=splits)
-def test_merge_is_the_distributivity_witness(data, split):
-    """reducer.merge(fold(left), fold(right)) == fold(whole), for every
-    reducer — the property group_by_chunked relies on."""
-    cut = min(split, len(data))
-    left, right = data[:cut], data[cut:]
-    for name, reducer_type, _combiner in REDUCERS:
-        reducer = reducer_type()
-        merged = reducer.merge(fold(reducer, left), fold(reducer, right))
-        assert reducer.finalize(merged) == fold(reducer, data), name
-
-
-@settings(max_examples=100, deadline=None)
-@given(data=values)
-def test_merge_with_initial_state_is_identity(data):
-    """Merging with a fresh (empty) state changes nothing."""
-    for name, reducer_type, _combiner in REDUCERS:
-        reducer = reducer_type()
-        state = fold(reducer, data)
-        assert reducer.merge(state, reducer.create()) == state, name
-        assert reducer.merge(reducer.create(), state) == state, name

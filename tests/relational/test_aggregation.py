@@ -120,3 +120,44 @@ class TestGroupBy:
     def test_groups_in_first_occurrence_order(self, sales):
         result = group_by(sales, ["store"], [("n", col("qty"), CountRowsReducer())])
         assert [row[0] for row in result.rows()] == [1, 2]
+
+
+def reference_group_by(rows, positions, value_positions):
+    """Plain-Python grouping: ``{key: (count, sum, min)}`` of the value
+    columns, keys in first-occurrence order."""
+    groups = {}
+    for row in rows:
+        key = tuple(row[p] for p in positions)
+        groups.setdefault(key, []).append(row)
+    qty, date = value_positions
+    return [
+        key + (len(members), sum(r[qty] for r in members),
+               min(r[date] for r in members))
+        for key, members in groups.items()
+    ]
+
+
+class TestGroupByOnFact:
+    """group_by over the fixture fact table equals a plain-Python fold,
+    on every grouping of its attributes and on either storage."""
+
+    @pytest.mark.parametrize("keys", [
+        ["storeID"], ["itemID"], ["date"], ["storeID", "itemID"],
+        ["storeID", "itemID", "date"],
+    ])
+    @pytest.mark.parametrize("storage", ["row", "column"])
+    def test_matches_reference_fold(self, pos, keys, storage):
+        source = Table("pos", pos.table.schema, pos.table.rows(),
+                       storage=storage)
+        specs = [
+            ("n", col("qty"), CountRowsReducer()),
+            ("total", col("qty"), SumReducer()),
+            ("first", col("date"), MinReducer()),
+        ]
+        schema = source.schema
+        expected = reference_group_by(
+            source.rows(),
+            [schema.position(key) for key in keys],
+            (schema.position("qty"), schema.position("date")),
+        )
+        assert group_by(source, keys, specs).rows() == expected

@@ -28,14 +28,12 @@ from repro.relational.expressions import col
 from repro.relational.index import HashIndex
 from repro.relational.schema import Schema
 from repro.relational.table import transpose_rows
-from repro.warehouse.partition import ShardedTable
 
 from .test_batch_mutators import COLUMNS, distinct_live, values
 
-STORAGES = ["row", "column", "sharded"]
+STORAGES = ["row", "column"]
 INDEXES = [["u"], ["a"], ["b"], ["a", "b"], ["b", "a", "u"]]
 
-# ``a`` is the shard column: shard keys must sort, so ints and nulls only.
 a_values = st.one_of(st.integers(0, 3), st.none())
 picks = st.lists(st.integers(0, 60), max_size=6)
 history = st.lists(st.one_of(
@@ -51,8 +49,7 @@ history = st.lists(st.one_of(
 def build(storage, typed):
     """No index, no domain: they are built after the history.  *typed*
     starts the columns as typed arrays (where columnar), else as lists."""
-    table = ShardedTable("t", COLUMNS, "a") if storage == "sharded" \
-        else Table("t", COLUMNS, storage=storage)
+    table = Table("t", COLUMNS, storage=storage)
     if typed:
         table.append_batch([list(range(8)), [0, 1, 2, 3] * 2, [0, 0, 1, 1] * 2])
     else:

@@ -22,7 +22,6 @@ from repro.obs.audit import ViewCertificate
 from repro.relational import Table
 from repro.views import MaterializedView
 from repro.warehouse import ChangeSet
-from repro.warehouse.partition import ShardedTable
 
 from ..conftest import sic_definition
 
@@ -34,27 +33,20 @@ values = st.one_of(st.integers(0, 3), st.sampled_from([None, 1.5, 2 ** 63, "x"])
 picks = st.lists(st.integers(0, 60), max_size=6)
 
 
-def histories(a_values):
-    return st.lists(st.one_of(
-        st.tuples(st.sampled_from(["insert", "append"]),
-                  st.lists(st.tuples(a_values, values), max_size=6)),
-        st.tuples(st.just("delete"), picks),
-        st.tuples(st.just("update"), st.lists(
-            st.tuples(st.integers(0, 60), values, st.booleans()), max_size=6
-        )),
-    ), max_size=25)
-
-
-steps = histories(values)
-# Sharded on ``a``: shard keys must sort, and a batch interleaves shards.
-sharded_steps = histories(st.one_of(st.integers(0, 3), st.none()))
+steps = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["insert", "append"]),
+              st.lists(st.tuples(values, values), max_size=6)),
+    st.tuples(st.just("delete"), picks),
+    st.tuples(st.just("update"), st.lists(
+        st.tuples(st.integers(0, 60), values, st.booleans()), max_size=6
+    )),
+), max_size=25)
 
 
 def build(storage):
     """Typed columns when columnar, a unique and two plain indexes, two
     tracked domains, three tombstones to recycle, and a certificate."""
-    table = ShardedTable("t", COLUMNS, "a") if storage == "sharded" \
-        else Table("t", COLUMNS, storage=storage)
+    table = Table("t", COLUMNS, storage=storage)
     table.append_batch([list(range(8)), [0, 1, 2, 3] * 2, [0, 0, 1, 1] * 2])
     table.create_index(["u"], unique=True)
     table.create_index(["a"])
@@ -121,11 +113,6 @@ class TestBatchEqualsPerRow:
     @given(st.sampled_from(STORAGES), steps, steps)
     def test_random_history(self, storage, history, on_clone):
         self.check(storage, history, on_clone)
-
-    @settings(max_examples=100, deadline=None)
-    @given(sharded_steps, sharded_steps)
-    def test_random_history_sharded(self, history, on_clone):
-        self.check("sharded", history, on_clone)
 
     def check(self, storage, history, on_clone):
         batch, batch_certificate = build(storage)
@@ -213,14 +200,6 @@ class TestBadBatchLeavesTheTableAlone:
             table.append_batch([[50, 51], [1], [1, 1]])
         assert snapshot(table, certificate) == before
 
-    def test_ragged_insert_many_sharded(self):
-        table, certificate = build("sharded")
-        before = snapshot(table, certificate)
-        with pytest.raises(TableError, match="arity"):
-            table.insert_many([(50, 1, 1), (51, 2), (52, 3, 3)])
-        assert snapshot(table, certificate) == before
-        assert table.verify_indexes()
-
     @pytest.mark.parametrize("mutate", [
         lambda table: table.insert_many([(50, 1, 1), (0, 2, 2)]),   # u=0 taken
         lambda table: table.insert_many([(50, 1, 1), (50, 2, 2)]),  # twice
@@ -241,7 +220,7 @@ class TestBadBatchLeavesTheTableAlone:
         assert table.verify_indexes()
 
 
-@pytest.mark.parametrize("storage", STORAGES + ["sharded"])
+@pytest.mark.parametrize("storage", STORAGES)
 @pytest.mark.parametrize("mutate", [
     lambda table: table.insert((0, 1, 1)),               # u=0 taken
     lambda table: table.update_slot(2, (0, 2, 1)),       # u=0 taken
@@ -258,7 +237,7 @@ def test_refused_single_row_write_leaves_the_table_alone(storage, mutate):
     assert table.verify_indexes()
 
 
-@pytest.mark.parametrize("storage", STORAGES + ["sharded"])
+@pytest.mark.parametrize("storage", STORAGES)
 def test_update_batch_may_hand_unique_keys_on(storage):
     """Uniqueness is checked against the table as the batch leaves it: a
     key one update vacates is free for another — a chain, a swap — while a

@@ -1,11 +1,10 @@
-"""The compiled aggregation pipeline and the parallel chunked engine.
+"""The compiled aggregation pipeline.
 
 Property-style equivalence: on null-heavy, duplicate-heavy, and
-MIN/MAX-deletion-shaped workloads, the interpreted ``group_by``, the
-compiled ``group_by``, and ``group_by_chunked`` on every backend must
-produce identical tables (content and group order).  All aggregate values
-here are ints or exactly-representable floats, so equality is exact even
-across chunk boundaries.
+MIN/MAX-deletion-shaped workloads, the interpreted and the compiled
+``group_by`` must produce identical tables (content and group order).
+All aggregate values here are ints or exactly-representable floats, so
+equality is exact.
 """
 
 import random
@@ -25,11 +24,9 @@ from repro.relational import (
     col,
     compile_aggregation,
     group_by,
-    group_by_chunked,
     lit,
     measuring,
 )
-from repro.relational.aggregation import _chunk_bounds
 
 
 @pytest.fixture(autouse=True)
@@ -110,32 +107,26 @@ class TestCompiledEquivalence:
         assert compiled.schema == interpreted.schema
 
     @pytest.mark.parametrize("make_table", WORKLOADS)
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
-    @pytest.mark.parametrize("chunks", [1, 3, 16])
-    def test_chunked_matches_interpreted(self, make_table, backend, chunks):
-        table = make_table()
+    @pytest.mark.parametrize("keys", [["k"], [], ["k", "qty"]],
+                             ids=["one-key", "no-key", "two-keys"])
+    @pytest.mark.parametrize("storage", ["row", "column"])
+    def test_kernels_match_interpreted(self, make_table, keys, storage):
+        """Row storage takes the compiled row fold, column storage the
+        batch kernel; both equal the interpreter for every grouping."""
+        source = make_table()
+        table = Table(source.name, source.schema, source.rows(),
+                      storage=storage)
         specs = standard_specs()
-        interpreted = group_by(table, ["k"], specs, compiled=False)
-        chunked = group_by_chunked(
-            table, ["k"], specs, chunks=chunks, backend=backend
-        )
-        assert chunked.rows() == interpreted.rows()
-
-    def test_process_backend_matches(self):
-        table = duplicate_heavy_table(rows=500)
-        specs = standard_specs()
-        interpreted = group_by(table, ["k"], specs, compiled=False)
-        chunked = group_by_chunked(
-            table, ["k"], specs, chunks=3, backend="process", max_workers=2
-        )
-        assert chunked.rows() == interpreted.rows()
+        interpreted = group_by(table, keys, specs, compiled=False)
+        compiled = group_by(table, keys, specs)
+        assert compiled.rows() == interpreted.rows()
+        assert compiled.schema == interpreted.schema
+        assert compiled.storage == table.storage
 
     def test_no_keys_and_empty_input(self):
         table = Table("t", ["k", "qty", "weight"])
         specs = standard_specs()
         assert len(group_by(table, [], specs, compiled=False)) == 0
-        assert len(group_by_chunked(table, [], specs, chunks=4,
-                                    backend="thread")) == 0
         table.insert(("a", 1, 2))
         compiled = group_by(table, [], specs)
         assert len(compiled) == 1
@@ -146,11 +137,8 @@ class TestCompiledEquivalence:
         rows = [("b", 1, 2), ("a", 2, 2), ("b", 3, 2), ("c", None, None)]
         table = Table("t", ["k", "qty", "weight"], rows)
         specs = standard_specs()
-        for result in (
-            group_by(table, ["k"], specs),
-            group_by_chunked(table, ["k"], specs, chunks=3, backend="thread"),
-        ):
-            assert [row[0] for row in result.rows()] == ["b", "a", "c"]
+        result = group_by(table, ["k"], specs)
+        assert [row[0] for row in result.rows()] == ["b", "a", "c"]
 
 
 class TestCompileAggregation:
@@ -168,9 +156,6 @@ class TestCompileAggregation:
             def step(self, state, value):
                 state.append(value)
                 return state
-
-            def merge(self, state, other):
-                return state + other
 
             def finalize(self, state):
                 return sorted(x for x in state if x is not None)[0] if state else None
@@ -211,47 +196,6 @@ class TestCompileAggregation:
         ) is None
 
 
-class TestChunkSizing:
-    def test_no_empty_chunks_when_chunks_exceed_rows(self):
-        assert _chunk_bounds(3, 100) == [(0, 1), (1, 2), (2, 3)]
-
-    def test_empty_input_has_no_chunks(self):
-        assert _chunk_bounds(0, 4) == []
-
-    def test_balanced_split_covers_input(self):
-        for n_rows in (1, 2, 9, 10, 11, 1000):
-            for chunks in (1, 2, 3, 7, 64):
-                bounds = _chunk_bounds(n_rows, chunks)
-                assert len(bounds) == min(chunks, n_rows)
-                assert bounds[0][0] == 0 and bounds[-1][1] == n_rows
-                assert all(start < stop for start, stop in bounds)
-                assert all(
-                    bounds[i][1] == bounds[i + 1][0]
-                    for i in range(len(bounds) - 1)
-                )
-                sizes = [stop - start for start, stop in bounds]
-                assert max(sizes) - min(sizes) <= 1
-
-    @pytest.mark.parametrize("chunks", [0, -3, 2.5, True])
-    def test_invalid_chunks_rejected(self, chunks):
-        table = Table("t", ["k", "v"], [("a", 1)])
-        with pytest.raises(ValueError, match="chunks"):
-            group_by_chunked(table, ["k"], [("s", col("v"), SumReducer())],
-                             chunks=chunks)
-
-    def test_invalid_backend_rejected(self):
-        table = Table("t", ["k", "v"], [("a", 1)])
-        with pytest.raises(ValueError, match="backend"):
-            group_by_chunked(table, ["k"], [("s", col("v"), SumReducer())],
-                             backend="gpu")
-
-    def test_invalid_max_workers_rejected(self):
-        table = Table("t", ["k", "v"], [("a", 1)])
-        with pytest.raises(ValueError, match="max_workers"):
-            group_by_chunked(table, ["k"], [("s", col("v"), SumReducer())],
-                             backend="thread", max_workers=0)
-
-
 class TestScanAccounting:
     def test_group_by_charges_full_scan(self):
         table = Table("t", ["k", "v"], [("a", 1), ("a", 2), ("b", 3)])
@@ -259,9 +203,18 @@ class TestScanAccounting:
             group_by(table, ["k"], [("s", col("v"), SumReducer())])
         assert stats.rows_scanned == 3
 
-    def test_chunked_charges_scan_once(self):
-        table = Table("t", ["k", "v"], [("a", 1), ("a", 2), ("b", 3)])
-        with measuring() as stats:
-            group_by_chunked(table, ["k"], [("s", col("v"), SumReducer())],
-                             chunks=2, backend="thread")
-        assert stats.rows_scanned == 3
+    @pytest.mark.parametrize("storage", ["row", "column"])
+    def test_kernels_charge_like_the_interpreter(self, storage):
+        """The access ledger does not depend on which fold ran."""
+        rows = [(k % 7, k) for k in range(700)]
+        specs = [("total", col("v"), SumReducer())]
+        charged = {}
+        for compiled in (False, None):
+            table = Table("t", ["k", "v"], rows, storage=storage)
+            with measuring() as stats:
+                result = group_by(table, ["k"], specs, compiled=compiled)
+            assert len(result) == 7
+            charged[compiled] = stats.as_dict()
+        assert charged[None] == charged[False]
+        assert charged[None]["rows_scanned"] == 700
+

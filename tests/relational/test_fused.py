@@ -147,8 +147,8 @@ def finalized(scan, groups):
 
 
 class TestBatchFolds:
-    """The batch (columnar) and chunked folds of one fused scan must equal
-    the row fold — same finalized tables, same probe counts, in either
+    """The batch (columnar) fold of one fused scan must equal the row
+    fold — same finalized tables, same probe counts, in either
     storage mode."""
 
     def scan_and_delta(self, fused_inputs, policy=MinMaxPolicy.PAPER):
@@ -170,43 +170,24 @@ class TestBatchFolds:
         assert finalized(scan, col_groups) == finalized(scan, row_groups)
         assert col_probes == row_probes
 
-    @pytest.mark.parametrize("chunks", [1, 2, 3, 7])
-    def test_fold_chunked_equals_fold(self, fused_inputs, chunks):
-        scan, parent_delta, _edges = self.scan_and_delta(fused_inputs)
-        rows = parent_delta.table.rows()
-        serial_groups, serial_probes = scan.fold(rows)
-        chunked_groups, chunked_probes = scan.fold_chunked(
-            rows, chunks, backend="thread", max_workers=2
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_folds_of_a_prefix_equal_per_child(self, fused_inputs, n):
+        """On the first *n* rows of the parent delta — none, one, a few —
+        both folds equal the per-child pipelines run on those rows."""
+        scan, parent_delta, edges = self.scan_and_delta(fused_inputs)
+        prefix = Table(
+            parent_delta.table.name,
+            parent_delta.table.schema,
+            parent_delta.table.rows()[:n],
+            storage="column",
         )
-        assert finalized(scan, chunked_groups) == finalized(scan, serial_groups)
-        assert chunked_probes == serial_probes
-
-    def test_fold_chunked_process_backend_equals_fold(self, fused_inputs):
-        """The process backend re-prepares the scan inside each worker and
-        still merges to the serial fold, byte for byte."""
-        scan, parent_delta, _edges = self.scan_and_delta(fused_inputs)
-        assert scan.parent_columns is not None
-        rows = parent_delta.table.rows()
-        serial_groups, serial_probes = scan.fold(rows)
-        chunked_groups, chunked_probes = scan.fold_chunked(
-            rows, 2, backend="process", max_workers=2
-        )
-        assert finalized(scan, chunked_groups) == finalized(scan, serial_groups)
-        assert chunked_probes == serial_probes
-
-    def test_fold_chunked_process_degrades_without_columns(self, fused_inputs):
-        """A hand-built scan with no ``parent_columns`` cannot ship itself
-        to a worker process; it silently degrades to threads and still
-        matches the serial fold."""
-        scan, parent_delta, _edges = self.scan_and_delta(fused_inputs)
-        bare = dataclasses.replace(scan, parent_columns=None)
-        rows = parent_delta.table.rows()
-        serial_groups, serial_probes = scan.fold(rows)
-        degraded_groups, degraded_probes = bare.fold_chunked(
-            rows, 3, backend="process", max_workers=2
-        )
-        assert finalized(scan, degraded_groups) == finalized(scan, serial_groups)
-        assert degraded_probes == serial_probes
+        row_groups, row_probes = scan.fold(prefix.rows())
+        col_groups, col_probes = scan.fold_columns(prefix.columns(), n)
+        expected = [edge.apply_delta(prefix, MinMaxPolicy.PAPER).rows()
+                    for edge in edges]
+        assert finalized(scan, row_groups) == expected
+        assert finalized(scan, col_groups) == expected
+        assert row_probes == col_probes == [n, n]
 
     def test_finalize_inherits_requested_storage(self, fused_inputs):
         scan, parent_delta, edges = self.scan_and_delta(fused_inputs)

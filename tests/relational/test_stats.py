@@ -2,10 +2,7 @@
 
 import threading
 
-import pytest
-
-from repro.relational import SumReducer, Table, col, measuring
-from repro.relational.aggregation import group_by_chunked
+from repro.relational import Table, measuring
 from repro.relational.stats import ACCESS_FIELDS, AccessStats, collector
 
 
@@ -107,9 +104,8 @@ class TestMeasuring:
 class TestThreadSafety:
     def test_concurrent_add_loses_no_increments(self):
         """Regression: bare ``+=`` on a shared collector loses updates
-        under thread interleaving (the engine's level-parallel walk and
-        thread-backend chunked folds both charge concurrently).  The
-        locked ``add`` must count exactly."""
+        under thread interleaving (the query server's worker threads
+        charge concurrently).  The locked ``add`` must count exactly."""
         stats = AccessStats()
         threads_n, increments = 8, 2_000
 
@@ -144,37 +140,3 @@ class TestThreadSafety:
                 thread.join()
         assert stats.rows_scanned == 6 * 200
 
-
-class TestChunkedBackendsAccounting:
-    """group_by_chunked must charge the collector identically on every
-    executor — worker scans dropped (process backend: workers live in
-    other processes) or double-counted (thread backend) would make the
-    ledger's access totals depend on engine configuration."""
-
-    def rows(self):
-        return [(k % 7, k) for k in range(700)]
-
-    def serial_baseline(self):
-        table = Table("t", ["k", "v"], self.rows())
-        with measuring() as stats:
-            group_by_chunked(
-                table, ["k"], [("total", col("v"), SumReducer())],
-                chunks=4, backend="serial",
-            )
-        return stats.snapshot()
-
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_backend_matches_serial_counts(self, backend):
-        baseline = self.serial_baseline()
-        table = Table("t", ["k", "v"], self.rows())
-        with measuring() as stats:
-            result = group_by_chunked(
-                table, ["k"], [("total", col("v"), SumReducer())],
-                chunks=4, backend=backend, max_workers=2,
-            )
-        assert len(result) == 7
-        for field in ACCESS_FIELDS:
-            assert getattr(stats, field) == getattr(baseline, field), (
-                backend, field
-            )
-        assert stats.rows_scanned >= 700  # the input was actually charged

@@ -25,8 +25,21 @@ class TestBasics:
     def test_duplicates_allowed(self, table):
         assert table.rows().count((1, "x")) == 2
 
-    def test_scan_order_is_slot_order(self, table):
-        assert list(table.scan()) == [(1, "x"), (2, "y"), (1, "x")]
+    @pytest.mark.parametrize("storage", ["row", "column"])
+    def test_scan_walks_slots_in_ascending_order(self, storage):
+        """A recycled slot is met where it sits, not where its row was
+        appended: ``ChangeSet.apply_to`` sorts looked-up slots to meet
+        rows as a scan does."""
+        table = Table("t", ["a", "b"], [(1, "x"), (2, "y"), (1, "x"),
+                                        (3, "z")], storage=storage)
+        table.delete_slots([0, 2])
+        assert table.insert((4, "w")) in (0, 2)
+        slots = [slot for slot, _row in table.slots()]
+        assert slots == sorted(slots)
+        assert list(table.scan()) == [row for _slot, row in table.slots()]
+        assert list(table.scan()) == [
+            table.row_at(slot) for slot in sorted(slots)
+        ]
 
     def test_arity_checked_on_insert(self, table):
         with pytest.raises(TableError, match="arity"):

@@ -80,7 +80,7 @@ class TestCommands:
         target = tmp_path / "trace.jsonl"
         code = main([
             "trace", "--pos-rows", "1000", "--changes", "100",
-            "--parallel", "--jsonl", str(target),
+            "--jsonl", str(target),
         ])
         assert code == 0
         records = [
@@ -93,6 +93,19 @@ class TestCommands:
         by_id = {record["id"]: record for record in records}
         for record in records[1:]:
             assert record["parent_id"] in by_id
+
+    def test_trace_insert_workload_spans_every_node(self, capsys, monkeypatch):
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        code = main([
+            "trace", "--pos-rows", "1000", "--changes", "100",
+            "--workload", "insert",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        for name in ("SID_sales", "SiC_sales", "sCD_sales", "sR_sales"):
+            assert f"node:{name}" in out
+            assert f"refresh:{name}" in out
+        assert "DISAGREE" not in out
 
     def test_trace_refuses_under_kill_switch(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE", "0")
@@ -112,19 +125,17 @@ class TestExplain:
         assert "propagate with lattice" in out
         assert "without lattice" in out
         assert "§2.2" in out
-        assert "schedule: serial topological walk" in out
 
-    def test_parallel_schedule_line_reports_fallback_on_one_cpu(
-        self, capsys, monkeypatch
-    ):
-        import repro.lattice.plan as plan_module
-
-        monkeypatch.setattr(plan_module.os, "cpu_count", lambda: 1)
+    def test_renders_the_plan_for_the_insert_workload(self, capsys):
         code = main([
-            "explain", "--pos-rows", "1000", "--changes", "100", "--parallel",
+            "explain", "--pos-rows", "1000", "--changes", "100",
+            "--workload", "insert",
         ])
         assert code == 0
-        assert "automatic fallback" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        for name in ("SID_sales", "SiC_sales", "sCD_sales", "sR_sales"):
+            assert name in out
+        assert "propagate with lattice" in out
 
     def test_execute_prints_predicted_vs_actual(self, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_TRACE", raising=False)

@@ -18,10 +18,9 @@ from repro.errors import InconsistentDeltaError, TableError
 from repro.obs import tracing
 from repro.relational import Table
 from repro.warehouse import ChangeSet
-from repro.warehouse.partition import ShardedTable
 
 COLUMNS = ["a", "b", "d", "v"]
-BACKINGS = ["column", "row", "sharded"]
+BACKINGS = ["column", "row"]
 INDEX_SETS = [
     (),
     (("a", "b"),),
@@ -47,12 +46,8 @@ def isolated_tracing(monkeypatch):
 
 def build(backing, rows, holes, refills, index_set):
     """A base with a history: loaded, some slots deleted, some of those
-    recycled by later inserts (on sharded storage a recycled slot's row
-    sits *after* higher slots' rows in scan order), then indexed."""
-    if backing == "sharded":
-        table = ShardedTable("t", COLUMNS, "d", width=2)
-    else:
-        table = Table("t", COLUMNS, storage=backing)
+    recycled by later inserts, then indexed."""
+    table = Table("t", COLUMNS, storage=backing)
     table.insert_many(rows)
     table.delete_slots(sorted({hole % len(rows) for hole in holes}))
     table.insert_many(refills)
@@ -136,8 +131,8 @@ def test_both_plans_doom_the_same_slots(
         min_size=1, max_size=(len(live) - 1) // 8,
     ))
     if refills and data.draw(st.booleans()):
-        # Favour a row that went into a recycled slot: if it has a twin
-        # at a higher slot, sharded storage scans the twin first.
+        # Favour a row that went into a recycled slot: it may have a
+        # twin at a higher slot, which the scan meets later.
         picks = list(dict.fromkeys([live.index(refills[0])] + picks[1:]))
     deletes = [live[pick] for pick in picks]
 
@@ -201,10 +196,10 @@ def test_first_occurrence_is_the_scan_s_not_the_lowest_slot(backing):
     twin, other = (0, 0, 0, 0), (1, 1, 3, 1)
     base = build(backing, [twin, other, twin] + [other] * 9, [0], [twin],
                  (("a", "b"),))
-    # Slot 0 was recycled: on sharded storage its row was appended to the
-    # segment after slot 2's, so a scan meets slot 2 first.
+    # Slot 0 was recycled: a scan goes in slot order, so it meets slot 0
+    # before slot 2.
     first = next(slot for slot, row in base.slots() if row == twin)
-    assert first == (2 if backing == "sharded" else 0)
+    assert first == 0
     span, doomed, error = apply(change_set([twin]), base)
     assert error is None and span.tags["plan"] == "index"
     assert doomed == [first]
