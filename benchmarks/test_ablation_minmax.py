@@ -53,7 +53,7 @@ def test_backfill_refresh(benchmark, backfill_setup, policy):
     # Refresh against a scratch copy so both policies see identical input;
     # point base_recompute at the updated copy via a patched fact clone.
     def run():
-        scratch = MaterializedView(view.definition, view.table.copy())
+        scratch = view.begin_version()
         original_rows = data.pos.table
         data.pos.table = applied
         try:

@@ -86,7 +86,7 @@ def test_refresh_throughput(benchmark, refresh_workload):
     data, view, delta = refresh_workload
 
     def run():
-        scratch = MaterializedView(view.definition, view.table.copy())
+        scratch = view.begin_version()
         return refresh(
             scratch, delta, recompute=base_recompute_fn(view.definition)
         )

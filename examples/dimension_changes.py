@@ -13,7 +13,7 @@ Run:  python examples/dimension_changes.py
 """
 
 from repro import compute_summary_delta_combined
-from repro.core import base_recompute_fn, refresh
+from repro.core import apply_refresh, base_recompute_fn
 from repro.core.dimension_changes import apply_all_changes
 from repro.views import compute_rows
 from repro.warehouse import ChangeSet
@@ -79,8 +79,8 @@ def main() -> None:
     # ...then apply all base changes and refresh inside the batch window.
     apply_all_changes(pos_changes, dimension_changes, sic.definition)
     for view in (sic, sr):
-        refresh(view, deltas[view.name],
-                recompute=base_recompute_fn(view.definition))
+        apply_refresh(view, deltas[view.name],
+                      recompute=base_recompute_fn(view.definition))
 
     show(sr, "sR_sales after (store 3's entire history moved region):")
 

@@ -51,6 +51,7 @@ from .core import (
     RefreshStats,
     RefreshVariant,
     SummaryDelta,
+    apply_refresh,
     compute_summary_delta,
     compute_summary_delta_combined,
     maintain_by_group_recompute,
@@ -175,6 +176,7 @@ __all__ = [
     "ViewLattice",
     "Warehouse",
     "WorkloadError",
+    "apply_refresh",
     "build_lattice_for_views",
     "col",
     "combined_lattice",

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..core.propagate import PropagateOptions
-from ..core.refresh import RefreshVariant
 from ..lattice.plan import (
     build_lattice_for_views,
     propagate_lattice,
@@ -132,7 +131,6 @@ def measure_point(
     views,
     changes: ChangeSet,
     options: PropagateOptions = PropagateOptions(),
-    variant: RefreshVariant = RefreshVariant.CURSOR,
 ) -> Figure9Point:
     """Measure all four series for one change set.
 
@@ -157,7 +155,7 @@ def measure_point(
 
     views_by_name = {view.name: view for view in views}
     refresh_s, stats = _timed(
-        lambda: refresh_lattice(views_by_name, deltas, variant)
+        lambda: refresh_lattice(views_by_name, deltas)
     )
 
     rematerialize_s, _ = _timed(

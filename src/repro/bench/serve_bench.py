@@ -182,7 +182,7 @@ def run_serving(
                 changes = update_generating_changes(
                     data.pos, data.config, change_size, data.rng
                 )
-                maintain_lattice(views, changes, mode="versioned")
+                maintain_lattice(views, changes)
                 cycles += 1
         except BaseException as failure:
             maintenance_errors.append(failure)
@@ -224,7 +224,6 @@ def run_serving(
         "change_size": change_size,
         "threads": threads,
         "queries": total_queries,
-        "mode": "versioned",
         "qps_quiesced": round(total_queries / quiesced_s, 1),
         "qps_under_maintenance": round(total_queries / maintained_s, 1),
         "throughput_ratio": round(quiesced_s / maintained_s, 3),

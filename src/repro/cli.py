@@ -341,7 +341,7 @@ def _cmd_serve_metrics(args: argparse.Namespace) -> int:
                 changes = update_generating_changes(
                     data.pos, data.config, args.changes, data.rng
                 )
-                maintain_lattice(views, changes, mode="versioned")
+                maintain_lattice(views, changes)
                 stop.wait(args.maintenance_interval)
         except BaseException as failure:
             failures.append(failure)
@@ -463,8 +463,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         if node.source == "changes":
             scan = "-"
         elif not node.shared_scan:
-            # Derived but unfused: per-child edge replay, either because
-            # shared scan is off or cost-based fusion declined the group.
+            # Derived but unfused: cost-based fusion declined the group,
+            # so the edge is replayed per child.
             scan = "child"
         elif node.scan_owner:
             scan = "owner"
@@ -484,12 +484,11 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         f"\nrefresh (lower bound):     "
         f"{estimate.refresh_accesses:>13,.0f} accesses"
     )
-    if estimate.shared_scan:
-        print(
-            f"shared-scan engine:        "
-            f"{estimate.shared_scan_saved_accesses:>13,.0f} accesses saved "
-            f"vs per-child pipelines ({estimate.per_child_accesses:,.0f})"
-        )
+    print(
+        f"shared-scan engine:        "
+        f"{estimate.shared_scan_saved_accesses:>13,.0f} accesses saved "
+        f"vs per-child pipelines ({estimate.per_child_accesses:,.0f})"
+    )
     if not args.execute:
         return 0
     if trace_kill_switch():
@@ -669,8 +668,7 @@ def _lineage_batch_report(warehouse, pending, batch_id: int) -> int:
         lag = manifest.lags()[batch_id]
         print(
             f"  {name:<14} epoch {manifest.epoch:>3}  "
-            f"refresh {manifest.refresh_count:>3}  "
-            f"mode {manifest.mode:<9}  lag {lag:.6f}s"
+            f"refresh {manifest.refresh_count:>3}  lag {lag:.6f}s"
         )
     if batch_id in pending.lineage:
         found = True
@@ -697,7 +695,7 @@ def _lineage_view_report(warehouse, pending, view_name: str) -> int:
             for lo, hi in manifest.intervals()
         )
         print(
-            f"  epoch {manifest.epoch:>3}  mode {manifest.mode:<9} "
+            f"  epoch {manifest.epoch:>3}  "
             f"batches [{intervals}]  max_lag {manifest.max_lag_s:.6f}s"
         )
     backlog = view.lineage.pending_against(pending.lineage)

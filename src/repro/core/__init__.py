@@ -19,16 +19,7 @@ from .recompute import (
     plan_index_recompute,
     recompute_groups_via_index,
 )
-from .refresh import (
-    RefreshMode,
-    RefreshStats,
-    RefreshVariant,
-    apply_refresh,
-    refresh,
-    resolve_refresh_mode,
-    versioned_default,
-)
-from .transactional import UndoLog, refresh_atomically, refresh_versioned
+from .refresh import RefreshStats, RefreshVariant, apply_refresh, refresh
 
 __all__ = [
     "GroupRecomputeResult",
@@ -36,11 +27,9 @@ __all__ = [
     "MaintenanceResult",
     "MinMaxPolicy",
     "PropagateOptions",
-    "RefreshMode",
     "RefreshStats",
     "RefreshVariant",
     "SummaryDelta",
-    "UndoLog",
     "apply_refresh",
     "base_recompute_fn",
     "classify_dimensions",
@@ -57,8 +46,4 @@ __all__ = [
     "recompute_groups_via_index",
     "rematerialize_views",
     "refresh",
-    "refresh_atomically",
-    "refresh_versioned",
-    "resolve_refresh_mode",
-    "versioned_default",
 ]

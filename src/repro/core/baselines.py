@@ -61,8 +61,8 @@ def maintain_by_group_recompute(
 
     Phase 1 (online) computes the set of affected group keys from the
     change set.  Phase 2 (offline) applies base changes, recomputes those
-    groups in one pass over fact ⋈ dimensions, and splices the fresh rows
-    into the view.
+    groups in one pass over fact ⋈ dimensions, splices the fresh rows into
+    a copy of the view and publishes it as the next epoch.
     """
     clock = clock or BatchWindowClock()
     definition = view.definition
@@ -96,19 +96,23 @@ def maintain_by_group_recompute(
 
         arity = len(definition.group_by)
         fresh_by_key = {row[:arity]: row for row in fresh.scan()}
-        index = view.group_key_index()
+        shadow = view.begin_version()
+        table = shadow.table
+        index = shadow.group_key_index()
         for key in affected:
             slot = index.lookup_one(key) if index is not None else None
             new_row = fresh_by_key.get(key)
             if slot is not None and new_row is None:
-                view.table.delete_slot(slot)
+                table.delete_slot(slot)
                 stats.deleted += 1
             elif slot is not None:
-                view.table.update_slot(slot, new_row)
+                table.update_slot(slot, new_row)
                 stats.updated += 1
             elif new_row is not None:
-                view.table.insert(new_row)
+                table.insert(new_row)
                 stats.inserted += 1
+        table.compact()
+        view.publish(shadow)
     return GroupRecomputeResult(
         affected_groups=len(affected), stats=stats, report=clock.report
     )

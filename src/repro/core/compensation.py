@@ -7,17 +7,17 @@ with the delta at read time.  The warehouse thus serves fresh answers even
 while the batch window is still hours away.
 
 :func:`read_through_delta` materialises that compensated state into a
-fresh table, leaving the stored view untouched.  It reuses the refresh
-decision logic, so compensated reads and the eventual refresh can never
-disagree.
+shadow copy of the view's table, leaving the stored view untouched.  It
+reuses the refresh decision logic, so compensated reads and the eventual
+refresh can never disagree.
 """
 
 from __future__ import annotations
 
 from ..relational.table import Table
-from ..views.materialize import MaterializedView
+from ..views.materialize import MaterializedView, ShadowVersion
 from .deltas import SummaryDelta
-from .refresh import RecomputeFn, RefreshVariant, refresh
+from .refresh import RecomputeFn, refresh
 
 
 def read_through_delta(
@@ -25,14 +25,13 @@ def read_through_delta(
     delta: SummaryDelta,
     recompute: RecomputeFn | None = None,
     table: "Table | None" = None,
-) -> MaterializedView:
-    """Return a *copy* of the view with *delta* applied.
+) -> ShadowVersion:
+    """Return a shadow copy of the view with *delta* applied.
 
-    The stored view is not modified; the returned
-    :class:`~repro.views.materialize.MaterializedView` is a transient
-    snapshot suitable for answering queries (e.g. via
-    :meth:`~repro.views.materialize.MaterializedView.read` or the query
-    router).
+    The stored view is not modified, and the shadow is never published:
+    it is a transient snapshot suitable for answering queries (e.g. via
+    :meth:`~repro.views.materialize.ShadowVersion.read`, or through a
+    lattice edge over its ``table``, as the query router does).
 
     *table* optionally supplies the stored state to compensate — a caller
     that pinned a :class:`~repro.views.materialize.ViewVersion` passes its
@@ -46,12 +45,6 @@ def read_through_delta(
     Pass ``recompute=None`` (the default) to fail fast in that case rather
     than serve a wrong answer; views without MIN/MAX never need it.
     """
-    source = table if table is not None else view.table
-    snapshot = MaterializedView(view.definition, source.copy())
-    refresh(
-        snapshot,
-        delta,
-        recompute=recompute,
-        variant=RefreshVariant.OUTER_JOIN,
-    )
-    return snapshot
+    shadow = view.begin_version(table)
+    refresh(shadow, delta, recompute=recompute)
+    return shadow

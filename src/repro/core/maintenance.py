@@ -6,8 +6,9 @@ table, timing each phase with the batch-window clock:
 1. *propagate* (online): compute the summary delta from the deferred
    change set — the summary table is not locked;
 2. *apply base changes* (offline): update the base fact table;
-3. *refresh* (offline): apply the delta to the summary table, recomputing
-   MIN/MAX groups from the updated base data where Figure 7 requires it.
+3. *refresh* (offline): apply the delta to a copy of the summary table,
+   recomputing MIN/MAX groups from the updated base data where Figure 7
+   requires it, and publish the copy as the view's next epoch.
 
 Maintaining *many* views together, sharing work along the D-lattice, is the
 job of :mod:`repro.lattice.plan`.
@@ -27,7 +28,7 @@ from ..warehouse.batch import BatchReport, BatchWindowClock
 from ..warehouse.changes import ChangeSet
 from .deltas import SummaryDelta
 from .propagate import PropagateOptions, compute_summary_delta
-from .refresh import GroupKey, RecomputeFn, RefreshStats, RefreshVariant, refresh
+from .refresh import GroupKey, RecomputeFn, RefreshStats, apply_refresh
 
 
 def base_recompute_fn(
@@ -104,7 +105,6 @@ def maintain_view(
     view: MaterializedView,
     changes: ChangeSet,
     options: PropagateOptions = PropagateOptions(),
-    variant: RefreshVariant = RefreshVariant.CURSOR,
     apply_base_changes: bool = True,
     clock: BatchWindowClock | None = None,
 ) -> MaintenanceResult:
@@ -124,10 +124,7 @@ def maintain_view(
             changes.apply_to(view.definition.fact.table)
 
     with clock.offline(f"refresh:{view.name}"):
-        stats = refresh(
-            view,
-            delta,
-            recompute=base_recompute_fn(view.definition),
-            variant=variant,
+        stats = apply_refresh(
+            view, delta, recompute=base_recompute_fn(view.definition)
         )
     return MaintenanceResult(delta=delta, stats=stats, report=clock.report)

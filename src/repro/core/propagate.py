@@ -60,18 +60,10 @@ class PropagateOptions:
     ``pre_aggregate``
         Delay joins with dimensions that no aggregate or selection reads
         until after a first aggregation pass (§4.1.3).
-    ``shared_scan``
-        In :func:`~repro.lattice.plan.propagate_lattice`, fuse the
-        group-bys of sibling D-lattice children into a single compiled
-        pass over their parent's delta (one scan, k accumulator sets; see
-        :mod:`repro.relational.fused`) instead of one join+aggregate
-        pipeline per child.  ``False`` runs the per-child pipeline for
-        every edge; the deltas are identical either way.
     """
 
     policy: MinMaxPolicy = MinMaxPolicy.PAPER
     pre_aggregate: bool = False
-    shared_scan: bool = True
 
 
 def _delta_specs(

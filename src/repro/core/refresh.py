@@ -23,6 +23,11 @@ observation:
   view of the table, then applied in one batch.
 
 Both variants share the decision logic and produce identical final states.
+:func:`refresh` runs either on a private shadow copy of a view's table;
+:func:`apply_refresh` — the one way a maintained view changes — runs the
+batch form on a shadow and publishes it as the view's next epoch, so a
+published table is never mutated (the paper's batch window, §1, without
+stopping readers).
 
 Group lookup goes through :class:`GroupLocator`: one hash probe per delta
 tuple on the summary table's group-key index (built once if missing,
@@ -40,7 +45,6 @@ identical; only the access pattern differs.
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -51,13 +55,17 @@ from ..obs.lineage import record_publish as lineage_record_publish
 from ..relational.table import Row, charge_access
 from ..relational.types import null_max, null_min
 from ..views.definition import SummaryViewDefinition
-from ..views.materialize import MaterializedView, index_group_key
+from ..views.materialize import MaterializedView, ShadowVersion, index_group_key
 from .deltas import MinMaxPolicy, SummaryDelta, del_column, ins_column
 
 GroupKey = tuple[Any, ...]
 #: Batched recompute callback: group keys -> recomputed aggregate values
 #: (one tuple of aggregate-column values per surviving group).
 RecomputeFn = Callable[[list[GroupKey]], dict[GroupKey, tuple[Any, ...]]]
+#: Fault-injection hook for :func:`apply_refresh`: invoked with the stage
+#: name (``"build"`` before the shadow refresh, ``"publish"`` after the
+#: shadow is complete but before the swap) and may raise.
+StageHook = Callable[[str], None]
 
 
 class RefreshVariant(enum.Enum):
@@ -67,71 +75,6 @@ class RefreshVariant(enum.Enum):
     OUTER_JOIN = "outer_join"
 
 
-class RefreshMode(enum.Enum):
-    """How a maintenance cycle applies summary deltas to stored views.
-
-    * ``INPLACE`` — Figure 7 applied directly to the live table (the
-      paper's batch-window assumption: no concurrent readers).
-    * ``ATOMIC`` — in-place with an undo log
-      (:func:`repro.core.transactional.refresh_atomically`): all-or-
-      nothing, but readers mid-refresh can still observe intermediate
-      states.
-    * ``VERSIONED`` — copy-on-refresh
-      (:func:`repro.core.transactional.refresh_versioned`): the delta is
-      applied to a private shadow copy, validated against its consistency
-      certificate, and published with a single reference swap, so
-      concurrent readers never see a torn view.
-    """
-
-    INPLACE = "inplace"
-    ATOMIC = "atomic"
-    VERSIONED = "versioned"
-
-
-def versioned_default() -> bool:
-    """Whether maintenance defaults to versioned copy-on-refresh.
-
-    Versioned copy-on-refresh is the shipped default: readers overlap the
-    refresh window and epoch manifests pin each published version to its
-    contributing batches.  ``REPRO_VERSIONED=0`` is the kill switch back
-    to in-place refresh (the paper's exclusive batch-window setting — no
-    table copying, no concurrent reads during refresh)."""
-    return os.environ.get("REPRO_VERSIONED", "1") == "1"
-
-
-def resolve_refresh_mode(mode: "RefreshMode | str | None" = None) -> RefreshMode:
-    """Normalise a mode argument: enum member, its string value, or
-    ``None`` for the environment-driven default."""
-    if mode is None:
-        return RefreshMode.VERSIONED if versioned_default() else RefreshMode.INPLACE
-    if isinstance(mode, RefreshMode):
-        return mode
-    return RefreshMode(str(mode).lower())
-
-
-def apply_refresh(
-    view: MaterializedView,
-    delta: SummaryDelta,
-    recompute: "RecomputeFn | None" = None,
-    variant: RefreshVariant = RefreshVariant.CURSOR,
-    mode: "RefreshMode | str | None" = None,
-) -> "RefreshStats":
-    """Apply one summary delta through the selected :class:`RefreshMode`.
-
-    The single dispatch point the lattice/maintenance layers go through,
-    so a whole cycle switches discipline with one argument (or the
-    ``REPRO_VERSIONED`` environment default).  *variant* picks how an
-    in-place refresh executes; the other modes have one form each."""
-    resolved = resolve_refresh_mode(mode)
-    if resolved is RefreshMode.INPLACE:
-        return refresh(view, delta, recompute, variant)
-    from .transactional import refresh_atomically, refresh_versioned
-
-    if resolved is RefreshMode.ATOMIC:
-        return refresh_atomically(view, delta, recompute)
-    return refresh_versioned(view, delta, recompute)
-
-
 class GroupLocator:
     """Figure 7's "find the summary tuple with t's group-by values".
 
@@ -139,11 +82,9 @@ class GroupLocator:
     one hash probe per delta tuple — O(1) per tuple, so a whole refresh
     costs O(|summary-delta|) tuple accesses regardless of summary-table
     size.  The index is built once if the table does not already have it,
-    then maintained incrementally by the table's mutation hooks —
-    including through :func:`~repro.core.transactional.refresh_atomically`
-    rollback, whose undo log replays inverses via those same hooks.  A
-    view with no group-by is a single-row table: its first live slot is
-    the group's row.
+    then maintained incrementally by the table's mutation hooks.  A view
+    with no group-by is a single-row table: its first live slot is the
+    group's row.
 
     ``probes`` counts index probes; the surrounding refresh span records
     it as ``index_probes`` and the metrics registry as
@@ -152,15 +93,15 @@ class GroupLocator:
 
     __slots__ = ("_table", "_index", "probes")
 
-    def __init__(self, view: MaterializedView):
-        definition = view.definition
-        self._table = view.table
+    def __init__(self, shadow: ShadowVersion):
+        definition = shadow.definition
+        self._table = shadow.table
         self.probes = 0
         self._index = None
         if definition.group_by:
-            index = view.group_key_index()
+            index = shadow.group_key_index()
             if index is None:
-                index = index_group_key(view.table, definition)
+                index = index_group_key(shadow.table, definition)
             self._index = index
 
     def slot_of(self, key: GroupKey) -> int | None:
@@ -401,7 +342,7 @@ def decide(
 
 
 def decide_all(
-    view: MaterializedView,
+    shadow: ShadowVersion,
     delta: SummaryDelta,
     plan: RefreshPlan,
     locator: GroupLocator,
@@ -415,10 +356,10 @@ def decide_all(
     charge_access("rows_scanned", len(delta_rows))
     keys = [delta_row[:plan.group_arity] for delta_row in delta_rows]
     slots = list(map(locator.slot_of, keys))
-    old_rows = zip(*view.table.take([s for s in slots if s is not None]))
+    old_rows = zip(*shadow.table.take([s for s in slots if s is not None]))
     for delta_row, key, slot in zip(delta_rows, keys, slots):
         old_row = next(old_rows) if slot is not None else None
-        decide(plan, view.definition.name, old_row, delta_row, key, slot, actions)
+        decide(plan, shadow.definition.name, old_row, delta_row, key, slot, actions)
     return actions
 
 
@@ -450,45 +391,108 @@ def recomputed_rows(
 
 
 def refresh(
-    view: MaterializedView,
+    shadow: ShadowVersion,
     delta: SummaryDelta,
     recompute: RecomputeFn | None = None,
-    variant: RefreshVariant = RefreshVariant.CURSOR,
-    assume_all_new: bool = False,
+    variant: RefreshVariant = RefreshVariant.OUTER_JOIN,
 ) -> RefreshStats:
-    """Apply *delta* to *view* (paper, Figure 7); return what was done.
+    """Apply *delta* to *shadow* (paper, Figure 7); return what was done.
+
+    *shadow* is a private copy of a view's table
+    (:meth:`~repro.views.materialize.MaterializedView.begin_version`),
+    never a published one: a :class:`MaterializedView` is refused with
+    :class:`~repro.errors.MaintenanceError` before anything is read, since
+    its table is an epoch readers may hold.  Nothing is recorded on the
+    view — no freshness, no lineage, no new epoch; :func:`apply_refresh`
+    is how a view changes.
 
     *recompute* supplies batched base-data recomputation for MIN/MAX; it is
     required only when the view has MIN/MAX aggregates and a deletion (or,
     under the PAPER policy, any change) threatens a stored extremum.  It is
     called against the *updated* base data, per the paper's assumption that
     base-table changes are applied before refresh.
-
-    *assume_all_new* is the integrity-constraint optimisation the paper
-    alludes to in §2.1: when the caller *knows* every delta group is absent
-    from the view — e.g. new-date insertions into a view grouping by date —
-    the per-tuple index lookup is skipped and all delta rows are
-    bulk-inserted.  Using it when the assumption is false — a delta group
-    already in the view — raises :class:`~repro.errors.TableError` from
-    the view's unique group-key index, before anything is written; it is
-    never enabled implicitly.
     """
-    if delta.definition.name != view.definition.name:
+    if isinstance(shadow, MaterializedView):
+        raise MaintenanceError(
+            f"refresh applies a delta to a shadow version, not to the "
+            f"published view {shadow.name!r}; use apply_refresh"
+        )
+    _check_delta_matches(shadow, delta)
+    with tracing.span(
+        "refresh", view=shadow.definition.name, variant=variant.value,
+    ) as span:
+        locator = GroupLocator(shadow)
+        stats = _refresh_impl(shadow, delta, recompute, variant, locator)
+        _record_refresh_stats(span, stats, locator)
+        return stats
+
+
+def apply_refresh(
+    view: MaterializedView,
+    delta: SummaryDelta,
+    recompute: RecomputeFn | None = None,
+    failure_hook: StageHook | None = None,
+) -> RefreshStats:
+    """Apply *delta* to a shadow copy of *view* and publish it.
+
+    The one way a maintained view changes:
+
+    1. :meth:`~repro.views.materialize.MaterializedView.begin_version`
+       copies the current epoch's table (rows + index definitions) into a
+       private :class:`~repro.views.materialize.ShadowVersion` whose
+       certificate is seeded O(1) from the live one;
+    2. Figure 7 refreshes the shadow in its batch "summary-delta join"
+       form (:attr:`RefreshVariant.OUTER_JOIN`): nobody observes a
+       private shadow's intermediate states, so there is nothing a
+       per-tuple cursor could buy;
+    3. the shadow is compacted (:meth:`Table.compact`: the slots the
+       refresh's deletions emptied are filled from the tail), so a
+       published table is dense and readers scan it without a liveness
+       filter;
+    4. :meth:`~repro.views.materialize.MaterializedView.publish` validates
+       the shadow's incrementally-maintained certificate against the rows
+       stored at the slots the shadow wrote and installs it with one
+       reference swap.  Steps 3 and 4 run under a ``publish`` span that
+       counts ``compacted_rows``, ``written_slots`` and ``validated_rows``.
+
+    A failure anywhere — including the injected *failure_hook*, invoked
+    with ``"build"`` then ``"publish"`` — simply abandons the shadow: the
+    published epoch, its certificate, and every pinned reader snapshot
+    are untouched, no lineage manifest is recorded, and committed epochs
+    are never unpublished.
+    """
+    _check_delta_matches(view, delta)
+    with tracing.span("refresh", view=view.name) as span:
+        shadow = view.begin_version()
+        span.set_tag("base_epoch", shadow.base_epoch)
+        if failure_hook is not None:
+            failure_hook("build")
+        locator = GroupLocator(shadow)
+        stats = _refresh_impl(
+            shadow, delta, recompute, RefreshVariant.OUTER_JOIN, locator
+        )
+        if failure_hook is not None:
+            failure_hook("publish")
+        with tracing.span("publish", view=view.name) as publish_span:
+            publish_span.add("compacted_rows", shadow.table.compact())
+            published = view.publish(shadow)
+        span.set_tag("epoch", published.epoch)
+        _record_refresh_stats(span, stats, locator)
+        if tracing.enabled():
+            obs_metrics.registry().counter("refresh.published_epochs").inc()
+        view.freshness.mark_refreshed(stats.delta_rows)
+        # Published — a failed build or publish raised before this point,
+        # leaving no manifest; the batches became visible at this epoch.
+        lineage_record_publish(view, delta)
+        return stats
+
+
+def _check_delta_matches(target, delta: SummaryDelta) -> None:
+    if delta.definition.name != target.definition.name:
         raise MaintenanceError(
             f"delta for {delta.definition.name!r} applied to view "
-            f"{view.definition.name!r}"
+            f"{target.definition.name!r}"
         )
-    with tracing.span(
-        "refresh", view=view.definition.name, variant=variant.value,
-    ) as span:
-        locator = GroupLocator(view)
-        stats = _refresh_impl(
-            view, delta, recompute, variant, assume_all_new, locator
-        )
-        _record_refresh_stats(span, stats, locator)
-        view.mark_refreshed_in_place(stats.delta_rows)
-        lineage_record_publish(view, delta, mode=RefreshMode.INPLACE.value)
-        return stats
 
 
 def _record_refresh_stats(
@@ -520,55 +524,43 @@ def _record_refresh_stats(
 
 
 def _refresh_impl(
-    view: MaterializedView,
+    shadow: ShadowVersion,
     delta: SummaryDelta,
     recompute: RecomputeFn | None,
     variant: RefreshVariant,
-    assume_all_new: bool,
     locator: GroupLocator,
 ) -> RefreshStats:
-    plan = RefreshPlan(view.definition, delta.policy)
+    plan = RefreshPlan(shadow.definition, delta.policy)
     stats = RefreshStats(delta_rows=len(delta.table))
-    actions = RefreshActions()
-    name = view.definition.name
+    table = shadow.table
+    name = shadow.definition.name
     g = plan.group_arity
-
-    if assume_all_new:
-        for delta_row in delta.table.scan():
-            decide(plan, name, None, delta_row, delta_row[:g], None, actions)
-        if actions.recomputes:
-            raise MaintenanceError(
-                f"view {name!r}: assume_all_new refresh hit groups needing "
-                "base-data recomputation; the all-new assumption is unsafe "
-                "for this delta"
-            )
-        stats.inserted = view.table.insert_many(actions.inserts)
-        return stats
 
     if variant is RefreshVariant.CURSOR:
         # Per-tuple: look up, decide, apply immediately (recompute deferred —
         # see the module docstring).
+        actions = RefreshActions()
         for delta_row in delta.table.scan():
             key = delta_row[:g]
             slot = locator.slot_of(key)
-            old_row = view.table.row_at(slot) if slot is not None else None
+            old_row = table.row_at(slot) if slot is not None else None
             local = RefreshActions()
             decide(plan, name, old_row, delta_row, key, slot, local)
             for row in local.inserts:
-                view.table.insert(row)
+                table.insert(row)
                 stats.inserted += 1
             for doomed in local.deletes:
-                view.table.delete_slot(doomed)
+                table.delete_slot(doomed)
                 stats.deleted += 1
             for update_slot, new_row in local.updates:
-                view.table.update_slot(update_slot, new_row)
+                table.update_slot(update_slot, new_row)
                 stats.updated += 1
             actions.recomputes.extend(local.recomputes)
         for slot, row in recomputed_rows(name, actions, recompute):
             if slot is None:
-                view.table.insert(row)
+                table.insert(row)
             else:
-                view.table.update_slot(slot, row)
+                table.update_slot(slot, row)
             stats.recomputed += 1
     else:
         # OUTER_JOIN, batch form: all decisions against the pre-apply
@@ -577,14 +569,14 @@ def _refresh_impl(
         # batch mutators, which maintain indexes and the certificate a
         # batch at a time and charge access stats once per batch — totals
         # identical to the cursor path.
-        actions = decide_all(view, delta, plan, locator)
-        stats.inserted = view.table.insert_many(actions.inserts)
-        stats.deleted = view.table.delete_slots(actions.deletes)
-        stats.updated = view.table.update_slots(actions.updates)
+        actions = decide_all(shadow, delta, plan, locator)
+        stats.inserted = table.insert_many(actions.inserts)
+        stats.deleted = table.delete_slots(actions.deletes)
+        stats.updated = table.update_slots(actions.updates)
         recomputed = recomputed_rows(name, actions, recompute)
-        stats.recomputed = view.table.insert_many(
+        stats.recomputed = table.insert_many(
             [row for slot, row in recomputed if slot is None]
-        ) + view.table.update_slots(
+        ) + table.update_slots(
             [update for update in recomputed if update[0] is not None]
         )
     return stats

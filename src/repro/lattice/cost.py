@@ -179,15 +179,14 @@ class NodeCostEstimate:
     #: Estimated refresh tuple accesses (lookup + touch per delta row;
     #: excludes data-dependent MIN/MAX recomputation scans).
     refresh_accesses: float
-    #: What this node would cost through the legacy per-child edge replay
-    #: — equals ``propagate_accesses`` unless the estimate was built for
-    #: shared-scan propagation, in which case the difference is the
-    #: predicted saving of the fused scan.
+    #: What this node would cost through the per-child edge replay — the
+    #: difference from ``propagate_accesses`` is the predicted saving of
+    #: the fused scan.
     per_child_accesses: float = 0.0
-    #: Whether ``propagate_accesses`` models the fused shared-scan engine
+    #: Whether ``propagate_accesses`` models the fused shared-scan kernel
     #: (and, for derived nodes, whether this node owns its group's scan).
-    #: False under shared-scan propagation when :func:`group_fusion_choice`
-    #: picked per-child replay for this node's sibling group.
+    #: False for roots and when :func:`group_fusion_choice` picked
+    #: per-child replay for this node's sibling group.
     shared_scan: bool = False
     scan_owner: bool = False
 
@@ -202,8 +201,6 @@ class PlanCostEstimate:
 
     nodes: dict[str, NodeCostEstimate]
     order: tuple[str, ...]
-    #: Whether the estimate models shared-scan propagation.
-    shared_scan: bool = False
 
     @property
     def with_lattice_accesses(self) -> float:
@@ -229,13 +226,13 @@ class PlanCostEstimate:
 
     @property
     def per_child_accesses(self) -> float:
-        """Predicted propagate accesses through the legacy per-child path."""
+        """Predicted propagate accesses through the per-child path."""
         return sum(node.per_child_accesses for node in self.nodes.values())
 
     @property
     def shared_scan_saved_accesses(self) -> float:
         """Predicted accesses the fused shared scan saves over per-child
-        propagation (0 when the estimate does not model shared scan)."""
+        propagation."""
         return self.per_child_accesses - self.with_lattice_accesses
 
 
@@ -303,17 +300,14 @@ def _shared_cost(
 
 
 def estimate_plan_cost(
-    lattice: ViewLattice,
-    stats: LatticeStatistics,
-    shared_scan: bool = True,
+    lattice: ViewLattice, stats: LatticeStatistics
 ) -> PlanCostEstimate:
     """Predict per-node propagate and refresh work for a lattice plan.
 
-    The estimates depend only on the plan, the statistics, and the
-    propagation *strategy*: shared-scan propagation touches fewer tuples,
-    so *shared_scan* selects which engine the estimate mirrors.  The
-    default mirrors what a default
-    :func:`~repro.lattice.plan.maintain_lattice` run executes.
+    The estimates depend only on the plan and the statistics, and mirror
+    what :func:`~repro.lattice.plan.propagate_lattice` executes: sibling
+    groups fused into one shared scan where :func:`group_fusion_choice`
+    says so, per-child edge replay elsewhere.
     """
     levels = lattice.propagation_levels()
     depth_of = {
@@ -346,7 +340,7 @@ def estimate_plan_cost(
             delta_rows, per_child_accesses = _derived_cost(
                 node.edge, parent_delta, groups
             )
-            fused = shared_scan and group_fused.get(name, False)
+            fused = group_fused.get(name, False)
             if fused:
                 owner = name in scan_owners
                 propagate_accesses = _shared_cost(
@@ -369,11 +363,7 @@ def estimate_plan_cost(
             shared_scan=fused,
             scan_owner=owner,
         )
-    return PlanCostEstimate(
-        nodes=nodes,
-        order=tuple(lattice.order),
-        shared_scan=shared_scan,
-    )
+    return PlanCostEstimate(nodes=nodes, order=tuple(lattice.order))
 
 
 # ----------------------------------------------------------------------
@@ -406,15 +396,12 @@ def actual_node_accesses(root: "Span") -> dict[str, int | float]:
     return actuals
 
 
-_REFRESH_SPANS = frozenset({"refresh", "refresh_atomic", "refresh_versioned"})
-
-
 def actual_refresh_accesses(root: "Span") -> dict[str, int | float]:
     """Per-view refresh accesses measured from a traced run (the
-    refresh spans — any mode — keyed by their ``view`` tag)."""
+    ``refresh`` spans, keyed by their ``view`` tag)."""
     actuals: dict[str, int | float] = {}
     for span in root.walk():
-        if span.name in _REFRESH_SPANS and "view" in span.tags:
+        if span.name == "refresh" and "view" in span.tags:
             name = str(span.tags["view"])
             actuals[name] = actuals.get(name, 0) + span_access_units(span)
     return actuals

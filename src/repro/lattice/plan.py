@@ -29,13 +29,7 @@ from typing import Mapping, Sequence
 from ..core.deltas import SummaryDelta
 from ..core.maintenance import base_recompute_fn
 from ..core.propagate import PropagateOptions, compute_summary_delta
-from ..core.refresh import (
-    RefreshMode,
-    RefreshStats,
-    RefreshVariant,
-    apply_refresh,
-    resolve_refresh_mode,
-)
+from ..core.refresh import RefreshStats, apply_refresh
 from ..obs import metrics as obs_metrics
 from ..obs import tracing
 from ..obs.ledger import active_ledger
@@ -78,8 +72,7 @@ def propagate_lattice(
     through the Theorem 5.1 edge query.  Each node records its own
     ``propagate:<name>`` phase on *clock*.
 
-    With shared-scan propagation (``options.shared_scan``, the default)
-    the roots come first, then the derived nodes as *sibling groups*
+    The roots come first, then the derived nodes as *sibling groups*
     (:meth:`~repro.lattice.vlattice.ViewLattice.sibling_groups`, level by
     level) — derived nodes sharing a derivation parent — whose k group-bys
     are fused into a single compiled pass over the parent's delta
@@ -98,7 +91,6 @@ def propagate_lattice(
     depth_of = {
         name: depth for depth, level in enumerate(levels) for name in level
     }
-    shared_scan = options.shared_scan
 
     def compute(name: str) -> SummaryDelta:
         node = lattice.node(name)
@@ -196,13 +188,7 @@ def propagate_lattice(
                     )
             return out
 
-    with tracing.span(
-        "propagate", views=len(lattice.order), shared_scan=shared_scan,
-    ):
-        if not shared_scan:
-            for name in lattice.order:
-                deltas[name] = compute(name)
-            return deltas
+    with tracing.span("propagate", views=len(lattice.order)):
         for name in lattice.order:
             if lattice.node(name).is_root:
                 deltas[name] = compute(name)
@@ -243,19 +229,12 @@ def propagate_without_lattice(
 def refresh_lattice(
     views: Mapping[str, MaterializedView],
     deltas: Mapping[str, SummaryDelta],
-    variant: RefreshVariant = RefreshVariant.CURSOR,
     clock: BatchWindowClock | None = None,
-    mode: RefreshMode | str | None = None,
 ) -> dict[str, RefreshStats]:
-    """Refresh every view from its delta (inside the batch window).
-
-    *mode* selects the application discipline per
-    :class:`~repro.core.refresh.RefreshMode` (``None`` resolves the
-    ``REPRO_VERSIONED`` default); ``VERSIONED`` turns the offline
-    refresh phases into copy-and-swap publishes that concurrent readers
-    can overlap with."""
+    """Refresh every view from its delta (inside the batch window), each
+    through :func:`~repro.core.refresh.apply_refresh`: a copy-and-swap
+    publish that concurrent readers can overlap with."""
     clock = clock or BatchWindowClock()
-    resolved_mode = resolve_refresh_mode(mode)
     stats: dict[str, RefreshStats] = {}
     for name, view in views.items():
         delta = deltas.get(name)
@@ -263,11 +242,7 @@ def refresh_lattice(
             raise MaintenanceError(f"no summary delta computed for view {name!r}")
         with clock.offline(f"refresh:{name}", node=name):
             stats[name] = apply_refresh(
-                view,
-                delta,
-                recompute=base_recompute_fn(view.definition),
-                variant=variant,
-                mode=resolved_mode,
+                view, delta, recompute=base_recompute_fn(view.definition)
             )
     return stats
 
@@ -297,21 +272,17 @@ def maintain_lattice(
     views: Sequence[MaterializedView],
     changes: ChangeSet,
     options: PropagateOptions = PropagateOptions(),
-    variant: RefreshVariant = RefreshVariant.CURSOR,
     use_lattice: bool = True,
     lattice: ViewLattice | None = None,
     apply_base_changes: bool = True,
     auxiliary: Sequence = (),
     clock: BatchWindowClock | None = None,
-    mode: RefreshMode | str | None = None,
 ) -> LatticeMaintenanceResult:
     """Nightly summary-delta maintenance for a set of views.
 
     All views must aggregate the same fact table, the one *changes* applies
     to.  ``use_lattice=False`` gives the paper's propagate-without-lattice
-    baseline while keeping refresh identical.  *mode* picks the refresh
-    discipline (in-place / atomic / versioned copy-and-swap); ``None``
-    resolves the ``REPRO_VERSIONED`` environment default.
+    baseline while keeping refresh identical.
 
     *auxiliary* accepts extra view *definitions* that are not materialised:
     their summary deltas are computed and placed in the lattice so that
@@ -328,7 +299,6 @@ def maintain_lattice(
             "views separately"
         )
     clock = clock or BatchWindowClock()
-    mode = resolve_refresh_mode(mode)
     views_by_name = {view.name: view for view in views}
 
     ledger = active_ledger()
@@ -366,9 +336,7 @@ def maintain_lattice(
                 # Predict before anything runs: table sizes and pending
                 # changes are exactly what the plan will see.
                 estimate = estimate_plan_cost(
-                    lattice,
-                    collect_statistics(lattice, changes, views=views),
-                    shared_scan=options.shared_scan,
+                    lattice, collect_statistics(lattice, changes, views=views)
                 )
             deltas = propagate_lattice(lattice, changes, options, clock)
             deltas = {
@@ -384,7 +352,7 @@ def maintain_lattice(
             with clock.offline("apply-base", fact=fact.name):
                 changes.apply_to(fact.table)
 
-        stats = refresh_lattice(views_by_name, deltas, variant, clock, mode=mode)
+        stats = refresh_lattice(views_by_name, deltas, clock)
         result = LatticeMaintenanceResult(
             deltas=deltas, stats=stats, report=clock.report
         )
@@ -393,8 +361,6 @@ def maintain_lattice(
                 kind="maintain_lattice",
                 options=options,
                 use_lattice=use_lattice,
-                variant=variant,
-                mode=mode,
                 phases=clock.report.phases[phase_mark:],
                 access=access.since(access_before),
                 stats=stats,
@@ -419,18 +385,11 @@ def maintain_lattice(
     return result
 
 
-def engine_config(
-    options: PropagateOptions,
-    use_lattice: bool,
-    variant: RefreshVariant,
-    mode: RefreshMode | str | None = None,
-) -> dict:
+def engine_config(options: PropagateOptions, use_lattice: bool) -> dict:
     """The engine configuration as plain data (the ledger's ``engine``)."""
     config = dataclasses.asdict(options)
     config["policy"] = options.policy.value
     config["use_lattice"] = use_lattice
-    config["variant"] = variant.value
-    config["mode"] = resolve_refresh_mode(mode).value
     return config
 
 
@@ -438,14 +397,12 @@ def maintenance_record(
     kind: str,
     options: PropagateOptions,
     use_lattice: bool,
-    variant: RefreshVariant,
     phases: Sequence,
     access,
     stats: Mapping[str, RefreshStats],
     change_counts: Mapping[str, int],
     estimate: PlanCostEstimate | None,
     freshness: Mapping[str, dict] | None = None,
-    mode: RefreshMode | str | None = None,
     lineage: Mapping[str, dict] | None = None,
 ) -> dict:
     """Build one run-ledger record (see :mod:`repro.obs.ledger` for the
@@ -454,7 +411,7 @@ def maintenance_record(
     top_level = [phase for phase in phases if phase.depth == 0]
     record = {
         "kind": kind,
-        "engine": engine_config(options, use_lattice, variant, mode),
+        "engine": engine_config(options, use_lattice),
         "phases": [
             {"name": p.name, "seconds": p.seconds, "offline": p.offline}
             for p in top_level

@@ -7,7 +7,7 @@ default, and guarded by the ``REPRO_TRACE`` kill-switch:
   tags, and row/tuple counters, recorded by the engine's hot paths
   (``Table.scan``, ``group_by``, propagate, refresh, the nightly driver);
 * :mod:`repro.obs.metrics` — a process-wide registry of counters, gauges,
-  and histograms (refresh actions, undo-log entries, query latencies,
+  and histograms (refresh actions, published epochs, query latencies,
   visibility lag);
 * :mod:`repro.obs.export` — JSON-lines trace files, the human span-tree
   printer, and the compact summary merged into ``BENCH_*.json``.

@@ -13,9 +13,9 @@ observable quantity instead of an assumption:
 * :class:`ViewCertificate` — the live, incrementally maintained
   certificate of one summary table.  It is a table mutation observer
   (:meth:`repro.relational.table.Table.attach_observer`), so every
-  mutation path — both refresh variants, atomic rollback through the
-  undo log, rematerialisation — keeps it consistent without the callers
-  knowing it exists.
+  mutation path — both refresh variants on a shadow copy,
+  rematerialisation — keeps it consistent without the callers knowing it
+  exists.
 * :class:`ViewFreshness` — per-view freshness: last refresh timestamp,
   run id, kind, and cumulative delta rows applied.
 * :class:`IntegrityEvent` — one alertable integrity finding, with a
@@ -267,8 +267,8 @@ class ViewFreshness:
 
     def mark_refreshed(self, delta_rows: int = 0,
                        ts: float | None = None) -> None:
-        """Record one successful refresh (called by ``refresh`` and
-        ``refresh_atomically`` after the delta is fully applied)."""
+        """Record one successful refresh (called by ``apply_refresh``
+        after the refreshed copy is published)."""
         self.last_refresh_ts = ts if ts is not None else time.time()
         self.refresh_count += 1
         self.applied_delta_rows += delta_rows

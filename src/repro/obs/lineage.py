@@ -18,9 +18,9 @@ This module threads an identity through the whole pipeline:
   merge/accumulation and cheap to snapshot (deltas carry an immutable
   copy taken at propagate time).
 * :class:`EpochManifest` — the publish-side record: when one refresh
-  commits (in-place, atomic, or versioned publish), the contributing
-  batches and their ingest→publish lags are pinned to the resulting
-  ``(epoch, refresh_count)`` stamp, next to the epoch's certificate.
+  publishes, the contributing batches and their ingest→publish lags are
+  pinned to the resulting ``(epoch, refresh_count)`` stamp, next to the
+  epoch's certificate.
 * :class:`ViewLineage` — the per-view manifest log, mirroring
   :class:`~repro.obs.audit.ViewFreshness`.  It indexes manifests by
   batch id and *refuses duplicates*: a batch id landing in a second
@@ -28,10 +28,10 @@ This module threads an identity through the whole pipeline:
   applied twice, which corrupts aggregates — the no-loss/no-duplication
   invariant the property suite checks is enforced at record time.
 
-:func:`record_publish` is the single hook the refresh variants call
-after a successful commit; a refresh that raises (rollback, abandoned
-shadow, failed publish) records nothing, so manifests only ever describe
-epochs that became visible.  Like the serving metrics, lineage metrics
+:func:`record_publish` is the single hook refresh calls after a
+successful publish; a refresh that raises (abandoned shadow, failed
+publish) records nothing, so manifests only ever describe epochs that
+became visible.  Like the serving metrics, lineage metrics
 record unconditionally — ``REPRO_TRACE`` gates spans, not lineage.
 """
 
@@ -219,22 +219,19 @@ class EpochManifest:
     time a change waited between arriving and becoming queryable.
     """
 
-    __slots__ = ("view", "epoch", "refresh_count", "mode", "publish_ts",
-                 "_ingest")
+    __slots__ = ("view", "epoch", "refresh_count", "publish_ts", "_ingest")
 
     def __init__(
         self,
         view: str,
         epoch: int,
         refresh_count: int,
-        mode: str,
         publish_ts: float,
         lineage: BatchLineage,
     ):
         self.view = view
         self.epoch = epoch
         self.refresh_count = refresh_count
-        self.mode = mode
         self.publish_ts = publish_ts
         self._ingest: dict[int, float] = dict(lineage._ingest)
 
@@ -281,7 +278,6 @@ class EpochManifest:
             "view": self.view,
             "epoch": self.epoch,
             "refresh_count": self.refresh_count,
-            "mode": self.mode,
             "publish_ts": self.publish_ts,
             "batches": len(self._ingest),
             "intervals": [list(run) for run in self.intervals()],
@@ -316,13 +312,12 @@ class ViewLineage:
         view: str,
         epoch: int,
         refresh_count: int,
-        mode: str,
         lineage: BatchLineage,
         publish_ts: float | None = None,
     ) -> EpochManifest:
         publish_ts = publish_ts if publish_ts is not None else time.time()
         manifest = EpochManifest(
-            view, epoch, refresh_count, mode, publish_ts, lineage
+            view, epoch, refresh_count, publish_ts, lineage
         )
         with self._lock:
             duplicates = [
@@ -388,17 +383,16 @@ class ViewLineage:
 def record_publish(
     view,
     delta,
-    mode: str,
     metrics: obs_metrics.MetricsRegistry | None = None,
     now: float | None = None,
 ) -> EpochManifest | None:
     """Record one committed refresh's manifest and observe its lag metrics.
 
-    Called by ``refresh`` / ``refresh_atomically`` / ``refresh_versioned``
-    *after* the commit point (publish swap done, freshness stamped) —
-    never on a rolled-back or abandoned refresh.  Returns ``None`` when
-    the delta carries no lineage (a hand-built delta table) or the view
-    has no lineage tracker (a shadow or duck-typed stand-in).
+    Called by :func:`~repro.core.refresh.apply_refresh` *after* the
+    commit point (publish swap done, freshness stamped) — never on an
+    abandoned refresh.  Returns ``None`` when the delta carries no
+    lineage (a hand-built delta table) or the view has no lineage
+    tracker (a duck-typed stand-in).
     """
     lineage = getattr(delta, "lineage", None)
     tracker = getattr(view, "lineage", None)
@@ -406,7 +400,7 @@ def record_publish(
         return None
     epoch, refresh_count = view.version_stamp()
     manifest = tracker.record(
-        view.name, epoch, refresh_count, mode, lineage, publish_ts=now
+        view.name, epoch, refresh_count, lineage, publish_ts=now
     )
     registry = metrics if metrics is not None else obs_metrics.registry()
     labels = {"view": view.name}

@@ -2,8 +2,7 @@
 
 Where spans (:mod:`repro.obs.tracing`) answer "where did *this* run's time
 go", metrics accumulate across runs: total rows scanned by propagate,
-refresh actions by kind, undo-log entries written, rollbacks taken, query
-latencies served.
+refresh actions by kind, epochs published, query latencies served.
 
 The registry is a plain process-wide object — no background threads, no
 export protocol — because the consumers are the ``repro trace`` CLI, the
@@ -61,7 +60,7 @@ class Counter:
 
 
 class Gauge:
-    """A value that goes up and down (e.g. live undo-log length)."""
+    """A value that goes up and down (e.g. epochs still retained)."""
 
     __slots__ = ("name", "labels", "value")
 

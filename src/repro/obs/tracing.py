@@ -4,7 +4,7 @@ The paper's batch-window accounting (§2.3, Figure 9) splits maintenance
 into one online number (propagate) and one offline number (refresh).  This
 module provides the finer instrument: a tree of *spans*, each with a
 wall-clock duration, free-form tags, and integer counters (rows scanned,
-delta rows emitted, undo-log entries, ...), recorded by the engine's hot
+delta rows emitted, slots validated, ...), recorded by the engine's hot
 paths whenever a :class:`TraceRecorder` is active.
 
 Tracing is **off by default** and costs one module-global ``None`` check

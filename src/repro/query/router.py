@@ -106,9 +106,8 @@ class QueryPlan:
     evaluation reads this exact reference rather than re-resolving
     ``source_view.table``, so a version swap published between planning
     and evaluation — or mid-evaluation — cannot tear the read.
-    ``source_epoch`` records which epoch was pinned, for explain output,
-    and ``source_stamp`` the pinned version's
-    :meth:`~repro.views.materialize.ViewVersion.stamp`, for caching.
+    ``source_epoch`` records which epoch was pinned, for explain output
+    and as the result cache's stamp.
     """
 
     query: AggregateQuery
@@ -117,7 +116,6 @@ class QueryPlan:
     input_rows: int
     source_table: Table | None = None
     source_epoch: int | None = None
-    source_stamp: tuple[int, int] | None = None
 
     @property
     def uses_summary_table(self) -> bool:
@@ -182,7 +180,6 @@ class QueryRouter:
                 input_rows=len(version.table),
                 source_table=version.table,
                 source_epoch=version.epoch,
-                source_stamp=version.stamp(),
             )
 
     def answer(
@@ -210,7 +207,7 @@ class QueryRouter:
         Reads :attr:`QueryPlan.source_table` — never the live
         ``view.table`` — so the result reflects exactly the epoch that was
         current at plan time, even if maintenance publishes new versions
-        (or mutates in place) while the evaluation scans.
+        while the evaluation scans.
         """
         query = plan.query
         source_name = (
@@ -232,10 +229,9 @@ class QueryRouter:
                 if pending_deltas and source.name in pending_deltas:
                     from ..core.compensation import read_through_delta
 
-                    snapshot = read_through_delta(
+                    table = read_through_delta(
                         source, pending_deltas[source.name], table=table
-                    )
-                    table = snapshot.table
+                    ).table
                 full = plan.edge.apply(table, name="__query__")
             return _project_user_columns(full, resolved, query)
 

@@ -993,7 +993,7 @@ class Table:
         rows.
 
         An exactness probe for tests and audits: incremental maintenance
-        (inserts, slot updates, deletes, undo-log rollbacks) must leave each
+        (inserts, slot updates, deletes, compaction) must leave each
         index with the same key → slot mapping a fresh build would produce.
         Returns ``False`` on any divergence — including a unique index whose
         table now holds duplicate keys — without charging access stats.

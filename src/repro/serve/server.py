@@ -9,15 +9,14 @@ mechanisms, both upstream of this module:
   :class:`~repro.views.materialize.ViewVersion` into the plan, so one
   query evaluates against one epoch no matter how many versioned
   refreshes publish mid-scan;
-* versioned refresh (:func:`repro.core.transactional.refresh_versioned`)
-  never mutates a published table, so a pinned epoch stays internally
-  consistent for as long as any reader references it.
+* refresh (:func:`repro.core.refresh.apply_refresh`) never mutates a
+  published table, so a pinned epoch stays internally consistent for as
+  long as any reader references it.
 
 On top of that the server adds a hot-query result cache keyed by the
 query's structural fingerprint and stamped with the pinned source
-version's ``(epoch, revision)`` pair: a published swap installs the next
-epoch, an in-place refresh the next revision, and either way the stale
-entry stops matching — the cache can never serve an answer from a
+version's epoch: every change to a view installs the next epoch, so the
+stale entry stops matching — the cache can never serve an answer from a
 superseded view state, and one publish invalidates an entry once.
 
 Queries that no summary table can answer fall back to scanning the base
@@ -47,8 +46,8 @@ from ..query.router import AggregateQuery, QueryRouter
 from ..relational.table import Table
 from ..warehouse.catalog import Warehouse
 
-#: Cache stamp: (view name, published epoch, in-place revision of it).
-CacheStamp = tuple[str, int, int]
+#: Cache stamp: (view name, published epoch).
+CacheStamp = tuple[str, int]
 
 
 def query_fingerprint(query: AggregateQuery) -> tuple:
@@ -76,7 +75,7 @@ class QueryResultCache:
     """A small LRU of answered queries, stamped with view versions.
 
     ``get`` returns a hit only when the caller's *stamp* — derived from
-    the routed view's pinned epoch and in-place revision — equals the stamp
+    the routed view's pinned epoch — equals the stamp
     the entry was stored under; anything else is treated as a miss and
     the stale entry is dropped.  All operations take one lock, so the
     cache is safe under the server's thread pool.
@@ -100,8 +99,8 @@ class QueryResultCache:
                 return None
             cached_stamp, table = entry
             if cached_stamp != stamp:
-                # The view moved on (new epoch or in-place refresh);
-                # the entry can never become valid again.
+                # The view moved on to a new epoch; the entry can
+                # never become valid again.
                 del self._entries[key]
                 return None
             self._entries.move_to_end(key)
@@ -251,7 +250,7 @@ class QueryServer:
                 stamp: CacheStamp | None = None
                 if cacheable:
                     key = query_fingerprint(query)
-                    stamp = (source.name, *plan.source_stamp)
+                    stamp = (source.name, plan.source_epoch)
                     cached = self.cache.get(key, stamp)
                     if cached is not None:
                         span.set_tag("cache", "hit")

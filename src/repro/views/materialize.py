@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from ..errors import DefinitionError, PublishError
@@ -122,8 +122,10 @@ class EpochStats:
 
 @dataclass(frozen=True)
 class ViewVersion:
-    """One immutable-once-published epoch of a view's stored table.
+    """One published epoch of a view's stored table, never mutated.
 
+    The epoch number is the version's whole identity — result caches key
+    on it — because a view changes only by installing a new version.
     Readers that hold a :class:`ViewVersion` keep its table (and
     certificate) alive for as long as they reference it, so a query can
     keep reading a consistent snapshot while maintenance publishes newer
@@ -133,18 +135,6 @@ class ViewVersion:
     epoch: int
     table: Table
     certificate: ViewCertificate
-    #: In-place refreshes applied to this epoch's table since it was
-    #: installed (the versioned path never mutates a published table).
-    revision: int = 0
-
-    def stamp(self) -> tuple[int, int]:
-        """Identity for cache keys: ``(epoch, revision)``.
-
-        Both come from the one version object a reader pinned, and a
-        publish or an in-place refresh installs a new one, so either
-        moves the stamp exactly once.
-        """
-        return (self.epoch, self.revision)
 
 
 def index_group_key(table: Table, definition: SummaryViewDefinition):
@@ -156,11 +146,9 @@ def index_group_key(table: Table, definition: SummaryViewDefinition):
 class ShadowVersion:
     """A next-epoch build in progress: a private copy of the view's table.
 
-    Duck-types the slice of :class:`MaterializedView` that the refresh
-    machinery touches (``definition`` / ``table`` / ``group_key_index``),
-    so :func:`repro.core.refresh.refresh` internals can maintain the
-    shadow exactly as they would the live view.  Nothing the shadow does
-    is visible to readers until :meth:`MaterializedView.publish`.
+    What :func:`repro.core.refresh.refresh` applies Figure 7 to
+    (``definition`` / ``table`` / ``group_key_index``).  Nothing the
+    shadow does is visible to readers until :meth:`MaterializedView.publish`.
     """
 
     def __init__(
@@ -168,16 +156,14 @@ class ShadowVersion:
         definition: SummaryViewDefinition,
         table: Table,
         certificate: ViewCertificate,
-        base_stamp: tuple[int, int],
+        base_epoch: int,
     ):
         self.definition = definition
         self.table = table
         self.certificate = certificate
-        #: :meth:`ViewVersion.stamp` of the published version this shadow
-        #: was copied from; a publish or an in-place refresh moves it.
-        self.base_stamp = base_stamp
-        #: Epoch of that version.
-        self.base_epoch = base_stamp[0]
+        #: Epoch current when the shadow was begun — the one it copies,
+        #: unless it copies a table a reader pinned earlier.
+        self.base_epoch = base_epoch
         #: Epoch this shadow will become once published.
         self.epoch = self.base_epoch + 1
 
@@ -192,16 +178,25 @@ class ShadowVersion:
             return None
         return self.table.index_on(list(self.definition.group_by))
 
+    def read(self) -> Table:
+        """User-facing content, as :meth:`MaterializedView.read` gives it."""
+        definition = self.definition
+        return project_user_columns(
+            self.table, definition, definition.user_columns(),
+            f"{definition.name}_read",
+        )
+
 
 class MaterializedView:
     """A stored summary table: resolved definition + indexed rows.
 
     The stored table lives inside an epoch-numbered :class:`ViewVersion`;
-    ``view.table`` always resolves to the *current* version's table, and
-    in-place maintenance keeps mutating it exactly as before.  The
-    versioned path (:func:`repro.core.transactional.refresh_versioned`)
-    instead builds a :class:`ShadowVersion` off to the side and installs
-    it with :meth:`publish` — a single reference swap, atomic under the
+    ``view.table`` always resolves to the *current* version's table, which
+    nothing mutates.  Maintenance
+    (:func:`repro.core.refresh.apply_refresh`) builds a
+    :class:`ShadowVersion` off to the side and installs it with
+    :meth:`publish`, rematerialisation installs fresh rows with
+    :meth:`install` — either way a single reference swap, atomic under the
     interpreter lock, so concurrent readers either see the whole old
     epoch or the whole new one and never a mix.
     """
@@ -256,7 +251,7 @@ class MaterializedView:
 
     @property
     def table(self) -> Table:
-        """The current epoch's stored table (in-place paths mutate it)."""
+        """The current epoch's stored table."""
         return self._version.table
 
     @property
@@ -282,24 +277,13 @@ class MaterializedView:
         """The view's state as (epoch, refresh count), which lineage
         manifests record.
 
-        Changes whenever either a versioned swap publishes a new epoch or
-        an in-place refresh mutates the current one — but in two steps
-        for a versioned refresh (the epoch at the swap, the count when
-        freshness is marked), so result caches stamp entries with
-        ``pin().stamp()`` instead.
+        A refresh moves it in two steps (the epoch at the swap, the count
+        when freshness is marked), so result caches key on the pinned
+        version's epoch instead.
         """
         return (self._version.epoch, self.freshness.refresh_count)
 
-    def mark_refreshed_in_place(self, delta_rows: int) -> None:
-        """Record a refresh that mutated the current epoch's table:
-        freshness, and the next revision of the same version, so answers
-        cached from the table's earlier state stop matching."""
-        self.freshness.mark_refreshed(delta_rows)
-        with self._publish_lock:
-            current = self._version
-            self._version = replace(current, revision=current.revision + 1)
-
-    def begin_version(self) -> ShadowVersion:
+    def begin_version(self, table: Table | None = None) -> ShadowVersion:
         """Copy the current version into a private next-epoch shadow.
 
         The copy (:meth:`Table.copy`: a structural clone, O(|view|) bytes
@@ -311,23 +295,30 @@ class MaterializedView:
         slot it has in the current version and the shadow's storage
         records the slots written from here on — what :meth:`publish`
         re-reads.
+
+        *table* — an earlier epoch's table a reader pinned — is copied
+        instead of the current one, for a read that compensates it
+        (:func:`repro.core.compensation.read_through_delta`); that copy's
+        certificate is digested from its rows in full, and publishing it
+        is validated against the current epoch like any shadow's.
         """
         current = self._version
-        table = current.table.copy()
-        certificate = ViewCertificate(current.certificate.value)
-        table.attach_observer(certificate)
-        return ShadowVersion(
-            self.definition, table, certificate, current.stamp()
-        )
+        if table is None:
+            copy = current.table.copy()
+            certificate = ViewCertificate(current.certificate.value)
+        else:
+            copy = table.copy()
+            certificate = ViewCertificate.from_columns(copy.columns(), len(copy))
+        copy.attach_observer(certificate)
+        return ShadowVersion(self.definition, copy, certificate, current.epoch)
 
     def publish(self, shadow: ShadowVersion) -> ViewVersion:
         """Atomically install *shadow* as the new current version.
 
-        Refuses a shadow whose base has moved since :meth:`begin_version`
-        — a racing maintainer published, or an in-place refresh changed
-        the epoch's table — and a torn build: a shadow whose
-        incrementally-maintained certificate disagrees with what its
-        storage holds.
+        Refuses a shadow whose base epoch is no longer current — a racing
+        maintainer published since :meth:`begin_version` — and a torn
+        build: a shadow whose incrementally-maintained certificate
+        disagrees with what its storage holds.
 
         **What is re-read.**  The shadow's storage recorded every slot
         written since it was cloned (:meth:`Table.written_slots` — kept by
@@ -343,11 +334,7 @@ class MaterializedView:
         pass is O(slots written), not O(|view|).  Where that argument has
         nothing to stand on or nothing to save, every stored row is
         digested as before: row storage (its copy re-inserts, so nothing
-        is recorded), and a shadow that wrote half
-        the view or more.  One consequence: a certificate an *in-place*
-        refresh left wrong is carried forward by the next publish instead
-        of being caught by it; :meth:`Warehouse.verify_certificates` and
-        ``repro audit`` digest every stored row and are what re-prove it.
+        is recorded), and a shadow that wrote half the view or more.
 
         On success the swap is a single reference assignment; committed
         epochs are never unpublished, and a refused shadow leaves the
@@ -356,12 +343,10 @@ class MaterializedView:
         """
         with self._publish_lock:
             current = self._version
-            if shadow.base_stamp != current.stamp():
+            if shadow.base_epoch != current.epoch:
                 raise PublishError(
                     f"stale shadow for {self.name!r}: built from epoch "
-                    f"{shadow.base_epoch} revision {shadow.base_stamp[1]}, "
-                    f"current is epoch {current.epoch} revision "
-                    f"{current.revision}"
+                    f"{shadow.base_epoch}, current is epoch {current.epoch}"
                 )
             self._validate(current, shadow)
             version = self._swap_in(shadow.table, shadow.certificate)

@@ -43,15 +43,14 @@ def run_nightly_maintenance(
     """Maintain every summary table of every changed fact table.
 
     Keyword arguments are forwarded to
-    :func:`repro.lattice.plan.maintain_lattice` (options, variant,
-    use_lattice, auxiliary, ...).  With ``verify=True`` the run finishes by
+    :func:`repro.lattice.plan.maintain_lattice` (options, use_lattice,
+    auxiliary, ...).  With ``verify=True`` the run finishes by
     checking every summary table against recomputation — expensive, but the
     definitive post-deployment smoke test.  ``verify="certificate"`` checks
     through :meth:`Warehouse.verify_certificates` instead: one recompute
     digest pass per view, no row-by-row table comparison.
     """
     from ..core.propagate import PropagateOptions
-    from ..core.refresh import RefreshVariant
     from ..lattice.plan import maintain_lattice, maintenance_record
     from ..obs.ledger import active_ledger, suspended_ledger
     from ..relational.stats import measuring
@@ -108,8 +107,6 @@ def run_nightly_maintenance(
                 kind="nightly",
                 options=maintain_kwargs.get("options", PropagateOptions()),
                 use_lattice=maintain_kwargs.get("use_lattice", True),
-                variant=maintain_kwargs.get("variant", RefreshVariant.CURSOR),
-                mode=maintain_kwargs.get("mode"),
                 phases=clock.report.phases,
                 access=access.since(access_before),
                 stats=all_stats,

@@ -10,7 +10,7 @@ import pytest
 
 from repro.aggregates import CountStar, Max, Min, Sum
 from repro.relational import col
-from repro.views import SummaryViewDefinition, compute_rows
+from repro.views import MaterializedView, SummaryViewDefinition, compute_rows
 from repro.warehouse import (
     DimensionHierarchy,
     DimensionTable,
@@ -139,14 +139,40 @@ def minmax_definition(pos: FactTable) -> SummaryViewDefinition:
     )
 
 
+def build_shadow(definition: SummaryViewDefinition):
+    """A private next-epoch copy of a freshly built view: what ``refresh``
+    applies Figure 7 to."""
+    return MaterializedView.build(definition).begin_version()
+
+
 def assert_view_matches_recomputation(view) -> None:
-    """The fundamental maintenance invariant."""
+    """The fundamental maintenance invariant (for a view or a shadow)."""
     expected = compute_rows(view.definition).sorted_rows()
     got = view.table.sorted_rows()
     assert got == expected, (
-        f"view {view.name!r} diverged from recomputation:\n"
+        f"view {view.definition.name!r} diverged from recomputation:\n"
         f"maintained: {got}\nrecomputed: {expected}"
     )
+
+
+def per_node_deltas(lattice, changes, policy=None) -> dict:
+    """One pipeline per lattice node, in topological order: roots from the
+    change set, every other node through its Theorem 5.1 edge over its
+    parent's delta — the reference a fused sibling group is checked
+    against.  Returns each node's delta table."""
+    from repro.core import MinMaxPolicy, PropagateOptions, compute_summary_delta
+
+    policy = policy or MinMaxPolicy.PAPER
+    tables = {}
+    for name in lattice.order:
+        node = lattice.node(name)
+        if node.is_root:
+            tables[name] = compute_summary_delta(
+                node.definition, changes, PropagateOptions(policy=policy)
+            ).table
+        else:
+            tables[name] = node.edge.apply_delta(tables[node.parent], policy)
+    return tables
 
 
 @pytest.fixture

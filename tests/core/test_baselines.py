@@ -79,3 +79,18 @@ class TestGroupRecompute:
         changes.apply_to(pos.table)
         maintain_by_group_recompute(view, changes, apply_base_changes=False)
         assert_view_matches_recomputation(view)
+
+    def test_publishes_the_spliced_copy_as_the_next_epoch(self, pos, changes):
+        """The splice goes into a shadow copy, validated and published:
+        a reader pinned on the old epoch keeps its rows."""
+        from repro.obs.audit import rows_certificate
+
+        view = MaterializedView.build(sid_definition(pos))
+        pinned = view.pin()
+        rows = pinned.table.rows()
+        maintain_by_group_recompute(view, changes)
+        assert view.epoch == 1 and view.table is not pinned.table
+        assert pinned.table.rows() == rows
+        assert view.certificate.value == rows_certificate(view.table.rows())
+        assert view.table.verify_indexes()
+        assert_view_matches_recomputation(view)

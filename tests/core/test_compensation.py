@@ -41,15 +41,35 @@ class TestReadThroughDelta:
         snapshot = read_through_delta(view, delta)
         read = snapshot.read()
         assert "TotalQuantity" in read.schema
+        # A private next-epoch shadow, never published.
+        assert (snapshot.base_epoch, snapshot.epoch, view.epoch) == (0, 1, 0)
 
     def test_refresh_after_compensated_read_agrees(self, staged):
-        from repro.core import base_recompute_fn, refresh
+        from repro.core import apply_refresh, base_recompute_fn
 
         pos, view, changes, delta = staged
         snapshot = read_through_delta(view, delta)
         changes.apply_to(pos.table)
-        refresh(view, delta, recompute=base_recompute_fn(view.definition))
+        apply_refresh(view, delta, recompute=base_recompute_fn(view.definition))
         assert view.table.sorted_rows() == snapshot.table.sorted_rows()
+
+    def test_pinned_earlier_epoch_is_compensated(self, staged):
+        """A reader that pinned epoch 0 compensates epoch 0's rows, even
+        after the view has published epoch 1."""
+        from repro.core import apply_refresh
+
+        pos, view, changes, delta = staged
+        pinned = view.pin()
+        expected = read_through_delta(view, delta).table.sorted_rows()
+        other = ChangeSet("pos", pos.table.schema)
+        other.insert((2, 11, 2, 4, 1.1))
+        other_delta = compute_summary_delta(view.definition, other)
+        other.apply_to(pos.table)
+        apply_refresh(view, other_delta)
+        assert view.epoch == 1
+        snapshot = read_through_delta(view, delta, table=pinned.table)
+        assert snapshot.table.sorted_rows() == expected
+        assert snapshot.table is not pinned.table
 
     def test_minmax_threat_fails_fast_without_recompute(self, pos):
         view = MaterializedView.build(sic_definition(pos))

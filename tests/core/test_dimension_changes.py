@@ -3,10 +3,10 @@
 import pytest
 
 from repro.core import (
+    apply_refresh,
     base_recompute_fn,
     compute_summary_delta_combined,
     prepare_changes_combined,
-    refresh,
 )
 from repro.core.dimension_changes import apply_all_changes
 from repro.errors import MaintenanceError
@@ -27,7 +27,7 @@ def maintain_combined(view, fact_changes, dimension_changes):
         view.definition, fact_changes, dimension_changes
     )
     apply_all_changes(fact_changes, dimension_changes, view.definition)
-    refresh(view, delta, recompute=base_recompute_fn(view.definition))
+    apply_refresh(view, delta, recompute=base_recompute_fn(view.definition))
 
 
 class TestDimensionOnlyChanges:

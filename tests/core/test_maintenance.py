@@ -5,7 +5,6 @@ import pytest
 from repro.core import (
     MinMaxPolicy,
     PropagateOptions,
-    RefreshVariant,
     maintain_view,
 )
 from repro.views import MaterializedView
@@ -71,9 +70,8 @@ class TestDriver:
         assert result.stats.deleted == 1
         assert result.stats.updated == 1
 
-    @pytest.mark.parametrize("variant", list(RefreshVariant))
     @pytest.mark.parametrize("policy", list(MinMaxPolicy))
-    def test_all_option_combinations(self, pos, variant, policy):
+    def test_all_option_combinations(self, pos, policy):
         view = MaterializedView.build(sic_definition(pos))
         change_set = ChangeSet("pos", pos.table.schema)
         change_set.insert((2, 13, 1, 3, 1.2))
@@ -82,7 +80,6 @@ class TestDriver:
             view,
             change_set,
             options=PropagateOptions(policy=policy, pre_aggregate=True),
-            variant=variant,
         )
         assert_view_matches_recomputation(view)
 

@@ -6,9 +6,9 @@ from repro.aggregates import Count, CountStar, Min, Sum
 from repro.core import (
     MinMaxPolicy,
     PropagateOptions,
+    apply_refresh,
     base_recompute_fn,
     compute_summary_delta,
-    refresh,
 )
 from repro.relational import col
 from repro.views import MaterializedView, SummaryViewDefinition
@@ -42,7 +42,7 @@ def run(pos, view, inserts=(), deletes=(), policy=MinMaxPolicy.PAPER):
         view.definition, changes, PropagateOptions(policy=policy)
     )
     changes.apply_to(pos.table)
-    return refresh(view, delta, recompute=base_recompute_fn(view.definition))
+    return apply_refresh(view, delta, recompute=base_recompute_fn(view.definition))
 
 
 @pytest.mark.parametrize("policy", list(MinMaxPolicy))

@@ -180,7 +180,7 @@ class TestEquivalence:
 
     def test_default_recompute_fn_prefers_index(self, indexed_pos):
         # Functional check through the full refresh path.
-        from repro.core import compute_summary_delta, refresh
+        from repro.core import apply_refresh, compute_summary_delta
         from repro.views import MaterializedView, compute_rows
         from repro.warehouse import ChangeSet
 
@@ -189,7 +189,7 @@ class TestEquivalence:
         changes.delete((3, 10, 1, 6, 1.0))  # deletes a group minimum
         delta = compute_summary_delta(view.definition, changes)
         changes.apply_to(indexed_pos.table)
-        stats = refresh(
+        stats = apply_refresh(
             view, delta, recompute=base_recompute_fn(view.definition)
         )
         assert stats.recomputed == 1

@@ -2,20 +2,22 @@
 
 Covers O(|delta|) access charging, index build-on-first-use, the global
 (no group-by) view's single row, exactness of incremental index
-maintenance through plain refresh, atomic-refresh rollback, and
-corruption faults (where the audit — not the index — must flag the
-damage), and the span/metric probe accounting.
+maintenance through refresh and an abandoned refresh, the unique
+index's refusal of a duplicate group, corruption faults (where the
+audit — not the index — must flag the damage), and the span/metric probe
+accounting.
 """
 
 import pytest
 
 from repro.core import (
+    apply_refresh,
     base_recompute_fn,
     compute_summary_delta,
     refresh,
-    refresh_atomically,
 )
 from repro.core.refresh import GroupLocator
+from repro.errors import TableError
 from repro.relational.stats import measuring
 from repro.obs import registry, trace, tracing
 from repro.views import MaterializedView, SummaryViewDefinition
@@ -23,6 +25,7 @@ from repro.warehouse import ChangeSet
 
 from ..conftest import (
     assert_view_matches_recomputation,
+    build_shadow,
     minmax_definition,
     sic_definition,
     sid_definition,
@@ -43,7 +46,7 @@ def default_switches(monkeypatch):
 
 
 def prepared(pos, definition_factory, inserts=INSERTS, deletes=DELETES):
-    view = MaterializedView.build(definition_factory(pos))
+    view = build_shadow(definition_factory(pos))
     changes = ChangeSet("pos", pos.table.schema)
     changes.insert_many(inserts)
     changes.delete_many(deletes)
@@ -85,7 +88,7 @@ class TestLocator:
         assert view.table.verify_indexes()
 
     def test_global_view_takes_its_single_row(self, pos):
-        view = MaterializedView.build(global_definition(pos))
+        view = build_shadow(global_definition(pos))
         assert view.group_key_index() is None
         (slot,) = [slot for slot, _row in view.table.slots()]
         locator = GroupLocator(view)
@@ -118,31 +121,51 @@ class TestExactness:
         refresh(view, delta, recompute=base_recompute_fn(view.definition))
         assert view.table.verify_indexes()
 
-    def test_index_exact_after_rollback(self, pos):
-        """The undo log replays inverses through the table's mutation hooks,
-        so a rolled-back refresh must leave the group-key index exactly as
-        a fresh build would."""
-        view, delta = prepared(pos, sic_definition)
+    def test_index_exact_after_an_abandoned_refresh(self, pos):
+        """A refresh that fails after its shadow is built leaves the
+        published table's group-key index exactly as it was, and the retry
+        probes through it."""
+        view = MaterializedView.build(sic_definition(pos))
+        changes = ChangeSet("pos", pos.table.schema)
+        changes.insert_many(INSERTS)
+        changes.delete_many(DELETES)
+        delta = compute_summary_delta(view.definition, changes)
+        changes.apply_to(pos.table)
         before = view.table.sorted_rows()
 
         class Boom(RuntimeError):
             pass
 
-        def hook(step):
-            if step == 2:
+        def hook(stage):
+            if stage == "publish":
                 raise Boom
 
         with pytest.raises(Boom):
-            refresh_atomically(
+            apply_refresh(
                 view, delta, base_recompute_fn(view.definition),
                 failure_hook=hook,
             )
         assert view.table.sorted_rows() == before
         assert view.table.verify_indexes()
-        # The retry probes through the same (still-exact) index.
-        refresh_atomically(view, delta, base_recompute_fn(view.definition))
+        apply_refresh(view, delta, base_recompute_fn(view.definition))
         assert_view_matches_recomputation(view)
         assert view.table.verify_indexes()
+
+    def test_duplicate_group_row_is_refused_before_any_write(self, pos, warehouse):
+        # Refused through the table's single-row mutators, on the private
+        # copy a refresh writes to.
+        view = warehouse.define_summary_table(sid_definition(pos))
+        shadow = view.begin_version()
+        table = shadow.table
+        table.delete_slot(0)          # a free slot the insert could take
+        before = stored_state(shadow)
+        with pytest.raises(TableError, match="unique index"):
+            table.insert(table.row_at(1))
+        with pytest.raises(TableError, match="unique index"):
+            table.update_slot(2, table.row_at(1))
+        assert stored_state(shadow) == before
+        assert len(table) == len(table.rows())
+        assert table.verify_indexes()
 
     def test_verify_indexes_detects_divergence(self, pos):
         view, _ = prepared(pos, sid_definition)
@@ -188,3 +211,17 @@ class TestCorruptionFaults:
         assert report.failed_views == ["SID_sales"]
         for view in warehouse.views_over("pos"):
             assert view.table.verify_indexes(), view.name
+
+
+def stored_state(shadow):
+    """Everything a refresh may write: rows by slot, free slots, index
+    entries, tracked domains and the certificate."""
+    table = shadow.table
+    return (
+        table._rows,                                            # noqa: SLF001
+        sorted(table._free_slots),                              # noqa: SLF001
+        {columns: {key: list(index.slots_of(key)) for key in index.keys()}
+         for columns, index in table.indexes.items()},
+        [table.domain(column) for column in table.schema.columns],
+        shadow.certificate.value,
+    )

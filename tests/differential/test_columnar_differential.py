@@ -5,11 +5,8 @@ columnar engine (the default storage), the same engine on the interpreter
 (the ``interpreted`` fixture), and the SQLite backend all land identical
 post-refresh summary tables — and that each one matches from-scratch
 recomputation — across the Table 1 aggregate shapes and both MIN/MAX
-deletion policies.
-
-A fault-injection sweep then fails a refresh at every mutation step on a
-columnar view and asserts the rollback restores the physical slot layout
-byte-for-byte with the consistency certificate intact.
+deletion policies.  (A refresh failing at every mutation of its shadow
+is swept in ``tests/serving/test_fault_injection.py``.)
 """
 
 from contextlib import nullcontext
@@ -20,12 +17,10 @@ from hypothesis import given, settings, strategies as st
 from repro.core import (
     MinMaxPolicy,
     PropagateOptions,
+    apply_refresh,
     base_recompute_fn,
     compute_summary_delta,
-    refresh,
-    refresh_atomically,
 )
-from repro.obs.audit import rows_certificate
 from repro.sqlite_backend import SqliteWarehouse
 from repro.views import MaterializedView, compute_rows
 from repro.warehouse import ChangeSet
@@ -55,7 +50,7 @@ def final_state(shape, policy, base, to_insert, to_delete):
         view.definition, changes, PropagateOptions(policy=policy)
     )
     changes.apply_to(pos.table)
-    refresh(view, delta, recompute=base_recompute_fn(view.definition))
+    apply_refresh(view, delta, recompute=base_recompute_fn(view.definition))
     recomputed = compute_rows(view.definition).sorted_rows()
     return view.table.sorted_rows(), recomputed
 
@@ -112,125 +107,3 @@ def test_columnar_and_sqlite_agree(base, inserted, picks):
         "sqlite and columnar post-refresh views",
         base, to_insert, to_delete, sqlite_rows, columnar,
     )
-
-
-class InjectedFailure(RuntimeError):
-    pass
-
-
-class TestColumnarRollback:
-    """Fault injection on a columnar view: rollback must restore the
-    physical slot layout byte-for-byte and keep the certificate intact."""
-
-    BASE = [
-        (1, 1, 1, 2, 1.0),
-        (1, 2, 2, 3, 1.0),
-        (2, 1, 1, 5, 1.0),
-        (2, 2, 2, 8, 1.0),
-        (2, 3, 4, None, 1.0),
-        (3, 2, 3, 1, 1.0),
-        (4, 4, 5, 7, 1.0),
-    ]
-    #: Inserts touching only existing groups (updates/recomputes) — an
-    #: insert *action* (new group) rolls back to a trailing tombstone,
-    #: which byte-identity deliberately excludes (it has its own test).
-    INSERTS = [
-        (1, 1, 3, 4, 1.0),
-        (2, 1, 2, 6, 1.0),  # strictly interior to (2, k0): plain update
-    ]
-    NEW_GROUP = (3, 4, 1, 2, 1.0)
-    DELETES = [(1, 2, 2, 3, 1.0), (4, 4, 5, 7, 1.0)]  # MAX threats too
-
-    def prepared(self, shape="minmax", new_group=False):
-        pos = build_fact(self.BASE)
-        view = MaterializedView.build(make_view(pos, shape))
-        assert view.table.storage == "column"
-        changes = ChangeSet("pos", pos.table.schema)
-        inserts = list(self.INSERTS)
-        if new_group:
-            inserts.append(self.NEW_GROUP)
-        changes.insert_many(inserts)
-        changes.delete_many(self.DELETES)
-        delta = compute_summary_delta(view.definition, changes)
-        changes.apply_to(pos.table)
-        return view, delta, base_recompute_fn(view.definition)
-
-    def step_count(self):
-        view, delta, recompute = self.prepared()
-        return refresh_atomically(view, delta, recompute).touched
-
-    def test_workload_exercises_every_mutation_kind(self):
-        view, delta, recompute = self.prepared(new_group=True)
-        stats = refresh_atomically(view, delta, recompute)
-        assert stats.inserted > 0
-        assert stats.updated > 0
-        assert stats.deleted > 0
-        assert stats.recomputed > 0
-        expected = compute_rows(view.definition).sorted_rows()
-        assert view.table.sorted_rows() == expected
-
-    def test_rollback_is_byte_identical_with_intact_certificate(self):
-        total = self.step_count()
-        assert total > 0
-        for failing_step in range(total):
-            view, delta, recompute = self.prepared()
-            # Byte-identical means the physical slot layout (tombstones
-            # included), not just the sorted row multiset.
-            before_slots = list(view.table._rows)  # noqa: SLF001
-            before_cert = view.certificate.value
-
-            def hook(step, failing=failing_step):
-                if step == failing:
-                    raise InjectedFailure(f"at step {failing}")
-
-            with pytest.raises(InjectedFailure):
-                refresh_atomically(
-                    view, delta, recompute, failure_hook=hook
-                )
-            assert list(view.table._rows) == before_slots, (  # noqa: SLF001
-                f"columnar rollback not byte-identical at step {failing_step}"
-            )
-            assert view.certificate.value == before_cert
-            assert view.certificate.value == rows_certificate(
-                view.table.rows()
-            )
-            assert view.table.verify_indexes()
-
-    def test_insert_rollback_leaves_only_a_trailing_tombstone(self):
-        """Rolling back past an applied insert cannot shrink the slot
-        space — the freed slot stays as a tombstone at the tail (same as
-        the row backing) and is recycled by the eventual retry."""
-        view, delta, recompute = self.prepared(new_group=True)
-        before_slots = list(view.table._rows)  # noqa: SLF001
-        before_cert = view.certificate.value
-
-        def hook(step):
-            if step == 1:  # after the new-group insert landed
-                raise InjectedFailure
-
-        with pytest.raises(InjectedFailure):
-            refresh_atomically(view, delta, recompute, failure_hook=hook)
-        after_slots = list(view.table._rows)  # noqa: SLF001
-        assert after_slots[:len(before_slots)] == before_slots
-        assert after_slots[len(before_slots):] == [None]
-        assert view.certificate.value == before_cert
-        assert view.table.verify_indexes()
-        refresh_atomically(view, delta, recompute)
-        assert len(view.table._rows) == len(after_slots)  # noqa: SLF001
-
-    def test_retry_after_columnar_rollback_succeeds(self):
-        view, delta, recompute = self.prepared(new_group=True)
-        first = True
-
-        def hook(step):
-            nonlocal first
-            if first and step == 1:
-                first = False
-                raise InjectedFailure
-
-        with pytest.raises(InjectedFailure):
-            refresh_atomically(view, delta, recompute, failure_hook=hook)
-        refresh_atomically(view, delta, recompute, failure_hook=hook)
-        expected = compute_rows(view.definition).sorted_rows()
-        assert view.table.sorted_rows() == expected
-        assert view.certificate.value == rows_certificate(view.table.rows())

@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
+    apply_refresh,
     base_recompute_fn,
     compute_summary_delta,
-    refresh,
 )
 from repro.sqlite_backend import SqliteWarehouse
 from repro.views import MaterializedView, compute_rows
@@ -82,7 +82,7 @@ def test_post_refresh_views_agree(interpreted, shape, base, inserted, picks):
         else:
             delta = compute_summary_delta(view.definition, changes)
         changes.apply_to(pos.table)
-        refresh(view, delta, recompute=base_recompute_fn(view.definition))
+        apply_refresh(view, delta, recompute=base_recompute_fn(view.definition))
         final_states[engine] = view.table.sorted_rows()
         expected = compute_rows(view.definition).sorted_rows()
         assert rows_equivalent(expected, final_states[engine]), (
@@ -114,8 +114,8 @@ def test_memory_and_sqlite_backends_agree(base, inserted, picks):
     engine_changes = build_changes(engine_pos, to_insert, to_delete)
     delta = compute_summary_delta(engine_view.definition, engine_changes)
     engine_changes.apply_to(engine_pos.table)
-    refresh(engine_view, delta,
-            recompute=base_recompute_fn(engine_view.definition))
+    apply_refresh(engine_view, delta,
+                  recompute=base_recompute_fn(engine_view.definition))
 
     sqlite_pos = build_fact(base)
     warehouse = SqliteWarehouse()

@@ -46,10 +46,10 @@ def fresh_lineage_clock():
 
 def manifest_fingerprints(views):
     """Per-view manifest identity minus wall-clock noise: which batches
-    became visible in which epoch, under which refresh mode."""
+    became visible in which epoch."""
     return {
         view.definition.name: [
-            (m.epoch, m.refresh_count, m.mode, m.batches)
+            (m.epoch, m.refresh_count, m.batches)
             for m in view.lineage.manifests()
         ]
         for view in views

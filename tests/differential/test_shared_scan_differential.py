@@ -25,6 +25,7 @@ from repro.relational import col
 from repro.sqlite_backend import SqliteWarehouse
 from repro.views import MaterializedView, SummaryViewDefinition, compute_rows
 
+from ..conftest import per_node_deltas
 from ..property.test_property_refresh import build_fact, fact_rows, split_changes
 from .harness import differ_message, rows_equivalent
 from .test_engines_differential import build_changes, delete_picks
@@ -83,19 +84,17 @@ def test_shared_scan_deltas_byte_identical(
     changes = build_changes(pos, to_insert, to_delete)
     lattice = build_lattice_for_views(views)
 
-    legacy = propagate_lattice(
-        lattice, changes, PropagateOptions(policy=policy, shared_scan=False)
-    )
+    legacy = per_node_deltas(lattice, changes, policy)
     shared = propagate_lattice(
-        lattice, changes, PropagateOptions(policy=policy, shared_scan=True)
+        lattice, changes, PropagateOptions(policy=policy)
     )
     with interpreted(), per_child():
         fallback = propagate_lattice(
-            lattice, changes, PropagateOptions(policy=policy, shared_scan=True)
+            lattice, changes, PropagateOptions(policy=policy)
         )
 
     for name in lattice.order:
-        reference = legacy[name].table.rows()
+        reference = legacy[name].rows()
         for label, run in (
             ("shared-scan", shared),
             ("interpreted fallback", fallback),
@@ -105,8 +104,8 @@ def test_shared_scan_deltas_byte_identical(
                 f"per-child and {label} deltas for {name!r}",
                 base, to_insert, to_delete, reference, actual,
             )
-        assert shared[name].table.name == legacy[name].table.name
-        assert shared[name].table.schema == legacy[name].table.schema
+        assert shared[name].table.name == legacy[name].name
+        assert shared[name].table.schema == legacy[name].schema
 
 
 @settings(max_examples=10, deadline=None)
@@ -122,7 +121,7 @@ def test_shared_scan_maintenance_matches_recompute_and_sqlite(
     pos = build_fact(base)
     views = [MaterializedView.build(d) for d in lattice_definitions(pos)]
     changes = build_changes(pos, to_insert, to_delete)
-    maintain_lattice(views, changes, options=PropagateOptions(shared_scan=True))
+    maintain_lattice(views, changes)
 
     sqlite_pos = build_fact(base)
     warehouse = SqliteWarehouse()

@@ -1,7 +1,7 @@
-"""Differential testing of the refresh *modes*: for any consistent change
-set, the versioned copy-on-refresh path must land exactly the state the
-in-place paths land — and all of them must equal from-scratch
-recomputation and the SQLite backend's literal-SQL maintenance.
+"""Differential testing of the one commit path: for any consistent change
+set, ``apply_refresh`` must publish exactly one epoch whose rows equal
+from-scratch recomputation and the SQLite backend's literal-SQL
+maintenance.
 
 The matrix crosses Table 1 view shapes, both MIN/MAX propagation
 policies, and both backings of the stored view (columnar, the default,
@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core import (
     MinMaxPolicy,
     PropagateOptions,
-    RefreshMode,
     apply_refresh,
     base_recompute_fn,
     compute_summary_delta,
@@ -39,10 +38,9 @@ delete_picks = st.lists(st.integers(0, 10_000), max_size=12)
 BACKINGS = {"row": "row", "columnar": "column"}
 
 
-def run_mode(mode, shape, policy, backing, base, to_insert, to_delete):
+def run_refresh(shape, policy, backing, base, to_insert, to_delete):
     """Build a fresh warehouse whose view is stored on *backing*, apply
-    the change set through *mode*, and return (final sorted rows, final
-    epoch)."""
+    the change set, and return (final sorted rows, final epoch)."""
     pos = build_fact(base)
     built = MaterializedView.build(make_view(pos, shape))
     table = Table(built.table.name, built.table.schema, built.table.rows(),
@@ -55,11 +53,7 @@ def run_mode(mode, shape, policy, backing, base, to_insert, to_delete):
         view.definition, changes, PropagateOptions(policy=policy)
     )
     changes.apply_to(pos.table)
-    apply_refresh(
-        view, delta,
-        recompute=base_recompute_fn(view.definition),
-        mode=mode,
-    )
+    apply_refresh(view, delta, recompute=base_recompute_fn(view.definition))
     return view.table.sorted_rows(), view.epoch
 
 
@@ -68,16 +62,16 @@ def run_mode(mode, shape, policy, backing, base, to_insert, to_delete):
 @pytest.mark.parametrize("shape", ["fine", "minmax"])
 @settings(max_examples=10, deadline=None)
 @given(base=fact_rows, inserted=fact_rows, picks=delete_picks)
-def test_refresh_modes_agree(shape, policy, backing, base, inserted, picks):
-    """INPLACE ≡ ATOMIC ≡ VERSIONED ≡ recomputation, per shape × policy ×
-    backing; the versioned run must also have published exactly one epoch."""
+def test_refresh_agrees_with_recomputation(
+    shape, policy, backing, base, inserted, picks
+):
+    """Published refresh ≡ recomputation, per shape × policy × backing,
+    in exactly one new epoch."""
     to_insert, to_delete = split_changes(base, inserted, picks)
-    states = {
-        mode: run_mode(
-            mode, shape, policy, backing, base, to_insert, to_delete
-        )
-        for mode in RefreshMode
-    }
+    rows, epoch = run_refresh(
+        shape, policy, backing, base, to_insert, to_delete
+    )
+    assert epoch == 1
     # Recompute from scratch against the *post-change* base.
     pos = build_fact(base)
     changes = ChangeSet("pos", pos.table.schema)
@@ -86,18 +80,10 @@ def test_refresh_modes_agree(shape, policy, backing, base, inserted, picks):
     changes.apply_to(pos.table)
     expected = compute_rows(make_view(pos, shape).resolved()).sorted_rows()
 
-    reference_rows, _ = states[RefreshMode.INPLACE]
-    for mode, (rows, epoch) in states.items():
-        assert rows_equivalent(reference_rows, rows), differ_message(
-            f"in-place and {mode.value} post-refresh views ({shape}, "
-            f"{policy.name}, {backing})",
-            base, to_insert, to_delete, reference_rows, rows,
-        )
-        assert epoch == (1 if mode is RefreshMode.VERSIONED else 0)
-    assert rows_equivalent(expected, reference_rows), differ_message(
+    assert rows_equivalent(expected, rows), differ_message(
         f"recomputation and refreshed views ({shape}, {policy.name}, "
         f"{backing})",
-        base, to_insert, to_delete, expected, reference_rows,
+        base, to_insert, to_delete, expected, rows,
     )
 
 
@@ -105,12 +91,11 @@ def test_refresh_modes_agree(shape, policy, backing, base, inserted, picks):
 @settings(max_examples=10, deadline=None)
 @given(base=fact_rows, inserted=fact_rows, picks=delete_picks)
 def test_versioned_agrees_with_sqlite(backing, base, inserted, picks):
-    """The versioned path and the SQLite backend (executing the paper's
-    literal maintenance SQL) land identical summary tables."""
+    """The published refresh and the SQLite backend (executing the
+    paper's literal maintenance SQL) land identical summary tables."""
     to_insert, to_delete = split_changes(base, inserted, picks)
-    versioned_rows, epoch = run_mode(
-        RefreshMode.VERSIONED, "minmax", MinMaxPolicy.PAPER, backing,
-        base, to_insert, to_delete,
+    versioned_rows, epoch = run_refresh(
+        "minmax", MinMaxPolicy.PAPER, backing, base, to_insert, to_delete,
     )
     assert epoch == 1
 

@@ -7,9 +7,8 @@ leave all three untouched, with and without the D-lattice.  The counts do
 not depend on tracing, nor on which fold ran: the lattice cycles run
 again under the ``interpreted`` fixture, with every group-by and
 projection on the interpreter (the fused sibling kernel stays compiled),
-and repeat the compiled counts.  They are taken under the default
-versioned refresh, named in each call so that ``REPRO_VERSIONED=0``
-(whose in-place refresh copies nothing) cannot move them.
+and repeat the compiled counts.  They are taken under the one refresh
+commit, which copies each view before refreshing it.
 
 One cycle per paper workload over the same 20,000-row fact table: the
 update-generating and insertion-generating changes of Section 6 (2,000
@@ -133,7 +132,6 @@ def run_cycle(workload, use_lattice=True):
     with measuring() as access:
         result = maintain_lattice(
             warehouse.views_over("pos"), changes, use_lattice=use_lattice,
-            mode="versioned",
         )
     return warehouse, access, result
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import MinMaxPolicy, PropagateOptions, RefreshVariant
+from repro.core import MinMaxPolicy, PropagateOptions
 from repro.lattice import build_lattice_for_views, maintain_lattice
 from repro.views import compute_rows
 from repro.workload import (
@@ -93,11 +93,10 @@ class TestHeavyDeletionScenario:
 
 class TestOptionMatrix:
     @pytest.mark.parametrize("policy", list(MinMaxPolicy))
-    @pytest.mark.parametrize("variant", list(RefreshVariant))
     @pytest.mark.parametrize("pre_aggregate", [False, True])
     @pytest.mark.parametrize("use_lattice", [False, True])
     def test_every_configuration_converges(
-        self, policy, variant, pre_aggregate, use_lattice
+        self, policy, pre_aggregate, use_lattice
     ):
         data = generate_retail(RetailConfig(pos_rows=600, seed=127))
         warehouse = build_retail_warehouse(data)
@@ -107,7 +106,6 @@ class TestOptionMatrix:
             views,
             changes,
             options=PropagateOptions(policy=policy, pre_aggregate=pre_aggregate),
-            variant=variant,
             use_lattice=use_lattice,
         )
         for view in views:

@@ -1,13 +1,15 @@
-"""Five environment switches that once turned off an engine kernel are
-no longer read.
+"""Six environment switches that once turned off an engine kernel or
+path are no longer read.
 
 ``REPRO_CODEGEN``, ``REPRO_SHARED_SCAN``, ``REPRO_REFRESH_INDEX``,
-``REPRO_COLUMNAR`` and ``REPRO_CERTIFICATES`` set to ``"0"`` used to run
-the interpreter, the per-child edge pipelines, a linear-scan refresh
-locator, row storage and certificate-free views.  Each is now inert: with
-it set while the warehouse is built and maintained, the update cycle of
+``REPRO_COLUMNAR``, ``REPRO_CERTIFICATES`` and ``REPRO_VERSIONED`` set to
+``"0"`` used to run the interpreter, the per-child edge pipelines, a
+linear-scan refresh locator, row storage, certificate-free views and
+in-place refresh.  Each is now inert: with it set while the warehouse is
+built and maintained, the update cycle of
 :mod:`tests.integration.test_cycle_counts` repeats that file's pinned
-counts exactly, and every view is certified and stored in columns.
+counts exactly, every view is certified and stored in columns, and every
+view has published its refresh as epoch 1.
 """
 
 import pytest
@@ -27,6 +29,7 @@ RETIRED = [
     "REPRO_REFRESH_INDEX",
     "REPRO_COLUMNAR",
     "REPRO_CERTIFICATES",
+    "REPRO_VERSIONED",
 ]
 
 
@@ -40,4 +43,5 @@ def test_switch_set_to_zero_changes_nothing(monkeypatch, name):
     for view in warehouse.views_over("pos"):
         assert view.table.storage == "column", view.name
         assert view.certificate is not None, view.name
+        assert view.epoch == 1, view.name
     assert all(warehouse.verify_certificates().values())

@@ -8,9 +8,10 @@ canonical one — both change sides are populated, as in the paper's panel
 (a)/(b) experiments.
 """
 
+import dataclasses
+
 import pytest
 
-from repro.core import PropagateOptions
 from repro.lattice import (
     actual_node_accesses,
     actual_refresh_accesses,
@@ -156,21 +157,23 @@ class TestPredictedVsActual:
         (6_000, 600),
     ])
     def test_per_node_schedule_predictions_within_factor(
-        self, pos_rows, change_rows
+        self, per_child, pos_rows, change_rows
     ):
-        """With sibling groups not fused, the estimate made for that
-        schedule holds to the same bound."""
+        """With sibling groups not fused, the estimate's per-child
+        accesses hold to the same bound."""
         _data, views, changes = retail_setup(pos_rows, change_rows)
         lattice = build_lattice_for_views(views)
-        estimate = estimate_plan_cost(
-            lattice, collect_statistics(lattice, changes, views=views),
-            shared_scan=False,
+        fused = estimate_plan_cost(
+            lattice, collect_statistics(lattice, changes, views=views)
         )
-        with trace() as recorder:
-            maintain_lattice(
-                views, changes, lattice=lattice,
-                options=PropagateOptions(shared_scan=False),
+        estimate = dataclasses.replace(fused, nodes={
+            name: dataclasses.replace(
+                node, propagate_accesses=node.per_child_accesses
             )
+            for name, node in fused.nodes.items()
+        })
+        with per_child(), trace() as recorder:
+            maintain_lattice(views, changes, lattice=lattice)
         rows = compare_plan(estimate, actual_node_accesses(recorder.finish()))
         assert {row.name for row in rows} == set(lattice.order)
         for row in rows:

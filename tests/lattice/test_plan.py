@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import MinMaxPolicy, PropagateOptions, RefreshVariant
+from repro.core import MinMaxPolicy, PropagateOptions
 from repro.errors import MaintenanceError
 from repro.lattice import (
     build_lattice_for_views,
@@ -55,14 +55,11 @@ class TestMaintainLattice:
         assert result.stats["sR_sales"].inserted == 0
 
     @pytest.mark.parametrize("policy", list(MinMaxPolicy))
-    @pytest.mark.parametrize("variant", list(RefreshVariant))
-    def test_policy_variant_matrix(self, policy, variant):
+    def test_policy_matrix(self, policy):
         data, views = fresh_setup(seed=37, pos_rows=1000)
         changes = update_generating_changes(data.pos, data.config, 100, data.rng)
         maintain_lattice(
-            views, changes,
-            options=PropagateOptions(policy=policy),
-            variant=variant,
+            views, changes, options=PropagateOptions(policy=policy)
         )
         for view in views:
             assert_view_matches_recomputation(view)

@@ -8,6 +8,8 @@ pipeline per node — equal each other and the deltas computed directly from
 the change set, across change workloads and MIN/MAX policies.
 """
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro.core import MinMaxPolicy, PropagateOptions
@@ -29,7 +31,7 @@ from repro.workload import (
     update_generating_changes,
 )
 
-from ..conftest import assert_view_matches_recomputation
+from ..conftest import assert_view_matches_recomputation, per_node_deltas
 
 FACTORIES = {
     "update": update_generating_changes,
@@ -196,15 +198,13 @@ class TestScheduleEquality:
         data, views = retail_setup()
         changes = FACTORIES[workload](data.pos, data.config, 250, data.rng)
         lattice = build_lattice_for_views(views)
-        per_node = propagate_lattice(
-            lattice, changes, PropagateOptions(policy=policy, shared_scan=False)
-        )
+        per_node = per_node_deltas(lattice, changes, policy)
         fused = propagate_lattice(
-            lattice, changes, PropagateOptions(policy=policy, shared_scan=True)
+            lattice, changes, PropagateOptions(policy=policy)
         )
         assert list(fused) == list(per_node) == list(lattice.order)
         for name in lattice.order:
-            assert fused[name].table.rows() == per_node[name].table.rows(), name
+            assert fused[name].table.rows() == per_node[name].rows(), name
 
     @pytest.mark.parametrize("workload", sorted(FACTORIES))
     def test_lattice_deltas_match_direct_deltas(self, workload):
@@ -248,16 +248,14 @@ class TestScheduleEquality:
             }
         assert tables[True] == tables[False]
 
-    @pytest.mark.parametrize("shared_scan", [True, False],
-                             ids=["fused", "per-node"])
-    def test_clock_records_every_node_online(self, shared_scan):
+    @pytest.mark.parametrize("schedule", ["fused", "per-child"])
+    def test_clock_records_every_node_online(self, per_child, schedule):
         data, views = retail_setup(seed=31, pos_rows=800)
         changes = update_generating_changes(data.pos, data.config, 80, data.rng)
         lattice = build_lattice_for_views(views)
         clock = BatchWindowClock()
-        propagate_lattice(
-            lattice, changes, PropagateOptions(shared_scan=shared_scan), clock
-        )
+        with declined(per_child, schedule):
+            propagate_lattice(lattice, changes, PropagateOptions(), clock)
         recorded = sorted(phase.name for phase in clock.report.phases)
         assert recorded == sorted(
             f"propagate:{name}" for name in lattice.order
@@ -265,16 +263,14 @@ class TestScheduleEquality:
         assert all(not phase.offline for phase in clock.report.phases)
 
     @pytest.mark.parametrize("workload", sorted(FACTORIES))
-    @pytest.mark.parametrize("shared_scan", [True, False],
-                             ids=["fused", "per-node"])
-    def test_full_maintenance_converges(self, workload, shared_scan):
+    @pytest.mark.parametrize("schedule", ["fused", "per-child"])
+    def test_full_maintenance_converges(self, per_child, workload, schedule):
         """End to end: propagate + refresh lands every view on its
         recomputed state."""
         data, views = retail_setup(seed=37, pos_rows=1_500)
         changes = FACTORIES[workload](data.pos, data.config, 150, data.rng)
-        maintain_lattice(
-            views, changes, options=PropagateOptions(shared_scan=shared_scan)
-        )
+        with declined(per_child, schedule):
+            maintain_lattice(views, changes)
         for view in views:
             assert_view_matches_recomputation(view)
 
@@ -293,21 +289,18 @@ class TestPropagateSpans:
         finally:
             install_recorder(previous)
 
-    @pytest.mark.parametrize("shared_scan", [True, False],
-                             ids=["fused", "per-node"])
-    def test_span_totals_equal_access_totals(self, traced, shared_scan):
+    @pytest.mark.parametrize("schedule", ["fused", "per-child"])
+    def test_span_totals_equal_access_totals(self, traced, per_child, schedule):
         """One ``node:`` span per lattice node, and the propagate span's
         subtree charges exactly what the access collector saw — the fused
         scan is charged once, to its group's first node."""
         data, views = retail_setup(seed=61, pos_rows=800)
         changes = update_generating_changes(data.pos, data.config, 80, data.rng)
         lattice = build_lattice_for_views(views)
-        with traced() as recorder, measuring() as access:
-            propagate_lattice(
-                lattice, changes, PropagateOptions(shared_scan=shared_scan)
-            )
+        with declined(per_child, schedule), traced() as recorder, \
+                measuring() as access:
+            propagate_lattice(lattice, changes)
         propagate = recorder.finish().find("propagate")
-        assert propagate.tags["shared_scan"] is shared_scan
         assert sorted(
             span.name for span in propagate.walk()
             if span.name.startswith("node:")
@@ -316,14 +309,13 @@ class TestPropagateSpans:
             assert propagate.total_counter(counter) == getattr(access, counter)
         # sCD and SiC share SID's delta and both join a dimension, so they
         # fuse; sR, a lone child with no join, replays its edge directly.
-        groups = propagate.find_all("shared_scan:SID_sales")
-        if shared_scan:
-            (group,) = groups
-            assert group.tags["children"] == 2
+        (group,) = propagate.find_all("shared_scan:SID_sales")
+        assert group.tags["children"] == 2
+        assert propagate.find("shared_scan:sCD_sales") is None
+        if schedule == "fused":
             assert group.tags["scans_saved"] == 1
-            assert propagate.find("shared_scan:sCD_sales") is None
         else:
-            assert groups == []
+            assert "scans_saved" not in group.tags
 
     def test_declined_group_falls_back_per_child(self, traced, per_child):
         """A sibling group whose fused kernel declines runs each child's
@@ -333,13 +325,10 @@ class TestPropagateSpans:
         changes = update_generating_changes(data.pos, data.config, 80, data.rng)
         lattice = build_lattice_for_views(views)
         with measuring() as per_node_access:
-            per_node = propagate_lattice(
-                lattice, changes, PropagateOptions(shared_scan=False)
-            )
+            per_node = per_node_deltas(lattice, changes)
         with per_child(), traced() as recorder, measuring() as access:
             fallback = propagate_lattice(lattice, changes, PropagateOptions())
         propagate = recorder.finish().find("propagate")
-        assert propagate.tags["shared_scan"] is True
         (group,) = propagate.find_all("shared_scan:SID_sales")
         assert group.tags["shared_scan_fallback"] == "unsupported-edge"
         assert "scans_saved" not in group.tags
@@ -347,4 +336,9 @@ class TestPropagateSpans:
         for counter in ("rows_scanned", "index_lookups"):
             assert propagate.total_counter(counter) == getattr(access, counter)
         for name in lattice.order:
-            assert fallback[name].table.rows() == per_node[name].table.rows()
+            assert fallback[name].table.rows() == per_node[name].rows()
+
+
+def declined(per_child, schedule):
+    """The fused kernel as shipped, or declining every sibling group."""
+    return per_child() if schedule == "per-child" else nullcontext()

@@ -1,10 +1,12 @@
-"""Shared-scan plan structure: lattice memoization, the option default, and
-the cost model's fused-scan accounting (`per_child_accesses` / `scan_owner`
+"""Shared-scan plan structure: lattice memoization, shared scan as the one
+propagate schedule, and the cost model's fused-scan accounting (`per_child_accesses` / `scan_owner`
 / `shared_scan_saved_accesses`).
 
 Complements tests/lattice/test_cost.py (the 2x prediction-accuracy gate)
 with the invariants the shared-scan engine introduced.
 """
+
+import dataclasses
 
 import pytest
 
@@ -71,10 +73,12 @@ class TestMemoization:
         assert first.propagation_levels() == second.propagation_levels()
 
 
-class TestSharedScanDefault:
-    def test_option_defaults_to_shared_scan(self):
-        assert PropagateOptions().shared_scan is True
-        assert PropagateOptions(shared_scan=False).shared_scan is False
+class TestSharedScanShipped:
+    def test_shared_scan_is_not_an_option(self):
+        """Sibling groups always take the fused kernel where it applies;
+        the per-child path is only its fallback."""
+        assert [field.name for field in dataclasses.fields(PropagateOptions)] \
+            == ["policy", "pre_aggregate"]
 
 
 class TestSharedCostModel:
@@ -82,8 +86,7 @@ class TestSharedCostModel:
         _data, views, changes = retail
         lattice = build_lattice_for_views(views)
         stats = collect_statistics(lattice, changes)
-        estimate = estimate_plan_cost(lattice, stats, shared_scan=True)
-        assert estimate.shared_scan is True
+        estimate = estimate_plan_cost(lattice, stats)
 
         owners = {group[0] for group in lattice.sibling_groups()}
         fused_names = {
@@ -120,35 +123,6 @@ class TestSharedCostModel:
             estimate.per_child_accesses - estimate.with_lattice_accesses
         )
 
-    def test_legacy_estimate_predicts_no_savings(self, retail):
-        _data, views, changes = retail
-        lattice = build_lattice_for_views(views)
-        stats = collect_statistics(lattice, changes)
-        estimate = estimate_plan_cost(lattice, stats, shared_scan=False)
-        assert estimate.shared_scan is False
-        assert estimate.shared_scan_saved_accesses == 0
-        for node in estimate.nodes.values():
-            assert not node.scan_owner
-            assert node.per_child_accesses == node.propagate_accesses
-
-    def test_default_estimate_models_shared_scan(self, retail):
-        _data, views, changes = retail
-        lattice = build_lattice_for_views(views)
-        stats = collect_statistics(lattice, changes)
-        assert estimate_plan_cost(lattice, stats).shared_scan is True
-
-    def test_strategy_changes_only_propagate_side(self, retail):
-        """Refresh predictions and the §2.2 direct-cost comparison are
-        strategy-independent; only propagate accesses move."""
-        _data, views, changes = retail
-        lattice = build_lattice_for_views(views)
-        stats = collect_statistics(lattice, changes)
-        shared = estimate_plan_cost(lattice, stats, shared_scan=True)
-        legacy = estimate_plan_cost(lattice, stats, shared_scan=False)
-        assert shared.refresh_accesses == legacy.refresh_accesses
-        assert shared.without_lattice_accesses == legacy.without_lattice_accesses
-        assert shared.with_lattice_accesses < legacy.with_lattice_accesses
-
 
 class TestGroupFusionChoice:
     """The cost-based fusion rule: fuse a sibling group when it has two
@@ -173,7 +147,7 @@ class TestGroupFusionChoice:
         _data, views, changes = retail
         lattice = build_lattice_for_views(views)
         stats = collect_statistics(lattice, changes)
-        plan = estimate_plan_cost(lattice, stats, shared_scan=True)
+        plan = estimate_plan_cost(lattice, stats)
         for unit in lattice.sibling_groups():
             expected = group_fusion_choice([
                 len(lattice.node(name).edge.dimension_joins)

@@ -7,12 +7,7 @@ from decimal import Decimal
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import (
-    base_recompute_fn,
-    compute_summary_delta,
-    refresh,
-    refresh_atomically,
-)
+from repro.core import apply_refresh, base_recompute_fn, compute_summary_delta
 from repro.obs import trace
 from repro.obs.audit import (
     CERT_MASK,
@@ -290,29 +285,31 @@ class TestMaterializedViewCertificate:
             inserts=[(1, 10, 1, 7, 1.0), (4, 13, 9, 2, 1.3)],
             deletes=[(2, 12, 3, 5, 1.6)],
         )
-        refresh(view, delta, base_recompute_fn(view.definition))
+        apply_refresh(view, delta, base_recompute_fn(view.definition))
         assert_view_matches_recomputation(view)
         assert view.certificate.value == rows_certificate(view.table.rows())
 
-    def test_maintained_through_rollback(self, pos):
+    def test_untouched_by_an_abandoned_refresh(self, pos):
         view, delta = self.refreshed(
             pos,
             inserts=[(1, 10, 1, 7, 1.0)],
             deletes=[(2, 12, 3, 5, 1.6)],
         )
-        before = view.certificate.value
+        certificate = view.certificate
+        before = certificate.value
 
-        def hook(step):
-            if step == 1:
+        def hook(stage):
+            if stage == "publish":
                 raise RuntimeError("injected")
 
         with pytest.raises(RuntimeError):
-            refresh_atomically(
+            apply_refresh(
                 view, delta, base_recompute_fn(view.definition),
                 failure_hook=hook,
             )
-        # Undo-log rollback goes through the same observer hooks, so the
-        # certificate ends exactly where it started.
+        # The refresh wrote only its shadow, which carried its own
+        # certificate: the published one is where it started.
+        assert view.certificate is certificate
         assert view.certificate.value == before
         assert view.certificate.value == rows_certificate(view.table.rows())
 
@@ -428,7 +425,6 @@ class TestDeltaScaling:
         # Publishing is held to the same standard, by count: the same
         # delta against N and 10 N groups validates the same rows.
         from repro.aggregates import CountStar, Min, Sum
-        from repro.core import refresh_versioned
         from repro.relational import col
         from repro.views import SummaryViewDefinition
 
@@ -450,7 +446,7 @@ class TestDeltaScaling:
             delta = compute_summary_delta(view.definition, changes)
             changes.apply_to(pos.table)
             with trace() as recorder:
-                stats = refresh_versioned(
+                stats = apply_refresh(
                     view, delta, recompute=base_recompute_fn(view.definition)
                 )
             assert_view_matches_recomputation(view)

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core import compute_summary_delta, refresh
-from repro.core.transactional import refresh_atomically, refresh_versioned
+from repro.core import apply_refresh, compute_summary_delta
 from repro.errors import LineageError, TableError
 from repro.obs.lineage import (
     BatchLineage,
@@ -154,23 +153,15 @@ class TestDeltaCarriage:
 
 
 class TestManifestRecording:
-    @pytest.mark.parametrize(
-        "apply,mode",
-        [
-            (refresh, "inplace"),
-            (refresh_atomically, "atomic"),
-            (refresh_versioned, "versioned"),
-        ],
-    )
-    def test_committed_refresh_records_manifest(self, pos, apply, mode):
+    def test_committed_refresh_records_manifest(self, pos):
         view = make_view(pos)
         changes = ChangeSet("pos", pos.table.schema)
         changes.insert((1, 10, 1, 7, 1.0))
         delta = maintained_delta(pos, view, changes)
-        apply(view, delta)
+        apply_refresh(view, delta)
         manifest = view.lineage.last_manifest()
         assert manifest is not None
-        assert manifest.mode == mode
+        assert manifest.epoch == 1
         assert manifest.batches == tuple(sorted(changes.lineage))
         epoch, refresh_count = view.version_stamp()
         assert (manifest.epoch, manifest.refresh_count) == (
@@ -183,9 +174,9 @@ class TestManifestRecording:
         changes = ChangeSet("pos", pos.table.schema)
         changes.insert((1, 10, 1, 7, 1.0))
         delta = maintained_delta(pos, view, changes)
-        refresh(view, delta)
+        apply_refresh(view, delta)
         with pytest.raises(LineageError, match="already published"):
-            refresh(view, delta)
+            apply_refresh(view, delta)
 
     def test_lineage_free_delta_records_nothing(self, pos):
         view = make_view(pos)
@@ -193,7 +184,7 @@ class TestManifestRecording:
         changes.insert((1, 10, 1, 7, 1.0))
         delta = maintained_delta(pos, view, changes)
         delta.lineage.clear()   # hand-built delta: no provenance
-        refresh(view, delta)
+        apply_refresh(view, delta)
         assert len(view.lineage) == 0
 
     def test_manifest_for_and_pending_against(self, pos):
@@ -201,7 +192,7 @@ class TestManifestRecording:
         published = ChangeSet("pos", pos.table.schema)
         published.insert((1, 10, 1, 7, 1.0))
         delta = maintained_delta(pos, view, published)
-        refresh(view, delta)
+        apply_refresh(view, delta)
         staged = ChangeSet("pos", pos.table.schema)
         staged.insert((2, 11, 2, 3, 2.0))
         backlog = view.lineage.pending_against(staged.lineage)
@@ -218,9 +209,7 @@ class TestManifestRecording:
         changes.insert((1, 10, 1, 7, 1.0))
         changes.insert((2, 11, 2, 3, 2.0))
         delta = compute_summary_delta(sid_definition(pos), changes)
-        manifest = record_publish(
-            view, delta, mode="inplace", metrics=registry
-        )
+        manifest = record_publish(view, delta, metrics=registry)
         assert manifest is not None
         histogram = registry.histogram(
             "lineage.visibility_lag_s",
@@ -240,7 +229,7 @@ class TestViewLineage:
     def test_as_dict_shape(self):
         tracker = ViewLineage()
         tracker.record(
-            "v", 0, 1, "inplace", BatchLineage({1: 1.0, 2: 2.0}),
+            "v", 0, 1, BatchLineage({1: 1.0, 2: 2.0}),
             publish_ts=5.0,
         )
         payload = tracker.as_dict()
@@ -254,8 +243,8 @@ class TestViewLineage:
 
     def test_manifests_since_mark(self):
         tracker = ViewLineage()
-        tracker.record("v", 0, 1, "inplace", BatchLineage({1: 1.0}))
+        tracker.record("v", 0, 1, BatchLineage({1: 1.0}))
         mark = len(tracker)
-        tracker.record("v", 1, 2, "versioned", BatchLineage({2: 2.0}))
+        tracker.record("v", 1, 2, BatchLineage({2: 2.0}))
         fresh = tracker.manifests_since(mark)
         assert [m.epoch for m in fresh] == [1]

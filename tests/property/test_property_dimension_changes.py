@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.aggregates import CountStar, Min, Sum
 from repro.core import (
+    apply_refresh,
     base_recompute_fn,
     compute_summary_delta_combined,
-    refresh,
 )
 from repro.core.dimension_changes import apply_all_changes
 from repro.relational import col
@@ -58,7 +58,7 @@ def test_combined_changes_equal_recomputation(base, inserted, moves):
         view.definition, fact_changes, {"items": dim_changes}
     )
     apply_all_changes(fact_changes, {"items": dim_changes}, view.definition)
-    refresh(view, delta, recompute=base_recompute_fn(view.definition))
+    apply_refresh(view, delta, recompute=base_recompute_fn(view.definition))
 
     assert view.table.sorted_rows() == compute_rows(view.definition).sorted_rows()
 
@@ -82,7 +82,7 @@ def test_dimension_only_changes(base, moves):
         view.definition, None, {"items": dim_changes}
     )
     apply_all_changes(None, {"items": dim_changes}, view.definition)
-    refresh(view, delta, recompute=base_recompute_fn(view.definition))
+    apply_refresh(view, delta, recompute=base_recompute_fn(view.definition))
 
     assert view.table.sorted_rows() == compute_rows(view.definition).sorted_rows()
 
@@ -102,5 +102,5 @@ def test_multi_night_convergence(base, batches):
         changes.insert_many(batch)
         delta = compute_summary_delta(view.definition, changes)
         changes.apply_to(pos.table)
-        refresh(view, delta, recompute=base_recompute_fn(view.definition))
+        apply_refresh(view, delta, recompute=base_recompute_fn(view.definition))
     assert view.table.sorted_rows() == compute_rows(view.definition).sorted_rows()

@@ -1,18 +1,17 @@
 """Property-based testing of the lineage conservation invariant:
 
     for any interleaving of enqueues, micro-batches, merges, and
-    maintenance rounds (in any refresh mode), every batch id ends up in
-    EXACTLY ONE epoch manifest per view — none lost, none duplicated —
+    maintenance rounds, every batch id ends up in EXACTLY ONE epoch
+    manifest per view — none lost, none duplicated —
 
-plus the rollback side: a refresh that fails before its commit point
+plus the failure side: a refresh that fails before its commit point
 records no manifest at all, and the retry publishes the batches once.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import base_recompute_fn, compute_summary_delta, refresh
-from repro.core.transactional import refresh_atomically, refresh_versioned
+from repro.core import apply_refresh, base_recompute_fn, compute_summary_delta
 from repro.views import MaterializedView
 from repro.warehouse import ChangeSet
 
@@ -31,7 +30,7 @@ class Boom(RuntimeError):
 
 # One interleaving step: stage a row (optionally inside a micro-batch
 # scope, optionally routed through a side change set that is merged in)
-# or run one maintenance round in one of the three refresh modes.
+# or run one maintenance round.
 steps = st.lists(
     st.one_of(
         st.tuples(
@@ -45,21 +44,11 @@ steps = st.lists(
             ),
             st.sampled_from(["direct", "micro_batch", "merged"]),
         ),
-        st.tuples(
-            st.just("maintain"),
-            st.sampled_from(["inplace", "atomic", "versioned"]),
-        ),
+        st.tuples(st.just("maintain")),
     ),
     min_size=1,
     max_size=12,
 )
-
-REFRESH = {
-    "inplace": refresh,
-    "atomic": refresh_atomically,
-    "versioned": refresh_versioned,
-}
-
 
 @given(steps=steps)
 @settings(max_examples=60, deadline=None)
@@ -72,7 +61,7 @@ def test_every_batch_lands_in_exactly_one_manifest_per_view(steps):
     pending = ChangeSet("pos", pos.table.schema)
     allocated: set[int] = set()
 
-    def maintain(mode):
+    def maintain():
         if pending.is_empty():
             return
         deltas = [
@@ -81,7 +70,7 @@ def test_every_batch_lands_in_exactly_one_manifest_per_view(steps):
         ]
         pending.apply_to(pos.table)
         for view, delta in zip(views, deltas):
-            REFRESH[mode](
+            apply_refresh(
                 view, delta, recompute=base_recompute_fn(view.definition)
             )
         pending.clear()
@@ -100,8 +89,8 @@ def test_every_batch_lands_in_exactly_one_manifest_per_view(steps):
                 pending.insert(row)
             allocated |= set(pending.lineage)
         else:
-            maintain(step[1])
-    maintain("versioned")   # flush whatever the interleaving left behind
+            maintain()
+    maintain()   # flush whatever the interleaving left behind
 
     for view in views:
         # No loss: every allocated batch is in some manifest of the view.
@@ -129,26 +118,8 @@ def _staged_view_and_delta():
     return view, delta
 
 
-def test_rolled_back_atomic_refresh_records_no_manifest():
-    view, delta = _staged_view_and_delta()
-
-    def hook(step):
-        if step >= 1:
-            raise Boom()
-
-    with pytest.raises(Boom):
-        refresh_atomically(view, delta, failure_hook=hook)
-    assert len(view.lineage) == 0
-    assert view.lineage.published_batches() == frozenset()
-
-    # The retry commits and publishes each batch exactly once.
-    refresh_atomically(view, delta)
-    assert len(view.lineage) == 1
-    assert view.lineage.published_batches() == delta.lineage.batch_ids()
-
-
 @pytest.mark.parametrize("stage", ["build", "publish"])
-def test_abandoned_versioned_refresh_records_no_manifest(stage):
+def test_abandoned_refresh_records_no_manifest(stage):
     view, delta = _staged_view_and_delta()
 
     def hook(at):
@@ -156,10 +127,12 @@ def test_abandoned_versioned_refresh_records_no_manifest(stage):
             raise Boom(at)
 
     with pytest.raises(Boom):
-        refresh_versioned(view, delta, failure_hook=hook)
+        apply_refresh(view, delta, failure_hook=hook)
     assert len(view.lineage) == 0
+    assert view.lineage.published_batches() == frozenset()
 
-    refresh_versioned(view, delta)
+    # The retry publishes each batch exactly once.
+    apply_refresh(view, delta)
     assert len(view.lineage) == 1
     manifest = view.lineage.last_manifest()
     assert manifest.epoch == view.epoch

@@ -14,6 +14,7 @@ from repro.core import (
     MinMaxPolicy,
     PropagateOptions,
     RefreshVariant,
+    apply_refresh,
     base_recompute_fn,
     compute_summary_delta,
     refresh,
@@ -118,7 +119,7 @@ def test_maintenance_equals_recomputation(shape, policy, base, inserted, delete_
         view.definition, changes, PropagateOptions(policy=policy)
     )
     changes.apply_to(pos.table)
-    refresh(view, delta, recompute=base_recompute_fn(view.definition))
+    apply_refresh(view, delta, recompute=base_recompute_fn(view.definition))
 
     assert view.table.sorted_rows() == compute_rows(view.definition).sorted_rows()
 
@@ -130,7 +131,7 @@ def test_refresh_variants_agree(base, inserted, delete_picks):
     results = []
     for variant in RefreshVariant:
         pos = build_fact(base)
-        view = MaterializedView.build(make_view(pos, "minmax"))
+        view = MaterializedView.build(make_view(pos, "minmax")).begin_version()
         to_insert, to_delete = split_changes(base, inserted, delete_picks)
         changes = ChangeSet("pos", pos.table.schema)
         changes.insert_many(to_insert)
@@ -160,6 +161,6 @@ def test_insert_only_changes_never_recompute(base, inserted):
         view.definition, changes, PropagateOptions(policy=MinMaxPolicy.SPLIT)
     )
     changes.apply_to(pos.table)
-    stats = refresh(view, delta, recompute=None)  # no base access allowed
+    stats = apply_refresh(view, delta, recompute=None)  # no base access allowed
     assert stats.recomputed == 0
     assert view.table.sorted_rows() == compute_rows(view.definition).sorted_rows()

@@ -9,7 +9,7 @@ here is strong evidence that both read the paper the same way.
 from hypothesis import given, settings, strategies as st
 
 from repro.aggregates import Count, CountStar, Min, Sum
-from repro.core import base_recompute_fn, compute_summary_delta, refresh
+from repro.core import apply_refresh, base_recompute_fn, compute_summary_delta
 from repro.relational import col
 from repro.sqlite_backend import SqliteWarehouse
 from repro.views import MaterializedView, SummaryViewDefinition
@@ -48,8 +48,8 @@ def test_backends_agree(base, inserted, delete_picks):
     engine_changes.delete_many(to_delete)
     delta = compute_summary_delta(engine_view.definition, engine_changes)
     engine_changes.apply_to(engine_pos.table)
-    refresh(engine_view, delta,
-            recompute=base_recompute_fn(engine_view.definition))
+    apply_refresh(engine_view, delta,
+                  recompute=base_recompute_fn(engine_view.definition))
 
     # SQLite side (fresh fact instance so bases evolve independently).
     sqlite_pos = build_fact(base)

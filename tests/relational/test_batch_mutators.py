@@ -11,19 +11,9 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import (
-    base_recompute_fn,
-    compute_summary_delta,
-    refresh_atomically,
-    refresh_versioned,
-)
 from repro.errors import TableError
 from repro.obs.audit import ViewCertificate
 from repro.relational import Table
-from repro.views import MaterializedView
-from repro.warehouse import ChangeSet
-
-from ..conftest import sic_definition
 
 STORAGES = ["row", "column"]
 COLUMNS = ["u", "a", "b"]
@@ -255,43 +245,3 @@ def test_update_batch_may_hand_unique_keys_on(storage):
         with pytest.raises(TableError, match="unique"):
             table.update_slots(bad)
         assert snapshot(table, certificate) == before
-
-
-def test_rollback_over_batch_applied_rows_restores_the_table(pos):
-    """``refresh_atomically`` undoes row by row what a versioned (batch)
-    refresh and a batch base apply stored."""
-    view = MaterializedView.build(sic_definition(pos))
-    recompute = base_recompute_fn(view.definition)
-
-    first = ChangeSet("pos", pos.table.schema)
-    first.insert_many([(1, 10, 1, 7, 1.0), (4, 13, 9, 2, 1.3)])
-    first.delete_many([(2, 12, 3, 5, 1.6)])
-    delta = compute_summary_delta(view.definition, first)
-    first.apply_to(pos.table)
-    refresh_versioned(view, delta, recompute)
-
-    second = ChangeSet("pos", pos.table.schema)
-    second.insert_many([(2, 11, 2, 1, 1.0), (4, 10, 9, 3, 1.0)])
-    second.delete_many([(1, 10, 1, 7, 1.0), (3, 10, 1, 6, 1.0)])
-    delta = compute_summary_delta(view.definition, second)
-    second.apply_to(pos.table)
-
-    def state():
-        table = view.table
-        columns = getattr(table._store, "_columns", ())  # noqa: SLF001
-        return (table._rows,  # noqa: SLF001
-                [(type(column), list(column)) for column in columns],
-                view.certificate.value, table.verify_indexes())
-
-    before = state()
-    steps_taken = []
-
-    def fail_late(step):
-        steps_taken.append(step)
-        if step == 2:
-            raise RuntimeError("injected")
-
-    with pytest.raises(RuntimeError, match="injected"):
-        refresh_atomically(view, delta, recompute, failure_hook=fail_late)
-    assert steps_taken == [0, 1, 2]
-    assert state() == before

@@ -9,7 +9,7 @@ import dataclasses
 
 import pytest
 
-from repro.core import MinMaxPolicy, PropagateOptions
+from repro.core import MinMaxPolicy
 from repro.lattice import build_lattice_for_views, propagate_lattice
 from repro.relational import col
 from repro.relational.aggregation import SumReducer
@@ -25,7 +25,7 @@ DELETES = [(2, 12, 3, 5, 1.6)]
 
 
 @pytest.fixture
-def fused_inputs(pos):
+def fused_inputs(pos, per_child):
     """(lattice, parent delta, sibling edges) over the SID → {SiC, minmax}
     derivation: two siblings with different dimension joins."""
     views = [
@@ -37,9 +37,8 @@ def fused_inputs(pos):
     changes.insert_many(INSERTS)
     changes.delete_many(DELETES)
     lattice = build_lattice_for_views(views)
-    deltas = propagate_lattice(
-        lattice, changes, PropagateOptions(shared_scan=False)
-    )
+    with per_child():
+        deltas = propagate_lattice(lattice, changes)
     edges = [
         lattice.node(name).edge
         for name in lattice.order

@@ -19,16 +19,14 @@ def retail():
     return data, warehouse
 
 
-def run_cycle(data, warehouse, n_changes=300, mode="versioned", **kwargs):
+def run_cycle(data, warehouse, n_changes=300, **kwargs):
     """One full maintenance cycle over the warehouse's pos views."""
     from repro.lattice.plan import maintain_lattice
 
     changes = update_generating_changes(
         data.pos, data.config, n_changes, data.rng
     )
-    return maintain_lattice(
-        warehouse.views_over("pos"), changes, mode=mode, **kwargs
-    )
+    return maintain_lattice(warehouse.views_over("pos"), changes, **kwargs)
 
 
 def canon(table):

@@ -79,7 +79,7 @@ def test_no_torn_reads_under_concurrent_maintenance(retail):
     def maintainer():
         try:
             while not stop.is_set():
-                run_cycle(data, warehouse, n_changes=250, mode="versioned")
+                run_cycle(data, warehouse, n_changes=250)
                 for view in views:
                     version = view.pin()
                     epoch_log[view.name][version.epoch] = version
@@ -183,7 +183,7 @@ def test_cached_answers_stay_epoch_consistent(retail):
             # Same epoch: the repeat is a hit and returns the cached object.
             assert server.answer(query) is server.answer(query)
         for _ in range(3):
-            run_cycle(data, warehouse, n_changes=150, mode="versioned")
+            run_cycle(data, warehouse, n_changes=150)
             for query in queries:
                 cached = canon(server.answer(query))
                 direct = canon(server.router.answer(query))
@@ -195,12 +195,11 @@ def test_cached_answers_stay_epoch_consistent(retail):
     assert server.stats.cache_misses >= len(queries) * 4
 
 
-@pytest.mark.parametrize("mode", ["versioned", "inplace", "atomic"])
-def test_one_refresh_invalidates_a_cached_answer_once(retail, mode):
-    """Regression: a versioned refresh moves the epoch at the swap and the
-    freshness count a moment later, and entries used to be stamped with
-    both — so an answer computed between the two was stored under a stamp
-    no later lookup matched, and the roll-up ran twice per publish."""
+def test_one_refresh_invalidates_a_cached_answer_once(retail):
+    """Regression: a refresh moves the epoch at the swap and the freshness
+    count a moment later, and entries used to be stamped with both — so
+    an answer computed between the two was stored under a stamp no later
+    lookup matched, and the roll-up ran twice per publish."""
     data, warehouse = retail
     query = query_pool(data.pos)[0]
     with QueryServer(warehouse, max_workers=1) as server:
@@ -211,19 +210,15 @@ def test_one_refresh_invalidates_a_cached_answer_once(retail, mode):
 
         def answer_then_mark(*args, **kwargs):
             # What a reader thread does when it runs between the publish
-            # and the freshness update of a versioned refresh.
-            if mode == "versioned":
-                between.append(server.answer(query))
+            # and the freshness update of a refresh.
+            between.append(server.answer(query))
             mark(*args, **kwargs)
 
         view.freshness.mark_refreshed = answer_then_mark
-        run_cycle(data, warehouse, n_changes=150, mode=mode)
+        run_cycle(data, warehouse, n_changes=150)
         misses = server.stats.cache_misses
         after = server.answer(query)
-        if between:
-            assert after is between[0]
-            assert server.stats.cache_misses == misses == 2
-        else:
-            assert server.stats.cache_misses == misses + 1 == 2
+        assert after is between[0]
+        assert server.stats.cache_misses == misses == 2
         assert canon(after) == canon(server.router.answer(query))
         assert server.answer(query) is after

@@ -23,7 +23,7 @@ def pos_views(warehouse):
 
 def test_publish_without_readers_retains_nothing(retail):
     data, warehouse = retail
-    run_cycle(data, warehouse, mode="versioned")
+    run_cycle(data, warehouse)
     gc.collect()
     for view in pos_views(warehouse):
         stats = view.collect_epochs()
@@ -43,7 +43,7 @@ def test_pinned_reader_holds_watermark_down(retail):
     assert pinned.epoch == 0
 
     for _ in range(3):
-        run_cycle(data, warehouse, mode="versioned")
+        run_cycle(data, warehouse)
     gc.collect()
 
     stats = view.collect_epochs()
@@ -68,9 +68,9 @@ def test_intermediate_epochs_free_while_oldest_stays_pinned(retail):
     data, warehouse = retail
     view = pos_views(warehouse)[0]
     oldest = view.pin()
-    run_cycle(data, warehouse, mode="versioned")
+    run_cycle(data, warehouse)
     middle = view.pin()            # epoch 1
-    run_cycle(data, warehouse, mode="versioned")
+    run_cycle(data, warehouse)
     del middle
     gc.collect()
 
@@ -87,7 +87,7 @@ def test_intermediate_epochs_free_while_oldest_stays_pinned(retail):
 def test_epoch_stats_is_a_pure_read(retail):
     data, warehouse = retail
     view = pos_views(warehouse)[0]
-    run_cycle(data, warehouse, mode="versioned")
+    run_cycle(data, warehouse)
     gc.collect()
     before = view.collect_epochs().collected
     for _ in range(3):
@@ -101,7 +101,7 @@ def test_epoch_stats_is_a_pure_read(retail):
 def test_collect_emits_labelled_gauges(retail):
     data, warehouse = retail
     view = pos_views(warehouse)[0]
-    run_cycle(data, warehouse, mode="versioned")
+    run_cycle(data, warehouse)
     gc.collect()
     registry = MetricsRegistry()
     stats = view.collect_epochs(metrics=registry)
@@ -115,7 +115,7 @@ def test_collect_emits_labelled_gauges(retail):
 def test_as_dict_round_trip(retail):
     data, warehouse = retail
     view = pos_views(warehouse)[0]
-    run_cycle(data, warehouse, mode="versioned")
+    run_cycle(data, warehouse)
     gc.collect()
     record = view.collect_epochs().as_dict()
     assert set(record) == {"current", "retained", "collected", "watermark"}

@@ -11,8 +11,7 @@ tests fail on the old re-resolving path.
 import pytest
 
 from repro.aggregates import CountStar, Sum
-from repro.core import compute_summary_delta
-from repro.core.transactional import refresh_versioned
+from repro.core import apply_refresh, compute_summary_delta
 from repro.query import AggregateQuery, QueryRouter
 from repro.relational import col
 from repro.warehouse import ChangeSet
@@ -40,7 +39,7 @@ def run_versioned_cycle(warehouse, pos):
     view = next(iter(warehouse.views.values()))
     delta = compute_summary_delta(view.definition, changes)
     changes.apply_to(pos.table)
-    refresh_versioned(view, delta)
+    apply_refresh(view, delta)
 
 
 class TestPlanPinning:
@@ -111,5 +110,5 @@ class TestPlanPinning:
         # Apply the same delta for real (versioned) and compare: the
         # compensated answer anticipated exactly the published state.
         changes.apply_to(pos.table)
-        refresh_versioned(plan_view, delta)
+        apply_refresh(plan_view, delta)
         assert compensated == canon(router.answer(query))

@@ -17,9 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     PropagateOptions,
+    apply_refresh,
     base_recompute_fn,
     compute_summary_delta,
-    refresh_versioned,
 )
 from repro.views import MaterializedView
 from repro.warehouse import ChangeSet
@@ -70,7 +70,7 @@ def test_interleaved_swaps_and_reads_are_snapshot_isolated(
             )
             changes.apply_to(pos.table)
             before = view.epoch
-            refresh_versioned(
+            apply_refresh(
                 view, delta, recompute=base_recompute_fn(view.definition)
             )
             assert view.epoch == before + 1   # monotonic, never skips

@@ -121,7 +121,7 @@ def test_staleness_gauges_move_across_a_publish(retail):
         import time as _time
         _time.sleep(0.05)
         before = prom_samples(scrape(server.exporter.url + "/metrics"))
-        run_cycle(data, warehouse, mode="versioned")
+        run_cycle(data, warehouse)
         after = prom_samples(scrape(server.exporter.url + "/metrics"))
 
     view_names = [view.name for view in warehouse.views_over("pos")]
@@ -141,8 +141,8 @@ def test_watermark_returns_to_newest_epoch_after_readers_unpin(retail):
     key = f'repro_epochs_watermark{{view="{view.name}"}}'
     with QueryServer(warehouse, max_workers=2, expose_http=0) as server:
         pinned = view.pin()                      # reader holding epoch 0
-        run_cycle(data, warehouse, mode="versioned")
-        run_cycle(data, warehouse, mode="versioned")
+        run_cycle(data, warehouse)
+        run_cycle(data, warehouse)
         gc.collect()
         held = prom_samples(scrape(server.exporter.url + "/metrics"))
         assert held[key] == 0, (
@@ -202,7 +202,7 @@ def test_status_endpoint_reflects_serving_and_epochs(retail):
     with QueryServer(warehouse, max_workers=2, expose_http=0) as server:
         for _ in range(3):
             server.answer(queries[0])
-        run_cycle(data, warehouse, mode="versioned")
+        run_cycle(data, warehouse)
         payload = json.loads(scrape(server.exporter.url + "/status"))
         slow = json.loads(scrape(server.exporter.url + "/slow"))
 
@@ -227,7 +227,7 @@ def test_status_lineage_section_tracks_manifests_and_backlog(retail):
     queries = query_pool(data.pos)
     with QueryServer(warehouse, max_workers=2, expose_http=0) as server:
         server.answer(queries[0])
-        run_cycle(data, warehouse, mode="versioned")
+        run_cycle(data, warehouse)
         # Stage (but do not maintain) a batch: it must show up as pending
         # lineage backlog on the very next scrape.
         from repro.workload import update_generating_changes
@@ -247,7 +247,6 @@ def test_status_lineage_section_tracks_manifests_and_backlog(retail):
         assert lineage["oldest_pending_batch_age_s"] > 0
         last = lineage["last_manifest"]
         assert last["view"] == name
-        assert last["mode"] == "versioned"
         assert last["epoch"] == 1
         lag = lineage["visibility_lag"]
         assert lag["count"] == lineage["batches_published"]
@@ -264,8 +263,8 @@ def test_status_lineage_section_tracks_manifests_and_backlog(retail):
 def test_status_lineage_agrees_with_view_manifests(retail):
     data, warehouse = retail
     with QueryServer(warehouse, max_workers=2, expose_http=0) as server:
-        run_cycle(data, warehouse, mode="versioned")
-        run_cycle(data, warehouse, mode="versioned")
+        run_cycle(data, warehouse)
+        run_cycle(data, warehouse)
         payload = json.loads(scrape(server.exporter.url + "/status"))
 
     for view in warehouse.views_over("pos"):

@@ -1,21 +1,11 @@
 """Unit tests for the epoch-versioned view machinery itself:
-begin/publish lifecycle, pinning, stamps, and the mode dispatcher."""
+begin/publish lifecycle, pinning, stamps, and ``apply_refresh``."""
 
 import pytest
 
-from repro.core import (
-    PropagateOptions,
-    RefreshMode,
-    RefreshVariant,
-    apply_refresh,
-    compute_summary_delta,
-    refresh,
-    refresh_versioned,
-    resolve_refresh_mode,
-    versioned_default,
-)
+from repro.core import PropagateOptions, apply_refresh, compute_summary_delta
 from repro.errors import PublishError
-from repro.views import MaterializedView, compute_rows
+from repro.views import MaterializedView
 from repro.warehouse import ChangeSet
 
 from ..conftest import assert_view_matches_recomputation, sid_definition
@@ -69,20 +59,35 @@ class TestVersionLifecycle:
         assert view.epoch == 1
         assert view.table is first.table
 
-    def test_shadow_overtaken_by_in_place_refresh_rejected(self, pos, view):
-        """Same epoch, next revision: publishing the shadow would drop
-        the in-place refresh's rows without anyone noticing."""
+    def test_shadow_overtaken_by_a_refresh_rejected(self, pos, view):
+        """Publishing the shadow would drop the refresh's rows without
+        anyone noticing."""
         shadow = view.begin_version()
         changes = make_changes(pos, insertions=[(1, 1, 1, 2, 3.0)])
         delta = compute_summary_delta(view.definition, changes)
         changes.apply_to(pos.table)
-        refresh(view, delta)
-        assert view.pin().stamp() == (0, 1)
+        apply_refresh(view, delta)
         refreshed = view.pin()
         with pytest.raises(PublishError, match="stale shadow"):
             view.publish(shadow)
         assert view.pin() is refreshed
         assert_view_matches_recomputation(view)
+
+    def test_shadow_of_a_pinned_earlier_epoch(self, pos, view):
+        """A reader's pinned epoch is copied, not the current one, and its
+        certificate is digested from its own rows."""
+        from repro.obs.audit import rows_certificate
+
+        pinned = view.pin()
+        changes = make_changes(pos, insertions=[(1, 1, 1, 2, 3.0)])
+        delta = compute_summary_delta(view.definition, changes)
+        changes.apply_to(pos.table)
+        apply_refresh(view, delta)
+        shadow = view.begin_version(pinned.table)
+        assert shadow.table is not pinned.table
+        assert shadow.table.sorted_rows() == pinned.table.sorted_rows()
+        assert shadow.certificate.value == rows_certificate(pinned.table.rows())
+        assert shadow.base_epoch == view.epoch == 1
 
     def test_epochs_are_monotonic(self, view):
         for expected in range(1, 5):
@@ -99,21 +104,18 @@ class TestVersionLifecycle:
             view.publish(shadow)
         assert view.epoch == 0
 
-    def test_version_stamp_tracks_publishes_and_inplace_refreshes(
-        self, pos, view
-    ):
-        stamp0 = view.version_stamp()
+    def test_version_stamp_tracks_publishes_and_refreshes(self, pos, view):
+        assert view.version_stamp() == (0, 0)
         view.publish(view.begin_version())
-        stamp1 = view.version_stamp()
-        assert stamp1 != stamp0
+        assert view.version_stamp() == (1, 0)
         changes = make_changes(pos, insertions=[(1, 1, 1, 2, 3.0)])
         delta = compute_summary_delta(view.definition, changes)
         changes.apply_to(pos.table)
-        refresh(view, delta)
-        assert view.version_stamp() != stamp1
+        apply_refresh(view, delta)
+        assert view.version_stamp() == (2, 1)
 
 
-class TestRefreshVersioned:
+class TestApplyRefresh:
     def test_matches_recomputation(self, pos, view):
         changes = make_changes(
             pos,
@@ -122,7 +124,7 @@ class TestRefreshVersioned:
         )
         delta = compute_summary_delta(view.definition, changes)
         changes.apply_to(pos.table)
-        stats = refresh_versioned(view, delta)
+        stats = apply_refresh(view, delta)
         assert view.epoch == 1
         assert stats.delta_rows == len(delta.table)
         assert_view_matches_recomputation(view)
@@ -133,7 +135,7 @@ class TestRefreshVersioned:
         changes = make_changes(pos, insertions=[(2, 2, 2, 7, 1.0)])
         delta = compute_summary_delta(view.definition, changes)
         changes.apply_to(pos.table)
-        refresh_versioned(view, delta)
+        apply_refresh(view, delta)
         assert view.certificate is not None
         assert view.certificate.value == rows_certificate(view.table.rows())
 
@@ -143,7 +145,7 @@ class TestRefreshVersioned:
         changes = make_changes(pos, insertions=[(2, 2, 2, 7, 1.0)])
         delta = compute_summary_delta(view.definition, changes)
         changes.apply_to(pos.table)
-        refresh_versioned(view, delta)
+        apply_refresh(view, delta)
         assert sorted(pinned.table.rows()) == rows_before
         assert sorted(view.table.rows()) != rows_before
 
@@ -155,46 +157,12 @@ class TestRefreshVersioned:
         changes = make_changes(pos, insertions=[(1, 1, 1, 1, 1.0)])
         delta = compute_summary_delta(other.definition, changes)
         with pytest.raises(MaintenanceError, match="applied to view"):
-            refresh_versioned(view, delta)
+            apply_refresh(view, delta)
 
 
-class TestModeDispatch:
-    def test_default_is_versioned(self, monkeypatch):
-        monkeypatch.delenv("REPRO_VERSIONED", raising=False)
-        assert versioned_default()
-        assert resolve_refresh_mode(None) is RefreshMode.VERSIONED
+def test_engine_config_records_options_and_lattice_only():
+    from repro.lattice.plan import engine_config
 
-    def test_env_kill_switch_restores_inplace(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VERSIONED", "0")
-        assert not versioned_default()
-        assert resolve_refresh_mode(None) is RefreshMode.INPLACE
-
-    def test_strings_and_members_resolve(self):
-        assert resolve_refresh_mode("versioned") is RefreshMode.VERSIONED
-        assert resolve_refresh_mode("atomic") is RefreshMode.ATOMIC
-        assert resolve_refresh_mode(RefreshMode.INPLACE) is RefreshMode.INPLACE
-        with pytest.raises(ValueError):
-            resolve_refresh_mode("bogus")
-
-    @pytest.mark.parametrize(
-        "mode,expected_epoch",
-        [(RefreshMode.INPLACE, 0), (RefreshMode.ATOMIC, 0),
-         (RefreshMode.VERSIONED, 1)],
-    )
-    def test_apply_refresh_dispatches(self, pos, view, mode, expected_epoch):
-        changes = make_changes(pos, insertions=[(1, 2, 3, 4, 1.0)])
-        delta = compute_summary_delta(view.definition, changes)
-        changes.apply_to(pos.table)
-        apply_refresh(view, delta, mode=mode)
-        assert view.epoch == expected_epoch
-        assert_view_matches_recomputation(view)
-
-    def test_engine_config_records_mode(self):
-        from repro.lattice.plan import engine_config
-
-        config = engine_config(
-            PropagateOptions(), True, RefreshVariant.CURSOR, "versioned"
-        )
-        assert config["mode"] == "versioned"
-        default = engine_config(PropagateOptions(), True, RefreshVariant.CURSOR)
-        assert default["mode"] == resolve_refresh_mode(None).value
+    assert engine_config(PropagateOptions(), True) == {
+        "policy": "paper", "pre_aggregate": False, "use_lattice": True,
+    }

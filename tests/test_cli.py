@@ -314,7 +314,7 @@ class TestLineageCommand:
         assert out.startswith("batch 1:")
         for name in ("SID_sales", "sCD_sales", "SiC_sales", "sR_sales"):
             assert name in out
-        assert "mode versioned" in out or "mode inplace" in out
+        assert "epoch   1  refresh   1" in out
 
     def test_unknown_batch_exits_1(self, capsys):
         assert main(self.ARGS + ["--batch", "999999"]) == 1
@@ -324,7 +324,8 @@ class TestLineageCommand:
         assert main(self.ARGS + ["--view", "SID_sales"]) == 0
         out = capsys.readouterr().out
         assert "view SID_sales:" in out
-        assert "epoch" in out and "batches [" in out
+        # One manifest per round, each at the epoch its publish made.
+        assert "epoch   1  batches [" in out and "epoch   2  batches [" in out
         assert "pending: " in out
 
     def test_unknown_view_exits_2(self, capsys):

@@ -10,12 +10,7 @@ extreme expired.
 
 import pytest
 
-from repro.core import (
-    MinMaxPolicy,
-    PropagateOptions,
-    RefreshMode,
-    RefreshVariant,
-)
+from repro.core import MinMaxPolicy, PropagateOptions
 from repro.errors import InconsistentDeltaError
 from repro.lattice import maintain_lattice
 from repro.obs import tracing
@@ -129,19 +124,14 @@ def test_expiration_with_new_day_converges(policy, use_lattice):
     assert result.stats["SID_sales"].inserted > 0
 
 
-@pytest.mark.parametrize("mode", list(RefreshMode), ids=lambda m: m.value)
-@pytest.mark.parametrize("variant", list(RefreshVariant),
-                         ids=lambda v: v.value)
-def test_expiration_refreshes_under_every_discipline(variant, mode):
-    """Whole groups deleted and MIN groups recomputed, applied by either
-    refresh variant in place, atomically or as a published version: the
-    views converge, and every view's group-key index stays exact."""
+def test_expiration_refresh_publishes_exact_views():
+    """Whole groups deleted and MIN groups recomputed, published as each
+    view's next epoch: the views converge, and every view's group-key
+    index stays exact."""
     data = retail(seed=89, pos_rows=1_500)
     warehouse = build_retail_warehouse(data)
     views = warehouse.views_over("pos")
-    result = maintain_lattice(
-        views, expiration_changes(data.pos, 2), variant=variant, mode=mode,
-    )
+    result = maintain_lattice(views, expiration_changes(data.pos, 2))
     assert all(warehouse.verify_views().values())
     assert result.stats["SID_sales"].deleted > 0
     assert result.stats["SiC_sales"].recomputed > 0

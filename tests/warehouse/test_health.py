@@ -4,11 +4,7 @@ import random
 
 import pytest
 
-from repro.core import (
-    base_recompute_fn,
-    compute_summary_delta,
-    refresh_atomically,
-)
+from repro.core import apply_refresh, base_recompute_fn, compute_summary_delta
 from repro.obs import RunLedger, set_ledger
 from repro.obs.metrics import MetricsRegistry
 from repro.warehouse import (
@@ -266,8 +262,10 @@ class TestCorruptionMatrix:
         assert metrics.gauge("integrity.last_audit_ok").snapshot() == 0
 
 
-class TestRollbackThenAudit:
-    def test_rolled_back_view_is_stale_but_not_corrupt(self, small_warehouse):
+class TestAbandonedRefreshThenAudit:
+    def test_abandoned_refresh_leaves_view_stale_but_not_corrupt(
+        self, small_warehouse
+    ):
         warehouse, pos = small_warehouse
         view = warehouse.view("SID_sales")
         changes = warehouse.pending_changes("pos")
@@ -278,27 +276,27 @@ class TestRollbackThenAudit:
         )
         warehouse.apply_pending_to_base("pos")
         recompute = base_recompute_fn(view.definition)
-        refresh_atomically(
+        apply_refresh(
             warehouse.view("SiC_sales"), sic_delta,
             base_recompute_fn(warehouse.view("SiC_sales").definition),
         )
 
-        def hook(step):
-            if step == 1:
-                raise RuntimeError("injected mid-refresh")
+        def hook(stage):
+            if stage == "publish":
+                raise RuntimeError("injected between build and swap")
 
         with pytest.raises(RuntimeError):
-            refresh_atomically(view, delta, recompute, failure_hook=hook)
+            apply_refresh(view, delta, recompute, failure_hook=hook)
 
         report = audit_warehouse(warehouse, metrics=MetricsRegistry())
         result = report.results["SID_sales"]
-        # Rollback restored the exact pre-refresh state: no certificate
-        # drift (the undo log replays through the observers), just stale.
+        # The published epoch was never touched: no certificate drift,
+        # just stale.
         assert result.failures == ("recompute-mismatch",)
         assert report.failed_views == ["SID_sales"]
 
         # Retrying the refresh heals the view; the audit then passes.
-        refresh_atomically(view, delta, recompute)
+        apply_refresh(view, delta, recompute)
         report = audit_warehouse(warehouse, metrics=MetricsRegistry())
         assert report.passed
 
