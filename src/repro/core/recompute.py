@@ -235,8 +235,7 @@ def recompute_groups_via_index(
         fact.foreign_key_for(name).column for name in definition.dimensions
     }
     names = [column for column in fact.columns if column in needed]
-    rows = Table(f"recompute_{definition.name}", names,
-                 storage=fact.table.storage)
+    rows = Table(f"recompute_{definition.name}", names)
     rows.adopt_batch(fact.table.take(slots, names))
     joined = fact.join_dimensions(rows, definition.dimensions, referenced)
     if definition.where is not None:

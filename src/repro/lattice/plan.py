@@ -154,11 +154,6 @@ def propagate_lattice(
                 )
             source = parent_delta.table
             n = len(source)
-            if source.storage == "column" and scan.supports_columns:
-                fold_strategy = "columns"
-            else:
-                fold_strategy = "rows"
-            group_span.set_tag("fold", fold_strategy)
             out: dict[str, SummaryDelta] = {}
             groups: list[dict] = []
             probes: list[int] = []
@@ -171,16 +166,11 @@ def propagate_lattice(
                         # The single input scan (and the fold it feeds) is
                         # charged to — and timed inside — the scan owner.
                         charge("rows_scanned", n, node_span)
-                        if fold_strategy == "columns":
-                            groups, probes = scan.fold_columns(
-                                source.columns(), n
-                            )
-                        else:
-                            groups, probes = scan.fold(source.rows())
+                        groups, probes = scan.fold_columns(
+                            source.columns(), n
+                        )
                     charge("index_lookups", probes[index], node_span)
-                    table = scan.finalize(
-                        index, groups[index], storage=source.storage
-                    )
+                    table = scan.finalize(index, groups[index])
                     node_span.add("delta_rows", len(table))
                     out[name] = SummaryDelta(
                         lattice.node(name).definition, table, options.policy,

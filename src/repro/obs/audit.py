@@ -190,8 +190,8 @@ class ViewCertificate:
         cls, columns: Sequence[Sequence[Any]], count: int
     ) -> "ViewCertificate":
         """Certificate of *count* rows given column-wise (what
-        ``Table.columns()`` returns, so a columnar table is never
-        transposed into tuples)."""
+        ``Table.columns()`` returns, so a table is never transposed
+        into tuples)."""
         certificate = cls(columns_certificate(columns, count))
         certificate.digests_computed = count
         return certificate

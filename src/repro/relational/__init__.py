@@ -14,7 +14,6 @@ from .aggregation import (
     SumReducer,
     group_by,
 )
-from .codegen import CompiledAggregation, compile_aggregation
 from .expressions import (
     Add,
     And,
@@ -55,7 +54,6 @@ __all__ = [
     "Case",
     "Column",
     "Comparison",
-    "CompiledAggregation",
     "CountNonNullReducer",
     "CountRowsReducer",
     "Expression",
@@ -75,7 +73,6 @@ __all__ = [
     "SumReducer",
     "Table",
     "col",
-    "compile_aggregation",
     "distinct",
     "group_by",
     "hash_join",

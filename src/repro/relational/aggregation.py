@@ -7,6 +7,12 @@ aggregate classification, self-maintainability, or summary deltas.  The
 (``COUNT(*)``, ``SUM(expr)``, ...) down to the :class:`Reducer` objects
 defined here.
 
+A group-by folds its input's columns one of two ways: the batch kernel
+compiled by :mod:`repro.relational.codegen`, or — for a shape outside the
+codegen subset — the interpreted fold, :func:`_fold_interpreted`, which is
+also the reference the kernel is tested against.  Both produce the same
+groups, in the same order, with the same states.
+
 Null semantics follow SQL: ``sum``/``min``/``max``/``count_non_null``
 reducers skip null inputs; a group whose inputs were all null yields null
 (count yields 0).
@@ -120,31 +126,11 @@ class MaxReducer(Reducer):
 #: One aggregate column in a group-by: (output name, input expression, reducer).
 AggregateSpec = tuple[str, Expression, Reducer]
 
-#: Cache of compiled fold loops, keyed by (schema, keys, aggregate shape).
+#: Cache of compiled batch folds, keyed by (schema, keys, aggregate shape).
 #: Misses (unsupported specs) are cached as None so the fallback decision is
 #: also O(1).  Concurrent writes are benign: both threads compute the same
 #: value for the same key.
 _compile_cache: dict[tuple, Any] = {}
-
-
-def _compiled_fold(schema: Schema, keys: Sequence[str],
-                   aggregates: Sequence[AggregateSpec]):
-    """The cached compiled fold for this call shape, or ``None``."""
-    from .codegen import compile_aggregation
-
-    try:
-        cache_key = (
-            schema.columns,
-            tuple(keys),
-            tuple((expr._key(), type(reducer)) for _n, expr, reducer in aggregates),
-        )
-    except TypeError:  # unhashable literal somewhere in an expression
-        compiled = compile_aggregation(schema, keys, aggregates)
-        return compiled.fold if compiled is not None else None
-    if cache_key not in _compile_cache:
-        compiled = compile_aggregation(schema, keys, aggregates)
-        _compile_cache[cache_key] = compiled.fold if compiled is not None else None
-    return _compile_cache[cache_key]
 
 
 def _compiled_batch_fold(schema: Schema, keys: Sequence[str],
@@ -154,11 +140,11 @@ def _compiled_batch_fold(schema: Schema, keys: Sequence[str],
 
     try:
         cache_key = (
-            "batch",
             schema.columns,
             tuple(keys),
             tuple((expr._key(), type(reducer)) for _n, expr, reducer in aggregates),
         )
+        hash(cache_key)
     except TypeError:  # unhashable literal somewhere in an expression
         compiled = compile_batch_aggregation(schema, keys, aggregates)
         return compiled.fold_columns if compiled is not None else None
@@ -170,29 +156,20 @@ def _compiled_batch_fold(schema: Schema, keys: Sequence[str],
     return _compile_cache[cache_key]
 
 
-def _fold_rows(
-    schema: Schema,
+def _fold_interpreted(
+    table: Table,
     keys: Sequence[str],
     aggregates: Sequence[AggregateSpec],
-    rows: Sequence[tuple],
-    compiled: bool | None = None,
 ) -> dict[tuple[Any, ...], list[Any]]:
-    """Fold *rows* into a ``{key tuple: state list}`` dict.
+    """Fold *table* into a ``{key tuple: state list}`` dict, one bound
+    expression and one ``Reducer.step`` call per row and aggregate.
 
-    Uses the compiled fold loop when available (see
-    :mod:`repro.relational.codegen`); the interpreted loop otherwise, and
-    always when ``compiled=False``.  Both produce identical state dicts.
+    The fallback for shapes outside the codegen subset (a user
+    :class:`Reducer`, ``And``/``Or``/``Not``, ``COUNT(*)`` over a computed
+    expression) and the reference the batch kernel is tested against.
+    Uncharged: the caller charges the scan.
     """
-    if compiled is not False:
-        fold = _compiled_fold(schema, keys, aggregates)
-        if fold is not None:
-            return fold(rows, {})
-        if compiled is True:
-            raise ValueError(
-                "compiled aggregation requested but this aggregate list is "
-                "outside the codegen subset"
-            )
-
+    schema = table.schema
     key_positions = schema.positions(keys)
     evaluators: list[Callable] = [expr.bind(schema) for _n, expr, _r in aggregates]
     reducers: list[Reducer] = [reducer for _n, _e, reducer in aggregates]
@@ -200,7 +177,7 @@ def _fold_rows(
     n_aggs = len(aggregates)
 
     groups: dict[tuple[Any, ...], list[Any]] = {}
-    for row in rows:
+    for row in zip(*table.columns()):
         key = tuple(row[p] for p in key_positions)
         states = groups.get(key)
         if states is None:
@@ -219,17 +196,15 @@ def _finalize(
     aggregates: Sequence[AggregateSpec],
     name: str | None,
     default_prefix: str,
-    storage: str | None = None,
 ) -> Table:
     """Build the output table from folded group states: the groups' key
     tuples (sized and re-iterable, first-occurrence order) and one state
     column per aggregate, in step with them.
 
-    A batch fold hands over its accumulators as they are; a fold that
-    kept a state list per group passes ``groups.keys()`` and
-    ``transpose_rows(groups.values(), n_aggs)``.  *storage* selects the
-    output backing (aggregation outputs inherit their input's, so
-    columnar pipelines stay columnar end to end).  The keys are
+    A batch fold hands over its accumulators as they are; the
+    interpreted fold, which keeps a state list per group, passes
+    ``groups.keys()`` and ``transpose_rows(groups.values(), n_aggs)``.
+    The keys are
     transposed (:func:`~repro.relational.table.transpose_rows`) and
     appended with the state columns as one batch — a reducer whose
     ``finalize`` is not the identity (all five built-ins' is) has its
@@ -237,8 +212,7 @@ def _finalize(
     ever built.
     """
     out_schema = Schema(list(keys) + [output for output, _e, _r in aggregates])
-    result = Table(name or f"{default_prefix}({table_name})", out_schema,
-                   storage=storage)
+    result = Table(name or f"{default_prefix}({table_name})", out_schema)
     if not group_keys:
         return result
     finals = [
@@ -250,22 +224,11 @@ def _finalize(
     return result
 
 
-def _scanned_rows(table: Table) -> list[tuple]:
-    """Materialise the table's live rows, charging the scan in one step
-    (the aggregation loops below always consume every row, so bulk
-    accounting matches per-row accounting)."""
-    rows = table.rows()
-    charge_access("rows_scanned", len(rows))
-    return rows
-
-
 def group_by(
     table: Table,
     keys: Sequence[str],
     aggregates: Sequence[AggregateSpec],
     name: str | None = None,
-    *,
-    compiled: bool | None = None,
 ) -> Table:
     """Hash-aggregate *table*, grouping on *keys*.
 
@@ -273,34 +236,26 @@ def group_by(
     columns.  Groups appear in order of first occurrence.  An empty input
     yields an empty output (see the module docstring for the no-key case).
 
-    The fold loop is compiled to flat code when every expression and
-    reducer is in the codegen subset (see :mod:`repro.relational.codegen`);
-    pass ``compiled=False`` to force the interpreted loop, ``compiled=True``
-    to insist on compilation (raises ``ValueError`` if unavailable).  A
-    columnar input additionally takes the batch kernel
+    When every expression and reducer is in the codegen subset the fold
+    is the batch kernel
     (:func:`~repro.relational.codegen.compile_batch_aggregation`): key
     columns are extracted once and one pass over them folds identical
     states into one accumulator list per aggregate, which become the
     output's columns — no row tuple and no state container per group.
+    Any other shape takes the interpreted fold, which produces the same
+    groups, states and access charges.
     """
     with tracing.span("group_by", table=table.name) as sp:
-        if table.storage == "column" and compiled is not False:
-            fold_columns = _compiled_batch_fold(table.schema, keys, aggregates)
-            if fold_columns is not None:
-                n = len(table)
-                charge_access("rows_scanned", n)
-                group_keys, states = fold_columns(table.columns(), n)
-                sp.add("rows_in", n)
-                sp.add("groups_out", len(group_keys))
-                return _finalize(group_keys, states, table.name, keys,
-                                 aggregates, name, "groupby",
-                                 storage=table.storage)
-        rows = _scanned_rows(table)
-        groups = _fold_rows(table.schema, keys, aggregates, rows, compiled)
-        sp.add("rows_in", len(rows))
-        sp.add("groups_out", len(groups))
-        return _finalize(
-            groups.keys(), transpose_rows(groups.values(), len(aggregates)),
-            table.name, keys, aggregates, name, "groupby",
-            storage=table.storage,
-        )
+        n = len(table)
+        charge_access("rows_scanned", n)
+        sp.add("rows_in", n)
+        fold_columns = _compiled_batch_fold(table.schema, keys, aggregates)
+        if fold_columns is not None:
+            group_keys, states = fold_columns(table.columns(), n)
+        else:
+            groups = _fold_interpreted(table, keys, aggregates)
+            group_keys = groups.keys()
+            states = transpose_rows(groups.values(), len(aggregates))
+        sp.add("groups_out", len(group_keys))
+        return _finalize(group_keys, states, table.name, keys, aggregates,
+                         name, "groupby")

@@ -1,28 +1,28 @@
-"""Compiling a whole ``group_by`` call into one flat Python function.
+"""Compiling a whole ``group_by`` call into one flat column-wise function.
 
-The interpreted hot path evaluates every aggregate input through a tree of
+The interpreted fold evaluates every aggregate input through a tree of
 per-row closures (`Expression.bind`) and dispatches every state update
 through ``Reducer.step`` — four to eight Python calls per row per aggregate.
 This module fuses *one* group-by call — key extraction, every aggregate
 input expression, and every known reducer's step logic — into a single
-generated source function that is ``compile()``d once and then runs the
-entire fold loop without any per-row Python-level call dispatch.  This is
-the "compile the delta pipeline down to flat code" idea that DBToaster
-demonstrates for delta processing, applied to the paper's summary-delta
-aggregation (§4.1.2).
+generated source function over the input's columns that is ``compile()``d
+once and then runs the entire fold without any per-row Python-level call
+dispatch.  This is the "compile the delta pipeline down to flat code" idea
+that DBToaster demonstrates for delta processing, applied to the paper's
+summary-delta aggregation (§4.1.2).
 
 Correctness contract: the generated code replicates, branch for branch, the
 semantics of :mod:`repro.relational.types` null handling and of the five
 distributive reducers in :mod:`repro.relational.aggregation`.  The states
-it produces are exactly the states the interpreted path produces, so they
+it produces are exactly the states the interpreted fold produces, so they
 are finalised with ``Reducer.finalize`` interchangeably.
 
-Fallback contract: :func:`compile_aggregation` returns ``None`` whenever it
-sees an expression node or reducer it cannot prove it reproduces exactly
+Fallback contract: every ``compile_*`` entry point returns ``None`` whenever
+it sees an expression node or reducer it cannot prove it reproduces exactly
 (subclassed reducers, ``And``/``Or``/``Not`` predicates whose short-circuit
-evaluation order is observable, exotic literals).  Callers must keep the
-interpreted path as the fallback; ``group_by(compiled=False)`` forces it,
-which is what the tests use as their reference.
+evaluation order is observable, ``COUNT(*)`` over a computed expression).
+Callers keep the interpreted fold as the fallback, and the tests use it as
+the kernels' reference.
 """
 
 from __future__ import annotations
@@ -48,9 +48,7 @@ from .schema import Schema
 
 __all__ = [
     "ColumnKernel",
-    "CompiledAggregation",
     "CompiledBatchAggregation",
-    "compile_aggregation",
     "compile_batch_aggregation",
     "compile_column_kernel",
 ]
@@ -72,201 +70,6 @@ _COMPARE_SYMBOLS = {"=": "==", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
 class _Unsupported(Exception):
     """Raised internally when an expression cannot be compiled exactly."""
-
-
-def _null_test(atom: str) -> str:
-    """The source of ``atom is None``, constant-folded when decidable.
-
-    Row subscripts (``_r[n]``), temporaries (``_tn``) and dimension-row
-    subscripts (``_dn[m]``, used by the fused shared-scan kernel) are
-    nullable at runtime; every other atom is a literal repr or an injected
-    constant, whose nullness is known at generation time.  Folding here
-    keeps the generated source free of ``1 is None``-style tests (which
-    CPython flags with a SyntaxWarning) and lets whole branches disappear.
-    """
-    if atom == "None":
-        return "True"
-    if atom.startswith("_r[") or atom.startswith("_t") or atom.startswith("_d"):
-        return f"{atom} is None"
-    return "False"
-
-
-class _Emitter:
-    """Accumulates generated source lines and constant bindings.
-
-    ``column_atom`` overrides how ``Column`` references are rendered; the
-    default subscripts the scan row (``_r[n]``).  The fused shared-scan
-    kernel passes a resolver that routes columns to either the parent-delta
-    row or a probed dimension row (``_dn[m]``).
-    """
-
-    def __init__(
-        self, column_atom: Callable[[str, Schema], str] | None = None
-    ) -> None:
-        self.lines: list[str] = []
-        self.env: dict[str, Any] = {}
-        self._counter = 0
-        self._column_atom = column_atom
-
-    def fresh(self, prefix: str = "_t") -> str:
-        self._counter += 1
-        return f"{prefix}{self._counter}"
-
-    def line(self, indent: int, text: str) -> None:
-        self.lines.append("    " * indent + text)
-
-    def constant(self, value: Any) -> str:
-        name = self.fresh("_const")
-        self.env[name] = value
-        return name
-
-    # ------------------------------------------------------------------
-    # Expression emission.  Returns an *atom*: either a source fragment
-    # that is free to repeat (a row subscript, a constant) or the name of
-    # a temporary bound by emitted statements.  Atoms are pure, so parents
-    # may mention them several times (e.g. in a null check and again in
-    # the operation).
-    # ------------------------------------------------------------------
-
-    def emit(self, expr: Expression, schema: Schema, indent: int) -> str:
-        if type(expr) is Column:
-            if self._column_atom is not None:
-                return self._column_atom(expr.name, schema)
-            return f"_r[{schema.position(expr.name)}]"
-        if type(expr) is Literal:
-            value = expr.value
-            if type(value) in _SAFE_LITERAL_TYPES:
-                return repr(value)
-            return self.constant(value)
-        if type(expr) in _ARITH_NODES:
-            left = self.emit(expr.left, schema, indent)
-            right = self.emit(expr.right, schema, indent)
-            op = _ARITH_NODES[type(expr)]
-            tests = [t for t in (_null_test(left), _null_test(right)) if t != "False"]
-            if "True" in tests:
-                return "None"
-            out = self.fresh()
-            if tests:
-                self.line(
-                    indent,
-                    f"{out} = None if {' or '.join(tests)} "
-                    f"else {left} {op} {right}",
-                )
-            else:
-                self.line(indent, f"{out} = {left} {op} {right}")
-            return out
-        if type(expr) is Neg:
-            operand = self.emit(expr.operand, schema, indent)
-            test = _null_test(operand)
-            if test == "True":
-                return "None"
-            out = self.fresh()
-            if test == "False":
-                self.line(indent, f"{out} = -{operand}")
-            else:
-                self.line(indent, f"{out} = None if {test} else -{operand}")
-            return out
-        if type(expr) is Comparison:
-            left = self.emit(expr.left, schema, indent)
-            right = self.emit(expr.right, schema, indent)
-            tests = [t for t in (_null_test(left), _null_test(right)) if t != "False"]
-            if "True" in tests:
-                return "False"
-            out = self.fresh()
-            if expr.symbol == "<>":
-                guards = [t.replace(" is None", " is not None") for t in tests]
-                clause = " and ".join(guards + [f"{left} != {right}"])
-                self.line(indent, f"{out} = {clause}")
-            else:
-                op = _COMPARE_SYMBOLS[expr.symbol]
-                if tests:
-                    self.line(
-                        indent,
-                        f"{out} = False if {' or '.join(tests)} "
-                        f"else {left} {op} {right}",
-                    )
-                else:
-                    self.line(indent, f"{out} = {left} {op} {right}")
-            return out
-        if type(expr) is IsNull:
-            operand = self.emit(expr.operand, schema, indent)
-            test = _null_test(operand)
-            if test in ("True", "False"):
-                return test
-            out = self.fresh()
-            self.line(indent, f"{out} = {test}")
-            return out
-        if type(expr) is Case:
-            return self._emit_case(expr, schema, indent)
-        # And/Or/Not are deliberately unsupported: their interpreted form
-        # short-circuits, and eager evaluation could raise (e.g. a mixed
-        # type comparison) where the interpreter would not.
-        raise _Unsupported(type(expr).__name__)
-
-    def _emit_case(self, expr: Case, schema: Schema, indent: int) -> str:
-        """Searched CASE with lazy branches: nested if/else so that only
-        the taken branch's value (and no later condition) is evaluated,
-        exactly like the interpreted closure."""
-        out = self.fresh()
-
-        def branch(position: int, depth: int) -> None:
-            if position == len(expr.branches):
-                value = self.emit(expr.default, schema, depth)
-                self.line(depth, f"{out} = {value}")
-                return
-            condition, value_expr = expr.branches[position]
-            test = self.emit(condition, schema, depth)
-            if test == "True":  # statically taken: later branches are dead
-                value = self.emit(value_expr, schema, depth)
-                self.line(depth, f"{out} = {value}")
-                return
-            if test == "False":  # statically skipped
-                branch(position + 1, depth)
-                return
-            self.line(depth, f"if {test}:")
-            value = self.emit(value_expr, schema, depth + 1)
-            self.line(depth + 1, f"{out} = {value}")
-            self.line(depth, "else:")
-            branch(position + 1, depth + 1)
-
-        branch(0, indent)
-        return out
-
-
-def _emit_reducer_step(
-    emitter: _Emitter, kind: str, value: str, slot: int, indent: int
-) -> None:
-    """Inline one reducer's ``step`` against state ``_s[slot]``.
-
-    Every template but ``count_rows`` skips NULL inputs; when the input's
-    nullness is statically known the guard (or the whole step) is folded
-    away.
-    """
-    state = f"_s[{slot}]"
-    if kind == "count_rows":
-        emitter.line(indent, f"{state} += 1")
-        return
-    test = _null_test(value)
-    if test == "True":  # statically-null input: the step is a no-op
-        return
-    if test != "False":
-        emitter.line(indent, f"if {value} is not None:")
-        indent += 1
-    if kind == "sum":
-        emitter.line(indent, f"_a = {state}")
-        emitter.line(indent, f"{state} = {value} if _a is None else _a + {value}")
-    elif kind == "count_non_null":
-        emitter.line(indent, f"{state} += 1")
-    elif kind == "min":
-        emitter.line(indent, f"_a = {state}")
-        emitter.line(indent, f"if _a is None or {value} < _a:")
-        emitter.line(indent + 1, f"{state} = {value}")
-    elif kind == "max":
-        emitter.line(indent, f"_a = {state}")
-        emitter.line(indent, f"if _a is None or {value} > _a:")
-        emitter.line(indent + 1, f"{state} = {value}")
-    else:  # pragma: no cover - guarded by _reducer_kind
-        raise _Unsupported(kind)
 
 
 def _reducer_kind(reducer: Any) -> str:
@@ -296,94 +99,26 @@ def _reducer_kind(reducer: Any) -> str:
     return kind
 
 
-#: Initial accumulator per reducer template (matches Reducer.create()).
-_INITIAL_STATE = {
-    "sum": "None",
-    "count_rows": "0",
-    "count_non_null": "0",
-    "min": "None",
-    "max": "None",
-}
-
-
-@dataclass(frozen=True)
-class CompiledAggregation:
-    """One compiled group-by fold loop.
-
-    ``fold(rows, groups)`` folds *rows* into *groups* (a dict mapping key
-    tuples to mutable state lists, exactly as the interpreted path builds)
-    and returns it.  ``source`` is the generated Python, kept for tests and
-    debugging.
-    """
-
-    source: str
-    fold: Callable[[Sequence[tuple], dict], dict]
-
-
-def compile_aggregation(
-    schema: Schema,
-    keys: Sequence[str],
-    aggregates: Sequence[tuple[str, Expression, Any]],
-) -> CompiledAggregation | None:
-    """Compile one group-by call into a flat fold function.
-
-    Returns ``None`` (caller falls back to the interpreter) when any
-    expression/reducer is outside the supported subset.
-    """
-    try:
-        key_positions = schema.positions(keys)
-        emitter = _Emitter()
-        emitter.line(0, "def _fold(_rows, _groups):")
-        emitter.line(1, "_get = _groups.get")
-        emitter.line(1, "for _r in _rows:")
-        if key_positions:
-            key_source = "(" + ", ".join(f"_r[{p}]" for p in key_positions) + ",)"
-        else:
-            key_source = "()"
-        emitter.line(2, f"_k = {key_source}")
-        emitter.line(2, "_s = _get(_k)")
-        kinds = [_reducer_kind(reducer) for _n, _e, reducer in aggregates]
-        initial = "[" + ", ".join(_INITIAL_STATE[kind] for kind in kinds) + "]"
-        emitter.line(2, "if _s is None:")
-        emitter.line(3, f"_s = _groups[_k] = {initial}")
-        for slot, ((_name, expr, _reducer), kind) in enumerate(zip(aggregates, kinds)):
-            if kind == "count_rows" and type(expr) in (Column, Literal):
-                # COUNT(*) ignores its input; skip evaluating trivial sources.
-                value = "None"
-            else:
-                value = emitter.emit(expr, schema, 2)
-            _emit_reducer_step(emitter, kind, value, slot, 2)
-        emitter.line(1, "return _groups")
-    except _Unsupported:
-        return None
-
-    source = "\n".join(emitter.lines) + "\n"
-    namespace: dict[str, Any] = dict(emitter.env)
-    exec(compile(source, "<repro.codegen>", "exec"), namespace)  # noqa: S102
-    return CompiledAggregation(source=source, fold=namespace["_fold"])
-
 # ----------------------------------------------------------------------
 # Batch (columnar) compilation
 # ----------------------------------------------------------------------
 #
-# The row kernels above process one tuple at a time.  The batch layer
-# lowers the same semantics to column form: expressions become single
-# comprehensions over ``zip``-ped input columns, and a whole group-by
-# becomes one inline fold over the zipped key and source columns — key
-# tuples are built by an inner ``zip`` at C speed, each key is mapped to
-# a group ordinal, and each aggregate's states live in one list indexed
-# by that ordinal, accumulated with the row kernel's own step
-# statements — one container per aggregate, where a state list per group
-# would be one object per group for the cyclic garbage collector to
-# traverse on every full pass.  (An
-# earlier bucket-then-gather design — hash the keys into index lists,
-# then a per-group gather-and-reduce — lost in measurement once group
-# counts approach row counts: the per-group list comprehensions and
-# ``reduce`` calls cost more than inline accumulation.)
+# Expressions become single comprehensions over ``zip``-ped input columns,
+# and a whole group-by becomes one inline fold over the zipped key and
+# source columns — key tuples are built by an inner ``zip`` at C speed,
+# each key is mapped to a group ordinal, and each aggregate's states live
+# in one list indexed by that ordinal, accumulated with inlined copies of
+# the reducers' ``step`` logic — one container per aggregate, where a
+# state list per group would be one object per group for the cyclic
+# garbage collector to traverse on every full pass.  (An earlier
+# bucket-then-gather design — hash the keys into index lists, then a
+# per-group gather-and-reduce — lost in measurement once group counts
+# approach row counts: the per-group list comprehensions and ``reduce``
+# calls cost more than inline accumulation.)
 #
-# Exactness contract, mirroring the row kernels:
+# Exactness contract, against the interpreted fold:
 #
-# * every accumulation statement is the row kernel's template (guarded
+# * every accumulation statement is ``Reducer.step`` inlined (guarded
 #   running add for ``sum``, first-extremal comparison for ``min``/
 #   ``max``), so running states are bit-identical — ``bool``/``-0.0``/
 #   mixed-type sums included; a group's first row stores what that step
@@ -393,20 +128,19 @@ def compile_aggregation(
 #   repeated int addition has no rounding, so the result equals the
 #   guarded None-seeded chain (and the zero-key closed form ``L * n``);
 # * groups land in first-occurrence order (dict insertion order), and
-#   the state lists are the row kernels' per-group states transposed, so
-#   ``aggregation._finalize`` takes either.
+#   the state lists are the interpreted fold's per-group states
+#   transposed, so ``aggregation._finalize`` takes either.
 
 
 class _BatchExpr:
     """Emit one expression as a *single* Python expression over scalar
     variables (one per referenced column).
 
-    Supports the pure-expression subset of the emitter above: columns,
-    safe literals, null-propagating arithmetic, ``Neg``, comparisons,
-    ``IsNull``, and ``Case`` (lowered to nested conditional expressions,
-    which evaluate lazily exactly like the interpreted closure).  Anything
-    else raises :class:`_Unsupported` and the caller falls back to a row
-    path.  Sub-expressions may be re-evaluated (they appear in both a null
+    Supports the pure-expression subset: columns, safe literals,
+    null-propagating arithmetic, ``Neg``, comparisons, ``IsNull``, and
+    ``Case`` (lowered to nested conditional expressions, which evaluate
+    lazily exactly like the interpreted closure).  Anything else raises
+    :class:`_Unsupported` and the caller falls back to the interpreter.  Sub-expressions may be re-evaluated (they appear in both a null
     test and the operation); every supported node is pure, so only cost —
     not semantics — is affected.
     """
@@ -485,8 +219,7 @@ class _BatchExpr:
             return f"({operand} is None)", self.NEVER
         if type(expr) is Case:
             # Build from the default backwards so branch conditions and
-            # values stay lazy, folding statically-decided conditions just
-            # like the row emitter.
+            # values stay lazy, folding statically-decided conditions.
             out, out_null = self.emit(expr.default)
             for condition, value_expr in reversed(expr.branches):
                 test, _tn = self.emit(condition)
@@ -569,7 +302,7 @@ def compile_column_kernel(
 ) -> ColumnKernel | None:
     """Compile expressions into one column-wise evaluation function.
 
-    Returns ``None`` (callers fall back to row evaluation) when any
+    Returns ``None`` (callers fall back to the interpreter) when any
     expression falls outside the pure-expression subset.
     """
     writer: list[str] = ["def _eval(_cols, _n):"]
@@ -607,10 +340,10 @@ def _emit_group_fold(
     Fills *groups_var* with ``{key tuple: group ordinal}`` in
     first-occurrence order, and one accumulator list per aggregate whose
     element *g* is group *g*'s state: one container per aggregate, none
-    per group.  A group's first row sets each state to what the row
-    kernel's step makes of the initial state (the value itself for
-    ``sum``/``min``/``max``), later rows apply the row kernel's own step
-    statements, so running states are identical.
+    per group.  A group's first row sets each state to what
+    ``Reducer.step`` makes of the initial state (the value itself for
+    ``sum``/``min``/``max``), later rows apply that step inlined, so
+    running states are identical to the interpreted fold's.
     """
     accumulators = [f"{groups_var}_a{slot}" for slot in range(len(agg_plan))]
     writer.append(f"{indent}{groups_var} = {{}}")
@@ -722,7 +455,7 @@ def _emit_zero_key_fold(
                 f"if _v is not None]"
             )
         if kind == "sum":
-            # reduce(add, ...) is the row kernel's left-to-right chain;
+            # reduce(add, ...) is the interpreter's left-to-right chain;
             # a single value passes through unchanged.
             states.append(f"_reduce(_add, {nn}) if {nn} else None")
         elif kind == "count_non_null":
@@ -757,8 +490,8 @@ def _batch_agg_plan(
         kind = _reducer_kind(reducer)
         if kind == "count_rows":
             if type(expr) not in (Column, Literal):
-                # The row paths evaluate non-trivial COUNT(*) inputs (they
-                # may raise); keep that behaviour by not batching them.
+                # The interpreter evaluates non-trivial COUNT(*) inputs
+                # (they may raise); keep that behaviour by not batching them.
                 raise _Unsupported("count_rows over a computed expression")
             plan.append((kind, None, None))
             continue
@@ -772,7 +505,8 @@ def _batch_agg_plan(
                 continue
         try:
             dedup_key = expr._key()
-        except (TypeError, AttributeError):
+            hash(dedup_key)
+        except (TypeError, AttributeError):  # an unhashable literal
             dedup_key = id(expr)
         var = by_expr.get(dedup_key)
         if var is None:
@@ -790,9 +524,9 @@ class CompiledBatchAggregation:
     ``fold_columns(columns, n)`` folds the input columns (live values in
     slot order) into ``(groups, states)``: the key tuples, as a
     ``{key tuple: group ordinal}`` dict in first-occurrence order, and one
-    list per aggregate holding every group's state by ordinal — the row
-    kernels' ``{key tuple: state list}`` dict, transposed: identical
-    content, group order and states.
+    list per aggregate holding every group's state by ordinal — the
+    interpreted fold's ``{key tuple: state list}`` dict, transposed:
+    identical content, group order and states.
     """
 
     source: str
@@ -808,7 +542,7 @@ def compile_batch_aggregation(
 ) -> CompiledBatchAggregation | None:
     """Compile one group-by call into a batch fold over columns.
 
-    Returns ``None`` (caller falls back to a row path) when any
+    Returns ``None`` (caller falls back to the interpreter) when any
     expression/reducer is outside the supported subset.
     """
     writer: list[str] = ["def _fold_cols(_cols, _n):"]

@@ -8,22 +8,23 @@ times.  Multi-query optimisation for view maintenance (Mistry et al.) and
 DBToaster-style delta pipelines both observe that sibling deltas should
 share their input scan.
 
-This module compiles all k sibling edge queries into *one* generated fold
-function that makes a single pass over the parent-delta rows: for each row
-it probes the dimension tables each child needs (a dict ``get`` per join,
-replicating inner-join semantics against a unique dimension key), extracts
-each child's group key, and applies each child's inlined reducer steps into
-that child's accumulator dict.  One scan, k accumulator sets, zero
-intermediate tables.
+This module compiles all k sibling edge queries into *one* generated
+function over the parent delta's columns: per child, each foreign-key
+column probes its dimension (a dict ``get`` per value, replicating
+inner-join semantics against a unique dimension key), the surviving rows'
+group keys and aggregate inputs are gathered, and the group fold that
+:mod:`repro.relational.codegen` emits for a single group-by accumulates
+that child's states.  One input, k accumulator sets, zero intermediate
+tables.
 
 Correctness contract: for every child the resulting groups are
-*identical* — content and first-occurrence order — to the legacy per-child
+*identical* — content and first-occurrence order — to the per-child
 ``EdgeQuery.apply_delta`` pipeline, because (a) ``hash_join`` against a
 unique right-side index preserves left-row order and drops exactly the rows
 whose foreign key is null or unmatched, and (b) the reducer steps are the
 same inlined templates as :mod:`repro.relational.codegen`.  The
 differential suite (`tests/differential/`) asserts byte-identical output
-tables against the legacy path, the interpreter, and sqlite.
+tables against the per-child path, the interpreter, and sqlite.
 
 Fallback contract: :func:`prepare_fused_scan` returns ``None`` whenever any
 child uses an expression or reducer outside the codegen subset or any
@@ -41,16 +42,12 @@ from typing import Any, Callable, Sequence
 from .aggregation import AggregateSpec, _finalize
 from .codegen import (
     _BatchExpr,
-    _Emitter,
-    _INITIAL_STATE,
     _Unsupported,
     _batch_agg_plan,
     _emit_group_fold,
-    _emit_reducer_step,
-    _reducer_kind,
 )
 from .schema import Schema
-from .table import Table, transpose_rows
+from .table import Table
 
 __all__ = [
     "FusedChild",
@@ -85,40 +82,27 @@ class FusedChild:
 class FusedScan:
     """A compiled shared scan over one parent delta for k sibling children.
 
-    ``fold(rows)`` runs the single-pass kernel and returns
+    ``fold_columns(columns, n)`` runs the kernel over the delta's columns
+    (whole-column probe resolution, one pass per child) and returns
     ``(groups, probe_counts)`` — per child, in child order, its folded
     groups as (key tuples, one state column per aggregate) and one exact
-    dimension-probe count.  ``fold_columns`` is the batch twin for
-    columnar parent deltas: it consumes the delta's columns directly
-    (whole-column probe resolution, one boundary pass per child) and
-    produces the same groups and counts, its state columns accumulated as
-    columns; ``supports_columns`` reports whether the batch kernel
-    compiled.  ``finalize(i, groups)`` builds child *i*'s output table
-    from its folded groups, using the same finaliser as the interpreted
-    group-by.
-    ``source`` / ``batch_source`` are the generated Python, kept for tests
-    and debugging.
+    dimension-probe count.  ``finalize(i, groups)`` builds child *i*'s
+    output table from its folded groups, using the same finaliser as
+    ``group_by``.  ``source`` is the generated Python, kept for tests and
+    debugging.
     """
 
     source: str
     children: tuple[FusedChild, ...]
-    _fold: Callable
+    _fold_cols: Callable
     #: Per global probe slot: (dimension table, key column).
     _dims: tuple[tuple[Table, str], ...]
-    batch_source: str | None = None
-    _fold_cols: Callable | None = None
-
-    @property
-    def supports_columns(self) -> bool:
-        """Whether the batch (columnar) kernel compiled for this scan."""
-        return self._fold_cols is not None
 
     def _dim_probes(self) -> list[dict[Any, tuple]]:
         """Build one key → row probe dict per global join slot.
 
-        Rows whose key is null are excluded: the row kernel never probes a
-        null foreign key, and the batch kernel relies on ``dict.get(None)``
-        missing so a null fk marks the row unmatched.
+        Rows whose key is null are excluded: the kernel relies on
+        ``dict.get(None)`` missing so a null fk marks the row unmatched.
         """
         built: dict[tuple[int, str], dict[Any, tuple]] = {}
         dims: list[dict[Any, tuple]] = []
@@ -135,22 +119,11 @@ class FusedScan:
             dims.append(probe)
         return dims
 
-    def fold(self, rows: Sequence[tuple]) -> tuple[list[tuple], list[int]]:
-        *groups, probes = self._fold(rows, self._dim_probes())
-        # The row kernel's {key: state list} dicts, in the batch kernel's
-        # form: (key tuples, one state column per aggregate).
-        return [
-            (child_groups.keys(),
-             transpose_rows(child_groups.values(), len(child.aggregates)))
-            for child, child_groups in zip(self.children, groups)
-        ], list(probes)
-
     def fold_columns(
         self, columns: Sequence[Sequence[Any]], n: int
     ) -> tuple[list[tuple], list[int]]:
-        """Batch twin of :meth:`fold` over a columnar parent delta."""
-        if self._fold_cols is None:
-            raise ValueError("this fused scan has no batch kernel")
+        """Fold the parent delta's *columns* (*n* live rows) for every
+        child."""
         *groups, probes = self._fold_cols(columns, n, self._dim_probes())
         return list(groups), list(probes)
 
@@ -159,7 +132,6 @@ class FusedScan:
         index: int,
         groups: tuple,
         name: str | None = None,
-        storage: str | None = None,
     ) -> Table:
         child = self.children[index]
         return _finalize(
@@ -169,118 +141,13 @@ class FusedScan:
             list(child.aggregates),
             name or child.output_name,
             "fused",
-            storage=storage,
         )
 
 
 #: Cache of compiled shared-scan kernels, keyed by the full shape of the
 #: scan (parent schema, per-child keys/joins/aggregate expressions).  Misses
 #: are cached as None so the fallback decision is also O(1).
-_fused_cache: dict[
-    tuple, tuple[str, Callable, "str | None", "Callable | None"] | None
-] = {}
-
-
-def _child_atoms(
-    parent_schema: Schema,
-    child: FusedChild,
-    slots: Sequence[int],
-) -> dict[str, str]:
-    """Map every column visible to *child* to a pure source atom.
-
-    Replays the legacy join pipeline's schema construction —
-    ``left.concat(dim, prefix_conflicts=dim.name)`` per join — so name
-    resolution (including conflict renames) matches ``hash_join`` exactly,
-    then routes parent columns to ``_r[n]`` and dimension columns to the
-    probed row ``_d{slot}[m]``.
-    """
-    atoms = {
-        name: f"_r[{position}]"
-        for position, name in enumerate(parent_schema.columns)
-    }
-    joined = parent_schema
-    for slot, join in zip(slots, child.joins):
-        widened = joined.concat(join.table.schema, prefix_conflicts=join.table.name)
-        for offset, name in enumerate(widened.columns[len(joined):]):
-            atoms[name] = f"_d{slot}[{offset}]"
-        joined = widened
-    return atoms
-
-
-def _compile_fused(
-    parent_schema: Schema, children: Sequence[FusedChild]
-) -> tuple[str, Callable] | None:
-    """Generate and compile the single-pass kernel, or ``None``."""
-    emitter = _Emitter()
-    emitter.line(0, "def _fold(_rows, _dims):")
-
-    slot = 0
-    child_slots: list[tuple[int, ...]] = []
-    for child in children:
-        slots = tuple(range(slot, slot + len(child.joins)))
-        child_slots.append(slots)
-        slot += len(child.joins)
-    for s in range(slot):
-        emitter.line(1, f"_dget{s} = _dims[{s}].get")
-    for i in range(len(children)):
-        emitter.line(1, f"_g{i} = {{}}")
-        emitter.line(1, f"_gget{i} = _g{i}.get")
-        emitter.line(1, f"_p{i} = 0")
-
-    emitter.line(1, "for _r in _rows:")
-    try:
-        for i, child in enumerate(children):
-            atoms = _child_atoms(parent_schema, child, child_slots[i])
-
-            def column_atom(name: str, _schema: Schema, _atoms=atoms) -> str:
-                try:
-                    return _atoms[name]
-                except KeyError:
-                    raise _Unsupported(f"unresolvable column {name!r}") from None
-
-            emitter._column_atom = column_atom
-            indent = 2
-            for j, s in enumerate(child_slots[i]):
-                join = child.joins[j]
-                fk_atom = atoms[join.fk_column]
-                emitter.line(indent, f"if {fk_atom} is not None:")
-                indent += 1
-                emitter.line(indent, f"_p{i} += 1")
-                emitter.line(indent, f"_d{s} = _dget{s}({fk_atom})")
-                emitter.line(indent, f"if _d{s} is not None:")
-                indent += 1
-            if child.keys:
-                key_source = (
-                    "(" + ", ".join(atoms[k] for k in child.keys) + ",)"
-                )
-            else:
-                key_source = "()"
-            emitter.line(indent, f"_k = {key_source}")
-            emitter.line(indent, f"_s = _gget{i}(_k)")
-            kinds = [_reducer_kind(r) for _n, _e, r in child.aggregates]
-            initial = "[" + ", ".join(_INITIAL_STATE[k] for k in kinds) + "]"
-            emitter.line(indent, "if _s is None:")
-            emitter.line(indent + 1, f"_s = _g{i}[_k] = {initial}")
-            for agg_slot, ((_name, expr, _reducer), kind) in enumerate(
-                zip(child.aggregates, kinds)
-            ):
-                value = emitter.emit(expr, parent_schema, indent)
-                _emit_reducer_step(emitter, kind, value, agg_slot, indent)
-    except _Unsupported:
-        return None
-    finally:
-        emitter._column_atom = None
-
-    groups = ", ".join(f"_g{i}" for i in range(len(children)))
-    probes = ", ".join(f"_p{i}" for i in range(len(children)))
-    emitter.line(
-        1, f"return ({groups}, ({probes}{',' if len(children) == 1 else ''}))"
-    )
-
-    source = "\n".join(emitter.lines) + "\n"
-    namespace: dict[str, Any] = dict(emitter.env)
-    exec(compile(source, "<repro.fused>", "exec"), namespace)  # noqa: S102
-    return source, namespace["_fold"]
+_fused_cache: dict[tuple, tuple[str, Callable] | None] = {}
 
 
 def _non_null_count(values: Sequence[Any]) -> int:
@@ -298,10 +165,11 @@ def _child_atom_elements(
 ) -> dict[str, str]:
     """Map every column visible to *child* to a per-row element expression.
 
-    The batch twin of :func:`_child_atoms`: parent columns become
-    ``_cols[p][_j]`` and dimension columns index the slot's whole-column
-    match list, ``_m{slot}[_j][m]``.  Name resolution (including conflict
-    renames) replays the legacy join pipeline identically.
+    Replays the per-child join pipeline's schema construction —
+    ``left.concat(dim, prefix_conflicts=dim.name)`` per join — so name
+    resolution (including conflict renames) matches ``hash_join`` exactly:
+    parent columns become ``_cols[p][_j]`` and dimension columns index the
+    slot's whole-column match list, ``_m{slot}[_j][m]``.
     """
     atoms = {
         name: f"_cols[{position}][_j]"
@@ -325,10 +193,10 @@ def _compile_fused_batch(
     dimension dict in one ``map``, survivors form a keep-list, group keys
     and aggregate sources gather at the keep-list, and the shared inline
     group-fold emitter from :mod:`repro.relational.codegen` produces the
-    same groups — content, group order and states — as the row kernel,
-    held as one accumulator list per aggregate.  Probe counts are exact:
-    one per surviving non-null foreign key, matching the row kernel's
-    nested guards.
+    same groups — content, group order and states — as the per-child
+    pipeline, held as one accumulator list per aggregate.  Probe counts
+    are exact: one per surviving non-null foreign key, as ``hash_join``
+    charges them.
     """
     writer: list[str] = ["def _fold_cols(_cols, _n, _dims):"]
     env: dict[str, Any] = {}
@@ -440,7 +308,7 @@ def _cache_key(
     parent_schema: Schema, children: Sequence[FusedChild]
 ) -> tuple | None:
     try:
-        return (
+        key = (
             parent_schema.columns,
             tuple(
                 (
@@ -457,8 +325,10 @@ def _cache_key(
                 for child in children
             ),
         )
+        hash(key)
     except TypeError:  # unhashable literal somewhere in an expression
         return None
+    return key
 
 
 def prepare_fused_scan(
@@ -469,7 +339,7 @@ def prepare_fused_scan(
     Returns ``None`` (callers fall back to per-child propagation) when any
     aggregate falls outside the codegen subset or a joined dimension table
     lacks a unique index on its key — without that uniqueness guarantee a
-    probe dict could silently drop duplicate matches that the legacy join
+    probe dict could silently drop duplicate matches that ``hash_join``
     would emit.
     """
     if not children:
@@ -482,38 +352,23 @@ def prepare_fused_scan(
 
     key = _cache_key(parent_schema, children)
     if key is None:
-        compiled = _compile_both(parent_schema, children)
+        compiled = _compile_fused_batch(parent_schema, children)
     elif key in _fused_cache:
         compiled = _fused_cache[key]
     else:
-        compiled = _compile_both(parent_schema, children)
+        compiled = _compile_fused_batch(parent_schema, children)
         _fused_cache[key] = compiled
     if compiled is None:
         return None
 
-    source, fold, batch_source, fold_cols = compiled
+    source, fold_cols = compiled
     dims = tuple(
         (join.table, join.key) for child in children for join in child.joins
     )
     return FusedScan(
         source=source,
         children=tuple(children),
-        _fold=fold,
-        _dims=dims,
-        batch_source=batch_source,
         _fold_cols=fold_cols,
+        _dims=dims,
     )
 
-
-def _compile_both(
-    parent_schema: Schema, children: Sequence[FusedChild]
-) -> tuple[str, Callable, str | None, Callable | None] | None:
-    """Compile the row kernel (required) and batch kernel (best-effort)."""
-    compiled = _compile_fused(parent_schema, children)
-    if compiled is None:
-        return None
-    source, fold = compiled
-    batch = _compile_fused_batch(parent_schema, children)
-    if batch is None:
-        return source, fold, None, None
-    return source, fold, batch[0], batch[1]

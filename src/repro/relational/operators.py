@@ -10,16 +10,17 @@ a unique hash index on the join columns the join is charged as index probes,
 matching the paper's setup where joins between the fact table and dimension
 tables run along indexed foreign keys.
 
-Columnar inputs take batch fast paths: projection evaluates expressions
-column-wise through a compiled :class:`~repro.relational.codegen.ColumnKernel`,
-union concatenates column batches, and the unique-index join resolves a
-whole foreign-key column to right-row positions and gathers each right
-column through them — no row tuple is built, and the columns an operator
-produced become its result's storage as they are
-(``Table.adopt_batch``).  Every fast path charges exactly the access
-counts of the row path it replaces, and falls back to the row path
-whenever its preconditions fail, so results, access accounting, and
-cost-model predictions are identical either way.
+The operators work on columns: selection and projection evaluate
+expressions column-wise through a compiled
+:class:`~repro.relational.codegen.ColumnKernel`, union concatenates column
+batches, and the unique-index join resolves a whole foreign-key column to
+right-row positions and gathers each right column through them — no row
+tuple is built, and the columns an operator produced become its result's
+storage as they are (``Table.adopt_batch``).  A predicate or expression
+outside the kernel subset (``And``/``Or``/``Not``) is evaluated row by row
+through ``Expression.bind``, and a join without a unique right-side index
+hashes the smaller input; both charge the same access counts, so results,
+access accounting and cost-model predictions are identical either way.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ def _column_kernel(schema: Schema, expressions: Sequence[Expression]):
             schema.columns,
             tuple(expr._key() for expr in expressions),
         )
+        hash(cache_key)
     except TypeError:  # unhashable literal somewhere in an expression
         kernel = compile_column_kernel(expressions, schema)
         return kernel.eval_columns if kernel is not None else None
@@ -59,23 +61,21 @@ def _column_kernel(schema: Schema, expressions: Sequence[Expression]):
 
 def select(table: Table, predicate: Expression, name: str | None = None) -> Table:
     """Return the rows of *table* satisfying *predicate*."""
-    result = Table(name or f"select({table.name})", table.schema,
-                   storage=table.storage)
-    if table.storage == "column":
-        eval_columns = _column_kernel(table.schema, [predicate])
-        if eval_columns is not None:
-            n = len(table)
-            charge_access("rows_scanned", n)
-            columns = table.columns()
-            mask = eval_columns(columns, n)[0]
-            keep = [i for i, passed in enumerate(mask) if passed]
-            if len(keep) == n:
-                result.append_batch(columns)
-            elif keep:
-                result.adopt_batch(
-                    [list(map(col.__getitem__, keep)) for col in columns]
-                )
-            return result
+    result = Table(name or f"select({table.name})", table.schema)
+    eval_columns = _column_kernel(table.schema, [predicate])
+    if eval_columns is not None:
+        n = len(table)
+        charge_access("rows_scanned", n)
+        columns = table.columns()
+        mask = eval_columns(columns, n)[0]
+        keep = [i for i, passed in enumerate(mask) if passed]
+        if len(keep) == n:
+            result.append_batch(columns)
+        elif keep:
+            result.adopt_batch(
+                [list(map(col.__getitem__, keep)) for col in columns]
+            )
+        return result
     test = predicate.bind(table.schema)
     result.insert_many(row for row in table.scan() if test(row))
     return result
@@ -92,25 +92,23 @@ def project(
     ``DISTINCT``.
     """
     schema = Schema([output_name for output_name, _expr in outputs])
-    result = Table(name or f"project({table.name})", schema,
-                   storage=table.storage)
-    if table.storage == "column":
-        eval_columns = _column_kernel(
-            table.schema, [expr for _name, expr in outputs]
-        )
-        if eval_columns is not None:
-            n = len(table)
-            charge_access("rows_scanned", n)
-            if n:
-                # A plain column reference passes the input's own storage
-                # through: the result adopts a slice of it instead.
-                columns = table.columns()
-                borrowed = set(map(id, columns))
-                result.adopt_batch([
-                    col[:] if id(col) in borrowed else col
-                    for col in eval_columns(columns, n)
-                ])
-            return result
+    result = Table(name or f"project({table.name})", schema)
+    eval_columns = _column_kernel(
+        table.schema, [expr for _name, expr in outputs]
+    )
+    if eval_columns is not None:
+        n = len(table)
+        charge_access("rows_scanned", n)
+        if n:
+            # A plain column reference passes the input's own storage
+            # through: the result adopts a slice of it instead.
+            columns = table.columns()
+            borrowed = set(map(id, columns))
+            result.adopt_batch([
+                col[:] if id(col) in borrowed else col
+                for col in eval_columns(columns, n)
+            ])
+        return result
     evaluators = [expr.bind(table.schema) for _name, expr in outputs]
     result.insert_many(
         tuple(evaluate(row) for evaluate in evaluators) for row in table.scan()
@@ -140,13 +138,11 @@ def union_all(tables: Sequence[Table], name: str | None = None) -> Table:
                 f"union_all schema mismatch: {list(schema.columns)} vs "
                 f"{list(table.schema.columns)}"
             )
-    result = Table(name or "union_all", schema, storage=tables[0].storage)
+    result = Table(name or "union_all", schema)
     for table in tables:
-        if table.storage == "column" and len(table):
+        if len(table):
             charge_access("rows_scanned", len(table))
             result.append_batch(table.columns())
-        else:
-            result.insert_many(table.scan())
     return result
 
 
@@ -186,8 +182,7 @@ def hash_join(
     out_schema = left.schema.concat(
         Schema(carried), prefix_conflicts=right.name
     ) if carried else left.schema
-    result = Table(name or f"join({left.name},{right.name})", out_schema,
-                   storage=left.storage)
+    result = Table(name or f"join({left.name},{right.name})", out_schema)
 
     right_index = right.index_on(right_cols)
     if right_index is not None and right_index.unique:

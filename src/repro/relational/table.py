@@ -1,23 +1,17 @@
-"""Bag-semantics tables with row- and column-oriented storage backings.
+"""Bag-semantics tables over one columnar storage backing.
 
 A :class:`Table` stores rows in insertion order, permits duplicates (the
 paper's ``pos`` fact table is explicitly a bag), and keeps any number of
 :class:`~repro.relational.index.HashIndex` structures in sync as rows are
 inserted, updated in place, or deleted.
 
-Two storage backings implement the same slot contract:
-
-* :class:`RowStore` — a list of tuples, the original layout.
-* :class:`ColumnStore` — one sequence per column plus a validity bitmap,
-  with ``append_batch`` / ``take`` / ``gather`` bulk primitives.  Numeric
-  columns are opportunistically promoted to typed :mod:`array` storage.
-
-The row API (``scan``/``rows``/``row_at``/``insert`` …) is preserved as a
-view over either backing, so existing callers work unchanged; batch-aware
-callers use :meth:`Table.append_batch` and :meth:`Table.columns` to skip
-per-row tuple construction entirely.  Storage is chosen per table via the
-``storage=`` parameter: columnar is the default, and ``storage="row"`` is
-kept as the tests' reference backing.
+Every table is backed by a :class:`ColumnStore`: one sequence per column
+plus a validity bitmap, with ``append_batch`` / ``take`` / ``gather`` bulk
+primitives.  Numeric columns are opportunistically promoted to typed
+:mod:`array` storage.  The row API (``scan``/``rows``/``row_at``/``insert``
+…) is a view over the columns; batch-aware callers use
+:meth:`Table.append_batch` and :meth:`Table.columns` to skip per-row tuple
+construction entirely.
 
 Deletions tombstone the row's slot rather than compacting, so slots held by
 indexes stay valid; freed slots are recycled by later insertions.
@@ -27,7 +21,7 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from itertools import compress, repeat
+from itertools import compress
 from operator import itemgetter
 from typing import Any, Callable, Collection, Iterable, Iterator, Sequence
 
@@ -53,13 +47,6 @@ _PROMOTE_PROBE = 16
 #: faster and at 500,000 x 5 it is 3.1x; below 4,096 rows the star call
 #: wins at arity 5 and up, by at most 1.5x.
 _TRANSPOSE_BY_COLUMN_ROWS = 16_384
-
-
-def resolve_storage(requested: str | None) -> str:
-    """A table's storage mode: *requested*, or ``"column"`` for ``None``."""
-    if requested not in (None, "row", "column"):
-        raise TableError(f"unknown table storage {requested!r}")
-    return requested or "column"
 
 
 def forget_values(counts: dict[Any, int], values: Iterable[Any]) -> None:
@@ -107,86 +94,7 @@ def _typed_column(values: Sequence[Any]) -> Any:
     return vals
 
 
-class SlotStore:
-    """The slot contract's batch forms, a slot at a time (row storage
-    inherits them; :class:`ColumnStore` works column-wise).  Every
-    store also answers ``live_slots()``: the slots of its live rows in
-    scan order, in step with ``column_lists``."""
-
-    __slots__ = ()
-
-    def fill(self, slots: Sequence[int], columns: Sequence[Sequence[Any]]) -> None:
-        """Store the rows given column-wise at *slots*, which become live."""
-        for slot, row in zip(slots, zip(*columns)):
-            self.set(slot, row)
-
-    def kill(self, slots: Sequence[int]) -> None:
-        """Tombstone *slots* (live and distinct: the caller checked)."""
-        for slot in slots:
-            self.set(slot, None)
-
-    def written_slots(self) -> set[int] | None:
-        """The slots written since this store was cloned from another, or
-        ``None`` for a store that was not: it may differ from any other
-        store everywhere.  Only :class:`ColumnStore` clones."""
-        return None
-
-
-class RowStore(SlotStore):
-    """Row-major backing: a list of tuples with ``None`` tombstones."""
-
-    __slots__ = ("_slots",)
-    kind = "row"
-
-    def __init__(self) -> None:
-        self._slots: list[Row | None] = []
-
-    def size(self) -> int:
-        """Slot capacity (live rows plus tombstones)."""
-        return len(self._slots)
-
-    def get(self, slot: int) -> Row | None:
-        return self._slots[slot]
-
-    def append(self, row: Row) -> int:
-        slots = self._slots
-        slots.append(row)
-        return len(slots) - 1
-
-    def set(self, slot: int, row: Row | None) -> None:
-        self._slots[slot] = row
-
-    def clear(self) -> None:
-        self._slots.clear()
-
-    def iter_live(self) -> Iterator[Row]:
-        for row in self._slots:
-            if row is not None:
-                yield row
-
-    def enumerate_live(self) -> Iterator[tuple[int, Row]]:
-        for slot, row in enumerate(self._slots):
-            if row is not None:
-                yield slot, row
-
-    def rows(self) -> list[Row]:
-        return [row for row in self._slots if row is not None]
-
-    def slot_list(self) -> list[Row | None]:
-        return self._slots
-
-    def live_slots(self) -> list[int]:
-        return [slot for slot, row in enumerate(self._slots) if row is not None]
-
-    def column_lists(self, positions: Sequence[int]) -> list[list[Any]]:
-        rows = self.rows()
-        return [list(map(itemgetter(p), rows)) for p in positions]
-
-    def append_batch(self, columns: Sequence[Sequence[Any]], n: int) -> None:
-        self._slots.extend(zip(*columns))
-
-
-class ColumnStore(SlotStore):
+class ColumnStore:
     """Column-major backing: one sequence per column plus a validity bitmap.
 
     Columns are plain lists by default; a column whose first batch is
@@ -202,7 +110,6 @@ class ColumnStore(SlotStore):
     """
 
     __slots__ = ("_arity", "_columns", "_valid", "_dead", "_written")
-    kind = "column"
 
     def __init__(self, arity: int) -> None:
         self._arity = arity
@@ -265,22 +172,12 @@ class ColumnStore(SlotStore):
         self._valid = bytearray()
         self._dead = 0
 
-    def _live_rows_iter(self) -> Iterator[Row]:
-        if not self._arity:
-            return iter(repeat((), len(self._valid) - self._dead))
-        if self._dead:
-            return iter(compress(zip(*self._columns), self._valid))
-        return iter(zip(*self._columns))
-
     def iter_live(self) -> Iterator[Row]:
-        return self._live_rows_iter()
+        if self._dead:
+            return compress(zip(*self._columns), self._valid)
+        return zip(*self._columns)
 
     def enumerate_live(self) -> Iterator[tuple[int, Row]]:
-        if not self._arity:
-            for slot, v in enumerate(self._valid):
-                if v:
-                    yield slot, ()
-            return
         rows = zip(*self._columns)
         if self._dead:
             for slot, (v, row) in enumerate(zip(self._valid, rows)):
@@ -290,13 +187,10 @@ class ColumnStore(SlotStore):
             yield from enumerate(rows)
 
     def rows(self) -> list[Row]:
-        return list(self._live_rows_iter())
+        return list(self.iter_live())
 
     def slot_list(self) -> list[Row | None]:
-        if not self._arity:
-            out: list[Row | None] = [()] * len(self._valid)
-        else:
-            out = list(zip(*self._columns))
+        out: list[Row | None] = list(zip(*self._columns))
         if self._dead:
             for slot, v in enumerate(self._valid):
                 if not v:
@@ -342,6 +236,7 @@ class ColumnStore(SlotStore):
             self._written.update(range(n))
 
     def fill(self, slots: Sequence[int], columns: Sequence[Sequence[Any]]) -> None:
+        """Store the rows given column-wise at *slots*, which become live."""
         if self._written is not None:
             self._written.update(slots)
         cols = self._columns
@@ -360,6 +255,7 @@ class ColumnStore(SlotStore):
             valid[slot] = 1
 
     def kill(self, slots: Sequence[int]) -> None:
+        """Tombstone *slots* (live and distinct: the caller checked)."""
         if self._written is not None:
             self._written.update(slots)
         valid = self._valid
@@ -400,6 +296,9 @@ class ColumnStore(SlotStore):
         return twin
 
     def written_slots(self) -> set[int] | None:
+        """The slots written since this store was cloned from another, or
+        ``None`` for a store that was not: it may differ from any other
+        store everywhere."""
         return self._written
 
     def live_among(self, slots: Iterable[int]) -> list[int]:
@@ -466,9 +365,6 @@ class Table:
         The table's schema, or an iterable of column names.
     rows:
         Optional initial rows.
-    storage:
-        ``"row"`` or ``"column"`` to pick a backing explicitly; ``None``
-        means ``"column"`` (see :func:`resolve_storage`).
     """
 
     def __init__(
@@ -476,14 +372,10 @@ class Table:
         name: str,
         schema: Schema | Iterable[str],
         rows: Iterable[Sequence[Any]] = (),
-        storage: str | None = None,
     ):
         self.name = name
         self.schema = schema if isinstance(schema, Schema) else Schema(schema)
-        self.storage = resolve_storage(storage)
-        self._store: RowStore | ColumnStore = (
-            RowStore() if self.storage == "row" else ColumnStore(len(self.schema))
-        )
+        self._store = ColumnStore(len(self.schema))
         self._free_slots: list[int] = []
         self._live_count = 0
         self._indexes: dict[tuple[str, ...], HashIndex] = {}
@@ -507,8 +399,8 @@ class Table:
         """Slot-ordered view of the storage (``None`` marks a tombstone).
 
         Kept for introspection and tests; internal code goes through the
-        storage API.  For a columnar table this materialises tuples — treat
-        the result as read-only.
+        storage API.  This materialises tuples — treat the result as
+        read-only.
         """
         return self._store.slot_list()
 
@@ -563,11 +455,9 @@ class Table:
         The row-at-a-time counterpart to ``append_batch``'s automatic
         promotion: call it once after an incremental build (dimension
         tables are built row by row) to get typed-array storage for the
-        numeric columns.  Returns how many columns were promoted; a no-op
-        (returning 0) on row storage.
+        numeric columns.  Returns how many columns were promoted.
         """
-        promote = getattr(self._store, "promote_columns", None)
-        return promote() if promote is not None else 0
+        return self._store.promote_columns()
 
     def take(
         self, slots: Sequence[int], names: Sequence[str] | None = None
@@ -581,28 +471,23 @@ class Table:
         """
         store = self._store
         positions = None if names is None else self.schema.positions(names)
-        if isinstance(store, ColumnStore):
-            valid = store._valid  # noqa: SLF001 — liveness check
-            if not all(map(valid.__getitem__, slots)):
-                dead = next(slot for slot in slots if not valid[slot])
-                raise TableError(f"table {self.name!r}: slot {dead} is empty")
-            return store.take(slots, positions)
-        rows = list(map(self.row_at, slots))
-        if positions is None:
-            positions = range(len(self.schema))
-        return [list(map(itemgetter(p), rows)) for p in positions]
+        valid = store._valid  # noqa: SLF001 — liveness check
+        if not all(map(valid.__getitem__, slots)):
+            dead = next(slot for slot in slots if not valid[slot])
+            raise TableError(f"table {self.name!r}: slot {dead} is empty")
+        return store.take(slots, positions)
 
     def written_slots(self) -> set[int] | None:
         """The slots this table's storage has written since :meth:`copy`
         cloned it from another table's — the only places its rows can
         differ from that table's as it was — or ``None`` when the storage
-        is no clone (row backing, a table built from rows).
+        is no clone (a table built from rows).
         Recorded by the store's own write primitives, below the indexes
         and observers, so it needs nothing from them to be complete."""
         return self._store.written_slots()
 
     def take_live(self, slots: Iterable[int]) -> tuple[list[int], list[list[Any]]]:
-        """The live rows among *slots* of a columnar table, as (their
+        """The live rows among *slots* of this table, as (their
         slots, ascending; their columns).  Unlike :meth:`take`, a slot
         that is tombstoned or past the end simply holds no row: this is
         how one table is read at slots another one wrote.  Uncharged."""
@@ -677,8 +562,7 @@ class Table:
     def append_batch(self, columns: Sequence[Sequence[Any]]) -> int:
         """Insert a batch given column-wise; return how many rows.
 
-        :meth:`insert_many` without the transposition: on columnar
-        storage the batch lands as C-level column extends (the sequences
+        :meth:`insert_many` without the transposition: the batch lands as C-level column extends (the sequences
         are copied, never kept), and the first batch of an empty table is
         then promoted to typed arrays where uniform.
         """
@@ -693,13 +577,13 @@ class Table:
 
     def adopt_batch(self, columns: Sequence[Any]) -> int:
         """:meth:`append_batch` for columns an operator built itself: an
-        empty columnar table takes lists and typed arrays over as its
+        empty table takes lists and typed arrays over as its
         storage — no copy, no type probe — so the caller holds no other
         reference to them (it passes a slice of a column it borrowed; a
         wholly borrowed batch goes to :meth:`append_batch`, which copies)."""
         n = self._batch_length(columns)
         store = self._store
-        if not (n and type(store) is ColumnStore and not store.size()
+        if not (n and not store.size()
                 and not (self._indexes or self._domains or self._observers)
                 and all(type(col) in (list, array) for col in columns)):
             return self.append_batch(columns)
@@ -876,12 +760,8 @@ class Table:
         """Make the table dense: every tombstone filled with a row moved
         from the tail, the indexes re-pointed at the moved rows, no free
         slot left.  O(tombstones); the rows are the same bag, so observers
-        hear nothing and nothing is charged.  Returns the rows moved.  Row
-        storage moves none: its tombstones go when :meth:`copy` re-inserts
-        the live rows."""
+        hear nothing and nothing is charged.  Returns the rows moved."""
         store = self._store
-        if not isinstance(store, ColumnStore):
-            return 0
         moves = store.compact()
         if moves:
             sources, targets = zip(*moves)
@@ -957,7 +837,7 @@ class Table:
     def create_index(self, columns: Sequence[str], unique: bool = False) -> HashIndex:
         """Create (or return an existing) hash index on *columns*.
 
-        Built from the store's columns on every backing — the key tuples
+        Built from the store's columns — the key tuples
         from one zip of the indexed columns, the slots from the store's
         liveness, the buckets in one pass (:meth:`HashIndex.load`) — and
         registered only once complete, so a unique violation raises with
@@ -1034,30 +914,18 @@ class Table:
     def copy(self, name: str | None = None) -> "Table":
         """Return a private deep copy: rows, indexes, tracked domains.
 
-        Observers are not inherited.  The copy keeps the source's storage
-        mode, and for columnar storage the column types too (a typed
-        array stays a typed array): the storage, the index bucket maps,
-        the free-slot list and the domain counts are cloned structurally
-        — memcpy-speed, no per-row insert, no row moved — so every row
-        keeps its slot, tombstones included, and the clone records the
-        slots it writes from here on (:meth:`written_slots`;
-        :meth:`compact` is what makes a table dense).  Row storage
-        re-inserts the live rows instead, and records nothing.  The
-        source is not touched.  Charged as one scan of the source plus one
-        insert per row, like the row-at-a-time copy it replaces.
+        Observers are not inherited.  The copy keeps the column types (a
+        typed array stays a typed array): the storage, the index bucket
+        maps, the free-slot list and the domain counts are cloned
+        structurally — memcpy-speed, no per-row insert, no row moved — so
+        every row keeps its slot, tombstones included, and the clone
+        records the slots it writes from here on (:meth:`written_slots`;
+        :meth:`compact` is what makes a table dense).  The source is not
+        touched.  Charged as one scan of the source plus one insert per
+        row, like the row-at-a-time copy it replaces.
         """
-        clone = Table(name or self.name, self.schema, storage=self.storage)
-        source = self._store
-        if not (isinstance(source, ColumnStore)
-                and isinstance(clone._store, ColumnStore)):
-            # Row storage re-inserts.
-            clone.insert_many(self.scan())
-            for index in self._indexes.values():
-                clone.create_index(index.columns, unique=index.unique)
-            for position in self._domains:
-                clone.track_domain(self.schema.columns[position])
-            return clone
-        clone._store = source.clone()
+        clone = Table(name or self.name, self.schema)
+        clone._store = self._store.clone()
         clone._free_slots = self._free_slots.copy()
         clone._live_count = self._live_count
         clone._indexes = {

@@ -291,10 +291,9 @@ class MaterializedView:
         domains but not the observers; the shadow gets its own
         certificate, seeded O(1) from the current one's digest-sum and
         maintained incrementally while the refresh mutates the shadow
-        table.  On columnar storage every row of the shadow starts in the
-        slot it has in the current version and the shadow's storage
-        records the slots written from here on — what :meth:`publish`
-        re-reads.
+        table.  Every row of the shadow starts in the slot it has in the
+        current version and the shadow's storage records the slots written
+        from here on — what :meth:`publish` re-reads.
 
         *table* — an earlier epoch's table a reader pinned — is copied
         instead of the current one, for a read that compensates it
@@ -333,8 +332,8 @@ class MaterializedView:
         was installed), so re-digesting it would prove nothing new: the
         pass is O(slots written), not O(|view|).  Where that argument has
         nothing to stand on or nothing to save, every stored row is
-        digested as before: row storage (its copy re-inserts, so nothing
-        is recorded), and a shadow that wrote half the view or more.
+        digested as before: a shadow whose table is no clone (it records
+        no written slots), and a shadow that wrote half the view or more.
 
         On success the swap is a single reference assignment; committed
         epochs are never unpublished, and a refused shadow leaves the

@@ -122,8 +122,8 @@ class DimensionTable:
                 f"got {self.hierarchy.key!r}"
             )
         self.table.create_index([self.key], unique=True)
-        # Dimension tables are built row-at-a-time, which leaves columnar
-        # backings holding plain lists; promote the numeric columns to
+        # Dimension tables are built row-at-a-time, which leaves their
+        # columns plain lists; promote the numeric columns to
         # typed arrays now that the build is complete.
         self.table.promote_columns()
 

@@ -182,14 +182,13 @@ def rng() -> random.Random:
 
 @contextmanager
 def _interpreted_engine():
-    """Run the block on the interpreter: every ``codegen.compile_*`` entry
-    point declines, and the compiled-kernel caches are swapped for empty
+    """Run the block on the interpreter: both ``codegen.compile_*`` entry
+    points decline, and the compiled-kernel caches are swapped for empty
     ones, so no kernel compiled before (or during) the block is used."""
     from repro.relational import aggregation, codegen, operators
 
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("compile_aggregation", "compile_batch_aggregation",
-                     "compile_column_kernel"):
+        for name in ("compile_batch_aggregation", "compile_column_kernel"):
             patch.setattr(codegen, name, lambda *args, **kwargs: None)
         patch.setattr(aggregation, "_compile_cache", {})
         patch.setattr(operators, "_column_kernel_cache", {})

@@ -1,7 +1,7 @@
 """Differential testing of the columnar engine.
 
 Hypothesis generates random star-schema change sets and demands that the
-columnar engine (the default storage), the same engine on the interpreter
+columnar engine, the same engine on the interpreter
 (the ``interpreted`` fixture), and the SQLite backend all land identical
 post-refresh summary tables — and that each one matches from-scratch
 recomputation — across the Table 1 aggregate shapes and both MIN/MAX
@@ -38,11 +38,10 @@ delete_picks = st.lists(st.integers(0, 10_000), max_size=12)
 
 def final_state(shape, policy, base, to_insert, to_delete):
     """Build → propagate → refresh end to end (table construction
-    included, so storage defaults apply) and return the post-refresh
-    summary rows and the recomputed ones."""
+    included) and return the post-refresh summary rows and the recomputed
+    ones."""
     pos = build_fact(base)
     view = MaterializedView.build(make_view(pos, shape))
-    assert view.table.storage == "column"
     changes = ChangeSet("pos", pos.table.schema)
     changes.insert_many(to_insert)
     changes.delete_many(to_delete)

@@ -4,10 +4,12 @@ from-scratch recomputation and the SQLite backend's literal-SQL
 maintenance.
 
 The matrix crosses Table 1 view shapes, both MIN/MAX propagation
-policies, and both backings of the stored view (columnar, the default,
-and an explicit ``storage="row"``).  Hypothesis shrinks any disagreement
-to a minimal change set and prints it re-runnably.
+policies, and both engines (the compiled kernels, and the interpreter
+they fall back to, via the ``interpreted`` fixture).  Hypothesis shrinks
+any disagreement to a minimal change set and prints it re-runnably.
 """
+
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +21,6 @@ from repro.core import (
     base_recompute_fn,
     compute_summary_delta,
 )
-from repro.relational import Table
 from repro.sqlite_backend import SqliteWarehouse
 from repro.views import MaterializedView, compute_rows
 from repro.warehouse import ChangeSet
@@ -34,42 +35,47 @@ from .harness import differ_message, rows_equivalent
 
 delete_picks = st.lists(st.integers(0, 10_000), max_size=12)
 
-#: Storage of the stored view's table, per backing.
-BACKINGS = {"row": "row", "columnar": "column"}
+ENGINES = ["compiled", "interpreted"]
 
 
-def run_refresh(shape, policy, backing, base, to_insert, to_delete):
-    """Build a fresh warehouse whose view is stored on *backing*, apply
-    the change set, and return (final sorted rows, final epoch)."""
-    pos = build_fact(base)
-    built = MaterializedView.build(make_view(pos, shape))
-    table = Table(built.table.name, built.table.schema, built.table.rows(),
-                  storage=BACKINGS[backing])
-    view = MaterializedView(built.definition, table)
-    changes = ChangeSet("pos", pos.table.schema)
-    changes.insert_many(to_insert)
-    changes.delete_many(to_delete)
-    delta = compute_summary_delta(
-        view.definition, changes, PropagateOptions(policy=policy)
-    )
-    changes.apply_to(pos.table)
-    apply_refresh(view, delta, recompute=base_recompute_fn(view.definition))
+def engine_context(engine, interpreted):
+    """The context a run on *engine* happens in."""
+    return interpreted if engine == "interpreted" else nullcontext
+
+
+def run_refresh(shape, policy, engine, base, to_insert, to_delete):
+    """Build a fresh warehouse, apply the change set — every fold and
+    projection inside the *engine* context — and return (final sorted
+    rows, final epoch)."""
+    with engine():
+        pos = build_fact(base)
+        view = MaterializedView.build(make_view(pos, shape))
+        changes = ChangeSet("pos", pos.table.schema)
+        changes.insert_many(to_insert)
+        changes.delete_many(to_delete)
+        delta = compute_summary_delta(
+            view.definition, changes, PropagateOptions(policy=policy)
+        )
+        changes.apply_to(pos.table)
+        apply_refresh(view, delta,
+                      recompute=base_recompute_fn(view.definition))
     return view.table.sorted_rows(), view.epoch
 
 
-@pytest.mark.parametrize("backing", list(BACKINGS))
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("policy", list(MinMaxPolicy))
 @pytest.mark.parametrize("shape", ["fine", "minmax"])
 @settings(max_examples=10, deadline=None)
 @given(base=fact_rows, inserted=fact_rows, picks=delete_picks)
 def test_refresh_agrees_with_recomputation(
-    shape, policy, backing, base, inserted, picks
+    shape, policy, engine, base, inserted, picks, interpreted
 ):
-    """Published refresh ≡ recomputation, per shape × policy × backing,
+    """Published refresh ≡ recomputation, per shape × policy × engine,
     in exactly one new epoch."""
     to_insert, to_delete = split_changes(base, inserted, picks)
     rows, epoch = run_refresh(
-        shape, policy, backing, base, to_insert, to_delete
+        shape, policy, engine_context(engine, interpreted), base,
+        to_insert, to_delete,
     )
     assert epoch == 1
     # Recompute from scratch against the *post-change* base.
@@ -82,20 +88,22 @@ def test_refresh_agrees_with_recomputation(
 
     assert rows_equivalent(expected, rows), differ_message(
         f"recomputation and refreshed views ({shape}, {policy.name}, "
-        f"{backing})",
+        f"{engine})",
         base, to_insert, to_delete, expected, rows,
     )
 
 
-@pytest.mark.parametrize("backing", list(BACKINGS))
+@pytest.mark.parametrize("engine", ENGINES)
 @settings(max_examples=10, deadline=None)
 @given(base=fact_rows, inserted=fact_rows, picks=delete_picks)
-def test_versioned_agrees_with_sqlite(backing, base, inserted, picks):
+def test_versioned_agrees_with_sqlite(engine, base, inserted, picks,
+                                      interpreted):
     """The published refresh and the SQLite backend (executing the
     paper's literal maintenance SQL) land identical summary tables."""
     to_insert, to_delete = split_changes(base, inserted, picks)
     versioned_rows, epoch = run_refresh(
-        "minmax", MinMaxPolicy.PAPER, backing, base, to_insert, to_delete,
+        "minmax", MinMaxPolicy.PAPER, engine_context(engine, interpreted),
+        base, to_insert, to_delete,
     )
     assert epoch == 1
 
@@ -110,6 +118,6 @@ def test_versioned_agrees_with_sqlite(backing, base, inserted, picks):
 
     sqlite_rows = [tuple(row) for row in warehouse.sorted_rows("v")]
     assert rows_equivalent(sqlite_rows, versioned_rows), differ_message(
-        f"sqlite and versioned post-refresh views ({backing})",
+        f"sqlite and versioned post-refresh views ({engine})",
         base, to_insert, to_delete, sqlite_rows, versioned_rows,
     )

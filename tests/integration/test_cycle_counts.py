@@ -8,7 +8,10 @@ not depend on tracing, nor on which fold ran: the lattice cycles run
 again under the ``interpreted`` fixture, with every group-by and
 projection on the interpreter (the fused sibling kernel stays compiled),
 and repeat the compiled counts.  They are taken under the one refresh
-commit, which copies each view before refreshing it.
+commit, which copies each view before refreshing it.  Off the
+interpreter, no fold of a cycle (nor of its warehouse's build) falls
+back to the interpreted fold and the fused sibling kernel declines no
+group: every workload stays on the compiled kernels.
 
 One cycle per paper workload over the same 20,000-row fact table: the
 update-generating and insertion-generating changes of Section 6 (2,000
@@ -16,11 +19,14 @@ changes each) and the expiration of the oldest date (Section 2.1), whose
 deletions force MIN(date) groups to be recomputed from base data.
 """
 
+from collections import Counter
 from contextlib import nullcontext
 
 import pytest
 
 from repro.lattice import maintain_lattice
+from repro.lattice import plan
+from repro.relational import aggregation
 from repro.relational.stats import measuring
 from repro.workload import (
     RetailConfig,
@@ -160,31 +166,64 @@ def cycle_id(params):
     return name + "-interpreted" if interpreted else name
 
 
+def counting_fallbacks(patch, fallbacks):
+    """Count, into *fallbacks*, the group-bys folded by the interpreter
+    and the sibling groups the fused kernel declines."""
+    fold_interpreted = aggregation._fold_interpreted
+    prepare_fused_scan = plan.prepare_fused_scan
+
+    def counted_fold(*args, **kwargs):
+        fallbacks["interpreted_folds"] += 1
+        return fold_interpreted(*args, **kwargs)
+
+    def counted_prepare(*args, **kwargs):
+        scan = prepare_fused_scan(*args, **kwargs)
+        fallbacks["fused_declines"] += scan is None
+        return scan
+
+    patch.setattr(aggregation, "_fold_interpreted", counted_fold)
+    patch.setattr(plan, "prepare_fused_scan", counted_prepare)
+
+
 @pytest.fixture(scope="module", params=CYCLES, ids=cycle_id)
 def cycle(request):
     workload, use_lattice, interpreted = request.param
     engine = (request.getfixturevalue("interpreted") if interpreted
               else nullcontext)
-    with engine():
+    fallbacks = Counter()
+    with engine(), pytest.MonkeyPatch.context() as patch:
+        counting_fallbacks(patch, fallbacks)
         warehouse, access, result = run_cycle(workload, use_lattice)
-    return workload, use_lattice, warehouse, access, result
+    return workload, use_lattice, warehouse, access, result, fallbacks
 
 
 def test_views_converge(cycle):
-    _, _, warehouse, _, _ = cycle
+    _, _, warehouse, _, _, _ = cycle
     assert all(warehouse.verify_views().values())
 
 
 def test_access_units(cycle):
-    workload, use_lattice, _, access, _ = cycle
+    workload, use_lattice, _, access, _, _ = cycle
     assert access.as_dict() == ACCESS[workload, use_lattice]
 
 
 def test_delta_rows(cycle):
-    workload, _, _, _, result = cycle
+    workload, _, _, _, result, _ = cycle
     assert delta_rows(result) == DELTA_ROWS[workload]
 
 
 def test_refresh_stats(cycle):
-    workload, _, _, _, result = cycle
+    workload, _, _, _, result, _ = cycle
     assert refresh_outcomes(result) == REFRESH[workload]
+
+
+def test_no_fold_leaves_the_kernels(request, cycle):
+    """Zero declines off the interpreter; on it, the interpreted fold
+    really ran, and the fused kernel still declined nothing."""
+    _, _, _, _, _, fallbacks = cycle
+    _, _, interpreted = request.node.callspec.params["cycle"]
+    assert fallbacks["fused_declines"] == 0
+    if interpreted:
+        assert fallbacks["interpreted_folds"] > 0
+    else:
+        assert fallbacks["interpreted_folds"] == 0

@@ -8,8 +8,8 @@ linear-scan refresh locator, row storage, certificate-free views and
 in-place refresh.  Each is now inert: with it set while the warehouse is
 built and maintained, the update cycle of
 :mod:`tests.integration.test_cycle_counts` repeats that file's pinned
-counts exactly, every view is certified and stored in columns, and every
-view has published its refresh as epoch 1.
+counts exactly, every view is certified, and every view has published
+its refresh as epoch 1.
 """
 
 import pytest
@@ -41,7 +41,6 @@ def test_switch_set_to_zero_changes_nothing(monkeypatch, name):
     assert delta_rows(result) == DELTA_ROWS["update"]
     assert refresh_outcomes(result) == REFRESH["update"]
     for view in warehouse.views_over("pos"):
-        assert view.table.storage == "column", view.name
         assert view.certificate is not None, view.name
         assert view.epoch == 1, view.name
     assert all(warehouse.verify_certificates().values())

@@ -160,7 +160,7 @@ class TestBatchKernel:
     def test_typed_columns_demotion_and_tombstones(self, rows, data):
         """Fed from ``Table.columns()``: typed arrays, a column demoted by
         a value that does not fit, and tombstoned slots left out."""
-        table = Table("t", ["k", "v"], storage="column")
+        table = Table("t", ["k", "v"])
         table.append_batch([list(column) for column in zip(*rows)])
         if data.draw(st.booleans()):
             table.insert((2 ** 63, None))
@@ -466,15 +466,12 @@ class TestDeltaScaling:
         small, touched, view = publish_counts(200, insertions, deletions)
         large, touched_large, _view = publish_counts(2000, insertions, deletions)
         assert touched == touched_large == 5 + 3 + 2 + 1
-        if view.table.storage == "column":
-            assert small == large
-            assert small["compacted_rows"] == 2
-            assert 0 < small["validated_rows"] <= (
-                2 * touched + 2 * small["compacted_rows"]
-            )
-            assert small["written_slots"] <= touched + small["compacted_rows"]
-        else:   # row storage re-inserts: no validated base to lean on
-            assert small["validated_rows"] == len(view.table)
+        assert small == large
+        assert small["compacted_rows"] == 2
+        assert 0 < small["validated_rows"] <= (
+            2 * touched + 2 * small["compacted_rows"]
+        )
+        assert small["written_slots"] <= touched + small["compacted_rows"]
         # Nothing to save when half the view was written: the full digest.
         full, _touched, view = publish_counts(6, insertions[:5], [])
         assert full["validated_rows"] == len(view.table) == 6

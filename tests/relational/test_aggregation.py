@@ -1,5 +1,7 @@
 """The physical group-by engine and its reducers."""
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro.relational import (
@@ -139,16 +141,16 @@ def reference_group_by(rows, positions, value_positions):
 
 class TestGroupByOnFact:
     """group_by over the fixture fact table equals a plain-Python fold,
-    on every grouping of its attributes and on either storage."""
+    on every grouping of its attributes, through the batch kernel and
+    through the interpreted fold."""
 
     @pytest.mark.parametrize("keys", [
         ["storeID"], ["itemID"], ["date"], ["storeID", "itemID"],
         ["storeID", "itemID", "date"],
     ])
-    @pytest.mark.parametrize("storage", ["row", "column"])
-    def test_matches_reference_fold(self, pos, keys, storage):
-        source = Table("pos", pos.table.schema, pos.table.rows(),
-                       storage=storage)
+    @pytest.mark.parametrize("engine", ["interpreted", "batch"])
+    def test_matches_reference_fold(self, pos, keys, engine, interpreted):
+        source = Table("pos", pos.table.schema, pos.table.rows())
         specs = [
             ("n", col("qty"), CountRowsReducer()),
             ("total", col("qty"), SumReducer()),
@@ -160,4 +162,5 @@ class TestGroupByOnFact:
             [schema.position(key) for key in keys],
             (schema.position("qty"), schema.position("date")),
         )
-        assert group_by(source, keys, specs).rows() == expected
+        with interpreted() if engine == "interpreted" else nullcontext():
+            assert group_by(source, keys, specs).rows() == expected

@@ -22,7 +22,7 @@ from repro.relational.aggregation import (
     Reducer,
     SumReducer,
     _finalize,
-    _fold_rows,
+    _fold_interpreted,
 )
 from repro.relational.expressions import col
 from repro.relational.index import HashIndex
@@ -31,7 +31,6 @@ from repro.relational.table import transpose_rows
 
 from .test_batch_mutators import COLUMNS, distinct_live, values
 
-STORAGES = ["row", "column"]
 INDEXES = [["u"], ["a"], ["b"], ["a", "b"], ["b", "a", "u"]]
 
 a_values = st.one_of(st.integers(0, 3), st.none())
@@ -46,10 +45,10 @@ history = st.lists(st.one_of(
 ), max_size=25)
 
 
-def build(storage, typed):
+def build(typed):
     """No index, no domain: they are built after the history.  *typed*
-    starts the columns as typed arrays (where columnar), else as lists."""
-    table = Table("t", COLUMNS, storage=storage)
+    starts the columns as typed arrays, else as lists."""
+    table = Table("t", COLUMNS)
     if typed:
         table.append_batch([list(range(8)), [0, 1, 2, 3] * 2, [0, 0, 1, 1] * 2])
     else:
@@ -92,9 +91,9 @@ def per_row_entries(table, columns, unique=False):
 
 class TestCreateIndex:
     @settings(max_examples=150, deadline=None)
-    @given(st.sampled_from(STORAGES), st.booleans(), history)
-    def test_equals_per_row_build(self, storage, typed, steps):
-        table = build(storage, typed)
+    @given(st.booleans(), history)
+    def test_equals_per_row_build(self, typed, steps):
+        table = build(typed)
         apply(table, steps)
         for columns in INDEXES:
             unique = columns[-1] == "u"
@@ -108,9 +107,9 @@ class TestCreateIndex:
         assert table.verify_indexes()
 
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(STORAGES), st.booleans(), history)
-    def test_unique_violation_leaves_indexes_unchanged(self, storage, typed, steps):
-        table = build(storage, typed)
+    @given(st.booleans(), history)
+    def test_unique_violation_leaves_indexes_unchanged(self, typed, steps):
+        table = build(typed)
         apply(table, steps)
         table.insert_many([(500, 1, None), (501, 1, None)])
         table.create_index(["u"], unique=True)
@@ -163,9 +162,9 @@ class TestUniqueIndex:
     equal to a per-row ``add`` rebuild."""
 
     @settings(max_examples=150, deadline=None)
-    @given(st.sampled_from(STORAGES), st.booleans(), unique_history)
-    def test_equals_per_row_rebuild(self, storage, typed, steps):
-        table = build(storage, typed)
+    @given(st.booleans(), unique_history)
+    def test_equals_per_row_rebuild(self, typed, steps):
+        table = build(typed)
         for columns in UNIQUE_INDEXES:
             table.create_index(columns, unique=True)
         fresh = itertools.count(100)
@@ -215,9 +214,9 @@ class TestUniqueIndex:
 
 class TestTrackDomain:
     @settings(max_examples=100, deadline=None)
-    @given(st.sampled_from(STORAGES), st.booleans(), history)
-    def test_equals_per_row_counts(self, storage, typed, steps):
-        table = build(storage, typed)
+    @given(st.booleans(), history)
+    def test_equals_per_row_counts(self, typed, steps):
+        table = build(typed)
         apply(table, steps)
         for column in COLUMNS:
             table.track_domain(column)
@@ -235,7 +234,7 @@ class TestTrackDomain:
             assert set(table.domain(column)) == set(table.column_values(column))
 
     def test_counts_a_typed_array_and_a_list_column(self):
-        table = Table("t", ["n", "s"], storage="column")
+        table = Table("t", ["n", "s"])
         table.append_batch([[1, 2, 1, 1], ["x", None, "x", 2 ** 63]])
         kinds = [type(column) for column in table._store._columns]  # noqa: SLF001
         assert kinds == [array, list]
@@ -273,10 +272,10 @@ class TestTransposition:
         ]
 
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(STORAGES), st.integers(0, 9),
+    @given(st.integers(0, 9),
            st.lists(st.tuples(st.integers(), a_values, values), max_size=8))
-    def test_insert_many_equals_per_row_insert(self, storage, threshold, rows):
-        batch, single = build(storage, True), build(storage, True)
+    def test_insert_many_equals_per_row_insert(self, threshold, rows):
+        batch, single = build(True), build(True)
         for table in (batch, single):
             table.create_index(["a", "b"])
             table.delete_slot(2)
@@ -286,9 +285,8 @@ class TestTransposition:
             single.insert(row)
         assert batch._rows == single._rows  # noqa: SLF001
         assert batch.verify_indexes()
-        if batch.storage == "column" and storage == "column":
-            assert [type(c) for c in batch._store._columns] == \
-                [type(c) for c in single._store._columns]  # noqa: SLF001
+        assert [type(c) for c in batch._store._columns] == \
+            [type(c) for c in single._store._columns]  # noqa: SLF001
 
     def test_a_ragged_large_batch_is_refused_whole(self):
         table = Table("t", ["a", "b"])
@@ -298,16 +296,14 @@ class TestTransposition:
 
 
 def star_call_finalize(groups, table_name, keys, aggregates, name,
-                       default_prefix, storage=None):
+                       default_prefix):
     """``_finalize`` over a ``{key: state list}`` dict with the two
     star-call transpositions it used to make."""
     reducers = [reducer for _n, _e, reducer in aggregates]
     n_aggs = len(aggregates)
     out_schema = Schema(list(keys) + [output for output, _e, _r in aggregates])
-    result = Table(name or f"{default_prefix}({table_name})", out_schema,
-                   storage=storage)
-    if (groups and result.storage == "column"
-            and all(type(r).finalize is Reducer.finalize for r in reducers)):
+    result = Table(name or f"{default_prefix}({table_name})", out_schema)
+    if (groups and all(type(r).finalize is Reducer.finalize for r in reducers)):
         key_columns = list(zip(*groups.keys())) if keys else []
         state_columns = list(zip(*groups.values())) if n_aggs else []
         result.append_batch([*key_columns, *state_columns])
@@ -348,35 +344,34 @@ def folded_groups(draw):
 
 class TestFinalize:
     @settings(max_examples=200, deadline=None)
-    @given(folded_groups(), st.integers(0, 11), st.sampled_from(["row", "column"]))
-    def test_equals_the_star_call_form(self, shape, threshold, storage):
+    @given(folded_groups(), st.integers(0, 11))
+    def test_equals_the_star_call_form(self, shape, threshold):
         groups, keys, aggregates = shape
         args = ("t", keys, aggregates, None, "groupby")
-        expected = star_call_finalize(groups, *args, storage=storage)
+        expected = star_call_finalize(groups, *args)
         with small_threshold(threshold):
             states = transpose_rows(groups.values(), len(aggregates))
-            got = _finalize(groups.keys(), states, *args, storage=storage)
+            got = _finalize(groups.keys(), states, *args)
         assert got.schema == expected.schema and got.name == expected.name
         assert got.rows() == expected.rows()     # values, first-occurrence order
         assert [tuple(map(type, row)) for row in got.rows()] == \
             [tuple(map(type, row)) for row in expected.rows()]
-        if got.storage == "column":
-            assert [type(c) for c in got._store._columns] == \
-                [type(c) for c in expected._store._columns]  # noqa: SLF001
+        assert [type(c) for c in got._store._columns] == \
+            [type(c) for c in expected._store._columns]  # noqa: SLF001
 
     def test_group_by_output_past_the_threshold(self):
-        """End to end through the compiled fold, with more groups than the
-        threshold: same table as the star-call form, typed columns kept."""
+        """End to end through the batch kernel, with more groups than the
+        threshold: same table as the star-call form over the interpreted
+        fold, typed columns kept."""
         source = Table("t", ["g", "h", "v"])
         source.append_batch([list(range(40)), [1.5] * 40, [None, 2] * 20])
         spec = [("n", col("v"), CountRowsReducer()), ("s", col("v"), SumReducer())]
         expected = star_call_finalize(
-            _fold_rows(source.schema, ["g", "h"], spec, source.rows()),
-            "t", ["g", "h"], spec, None, "groupby", storage=source.storage,
+            _fold_interpreted(source, ["g", "h"], spec),
+            "t", ["g", "h"], spec, None, "groupby",
         )
         with small_threshold(8):
             got = aggregation.group_by(source, ["g", "h"], spec)
         assert got.rows() == expected.rows()
-        if got.storage == "column":
-            assert [type(c) for c in got._store._columns] == \
-                [array, array, array, list]  # noqa: SLF001
+        assert [type(c) for c in got._store._columns] == \
+            [array, array, array, list]  # noqa: SLF001

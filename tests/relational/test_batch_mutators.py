@@ -1,7 +1,7 @@
 """Batch table mutators: equal to the per-row methods, all or nothing.
 
 ``insert_many`` / ``append_batch`` / ``delete_slots`` / ``update_slots``
-are batch kernels on columnar storage; the per-row methods (``insert`` /
+are batch kernels over the table's columns; the per-row methods (``insert`` /
 ``delete_slot`` / ``update_slot``) are the reference they are replayed
 against here.
 """
@@ -15,7 +15,6 @@ from repro.errors import TableError
 from repro.obs.audit import ViewCertificate
 from repro.relational import Table
 
-STORAGES = ["row", "column"]
 COLUMNS = ["u", "a", "b"]
 
 # Values include duplicates, nulls, and ones no typed column can hold.
@@ -33,10 +32,10 @@ steps = st.lists(st.one_of(
 ), max_size=25)
 
 
-def build(storage):
-    """Typed columns when columnar, a unique and two plain indexes, two
-    tracked domains, three tombstones to recycle, and a certificate."""
-    table = Table("t", COLUMNS, storage=storage)
+def build():
+    """Typed columns, a unique and two plain indexes, two tracked
+    domains, three tombstones to recycle, and a certificate."""
+    table = Table("t", COLUMNS)
     table.append_batch([list(range(8)), [0, 1, 2, 3] * 2, [0, 0, 1, 1] * 2])
     table.create_index(["u"], unique=True)
     table.create_index(["a"])
@@ -100,13 +99,13 @@ def assert_same(batch, single, batch_certificate, single_certificate):
 
 class TestBatchEqualsPerRow:
     @settings(max_examples=200, deadline=None)
-    @given(st.sampled_from(STORAGES), steps, steps)
-    def test_random_history(self, storage, history, on_clone):
-        self.check(storage, history, on_clone)
+    @given(steps, steps)
+    def test_random_history(self, history, on_clone):
+        self.check(history, on_clone)
 
-    def check(self, storage, history, on_clone):
-        batch, batch_certificate = build(storage)
-        single, single_certificate = build(storage)
+    def check(self, history, on_clone):
+        batch, batch_certificate = build()
+        single, single_certificate = build()
         fresh = itertools.count(100)
         replay(batch, single, history, fresh)
         assert_same(batch, single, batch_certificate, single_certificate)
@@ -143,9 +142,8 @@ class Recorder:
         self.events.append(("truncated",))
 
 
-@pytest.mark.parametrize("storage", STORAGES)
-def test_observer_without_batch_callbacks_receives_every_row(storage):
-    table = Table("t", ["a", "b"], [(1, "x"), (2, "y")], storage=storage)
+def test_observer_without_batch_callbacks_receives_every_row():
+    table = Table("t", ["a", "b"], [(1, "x"), (2, "y")])
     recorder = table.attach_observer(Recorder())
     table.insert_many([(3, "z"), (4, None)])
     table.append_batch([[5], ["w"]])
@@ -173,18 +171,16 @@ class TestBadBatchLeavesTheTableAlone:
     """Regression: ``insert_many`` used to insert every row before the
     first bad one and then raise."""
 
-    @pytest.mark.parametrize("storage", STORAGES)
-    def test_ragged_insert_many(self, storage):
-        table, certificate = build(storage)
+    def test_ragged_insert_many(self):
+        table, certificate = build()
         before = snapshot(table, certificate)
         with pytest.raises(TableError, match="arity"):
             table.insert_many([(50, 1, 1), (51, 2), (52, 3, 3)])
         assert snapshot(table, certificate) == before
         assert table.verify_indexes()
 
-    @pytest.mark.parametrize("storage", STORAGES)
-    def test_ragged_append_batch(self, storage):
-        table, certificate = build(storage)
+    def test_ragged_append_batch(self):
+        table, certificate = build()
         before = snapshot(table, certificate)
         with pytest.raises(TableError, match="ragged"):
             table.append_batch([[50, 51], [1], [1, 1]])
@@ -202,7 +198,7 @@ class TestBadBatchLeavesTheTableAlone:
         lambda table: table.delete_slots([0, 2, 0]),
     ])
     def test_columnar_batches_are_validated_whole(self, mutate):
-        table, certificate = build("column")
+        table, certificate = build()
         before = snapshot(table, certificate)
         with pytest.raises(TableError):
             mutate(table)
@@ -210,15 +206,14 @@ class TestBadBatchLeavesTheTableAlone:
         assert table.verify_indexes()
 
 
-@pytest.mark.parametrize("storage", STORAGES)
 @pytest.mark.parametrize("mutate", [
     lambda table: table.insert((0, 1, 1)),               # u=0 taken
     lambda table: table.update_slot(2, (0, 2, 1)),       # u=0 taken
 ], ids=["insert", "update_slot"])
-def test_refused_single_row_write_leaves_the_table_alone(storage, mutate):
+def test_refused_single_row_write_leaves_the_table_alone(mutate):
     """Regression: a single-row write refused by a unique index used to
     store the row (or drop its old key) before the index raised."""
-    table, certificate = build(storage)
+    table, certificate = build()
     before = snapshot(table, certificate)
     with pytest.raises(TableError, match="unique"):
         mutate(table)
@@ -227,12 +222,11 @@ def test_refused_single_row_write_leaves_the_table_alone(storage, mutate):
     assert table.verify_indexes()
 
 
-@pytest.mark.parametrize("storage", STORAGES)
-def test_update_batch_may_hand_unique_keys_on(storage):
+def test_update_batch_may_hand_unique_keys_on():
     """Uniqueness is checked against the table as the batch leaves it: a
     key one update vacates is free for another — a chain, a swap — while a
     key that stays taken, or is claimed twice, still refuses the batch."""
-    table, certificate = build(storage)       # u: 0 2 3 5 7 live
+    table, certificate = build()              # u: 0 2 3 5 7 live
     table.update_slots([(0, (2, 0, 0)), (2, (9, 2, 0))])        # 2 handed on
     table.update_slots([(3, (5, 3, 1)), (5, (3, 1, 0))])        # 3 <-> 5
     assert sorted(table.column_values("u")) == [2, 3, 5, 7, 9]

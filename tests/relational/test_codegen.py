@@ -1,32 +1,38 @@
-"""The compiled aggregation pipeline.
+"""The compiled aggregation pipeline and its interpreted fallback.
 
 Property-style equivalence: on null-heavy, duplicate-heavy, and
-MIN/MAX-deletion-shaped workloads, the interpreted and the compiled
-``group_by`` must produce identical tables (content and group order).
-All aggregate values here are ints or exactly-representable floats, so
-equality is exact.
+MIN/MAX-deletion-shaped workloads, the batch kernel, the interpreted fold
+and a fold written out by hand must produce identical tables (content and
+group order).  All aggregate values here are ints or exactly-representable
+floats, so equality is exact.  Every shape the kernel declines is folded
+by the interpreter and checked against a hand-computed result.
 """
 
 import random
+from contextlib import nullcontext
 
 import pytest
 
 from repro.relational import (
+    And,
     Case,
     CountNonNullReducer,
     CountRowsReducer,
     MaxReducer,
     MinReducer,
+    Not,
+    Or,
     Reducer,
     Schema,
     SumReducer,
     Table,
     col,
-    compile_aggregation,
     group_by,
     lit,
     measuring,
+    project,
 )
+from repro.relational.codegen import compile_batch_aggregation
 
 
 def standard_specs():
@@ -88,42 +94,63 @@ def minmax_deletion_table(rows=2_000, seed=7):
 WORKLOADS = [null_heavy_table, duplicate_heavy_table, minmax_deletion_table]
 
 
-class TestCompiledEquivalence:
-    @pytest.mark.parametrize("make_table", WORKLOADS)
-    def test_compiled_matches_interpreted(self, make_table):
-        table = make_table()
-        specs = standard_specs()
-        interpreted = group_by(table, ["k"], specs, compiled=False)
-        compiled = group_by(table, ["k"], specs, compiled=True)
-        assert compiled.rows() == interpreted.rows()
-        assert compiled.schema == interpreted.schema
+def hand_folded(table, keys):
+    """``standard_specs()`` over *table*, folded in plain Python — no
+    ``Reducer``, no ``Expression`` — in first-occurrence group order."""
+    key_positions = table.schema.positions(keys)
+    qty_at, weight_at = table.schema.positions(["qty", "weight"])
+    groups = {}
+    for row in table.rows():
+        groups.setdefault(tuple(row[p] for p in key_positions), []).append(row)
 
+    def total(values):
+        present = [value for value in values if value is not None]
+        return sum(present) if present else None
+
+    out = []
+    for key, members in groups.items():
+        qty = [row[qty_at] for row in members]
+        present = [value for value in qty if value is not None]
+        weighted = [None if row[qty_at] is None or row[weight_at] is None
+                    else row[qty_at] * row[weight_at] for row in members]
+        out.append(key + (
+            len(members), len(present), total(qty), total(weighted),
+            total([None if value is None else -value for value in qty]),
+            min(present) if present else None,
+            max(present) if present else None,
+            len(present),
+        ))
+    return out
+
+
+class TestCompiledEquivalence:
     @pytest.mark.parametrize("make_table", WORKLOADS)
     @pytest.mark.parametrize("keys", [["k"], [], ["k", "qty"]],
                              ids=["one-key", "no-key", "two-keys"])
-    @pytest.mark.parametrize("storage", ["row", "column"])
-    def test_kernels_match_interpreted(self, make_table, keys, storage):
-        """Row storage takes the compiled row fold, column storage the
-        batch kernel; both equal the interpreter for every grouping."""
-        source = make_table()
-        table = Table(source.name, source.schema, source.rows(),
-                      storage=storage)
-        specs = standard_specs()
-        interpreted = group_by(table, keys, specs, compiled=False)
-        compiled = group_by(table, keys, specs)
-        assert compiled.rows() == interpreted.rows()
-        assert compiled.schema == interpreted.schema
-        assert compiled.storage == table.storage
+    @pytest.mark.parametrize("engine", ["interpreted", "batch"])
+    def test_folds_match_the_hand_fold(self, make_table, keys, engine,
+                                       interpreted):
+        """The interpreted fold and the batch kernel both equal the fold
+        written out by hand, for every grouping."""
+        table = make_table()
+        with interpreted() if engine == "interpreted" else nullcontext():
+            grouped = group_by(table, keys, standard_specs())
+        assert grouped.rows() == hand_folded(table, keys)
+        assert grouped.schema.columns == tuple(keys) + tuple(
+            name for name, _expr, _reducer in standard_specs()
+        )
 
-    def test_no_keys_and_empty_input(self):
+    def test_no_keys_and_empty_input(self, interpreted):
         table = Table("t", ["k", "qty", "weight"])
         specs = standard_specs()
-        assert len(group_by(table, [], specs, compiled=False)) == 0
+        with interpreted():
+            assert len(group_by(table, [], specs)) == 0
+        assert len(group_by(table, [], specs)) == 0
         table.insert(("a", 1, 2))
         compiled = group_by(table, [], specs)
         assert len(compiled) == 1
-        assert compiled.rows() == group_by(table, [], specs,
-                                           compiled=False).rows()
+        with interpreted():
+            assert compiled.rows() == group_by(table, [], specs).rows()
 
     def test_group_order_is_first_occurrence(self):
         rows = [("b", 1, 2), ("a", 2, 2), ("b", 3, 2), ("c", None, None)]
@@ -136,48 +163,9 @@ class TestCompiledEquivalence:
 class TestCompileAggregation:
     def test_supported_specs_compile(self):
         schema = Schema(["k", "qty", "weight"])
-        compiled = compile_aggregation(schema, ["k"], standard_specs())
+        compiled = compile_batch_aggregation(schema, ["k"], standard_specs())
         assert compiled is not None
-        assert "def _fold" in compiled.source
-
-    def test_custom_reducer_falls_back(self):
-        class MedianishReducer(Reducer):
-            def create(self):
-                return []
-
-            def step(self, state, value):
-                state.append(value)
-                return state
-
-            def finalize(self, state):
-                return sorted(x for x in state if x is not None)[0] if state else None
-
-        schema = Schema(["k", "v"])
-        specs = [("m", col("v"), MedianishReducer())]
-        assert compile_aggregation(schema, ["k"], specs) is None
-        # group_by transparently falls back to the interpreter.
-        table = Table("t", ["k", "v"], [("a", 3), ("a", 1), ("b", 2)])
-        result = group_by(table, ["k"], specs)
-        assert result.sorted_rows() == [("a", 1), ("b", 2)]
-
-    def test_subclassed_known_reducer_falls_back(self):
-        class DoublingSum(SumReducer):
-            def step(self, state, value):
-                return super().step(state, None if value is None else 2 * value)
-
-        schema = Schema(["k", "v"])
-        assert compile_aggregation(
-            schema, ["k"], [("s", col("v"), DoublingSum())]
-        ) is None
-        table = Table("t", ["k", "v"], [("a", 3), ("a", 1)])
-        result = group_by(table, ["k"], [("s", col("v"), DoublingSum())])
-        assert result.rows() == [("a", 8)]
-
-    def test_compiled_true_raises_when_unsupported(self, interpreted):
-        table = Table("t", ["k", "v"], [("a", 1)])
-        with interpreted(), pytest.raises(ValueError, match="codegen"):
-            group_by(table, ["k"], [("s", col("v"), SumReducer())],
-                     compiled=True)
+        assert "def _fold_cols" in compiled.source
 
     def test_interpreted_fixture_declines_every_kernel(self, interpreted):
         from repro.relational import codegen
@@ -186,13 +174,153 @@ class TestCompileAggregation:
         specs = [("s", col("v"), SumReducer())]
         table = Table("t", ["k", "v"], [("a", 1), ("a", 2)])
         with interpreted():
-            for name in ("compile_aggregation", "compile_batch_aggregation"):
-                assert getattr(codegen, name)(schema, ["k"], specs) is None
+            assert codegen.compile_batch_aggregation(
+                schema, ["k"], specs
+            ) is None
             assert codegen.compile_column_kernel([col("v")], schema) is None
             assert group_by(table, ["k"], specs).rows() == [("a", 3)]
         # Outside the block the compiled kernels are back.
-        assert codegen.compile_aggregation(schema, ["k"], specs) is not None
-        assert group_by(table, ["k"], specs, compiled=True).rows() == [("a", 3)]
+        assert codegen.compile_batch_aggregation(
+            schema, ["k"], specs
+        ) is not None
+        assert group_by(table, ["k"], specs).rows() == [("a", 3)]
+
+
+class ProductReducer(Reducer):
+    """A user reducer: the product of the non-null inputs."""
+
+    def create(self):
+        return None
+
+    def step(self, state, value):
+        if value is None:
+            return state
+        return value if state is None else state * value
+
+
+class DoublingSum(SumReducer):
+    """A subclassed built-in: its ``step`` is not ``SumReducer``'s."""
+
+    def step(self, state, value):
+        return super().step(state, None if value is None else 2 * value)
+
+
+def non_null(values):
+    return [value for value in values if value is not None]
+
+
+def product(values):
+    result = None
+    for value in non_null(values):
+        result = value if result is None else result * value
+    return result
+
+
+#: Every aggregate shape the batch kernel declines: (input expression,
+#: reducer, the group's value by hand from its (v, w) pairs).
+DECLINED = {
+    "user-reducer": (
+        col("v"), ProductReducer(),
+        lambda pairs: product(v for v, _w in pairs),
+    ),
+    "subclassed-sum": (
+        col("v"), DoublingSum(),
+        lambda pairs: 2 * sum(non_null(v for v, _w in pairs))
+        if non_null(v for v, _w in pairs) else None,
+    ),
+    "and-or-not-in-case": (
+        Case([(And(col("v").gt(lit(1)), Not(col("w").is_null())), lit(10)),
+              (Or(col("v").is_null(), col("w").lt(lit(0))), lit(1))],
+             lit(0)),
+        SumReducer(),
+        lambda pairs: sum(
+            10 if v is not None and v > 1 and w is not None
+            else 1 if v is None or (w is not None and w < 0)
+            else 0
+            for v, w in pairs
+        ),
+    ),
+    "count-star-over-computed": (
+        col("v") + col("w"), CountRowsReducer(), len,
+    ),
+}
+
+DECLINED_ROWS = [("a", 3, 1), ("b", None, 2), ("a", 1, None), ("c", 2, -4),
+                 ("b", 5, 0), ("a", None, 7), ("c", 4, 3)]
+
+
+#: Groupings of the declined shapes: ``w`` as a second key splits the
+#: groups ``k`` alone would fold together.
+KEYINGS = {"one-key": ["k"], "no-key": [], "two-keys": ["k", "w"]}
+
+
+def pairs_by_key(rows, keys=("k",)):
+    """``{key tuple: [(v, w), ...]}`` in first-occurrence order."""
+    positions = [("k", "v", "w").index(name) for name in keys]
+    groups = {}
+    for row in rows:
+        groups.setdefault(tuple(row[p] for p in positions), []).append(
+            row[1:]
+        )
+    return groups
+
+
+class TestDeclinedShapes:
+    """What the batch kernel declines, the interpreted fold computes:
+    every declined shape's result equals the fold by hand."""
+
+    @pytest.mark.parametrize("keying", list(KEYINGS))
+    @pytest.mark.parametrize("shape", list(DECLINED))
+    def test_interpreted_fold_equals_the_hand_fold(self, shape, keying):
+        expr, reducer, by_hand = DECLINED[shape]
+        keys = KEYINGS[keying]
+        table = Table("t", ["k", "v", "w"], DECLINED_ROWS)
+        specs = [("x", expr, reducer)]
+        assert compile_batch_aggregation(table.schema, keys, specs) is None
+        assert group_by(table, keys, specs).rows() == [
+            key + (by_hand(pairs),)
+            for key, pairs in pairs_by_key(DECLINED_ROWS, keys).items()
+        ]
+
+    @pytest.mark.parametrize("shape", list(DECLINED))
+    def test_one_declined_aggregate_declines_the_whole_fold(self, shape):
+        """A supported aggregate beside a declined one is folded by the
+        interpreter too, and still equals its hand fold."""
+        expr, reducer, by_hand = DECLINED[shape]
+        table = Table("t", ["k", "v", "w"], DECLINED_ROWS)
+        specs = [("total", col("v"), SumReducer()), ("x", expr, reducer),
+                 ("hi", col("w"), MaxReducer())]
+        assert compile_batch_aggregation(table.schema, ["k"], specs[::2])
+        assert compile_batch_aggregation(table.schema, ["k"], specs) is None
+        expected = []
+        for key, pairs in pairs_by_key(DECLINED_ROWS).items():
+            v_present = non_null(v for v, _w in pairs)
+            expected.append(key + (
+                sum(v_present) if v_present else None,
+                by_hand(pairs),
+                max(non_null(w for _v, w in pairs), default=None),
+            ))
+        assert group_by(table, ["k"], specs).rows() == expected
+
+    def test_unhashable_literal(self, interpreted):
+        """An unhashable literal cannot key a kernel cache, so its kernel
+        is compiled uncached; the kernel and the interpreted fold (and the
+        column kernel of a projection) all equal the hand fold."""
+        table = Table("t", ["k", "v", "w"], DECLINED_ROWS)
+        specs = [("reps", col("v") * lit([7]), SumReducer())]
+        expected = [
+            key + ([7] * sum(non_null(v for v, _w in pairs))
+                   if non_null(v for v, _w in pairs) else None,)
+            for key, pairs in pairs_by_key(DECLINED_ROWS).items()
+        ]
+        projected = [(None if v is None else [7] * v,)
+                     for _k, v, _w in DECLINED_ROWS]
+        for engine in (nullcontext, interpreted):
+            with engine():
+                assert group_by(table, ["k"], specs).rows() == expected
+                assert project(
+                    table, [("reps", col("v") * lit([7]))]
+                ).rows() == projected
 
 
 class TestScanAccounting:
@@ -202,18 +330,18 @@ class TestScanAccounting:
             group_by(table, ["k"], [("s", col("v"), SumReducer())])
         assert stats.rows_scanned == 3
 
-    @pytest.mark.parametrize("storage", ["row", "column"])
-    def test_kernels_charge_like_the_interpreter(self, storage):
+    def test_kernels_charge_like_the_interpreter(self, interpreted):
         """The access ledger does not depend on which fold ran."""
         rows = [(k % 7, k) for k in range(700)]
         specs = [("total", col("v"), SumReducer())]
         charged = {}
-        for compiled in (False, None):
-            table = Table("t", ["k", "v"], rows, storage=storage)
-            with measuring() as stats:
-                result = group_by(table, ["k"], specs, compiled=compiled)
+        for engine in ("interpreted", "batch"):
+            table = Table("t", ["k", "v"], rows)
+            with interpreted() if engine == "interpreted" else nullcontext():
+                with measuring() as stats:
+                    result = group_by(table, ["k"], specs)
             assert len(result) == 7
-            charged[compiled] = stats.as_dict()
-        assert charged[None] == charged[False]
-        assert charged[None]["rows_scanned"] == 700
+            charged[engine] = stats.as_dict()
+        assert charged["batch"] == charged["interpreted"]
+        assert charged["batch"]["rows_scanned"] == 700
 

@@ -1,10 +1,10 @@
 """Unit tests for the columnar storage backing and batch kernels.
 
 The differential suite proves end-to-end equivalence on random change
-sets; these tests pin the component contracts: storage resolution,
-``ColumnStore`` slot semantics (typed
-promotion/demotion, tombstones, bulk ``append_batch``/``take``/``gather``),
-and the batch group-by kernel against the row and interpreted engines.
+sets; these tests pin the component contracts: ``ColumnStore`` slot
+semantics (typed promotion/demotion, tombstones, bulk
+``append_batch``/``take``/``gather``), and the batch group-by kernel
+against the interpreted fold.
 """
 
 from array import array
@@ -21,7 +21,7 @@ from repro.relational.aggregation import (
     group_by,
 )
 from repro.relational.expressions import col, lit
-from repro.relational.table import ColumnStore, Table, resolve_storage
+from repro.relational.table import ColumnStore, Table
 
 
 ROWS = [
@@ -34,65 +34,48 @@ ROWS = [
 COLS = ["k1", "k2", "v", "w"]
 
 
-def both_tables(rows=ROWS):
-    """The same rows behind both backings."""
-    return (
-        Table("t", COLS, rows, storage="row"),
-        Table("t", COLS, rows, storage="column"),
-    )
-
-
-class TestStorageResolution:
-    def test_default_is_column(self):
-        assert resolve_storage(None) == "column"
-        assert Table("t", COLS).storage == "column"
-
-    def test_explicit_request_wins_over_default(self):
-        assert resolve_storage("row") == "row"
-        assert Table("t", COLS, storage="row").storage == "row"
-        assert Table("t", COLS, storage="column").storage == "column"
-
-    def test_unknown_storage_rejected(self):
-        with pytest.raises(TableError, match="unknown table storage"):
-            Table("t", COLS, storage="columnar")
+def make_table(rows=ROWS):
+    return Table("t", COLS, rows)
 
 
 class TestRowApiEquivalence:
-    """The row API is a view over either backing — byte-identical."""
+    """The row API is a view over the columns."""
 
     def test_rows_scan_and_slots(self):
-        row_t, col_t = both_tables()
-        assert col_t.rows() == row_t.rows()
-        assert list(col_t.scan()) == list(row_t.scan())
-        assert col_t.sorted_rows() == row_t.sorted_rows()
-        assert list(col_t.slots()) == list(row_t.slots())
-        assert len(col_t) == len(row_t)
+        col_t = make_table()
+        assert col_t.rows() == ROWS
+        assert list(col_t.scan()) == ROWS
+        assert col_t.sorted_rows() == sorted(
+            ROWS, key=lambda row: [(v is not None, v) for v in row]
+        )
+        assert list(col_t.slots()) == list(enumerate(ROWS))
+        assert len(col_t) == len(ROWS)
 
     def test_row_at_and_tombstones(self):
-        row_t, col_t = both_tables()
-        for table in (row_t, col_t):
-            table.delete_slot(1)
-            table.delete_slot(3)
-        assert col_t._rows == row_t._rows  # noqa: SLF001 — slot layout
-        assert col_t.row_at(2) == row_t.row_at(2)
+        col_t = make_table()
+        col_t.delete_slot(1)
+        col_t.delete_slot(3)
+        assert col_t._rows == [  # noqa: SLF001 — slot layout
+            ROWS[0], None, ROWS[2], None, ROWS[4],
+        ]
+        assert col_t.row_at(2) == ROWS[2]
         with pytest.raises(TableError, match="slot 1 is empty"):
             col_t.row_at(1)
 
     def test_deleted_slots_are_recycled(self):
-        _row_t, col_t = both_tables()
+        col_t = make_table()
         col_t.delete_slot(2)
         slot = col_t.insert((9, "z", 9, 9.0))
         assert slot == 2
         assert col_t.row_at(2) == (9, "z", 9, 9.0)
 
     def test_update_slot(self):
-        row_t, col_t = both_tables()
-        for table in (row_t, col_t):
-            table.update_slot(0, (1, "a", 99, 1.0))
-        assert col_t._rows == row_t._rows  # noqa: SLF001
+        col_t = make_table()
+        col_t.update_slot(0, (1, "a", 99, 1.0))
+        assert col_t._rows == [(1, "a", 99, 1.0)] + ROWS[1:]  # noqa: SLF001
 
     def test_columns_match_rows(self):
-        _row_t, col_t = both_tables()
+        col_t = make_table()
         expected = [list(column) for column in zip(*ROWS)]
         got = [list(column) for column in col_t.columns()]
         assert got == expected
@@ -106,7 +89,7 @@ class TestTypedColumns:
     def batched(rows, columns=("a",)):
         """A columnar table whose first batch arrives via ``append_batch``
         (the promotion point — per-row inserts stay plain lists)."""
-        table = Table("t", list(columns), storage="column")
+        table = Table("t", list(columns))
         table.append_batch([list(c) for c in zip(*rows)])
         return table
 
@@ -156,14 +139,12 @@ class TestTypedColumns:
 
 class TestBulkPrimitives:
     def test_append_batch_matches_row_inserts(self):
-        row_t, col_t = both_tables()
-        batch = [list(column) for column in zip(*ROWS)]
-        for table in (row_t, col_t):
-            table.append_batch(batch)
-        assert col_t.rows() == row_t.rows() == ROWS + ROWS
+        col_t = make_table()
+        col_t.append_batch([list(column) for column in zip(*ROWS)])
+        assert col_t.rows() == ROWS + ROWS
 
     def test_append_batch_maintains_indexes_and_domains(self):
-        table = Table("t", COLS, ROWS[:2], storage="column")
+        table = Table("t", COLS, ROWS[:2])
         table.create_index(["k1"])
         table.track_domain("k2")
         table.append_batch([list(c) for c in zip(*ROWS[2:])])
@@ -171,32 +152,30 @@ class TestBulkPrimitives:
         assert set(table.domain("k2")) == {"a", "b"}
 
     def test_take_gathers_columns(self):
-        _row_t, col_t = both_tables()
+        col_t = make_table()
         assert col_t.take([0, 3]) == [
             [1, 1], ["a", "a"], [2, 4], [1.0, None],
         ]
-
-    def test_take_identical_across_backings(self):
-        row_t, col_t = both_tables()
-        assert col_t.take([4, 0, 2]) == row_t.take([4, 0, 2])
-        assert col_t.take([]) == row_t.take([]) == [[], [], [], []]
+        assert col_t.take([4, 0, 2]) == [
+            list(column) for column in zip(ROWS[4], ROWS[0], ROWS[2])
+        ]
+        assert col_t.take([]) == [[], [], [], []]
 
     def test_take_rejects_tombstoned_slot(self):
-        row_t, col_t = both_tables()
-        for table in (row_t, col_t):
-            table.delete_slot(1)
-            with pytest.raises(TableError, match="slot 1 is empty"):
-                table.take([0, 1])
+        col_t = make_table()
+        col_t.delete_slot(1)
+        with pytest.raises(TableError, match="slot 1 is empty"):
+            col_t.take([0, 1])
 
     def test_gather_is_column_lists(self):
-        _row_t, col_t = both_tables()
+        col_t = make_table()
         store = col_t._store  # noqa: SLF001
         col_t.delete_slot(0)
         assert store.gather([0, 2]) == store.column_lists([0, 2])
         assert store.gather([2]) == [[None, 7, 4, None]]
 
     def test_truncate_resets(self):
-        _row_t, col_t = both_tables()
+        col_t = make_table()
         col_t.truncate()
         assert len(col_t) == 0
         assert col_t.rows() == []
@@ -218,40 +197,33 @@ AGGREGATES = [
 
 
 class TestBatchGroupBy:
-    """The batch kernel (columnar input) ≡ row kernel ≡ interpreter."""
+    """The batch kernel ≡ the interpreted fold."""
 
     def fresh_aggregates(self):
         return [(n, e, type(r)()) for n, e, r in AGGREGATES]
 
     @pytest.mark.parametrize("keys", [["k1"], ["k1", "k2"], []])
-    def test_three_engines_agree(self, keys, interpreted):
-        row_t, col_t = both_tables()
-        compiled_row = group_by(row_t, keys, self.fresh_aggregates())
+    def test_kernel_agrees_with_the_interpreter(self, keys, interpreted):
+        col_t = make_table()
         compiled_col = group_by(col_t, keys, self.fresh_aggregates())
         with interpreted():
             reference = group_by(col_t, keys, self.fresh_aggregates())
-        assert compiled_col.rows() == compiled_row.rows()
         assert compiled_col.rows() == reference.rows()
 
     @pytest.mark.parametrize("keys", [["k1"], []])
-    def test_empty_input(self, keys):
-        row_t, col_t = both_tables(rows=[])
-        compiled_row = group_by(row_t, keys, self.fresh_aggregates())
-        compiled_col = group_by(col_t, keys, self.fresh_aggregates())
-        assert compiled_col.rows() == compiled_row.rows() == []
+    def test_empty_input(self, keys, interpreted):
+        col_t = make_table(rows=[])
+        assert group_by(col_t, keys, self.fresh_aggregates()).rows() == []
+        with interpreted():
+            assert group_by(col_t, keys, self.fresh_aggregates()).rows() == []
 
     def test_group_order_is_first_occurrence(self):
-        _row_t, col_t = both_tables()
+        col_t = make_table()
         grouped = group_by(col_t, ["k1"], self.fresh_aggregates())
         assert [row[0] for row in grouped.rows()] == [1, 2]
 
-    def test_output_inherits_storage(self):
-        row_t, col_t = both_tables()
-        assert group_by(col_t, ["k1"], self.fresh_aggregates()).storage == "column"
-        assert group_by(row_t, ["k1"], self.fresh_aggregates()).storage == "row"
-
     def test_sum_literal_closed_form_is_exact(self):
-        _row_t, col_t = both_tables()
+        col_t = make_table()
         grouped = group_by(
             col_t, [], [("total", lit(3), SumReducer())]
         )

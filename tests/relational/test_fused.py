@@ -11,7 +11,7 @@ import pytest
 
 from repro.core import MinMaxPolicy
 from repro.lattice import build_lattice_for_views, propagate_lattice
-from repro.relational import col
+from repro.relational import col, lit
 from repro.relational.aggregation import SumReducer
 from repro.relational.fused import prepare_fused_scan
 from repro.relational.table import Table
@@ -71,46 +71,30 @@ class TestFallbacks:
         )
         assert prepare_fused_scan(parent_delta.table.schema, [broken]) is None
 
-
-class TestKernel:
-    @pytest.mark.parametrize("policy", list(MinMaxPolicy))
-    def test_byte_identical_to_per_child_pipelines(self, fused_inputs, policy):
+    def test_unhashable_literal_compiles_uncached(self, fused_inputs):
+        """A literal that cannot key the kernel cache is no reason to
+        decline: the kernel is compiled afresh each time instead."""
         parent_delta, edges = fused_inputs
-        children = [edge.fused_child(policy) for edge in edges]
-        scan = prepare_fused_scan(parent_delta.table.schema, children)
-        assert scan is not None
-        rows = parent_delta.table.rows()
-        groups, probes = scan.fold(rows)
-        for index, edge in enumerate(edges):
-            fused = scan.finalize(index, groups[index])
-            legacy = edge.apply_delta(parent_delta.table, policy)
-            assert fused.rows() == legacy.rows()
-            assert fused.name == legacy.name
-            assert fused.schema == legacy.schema
+        child = edges[0].fused_child(MinMaxPolicy.PAPER)
+        source = child.aggregates[0][1]
+        listed = dataclasses.replace(
+            child, aggregates=(("reps", source * lit([7]), SumReducer()),)
+        )
+        schema = parent_delta.table.schema
+        first = prepare_fused_scan(schema, [listed])
+        second = prepare_fused_scan(schema, [listed])
+        assert first is not None and second is not None
+        assert first._fold_cols is not second._fold_cols
+        groups, _probes = first.fold_columns(
+            parent_delta.table.columns(), len(parent_delta.table)
+        )
+        [(_keys, [states])] = groups
+        assert all(state is None or set(state) == {7} for state in states)
 
-    def test_probe_counts_are_exact(self, fused_inputs):
-        parent_delta, edges = fused_inputs
-        children = [edge.fused_child(MinMaxPolicy.PAPER) for edge in edges]
-        scan = prepare_fused_scan(parent_delta.table.schema, children)
-        rows = parent_delta.table.rows()
-        _groups, probes = scan.fold(rows)
-        # Both siblings join on a group-by foreign key that is never null
-        # and always matches its dimension: exactly one probe per row each.
-        assert probes == [len(rows), len(rows)]
 
-    def test_kernel_is_cached(self, fused_inputs):
-        parent_delta, edges = fused_inputs
-        children = [edge.fused_child(MinMaxPolicy.PAPER) for edge in edges]
-        first = prepare_fused_scan(parent_delta.table.schema, children)
-        second = prepare_fused_scan(parent_delta.table.schema, children)
-        assert first is not second  # fresh wrapper …
-        assert first._fold is second._fold  # … same compiled kernel
-
-    def test_source_is_one_loop(self, fused_inputs):
-        parent_delta, edges = fused_inputs
-        children = [edge.fused_child(MinMaxPolicy.PAPER) for edge in edges]
-        scan = prepare_fused_scan(parent_delta.table.schema, children)
-        assert scan.source.count("for _r in _rows:") == 1
+def fold(scan, table):
+    """Run *scan* over *table*'s columns."""
+    return scan.fold_columns(table.columns(), len(table))
 
 
 def finalized(scan, groups):
@@ -119,10 +103,65 @@ def finalized(scan, groups):
             for index, folded in enumerate(groups)]
 
 
+class TestKernel:
+    @pytest.mark.parametrize("policy", list(MinMaxPolicy))
+    def test_byte_identical_to_per_child_pipelines(self, fused_inputs, policy):
+        parent_delta, edges = fused_inputs
+        children = [edge.fused_child(policy) for edge in edges]
+        scan = prepare_fused_scan(parent_delta.table.schema, children)
+        assert scan is not None
+        groups, _probes = fold(scan, parent_delta.table)
+        for index, edge in enumerate(edges):
+            fused = scan.finalize(index, groups[index])
+            per_child = edge.apply_delta(parent_delta.table, policy)
+            assert fused.rows() == per_child.rows()
+            assert fused.name == per_child.name
+            assert fused.schema == per_child.schema
+
+    @pytest.mark.parametrize("policy", list(MinMaxPolicy))
+    def test_equals_per_child_pipelines_on_the_interpreter(
+        self, fused_inputs, policy, interpreted
+    ):
+        """The per-child pipelines folded by the interpreter are the
+        reference the fused kernel (still compiled) is held to."""
+        parent_delta, edges = fused_inputs
+        children = [edge.fused_child(policy) for edge in edges]
+        scan = prepare_fused_scan(parent_delta.table.schema, children)
+        groups, _probes = fold(scan, parent_delta.table)
+        with interpreted():
+            expected = [edge.apply_delta(parent_delta.table, policy).rows()
+                        for edge in edges]
+        assert finalized(scan, groups) == expected
+
+    def test_probe_counts_are_exact(self, fused_inputs):
+        parent_delta, edges = fused_inputs
+        children = [edge.fused_child(MinMaxPolicy.PAPER) for edge in edges]
+        scan = prepare_fused_scan(parent_delta.table.schema, children)
+        _groups, probes = fold(scan, parent_delta.table)
+        # Both siblings join on a group-by foreign key that is never null
+        # and always matches its dimension: exactly one probe per row each.
+        n = len(parent_delta.table)
+        assert probes == [n, n]
+
+    def test_kernel_is_cached(self, fused_inputs):
+        parent_delta, edges = fused_inputs
+        children = [edge.fused_child(MinMaxPolicy.PAPER) for edge in edges]
+        first = prepare_fused_scan(parent_delta.table.schema, children)
+        second = prepare_fused_scan(parent_delta.table.schema, children)
+        assert first is not second  # fresh wrapper …
+        assert first._fold_cols is second._fold_cols  # … same compiled kernel
+
+    def test_source_is_one_function(self, fused_inputs):
+        parent_delta, edges = fused_inputs
+        children = [edge.fused_child(MinMaxPolicy.PAPER) for edge in edges]
+        scan = prepare_fused_scan(parent_delta.table.schema, children)
+        assert scan.source.count("def ") == 1
+        assert scan.source.startswith("def _fold_cols(_cols, _n, _dims):")
+
+
 class TestBatchFolds:
-    """The batch (columnar) fold of one fused scan must equal the row
-    fold — same finalized tables, same probe counts, in either
-    storage mode."""
+    """The fused fold over any columnar parent delta equals the per-child
+    pipelines run on that delta."""
 
     def scan_and_delta(self, fused_inputs, policy=MinMaxPolicy.PAPER):
         parent_delta, edges = fused_inputs
@@ -131,63 +170,18 @@ class TestBatchFolds:
         assert scan is not None
         return scan, parent_delta, edges
 
-    @pytest.mark.parametrize("policy", list(MinMaxPolicy))
-    def test_fold_columns_equals_fold(self, fused_inputs, policy):
-        scan, parent_delta, _edges = self.scan_and_delta(fused_inputs, policy)
-        assert scan.supports_columns
-        rows = parent_delta.table.rows()
-        row_groups, row_probes = scan.fold(rows)
-        col_groups, col_probes = scan.fold_columns(
-            parent_delta.table.columns(), len(parent_delta.table)
-        )
-        assert finalized(scan, col_groups) == finalized(scan, row_groups)
-        assert col_probes == row_probes
-
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_folds_of_a_prefix_equal_per_child(self, fused_inputs, n):
         """On the first *n* rows of the parent delta — none, one, a few —
-        both folds equal the per-child pipelines run on those rows."""
+        the fold equals the per-child pipelines run on those rows."""
         scan, parent_delta, edges = self.scan_and_delta(fused_inputs)
         prefix = Table(
             parent_delta.table.name,
             parent_delta.table.schema,
             parent_delta.table.rows()[:n],
-            storage="column",
         )
-        row_groups, row_probes = scan.fold(prefix.rows())
-        col_groups, col_probes = scan.fold_columns(prefix.columns(), n)
+        groups, probes = fold(scan, prefix)
         expected = [edge.apply_delta(prefix, MinMaxPolicy.PAPER).rows()
                     for edge in edges]
-        assert finalized(scan, row_groups) == expected
-        assert finalized(scan, col_groups) == expected
-        assert row_probes == col_probes == [n, n]
-
-    def test_finalize_inherits_requested_storage(self, fused_inputs):
-        scan, parent_delta, edges = self.scan_and_delta(fused_inputs)
-        groups, _probes = scan.fold(parent_delta.table.rows())
-        for index, edge in enumerate(edges):
-            as_row = scan.finalize(index, groups[index], storage="row")
-            as_col = scan.finalize(index, groups[index], storage="column")
-            assert as_row.storage == "row"
-            assert as_col.storage == "column"
-            assert as_col.rows() == as_row.rows()
-            assert as_row.rows() == edge.apply_delta(
-                parent_delta.table, MinMaxPolicy.PAPER
-            ).rows()
-
-    def test_fold_columns_on_columnar_delta(self, fused_inputs):
-        """Feeding the kernel a real columnar table's columns (typed
-        arrays included) changes nothing."""
-        scan, parent_delta, _edges = self.scan_and_delta(fused_inputs)
-        columnar = Table(
-            parent_delta.table.name,
-            parent_delta.table.schema,
-            storage="column",
-        )
-        columnar.append_batch(parent_delta.table.columns())
-        row_groups, row_probes = scan.fold(parent_delta.table.rows())
-        col_groups, col_probes = scan.fold_columns(
-            columnar.columns(), len(columnar)
-        )
-        assert finalized(scan, col_groups) == finalized(scan, row_groups)
-        assert col_probes == row_probes
+        assert finalized(scan, groups) == expected
+        assert probes == [n, n]

@@ -4,6 +4,9 @@ import pytest
 
 from repro.errors import TableError
 from repro.relational import (
+    And,
+    Not,
+    Or,
     Table,
     col,
     distinct,
@@ -15,6 +18,7 @@ from repro.relational import (
     select,
     union_all,
 )
+from repro.relational.codegen import compile_column_kernel
 from repro.relational.stats import measuring
 
 
@@ -55,6 +59,62 @@ class TestProject:
     def test_null_in_computed_column(self, left):
         result = project(left, [("k2", col("k") + lit(1))])
         assert result.rows()[-1] == (None,)
+
+
+#: Predicates outside the column kernel's subset, each with the rows it
+#: keeps by hand: an unknown comparison counts as false, also before NOT
+#: negates it.
+FALLBACK_PREDICATES = {
+    "and": (
+        And(col("k").gt(lit(1)), col("w").lt(lit(0))),
+        lambda k, w: k is not None and k > 1 and w is not None and w < 0,
+    ),
+    "or": (
+        Or(col("k").is_null(), col("w").gt(lit(5))),
+        lambda k, w: k is None or (w is not None and w > 5),
+    ),
+    "not": (
+        Not(col("w").gt(lit(0))),
+        lambda k, w: not (w is not None and w > 0),
+    ),
+}
+
+
+@pytest.fixture
+def holed():
+    """Live rows around a deleted slot, which no fallback may read."""
+    table = Table("h", ["k", "w"], [(1, -3), (2, -1), (None, 7), (9, -9),
+                                    (3, None), (4, 6), (2, 0)])
+    table.delete_slot(3)
+    return table
+
+
+class TestInterpretedFallback:
+    """``AND``/``OR``/``NOT`` are outside the column kernel's subset, so
+    ``select`` and ``project`` evaluate them row by row over the scan."""
+
+    @pytest.mark.parametrize("shape", list(FALLBACK_PREDICATES))
+    def test_select_keeps_the_hand_filtered_rows(self, holed, shape):
+        predicate, keeps = FALLBACK_PREDICATES[shape]
+        assert compile_column_kernel([predicate], holed.schema) is None
+        with measuring() as stats:
+            result = select(holed, predicate)
+        assert result.schema == holed.schema
+        assert result.rows() == [row for row in holed.rows() if keeps(*row)]
+        assert stats.rows_scanned == len(holed) == 6
+
+    @pytest.mark.parametrize("shape", list(FALLBACK_PREDICATES))
+    def test_project_computes_the_hand_evaluated_column(self, holed, shape):
+        predicate, keeps = FALLBACK_PREDICATES[shape]
+        outputs = [("k", col("k")), ("hit", predicate)]
+        assert compile_column_kernel(
+            [expr for _name, expr in outputs], holed.schema
+        ) is None
+        with measuring() as stats:
+            result = project(holed, outputs)
+        assert result.schema.columns == ("k", "hit")
+        assert result.rows() == [(k, keeps(k, w)) for k, w in holed.rows()]
+        assert stats.rows_scanned == 6
 
 
 class TestDistinct:
@@ -121,9 +181,9 @@ class TestHashJoin:
         assert len(result) == 4
 
 
-def typed(name, columns, rows, storage):
-    """A table whose numeric columns are typed arrays when columnar."""
-    table = Table(name, columns, storage=storage)
+def typed(name, columns, rows):
+    """A table whose numeric columns are typed arrays."""
+    table = Table(name, columns)
     table.append_batch([list(column) for column in zip(*rows)])
     return table
 
@@ -140,12 +200,11 @@ class TestGatherJoin:
     @pytest.mark.parametrize("on", [
         [("k", "k")], [("k", "k"), ("j", "j")],
     ])
-    @pytest.mark.parametrize("storage", ["row", "column"])
     @pytest.mark.parametrize("build", [Table, typed])
-    def test_equals_the_row_path(self, build, storage, on):
-        left = build("l", ["k", "j", "v"], self.LEFT, storage=storage)
-        indexed = build("r", ["k", "j", "w"], self.RIGHT, storage=storage)
-        plain = build("r", ["k", "j", "w"], self.RIGHT, storage=storage)
+    def test_equals_the_row_path(self, build, on):
+        left = build("l", ["k", "j", "v"], self.LEFT)
+        indexed = build("r", ["k", "j", "w"], self.RIGHT)
+        plain = build("r", ["k", "j", "w"], self.RIGHT)
         for right in (indexed, plain):
             right.delete_slot(3)            # a tombstone mid-table
         indexed.create_index([right_col for _l, right_col in on], unique=True)
@@ -196,8 +255,8 @@ class TestGatherJoin:
 
     @pytest.mark.parametrize("build", [Table, typed])
     def test_result_owns_its_columns(self, build):
-        left = build("l", ["k", "v"], [(1, 1), (2, 2)], storage="column")
-        right = build("r", ["k", "w"], [(1, 10), (2, 20)], storage="column")
+        left = build("l", ["k", "v"], [(1, 1), (2, 2)])
+        right = build("r", ["k", "w"], [(1, 10), (2, 20)])
         right.create_index(["k"], unique=True)
         joined = hash_join(left, right, on=[("k", "k")])    # every row hits
         kept = joined.rows()
@@ -213,7 +272,7 @@ class TestGatherJoin:
 def test_passed_through_columns_are_copied(build):
     """An all-pass select and a union hand on whole input columns: the
     result holds copies of them, typed like any fresh batch."""
-    source = build("s", ["k", "v"], [(1, 1.5), (2, 2.5)], storage="column")
+    source = build("s", ["k", "v"], [(1, 1.5), (2, 2.5)])
     results = [select(source, col("k").ge(lit(0))), union_all([source, source])]
     kept = [result.rows() for result in results]
     source.update_slot(0, (None, "x"))

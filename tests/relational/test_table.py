@@ -25,13 +25,12 @@ class TestBasics:
     def test_duplicates_allowed(self, table):
         assert table.rows().count((1, "x")) == 2
 
-    @pytest.mark.parametrize("storage", ["row", "column"])
-    def test_scan_walks_slots_in_ascending_order(self, storage):
+    def test_scan_walks_slots_in_ascending_order(self):
         """A recycled slot is met where it sits, not where its row was
         appended: ``ChangeSet.apply_to`` sorts looked-up slots to meet
         rows as a scan does."""
         table = Table("t", ["a", "b"], [(1, "x"), (2, "y"), (1, "x"),
-                                        (3, "z")], storage=storage)
+                                        (3, "z")])
         table.delete_slots([0, 2])
         assert table.insert((4, "w")) in (0, 2)
         slots = [slot for slot, _row in table.slots()]
@@ -183,8 +182,7 @@ class TestCopyAndHelpers:
         assert clone.index_on(["a"]) is not None
 
     def test_copy_keeps_slots_and_compact_makes_the_clone_dense(self):
-        table = Table("t", ["a", "b"], [(i, str(i)) for i in range(6)],
-                      storage="column")
+        table = Table("t", ["a", "b"], [(i, str(i)) for i in range(6)])
         table.create_index(["a"])
         table.delete_slots([1, 4])
         before = list(table.slots())
@@ -208,20 +206,12 @@ class TestCopyAndHelpers:
         assert clone.insert((9, "9")) == 4
         assert table.insert((9, "9")) == 4 and table.insert((8, "8")) == 1
 
-    def test_compact_leaves_row_storage_alone(self):
-        table = Table("t", ["a"], [(i,) for i in range(4)], storage="row")
-        table.delete_slot(1)
-        assert table.compact() == 0
-        assert table.insert((9,)) == 1
-
     def test_copy_charges_a_scan_and_one_insert_per_row(self, table):
         from repro.relational.stats import measuring
 
-        for storage in ("row", "column"):
-            source = Table("t", ["a", "b"], table.rows(), storage=storage)
-            with measuring() as stats:
-                source.copy()
-            assert (stats.rows_scanned, stats.rows_inserted) == (3, 3)
+        with measuring() as stats:
+            table.copy()
+        assert (stats.rows_scanned, stats.rows_inserted) == (3, 3)
 
     def test_copy_does_not_inherit_observers(self, table):
         table.attach_observer(object())
@@ -259,12 +249,12 @@ def apply_history(table, steps):
 
 class TestCloneProperty:
     @settings(max_examples=150, deadline=None)
-    @given(st.sampled_from(["row", "column"]), history, history, history)
+    @given(history, history, history)
     def test_clone_is_an_independent_dense_equal_bag(
-        self, storage, before, on_source, on_clone
+        self, before, on_source, on_clone
     ):
-        table = Table("t", ["a", "b"], storage=storage)
-        table.append_batch([[0, 1, 2, 3], [0, 1, 2, 3]])  # typed when columnar
+        table = Table("t", ["a", "b"])
+        table.append_batch([[0, 1, 2, 3], [0, 1, 2, 3]])  # typed
         table.create_index(["a"])
         table.create_index(["a", "b"])
         table.track_domain("b")
@@ -279,9 +269,9 @@ class TestCloneProperty:
         assert clone.verify_indexes() and table.verify_indexes()
         assert sorted(clone.domain("b"), key=repr) == \
             sorted(table.domain("b"), key=repr)
-        if table.storage == "column":  # a structural clone: rows keep slots
-            assert list(clone.slots()) == list(table.slots())
-            clone.compact()
+        # A structural clone: rows keep their slots.
+        assert list(clone.slots()) == list(table.slots())
+        clone.compact()
         assert clone._store.size() == len(clone)  # noqa: SLF001 — dense
         assert clone.verify_indexes()
         assert clone.observers == ()
@@ -350,7 +340,7 @@ class TestWrittenSlotsProperty:
     def test_a_clone_differs_from_its_source_only_where_it_wrote(
         self, holes, before, steps
     ):
-        base = Table("t", ["a", "b"], storage="column")
+        base = Table("t", ["a", "b"])
         base.append_batch([[0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 5]])  # typed
         base.create_index(["a"])
         base.create_index(["a", "b"])

@@ -118,8 +118,7 @@ class TestProjectUserColumns:
             out.append(tuple(values))
         return out
 
-    @pytest.mark.parametrize("storage", ["row", "column"])
-    def test_equals_the_per_row_evaluation(self, pos, storage):
+    def test_equals_the_per_row_evaluation(self, pos):
         from repro.relational.stats import measuring
         from repro.views.materialize import project_user_columns
 
@@ -132,7 +131,7 @@ class TestProjectUserColumns:
         denominator = definition.derived[0].denominator
         # Null numerator, zero and null denominators, and a tombstone.
         cells = [(7, 2), (None, 0), (None, 3), (5, 0), (9, None), (1, 4)]
-        stored = Table("stored", schema, storage=storage)
+        stored = Table("stored", schema)
         for i, (total, count) in enumerate(cells):
             row = dict.fromkeys(schema.columns, i)
             row.update({numerator: total, denominator: count})

@@ -3,7 +3,7 @@
 The two plans differ only in where the candidate base rows come from, so
 on any base and any batch they must doom the same slots in the same order
 — generated here over bags with duplicate rows, tombstones and recycled
-slots, on every storage backing — and what they cost is gated on counts
+slots — and what they cost is gated on counts
 from the ``apply_base`` span, not on a clock.
 """
 
@@ -20,7 +20,6 @@ from repro.relational import Table
 from repro.warehouse import ChangeSet
 
 COLUMNS = ["a", "b", "d", "v"]
-BACKINGS = ["column", "row"]
 INDEX_SETS = [
     (),
     (("a", "b"),),
@@ -44,10 +43,10 @@ def isolated_tracing(monkeypatch):
     tracing.install_recorder(previous)
 
 
-def build(backing, rows, holes, refills, index_set):
+def build(rows, holes, refills, index_set):
     """A base with a history: loaded, some slots deleted, some of those
     recycled by later inserts, then indexed."""
-    table = Table("t", COLUMNS, storage=backing)
+    table = Table("t", COLUMNS)
     table.insert_many(rows)
     table.delete_slots(sorted({hole % len(rows) for hole in holes}))
     table.insert_many(refills)
@@ -109,7 +108,6 @@ def change_set(deletes, inserts=()):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    backing=st.sampled_from(BACKINGS),
     index_set=st.sampled_from(INDEX_SETS),
     rows=st.lists(ROW, min_size=40, max_size=80),
     holes=st.lists(st.integers(0, 79), max_size=10),
@@ -118,10 +116,10 @@ def change_set(deletes, inserts=()):
     data=st.data(),
 )
 def test_both_plans_doom_the_same_slots(
-    backing, index_set, rows, holes, refills, inserts, data
+    index_set, rows, holes, refills, inserts, data
 ):
-    by_index = build(backing, rows, holes, refills, index_set)
-    by_scan = build(backing, rows, holes, refills, index_set)
+    by_index = build(rows, holes, refills, index_set)
+    by_scan = build(rows, holes, refills, index_set)
     assert state(by_index) == state(by_scan)
     live = by_index.rows()
     # Under the 1/8 rule, so an indexed base takes the index plan; picking
@@ -156,7 +154,6 @@ def test_both_plans_doom_the_same_slots(
 
 @settings(max_examples=40, deadline=None)
 @given(
-    backing=st.sampled_from(BACKINGS),
     index_set=st.sampled_from(INDEX_SETS),
     rows=st.lists(ROW, min_size=45, max_size=80),
     holes=st.lists(st.integers(0, 79), max_size=10),
@@ -165,9 +162,9 @@ def test_both_plans_doom_the_same_slots(
     hide_indexes=st.booleans(),
 )
 def test_inconsistent_batch_is_refused_under_both_plans(
-    backing, index_set, rows, holes, refills, fault, hide_indexes
+    index_set, rows, holes, refills, fault, hide_indexes
 ):
-    base = build(backing, rows, holes, refills, index_set)
+    base = build(rows, holes, refills, index_set)
     live = base.rows()
     # A duplicated row if there is one, the least duplicated of them.
     victim = min(live, key=lambda row: (live.count(row) < 2, live.count(row)))
@@ -191,10 +188,9 @@ def test_inconsistent_batch_is_refused_under_both_plans(
     assert base.verify_indexes()
 
 
-@pytest.mark.parametrize("backing", BACKINGS)
-def test_first_occurrence_is_the_scan_s_not_the_lowest_slot(backing):
+def test_first_occurrence_is_the_scan_s_not_the_lowest_slot():
     twin, other = (0, 0, 0, 0), (1, 1, 3, 1)
-    base = build(backing, [twin, other, twin] + [other] * 9, [0], [twin],
+    base = build([twin, other, twin] + [other] * 9, [0], [twin],
                  (("a", "b"),))
     # Slot 0 was recycled: a scan goes in slot order, so it meets slot 0
     # before slot 2.
@@ -249,9 +245,8 @@ class TestCountGate:
         assert (span.counters["deleted"], span.counters["inserted"]) == (0, 1)
 
 
-@pytest.mark.parametrize("backing", BACKINGS)
-def test_take_projects_columns(backing):
-    table = build(backing, keyed_rows(12), [3, 8], [(9, 9, 3, 9)], ())
+def test_take_projects_columns():
+    table = build(keyed_rows(12), [3, 8], [(9, 9, 3, 9)], ())
     slots = [10, 0, 8, 5]                  # 8 was recycled by the refill
     whole = table.take(slots)
     assert list(zip(*whole)) == [table.row_at(slot) for slot in slots]

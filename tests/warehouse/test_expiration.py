@@ -40,8 +40,8 @@ def retail(seed=71, pos_rows=2_000):
     return generate_retail(RetailConfig(pos_rows=pos_rows, seed=seed))
 
 
-def indexed_copy(pos, backing):
-    table = Table("pos", pos.table.schema, pos.table.rows(), storage=backing)
+def indexed_copy(pos):
+    table = Table("pos", pos.table.schema, pos.table.rows())
     table.create_index(["storeID", "itemID", "date"])
     table.track_domain("date")
     return table
@@ -59,17 +59,16 @@ def state(table):
     )
 
 
-@pytest.mark.parametrize("backing", ["column", "row"])
 @pytest.mark.parametrize("n_oldest", [1, 2, 8])
-def test_expired_dates_leave_under_either_plan(backing, n_oldest):
+def test_expired_dates_leave_under_either_plan(n_oldest):
     """One or two of 25 dates are under an eighth of the table and take
     the index plan, eight are not and scan; either way the forced scan
     dooms the same slots and exactly the expired dates leave."""
     data = retail()
     changes = expiration_changes(data.pos, n_oldest)
     expired = set(sorted(set(data.pos.table.column_values("date")))[:n_oldest])
-    by_plan = indexed_copy(data.pos, backing)
-    by_scan = indexed_copy(data.pos, backing)
+    by_plan = indexed_copy(data.pos)
+    by_scan = indexed_copy(data.pos)
     span, doomed, error = apply(changes, by_plan)
     scan_span, scan_doomed, scan_error = apply(
         changes, by_scan, hide_indexes=True
