@@ -3,9 +3,8 @@
 Every Figure 9 panel's series table and shape-claim report is printed to
 stdout (``-s`` is set in ``pytest.ini``) and saved under
 ``benchmarks/results/`` so EXPERIMENTS.md can reference a stable artifact.
-Panels are additionally merged, as machine-readable data, into
-``BENCH_propagate.json`` at the repo root alongside the propagate
-micro-benchmark — one file seeding the cross-PR perf trajectory.
+The end-to-end numbers the repository tracks come from
+``benchmarks/cycle/run.py``, not from these panels.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ def results_store() -> dict:
 def save_result():
     """Persist a named report under benchmarks/results/ (atomically, so an
     interrupted run never leaves a truncated artifact)."""
-    from repro.bench.reporting import atomic_write_text
+    from repro.io.atomic import atomic_write_text
 
     RESULTS_DIR.mkdir(exist_ok=True)
 
@@ -37,13 +36,3 @@ def save_result():
 
     return save
 
-
-@pytest.fixture(scope="session")
-def save_panel_json():
-    """Merge a panel's series into BENCH_propagate.json (repo root)."""
-    from repro.bench.reporting import panel_payload, write_bench_json
-
-    def save(key: str, panel) -> pathlib.Path:
-        return write_bench_json("figure9", {key: panel_payload(panel)})
-
-    return save

@@ -15,7 +15,7 @@ from repro.bench import (
 )
 
 
-def test_figure9a(benchmark, results_store, save_result, save_panel_json):
+def test_figure9a(benchmark, results_store, save_result):
     panel = benchmark.pedantic(
         lambda: run_panel("a"), rounds=1, iterations=1, warmup_rounds=0
     )
@@ -29,7 +29,6 @@ def test_figure9a(benchmark, results_store, save_result, save_panel_json):
     report = format_panel(panel) + "\n\n" + format_claims(claims)
     print("\n" + report)
     save_result("figure9a", report)
-    save_panel_json("a", panel)
 
     # The paper's headline result must reproduce unconditionally.
     assert claims[0].holds, claims[0].evidence

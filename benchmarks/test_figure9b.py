@@ -26,7 +26,7 @@ def check_refresh_drops_with_pos_size(panel) -> ShapeClaim:
     )
 
 
-def test_figure9b(benchmark, results_store, save_result, save_panel_json):
+def test_figure9b(benchmark, results_store, save_result):
     panel = benchmark.pedantic(
         lambda: run_panel("b"), rounds=1, iterations=1, warmup_rounds=0
     )
@@ -41,7 +41,6 @@ def test_figure9b(benchmark, results_store, save_result, save_panel_json):
     report = format_panel(panel) + "\n\n" + format_claims(claims)
     print("\n" + report)
     save_result("figure9b", report)
-    save_panel_json("b", panel)
 
     assert claims[0].holds, claims[0].evidence
     # The mechanism behind the paper's falling refresh curve must show even

@@ -16,7 +16,7 @@ from repro.bench import (
 )
 
 
-def test_figure9c(benchmark, results_store, save_result, save_panel_json):
+def test_figure9c(benchmark, results_store, save_result):
     panel = benchmark.pedantic(
         lambda: run_panel("c"), rounds=1, iterations=1, warmup_rounds=0
     )
@@ -34,6 +34,5 @@ def test_figure9c(benchmark, results_store, save_result, save_panel_json):
     report = format_panel(panel) + "\n\n" + format_claims(claims)
     print("\n" + report)
     save_result("figure9c", report)
-    save_panel_json("c", panel)
 
     assert claims[0].holds, claims[0].evidence

@@ -13,7 +13,7 @@ from repro.bench import (
 )
 
 
-def test_figure9d(benchmark, results_store, save_result, save_panel_json):
+def test_figure9d(benchmark, results_store, save_result):
     panel = benchmark.pedantic(
         lambda: run_panel("d"), rounds=1, iterations=1, warmup_rounds=0
     )
@@ -26,6 +26,5 @@ def test_figure9d(benchmark, results_store, save_result, save_panel_json):
     report = format_panel(panel) + "\n\n" + format_claims(claims)
     print("\n" + report)
     save_result("figure9d", report)
-    save_panel_json("d", panel)
 
     assert claims[0].holds, claims[0].evidence

@@ -12,7 +12,6 @@ from .figure9 import (
 )
 from .reporting import (
     ShapeClaim,
-    bench_json_path,
     check_lattice_benefit_grows_with_change_size,
     check_lattice_helps_propagate,
     check_maintenance_beats_rematerialization,
@@ -20,15 +19,12 @@ from .reporting import (
     check_refresh_cheaper_for_insertions,
     format_claims,
     format_panel,
-    panel_payload,
-    write_bench_json,
 )
 
 __all__ = [
     "Figure9Panel",
     "Figure9Point",
     "ShapeClaim",
-    "bench_json_path",
     "bench_scale",
     "check_lattice_benefit_grows_with_change_size",
     "check_lattice_helps_propagate",
@@ -38,10 +34,8 @@ __all__ = [
     "format_claims",
     "format_panel",
     "measure_point",
-    "panel_payload",
     "run_change_size_panel",
     "run_panel",
     "run_pos_size_panel",
     "scaled",
-    "write_bench_json",
 ]

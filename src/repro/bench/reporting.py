@@ -9,105 +9,10 @@ and the formatted tables print the same series the paper plots.
 
 from __future__ import annotations
 
-import json
-import os
-import pathlib
-import tempfile
 from dataclasses import dataclass
 from statistics import mean
 
 from .figure9 import Figure9Panel
-
-#: Machine-readable benchmark results, committed at the repo root to seed
-#: the performance trajectory across PRs.
-BENCH_JSON_NAME = "BENCH_propagate.json"
-
-
-def bench_json_path() -> pathlib.Path:
-    """Default location of the benchmark JSON: the repository root."""
-    return pathlib.Path(__file__).resolve().parents[3] / BENCH_JSON_NAME
-
-
-def atomic_write_text(path: pathlib.Path | str, text: str) -> pathlib.Path:
-    """Write *text* to *path* atomically (tempfile + ``os.replace``).
-
-    A reader — or a crashed writer — can then never observe a truncated or
-    half-written file: the content appears in one rename.  The temporary
-    file lives in the target's directory so the replace stays on one
-    filesystem.
-    """
-    target = pathlib.Path(path)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=target.parent or pathlib.Path("."),
-        prefix=target.name + ".",
-        suffix=".tmp",
-    )
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp_name, target)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    return target
-
-
-def write_bench_json(
-    section: str, payload, path: pathlib.Path | str | None = None
-) -> pathlib.Path:
-    """Merge *payload* under *section* in the benchmark JSON file.
-
-    The file accumulates sections from independent runs (the serving
-    benchmark, the Figure 9 panels), so existing sections are kept;
-    dict payloads are merged key-by-key into an existing dict section so a
-    single panel re-run does not discard its siblings.  The merged file is
-    replaced atomically: an interrupted run leaves the previous contents
-    intact rather than a truncated JSON document.
-    """
-    target = pathlib.Path(path) if path is not None else bench_json_path()
-    data: dict = {}
-    if target.exists():
-        try:
-            data = json.loads(target.read_text())
-        except ValueError:
-            data = {}
-    if not isinstance(data, dict):
-        data = {}
-    data.setdefault("schema_version", 1)
-    existing = data.get(section)
-    if isinstance(existing, dict) and isinstance(payload, dict):
-        existing.update(payload)
-    else:
-        data[section] = payload
-    return atomic_write_text(
-        target, json.dumps(data, indent=2, sort_keys=True) + "\n"
-    )
-
-
-def panel_payload(panel: Figure9Panel) -> dict:
-    """A Figure 9 panel as plain JSON-serialisable data."""
-    return {
-        "name": panel.name,
-        "x_label": panel.x_label,
-        "workload": panel.workload,
-        "points": [
-            {
-                "pos_rows": point.pos_rows,
-                "change_size": point.change_size,
-                "propagate_lattice_s": point.propagate_lattice_s,
-                "refresh_s": point.refresh_s,
-                "maintenance_s": point.maintenance_s,
-                "rematerialize_s": point.rematerialize_s,
-                "propagate_direct_s": point.propagate_direct_s,
-                "recompute_groups": point.recompute_groups,
-                "deleted_groups": point.deleted_groups,
-            }
-            for point in panel.points
-        ],
-    }
 
 
 def format_panel(panel: Figure9Panel) -> str:

@@ -14,36 +14,24 @@ Commands
     batch-window report and a rematerialisation comparison.
 ``select``
     HRU greedy view selection over the combined lattice.
-``bench-serve``
-    Query throughput with maintenance running vs quiesced: reader threads
-    hammer the query server while a background loop runs full versioned
-    maintenance cycles; merges the ``serving`` section into
-    ``BENCH_propagate.json``.
 ``trace``
     Run one nightly maintenance over the Figure 9 retail workload under
     the observability layer and print the span tree, the metrics snapshot,
     and the span-derived batch-window split, cross-checked against the
     legacy :class:`~repro.warehouse.batch.BatchWindowClock` report.
     ``--jsonl PATH`` additionally exports the trace as JSON lines.
+    ``--format json`` or ``--format prom`` prints the metrics registry
+    instead (as JSON, or in the Prometheus text exposition format).
 ``explain``
     Render the maintenance plan *before* running it: propagation levels,
     each node's derivation source and joins, predicted delta rows and
     tuple accesses from the cost model (:mod:`repro.lattice.cost`), and
     the §2.2 with-lattice vs without-lattice comparison.  With
     ``--execute`` the plan then runs under tracing and the table is
-    re-printed with measured accesses and error percentages;
-    ``--bench-json`` merges that comparison into ``BENCH_propagate.json``.
+    re-printed with measured accesses and error percentages.
 ``history``
     List the runs recorded in the persistent run ledger
     (:mod:`repro.obs.ledger`; enabled via ``REPRO_LEDGER=PATH``).
-``regress``
-    Compare the newest ledger run against a baseline window
-    (median-of-ratios over per-phase times, plus the deterministic
-    tuple-access total).  Exit 1 on a regression, 2 on a schema or usage
-    error, 0 otherwise.
-``metrics``
-    Run one traced maintenance and print the metrics registry, either as
-    JSON or in the Prometheus text exposition format (``--format prom``).
 ``status``
     Fleet-wide freshness/certificate table after one nightly maintenance
     run: per view, the maintained certificate and its verdict against the
@@ -196,8 +184,11 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    import json
+
     from .obs import (
         format_span_tree,
+        prometheus_text,
         registry,
         trace,
         trace_summary,
@@ -240,25 +231,36 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     with trace() as recorder:
         result = run_nightly_maintenance(warehouse)
     root = recorder.finish()
-
-    print(format_span_tree(root, max_depth=args.max_depth))
     summary = trace_summary(root, registry())
     window = summary["window"]
-    print(
-        f"\nbatch window from span tags: "
-        f"online {window['online_s']:.3f}s, offline {window['offline_s']:.3f}s"
-        f" ({summary['spans']} spans recorded)"
-    )
-    if "metrics" in summary:
-        print("metrics:")
-        for name, value in sorted(summary["metrics"]["counters"].items()):
-            print(f"  {name:<32} {value:>12,}")
-        for name, stats in sorted(summary["metrics"]["histograms"].items()):
-            print(
-                f"  {name:<32} count={stats['count']:,} "
-                f"mean={stats['mean']:.6g} max={stats['max']:.6g}"
-            )
 
+    if args.format == "prom":
+        sys.stdout.write(prometheus_text(registry()))
+    elif args.format == "json":
+        print(json.dumps(registry().snapshot(), indent=2, sort_keys=True))
+    else:
+        print(format_span_tree(root, max_depth=args.max_depth))
+        print(
+            f"\nbatch window from span tags: "
+            f"online {window['online_s']:.3f}s, "
+            f"offline {window['offline_s']:.3f}s"
+            f" ({summary['spans']} spans recorded)"
+        )
+        if "metrics" in summary:
+            print("metrics:")
+            for name, value in sorted(summary["metrics"]["counters"].items()):
+                print(f"  {name:<32} {value:>12,}")
+            for name, stats in sorted(
+                summary["metrics"]["histograms"].items()
+            ):
+                print(
+                    f"  {name:<32} count={stats['count']:,} "
+                    f"mean={stats['mean']:.6g} max={stats['max']:.6g}"
+                )
+
+    # The span-derived window must agree with the clock's.  The registry
+    # formats keep stdout machine-readable, so their verdicts go to stderr.
+    verdicts = sys.stdout if args.format == "tree" else sys.stderr
     report = result.report
     agrees = True
     for span_total, clock_total, label in (
@@ -273,42 +275,49 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         agrees = agrees and ok
         print(
             f"{label}: spans {span_total:.3f}s vs clock {clock_total:.3f}s "
-            f"({'agree' if ok else f'DISAGREE, drift {drift:.1%}'})"
+            f"({'agree' if ok else f'DISAGREE, drift {drift:.1%}'})",
+            file=verdicts,
         )
 
     if args.jsonl is not None:
         path = write_trace_jsonl(root, args.jsonl)
-        print(f"trace written to {path}")
+        print(f"trace written to {path}", file=verdicts)
     return 0 if agrees else 1
 
 
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    from .bench.serve_bench import main as bench_main
+def _serving_queries(pos):
+    """A mixed query workload, every query answerable from a summary table."""
+    from .aggregates import CountStar, Sum
+    from .query import AggregateQuery
+    from .relational.expressions import col
 
-    forwarded: list[str] = []
-    if args.quick:
-        forwarded.append("--quick")
-    if args.pos_rows is not None:
-        forwarded += ["--pos-rows", str(args.pos_rows)]
-    if args.changes is not None:
-        forwarded += ["--changes", str(args.changes)]
-    if args.threads is not None:
-        forwarded += ["--threads", str(args.threads)]
-    if args.queries_per_thread is not None:
-        forwarded += ["--queries-per-thread", str(args.queries_per_thread)]
-    if args.output is not None:
-        forwarded += ["--output", args.output]
-    if args.expose_http is not None:
-        forwarded += ["--expose-http", str(args.expose_http)]
-    if args.hold_exporter is not None:
-        forwarded += ["--hold-exporter", str(args.hold_exporter)]
-    return bench_main(forwarded)
+    return [
+        AggregateQuery.create(
+            pos, group_by=["region"],
+            aggregates=[("units", Sum(col("qty")))],
+        ),
+        AggregateQuery.create(
+            pos, group_by=["city", "region"],
+            aggregates=[("sales", CountStar()), ("units", Sum(col("qty")))],
+        ),
+        AggregateQuery.create(
+            pos, group_by=["storeID", "date"],
+            aggregates=[("units", Sum(col("qty")))],
+        ),
+        AggregateQuery.create(
+            pos, group_by=["category"],
+            aggregates=[("sales", CountStar())],
+        ),
+        AggregateQuery.create(
+            pos, group_by=[],
+            aggregates=[("units", Sum(col("qty")))],
+        ),
+    ]
 
 
 def _cmd_serve_metrics(args: argparse.Namespace) -> int:
     import threading
 
-    from .bench.serve_bench import serving_queries
     from .lattice import maintain_lattice
     from .serve import QueryServer
     from .workload import (
@@ -321,7 +330,7 @@ def _cmd_serve_metrics(args: argparse.Namespace) -> int:
     data = generate_retail(RetailConfig(pos_rows=args.pos_rows))
     warehouse = build_retail_warehouse(data)
     views = warehouse.views_over("pos")
-    queries = serving_queries(data.pos)
+    queries = _serving_queries(data.pos)
     stop = threading.Event()
     failures: list[BaseException] = []
 
@@ -525,31 +534,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         f"{estimate.refresh_accesses:,.0f}, measured "
         f"{measured_refresh:,.0f} accesses (gap = MIN/MAX recompute scans)"
     )
-
-    if args.bench_json is not None:
-        from .bench.reporting import write_bench_json
-
-        payload = {
-            "workload": args.workload,
-            "pos_rows": args.pos_rows,
-            "change_rows": args.changes,
-            "nodes": {
-                row.name: {
-                    "predicted": row.predicted,
-                    "actual": row.actual,
-                    "error_pct": row.error_pct,
-                }
-                for row in rows
-            },
-            "predicted_with_lattice": estimate.with_lattice_accesses,
-            "predicted_without_lattice": estimate.without_lattice_accesses,
-        }
-        target = write_bench_json(
-            "predicted_vs_actual", payload,
-            path=args.bench_json or None,
-        )
-        print(f"predicted_vs_actual merged into {target}")
     return 0
+
 
 
 def _retail_warehouse_after_nightly(pos_rows: int, change_rows: int,
@@ -758,7 +744,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     report = audit_warehouse(warehouse, sample=args.sample, rng=rng)
     print(report.format())
     if args.report is not None:
-        from .bench.reporting import atomic_write_text
+        from .io.atomic import atomic_write_text
 
         atomic_write_text(
             args.report,
@@ -832,89 +818,6 @@ def _cmd_history(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_regress(args: argparse.Namespace) -> int:
-    from .obs.ledger import detect_regression
-
-    ledger = _ledger_from_args(args)
-    if ledger is None:
-        return 2
-    try:
-        records = ledger.records()
-    except (OSError, ValueError) as exc:
-        print(f"cannot read ledger: {exc}", file=sys.stderr)
-        return 2
-    kind = args.kind
-    if kind is None and records:
-        # By default judge the newest run against runs of its own kind.
-        kind = records[-1].get("kind")
-    try:
-        report = detect_regression(
-            records,
-            window=args.window,
-            time_threshold=args.time_threshold,
-            access_threshold=args.access_threshold,
-            kind=kind,
-        )
-    except ValueError as exc:
-        print(f"cannot judge: {exc}")
-        return 0
-    print(
-        f"run {report.run_id} vs baseline runs "
-        f"{list(report.baseline_ids)} (kind={kind}):"
-    )
-    for finding in report.findings:
-        verdict = "REGRESSED" if finding.regressed else "ok"
-        print(f"  [{verdict}] {finding.metric}: ratio {finding.ratio:.3f}")
-    if report.regressed:
-        print("verdict: REGRESSION")
-        return 1
-    print("verdict: no regression")
-    return 0
-
-
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    import json
-
-    from .obs import prometheus_text, registry, trace
-    from .obs.tracing import trace_kill_switch
-    from .warehouse.nightly import run_nightly_maintenance
-    from .workload import (
-        RetailConfig,
-        build_retail_warehouse,
-        generate_retail,
-        update_generating_changes,
-    )
-
-    if trace_kill_switch():
-        print(
-            "tracing is disabled by REPRO_TRACE=0; the metrics registry "
-            "only fills while tracing is enabled",
-            file=sys.stderr,
-        )
-        return 2
-
-    data = generate_retail(RetailConfig(pos_rows=args.pos_rows))
-    warehouse = build_retail_warehouse(data)
-    staged = update_generating_changes(
-        data.pos, data.config, args.changes, data.rng
-    )
-    pending = warehouse.pending_changes("pos")
-    for row in staged.insertions.scan():
-        pending.insert(row)
-    for row in staged.deletions.scan():
-        pending.delete(row)
-
-    registry().reset()
-    with trace():
-        run_nightly_maintenance(warehouse)
-
-    if args.format == "prom":
-        sys.stdout.write(prometheus_text(registry()))
-    else:
-        print(json.dumps(registry().snapshot(), indent=2, sort_keys=True))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -944,28 +847,6 @@ def build_parser() -> argparse.ArgumentParser:
     select.add_argument("--budget", type=int, default=5)
     select.set_defaults(func=_cmd_select)
 
-    serve = sub.add_parser(
-        "bench-serve",
-        help="benchmark query throughput under concurrent maintenance",
-    )
-    serve.add_argument("--quick", action="store_true",
-                       help="smoke-test scale (5k rows, 2 threads)")
-    serve.add_argument("--pos-rows", type=int, default=None)
-    serve.add_argument("--changes", type=int, default=None)
-    serve.add_argument("--threads", type=int, default=None)
-    serve.add_argument("--queries-per-thread", type=int, default=None)
-    serve.add_argument("--output", default=None,
-                       help="JSON path (default: BENCH_propagate.json)")
-    serve.add_argument("--expose-http", type=int, default=None,
-                       metavar="PORT",
-                       help="serve /metrics from the under-maintenance "
-                            "server on PORT (0 = ephemeral)")
-    serve.add_argument("--hold-exporter", type=float, default=None,
-                       metavar="SECONDS",
-                       help="keep the exporter scrapeable this long after "
-                            "the measured window")
-    serve.set_defaults(func=_cmd_bench_serve)
-
     trace = sub.add_parser(
         "trace",
         help="trace one nightly maintenance run and print the span tree",
@@ -978,6 +859,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="limit the printed span-tree depth")
     trace.add_argument("--jsonl", default=None, metavar="PATH",
                        help="also export the trace as JSON lines")
+    trace.add_argument("--format", choices=["tree", "json", "prom"],
+                       default="tree",
+                       help="print the span tree (default), or instead the "
+                            "metrics registry as JSON or Prometheus text")
     trace.set_defaults(func=_cmd_trace)
 
     explain = sub.add_parser(
@@ -991,11 +876,6 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--execute", action="store_true",
                          help="run the plan under tracing and print "
                               "predicted-vs-actual accesses")
-    explain.add_argument("--bench-json", nargs="?", const="", default=None,
-                         metavar="PATH",
-                         help="with --execute: merge the comparison into "
-                              "the benchmark JSON (default path when no "
-                              "PATH given)")
     explain.set_defaults(func=_cmd_explain)
 
     history = sub.add_parser(
@@ -1007,35 +887,6 @@ def build_parser() -> argparse.ArgumentParser:
     history.add_argument("--kind", default=None,
                          help="only show runs of this kind")
     history.set_defaults(func=_cmd_history)
-
-    regress = sub.add_parser(
-        "regress",
-        help="compare the newest ledger run against a baseline window",
-    )
-    regress.add_argument("--ledger", default=None, metavar="PATH",
-                         help="ledger file (default: $REPRO_LEDGER)")
-    regress.add_argument("--window", type=int, default=5,
-                         help="baseline runs to compare against")
-    regress.add_argument("--time-threshold", type=float, default=1.5,
-                         help="median-of-ratios phase-time ratio that "
-                              "counts as a regression")
-    regress.add_argument("--access-threshold", type=float, default=1.05,
-                         help="tuple-access ratio that counts as a "
-                              "regression")
-    regress.add_argument("--kind", default=None,
-                         help="judge against runs of this kind (default: "
-                              "the newest run's kind)")
-    regress.set_defaults(func=_cmd_regress)
-
-    metrics = sub.add_parser(
-        "metrics",
-        help="print the metrics registry after one traced maintenance",
-    )
-    metrics.add_argument("--pos-rows", type=int, default=5_000)
-    metrics.add_argument("--changes", type=int, default=500)
-    metrics.add_argument("--format", choices=["json", "prom"],
-                         default="json")
-    metrics.set_defaults(func=_cmd_metrics)
 
     status = sub.add_parser(
         "status",

@@ -9,10 +9,17 @@ JSON expression tree.
 Materialised summary tables are persisted *as stored* (not recomputed on
 load), so a maintained warehouse round-trips exactly; ``load_warehouse``
 can optionally verify every view against recomputation after loading.
+
+Every file is written atomically, tables first and the manifest last.  The
+manifest records each table file's row count and SHA-256 digest, so a file
+cut short, or left over from a save interrupted before its manifest landed,
+fails the load with :class:`PersistenceError` instead of loading a
+different warehouse.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pathlib
 from typing import Any
@@ -27,8 +34,9 @@ from ..views.materialize import MaterializedView
 from ..warehouse.catalog import Warehouse
 from ..warehouse.dimension import DimensionHierarchy, DimensionTable
 from ..warehouse.fact import FactTable, ForeignKey
+from .atomic import atomic_write_text
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class PersistenceError(ReproError):
@@ -157,18 +165,52 @@ def aggregate_from_json(data: Any) -> aggregate_base.AggregateFunction:
 # Table I/O (JSON lines)
 # ----------------------------------------------------------------------
 
-def _write_rows(path: pathlib.Path, table: Table) -> None:
-    with path.open("w") as handle:
-        for row in table.scan():
-            handle.write(json.dumps(list(row)) + "\n")
+def _write_rows(root: pathlib.Path, filename: str, table: Table,
+               files: dict[str, Any]) -> None:
+    """Write *table* to ``root/filename`` and record it in *files*."""
+    lines = [json.dumps(list(row)) + "\n" for row in table.scan()]
+    text = "".join(lines)
+    atomic_write_text(root / filename, text)
+    files[filename] = {"rows": len(lines), "sha256": _digest(text)}
 
 
-def _read_rows(path: pathlib.Path) -> list[tuple]:
+def _read_rows(root: pathlib.Path, filename: str,
+               files: dict[str, Any]) -> list[tuple]:
+    """The rows of ``root/filename``, checked against its manifest entry."""
+    path = root / filename
+    expected = files.get(filename)
+    if expected is None:
+        raise PersistenceError(f"the manifest records no {filename}")
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise PersistenceError(f"cannot read {path}: {exc}") from exc
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
     rows: list[tuple] = []
-    with path.open() as handle:
-        for line in handle:
+    for number, line in enumerate(lines, start=1):
+        try:
             rows.append(tuple(json.loads(line)))
+        except ValueError as exc:
+            raise PersistenceError(
+                f"{path}: line {number} is not a JSON row"
+            ) from exc
+    if len(rows) != expected["rows"]:
+        raise PersistenceError(
+            f"{path}: {len(rows)} rows, the manifest records "
+            f"{expected['rows']}"
+        )
+    if _digest(text) != expected["sha256"]:
+        raise PersistenceError(
+            f"{path}: contents differ from the manifest's digest "
+            f"(left by an interrupted save?)"
+        )
     return rows
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -180,11 +222,13 @@ def save_warehouse(warehouse: Warehouse, directory: str | pathlib.Path) -> None:
     root = pathlib.Path(directory)
     root.mkdir(parents=True, exist_ok=True)
 
+    files: dict[str, Any] = {}
     manifest: dict[str, Any] = {
         "format_version": FORMAT_VERSION,
         "dimensions": [],
         "facts": [],
         "views": [],
+        "files": files,
     }
     for dimension in warehouse.dimensions.values():
         manifest["dimensions"].append({
@@ -193,7 +237,7 @@ def save_warehouse(warehouse: Warehouse, directory: str | pathlib.Path) -> None:
             "key": dimension.key,
             "hierarchy": list(dimension.hierarchy.levels),
         })
-        _write_rows(root / f"{dimension.name}.jsonl", dimension.table)
+        _write_rows(root, f"{dimension.name}.jsonl", dimension.table, files)
     for fact in warehouse.facts.values():
         manifest["facts"].append({
             "name": fact.name,
@@ -204,7 +248,7 @@ def save_warehouse(warehouse: Warehouse, directory: str | pathlib.Path) -> None:
             ],
             "indexes": [list(index.columns) for index in fact.table.indexes.values()],
         })
-        _write_rows(root / f"{fact.name}.jsonl", fact.table)
+        _write_rows(root, f"{fact.name}.jsonl", fact.table, files)
     for view in warehouse.views.values():
         definition = view.definition
         manifest["views"].append({
@@ -230,8 +274,8 @@ def save_warehouse(warehouse: Warehouse, directory: str | pathlib.Path) -> None:
                 if definition.where is not None else None
             ),
         })
-        _write_rows(root / f"view_{definition.name}.jsonl", view.table)
-    (root / "manifest.json").write_text(json.dumps(manifest, indent=2))
+        _write_rows(root, f"view_{definition.name}.jsonl", view.table, files)
+    atomic_write_text(root / "manifest.json", json.dumps(manifest, indent=2))
 
 
 def load_warehouse(
@@ -239,25 +283,31 @@ def load_warehouse(
 ) -> Warehouse:
     """Reconstruct a warehouse saved by :func:`save_warehouse`.
 
-    With ``verify=True`` every summary table is checked against
-    recomputation after loading (raises on drift).
+    Raises :class:`PersistenceError` when a table file does not match
+    the row count and digest its manifest records.  With ``verify=True``
+    every summary table is also checked against recomputation after
+    loading (raises on drift).
     """
     root = pathlib.Path(directory)
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
         raise PersistenceError(f"no manifest.json in {root}")
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except ValueError as exc:
+        raise PersistenceError(f"{manifest_path} is not valid JSON") from exc
     if manifest.get("format_version") != FORMAT_VERSION:
         raise PersistenceError(
             f"unsupported warehouse format {manifest.get('format_version')!r}"
         )
+    files = manifest["files"]
 
     dimensions: dict[str, DimensionTable] = {}
     for spec in manifest["dimensions"]:
         dimensions[spec["name"]] = DimensionTable(
             spec["name"],
             spec["columns"],
-            _read_rows(root / f"{spec['name']}.jsonl"),
+            _read_rows(root, f"{spec['name']}.jsonl", files),
             hierarchy=DimensionHierarchy(spec["name"], spec["hierarchy"]),
             key=spec["key"],
         )
@@ -272,7 +322,7 @@ def load_warehouse(
                 ForeignKey(fk["column"], dimensions[fk["dimension"]])
                 for fk in spec["foreign_keys"]
             ],
-            _read_rows(root / f"{spec['name']}.jsonl"),
+            _read_rows(root, f"{spec['name']}.jsonl", files),
         )
         for index_columns in spec["indexes"]:
             fact.table.create_index(index_columns)
@@ -306,7 +356,7 @@ def load_warehouse(
         table = Table(
             definition.name,
             definition.storage_schema(),
-            _read_rows(root / f"view_{definition.name}.jsonl"),
+            _read_rows(root, f"view_{definition.name}.jsonl", files),
         )
         warehouse.views[definition.name] = MaterializedView(definition, table)
 

@@ -44,8 +44,7 @@ change rows thrown at a view with *G* groups touch
 After a traced run, :func:`actual_node_accesses` joins the recorded span
 tree back to the plan (the ``node:<name>`` / ``refresh`` spans), and
 :func:`compare_plan` produces per-node predicted-vs-actual rows with error
-percentages — the payload behind ``repro explain`` and the
-``predicted_vs_actual`` section of ``BENCH_propagate.json``.
+percentages — the table ``repro explain --execute`` prints.
 """
 
 from __future__ import annotations

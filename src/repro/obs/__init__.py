@@ -10,7 +10,7 @@ default, and guarded by the ``REPRO_TRACE`` kill-switch:
   and histograms (refresh actions, published epochs, query latencies,
   visibility lag);
 * :mod:`repro.obs.export` — JSON-lines trace files, the human span-tree
-  printer, and the compact summary merged into ``BENCH_*.json``.
+  printer, and the compact span-derived summary.
 
 Quick use::
 
@@ -38,11 +38,8 @@ from .export import (
     write_trace_jsonl,
 )
 from .ledger import (
-    RegressionFinding,
-    RegressionReport,
     RunLedger,
     active_ledger,
-    detect_regression,
     set_ledger,
     suspended_ledger,
 )
@@ -111,8 +108,6 @@ __all__ = [
     "MetricsExporter",
     "MetricsRegistry",
     "NullRecorder",
-    "RegressionFinding",
-    "RegressionReport",
     "RunLedger",
     "SlowQuerySample",
     "SlowQuerySampler",
@@ -126,7 +121,6 @@ __all__ = [
     "compress_intervals",
     "current_request_id",
     "current_span",
-    "detect_regression",
     "enabled",
     "export_serving_gauges",
     "format_span_tree",

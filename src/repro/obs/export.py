@@ -1,4 +1,4 @@
-"""Exporters for recorded traces: JSON-lines, human tree, bench JSON.
+"""Exporters for recorded traces: JSON-lines, human tree, summary.
 
 Three consumers, three shapes:
 
@@ -8,8 +8,7 @@ Three consumers, three shapes:
 * :func:`format_span_tree` — the human tree printer the ``repro trace``
   CLI shows, durations and counters inline;
 * :func:`trace_summary` — a compact summary (window split, per-phase
-  seconds, metrics snapshot) suitable for merging into the repo's
-  ``BENCH_*.json`` via :func:`repro.bench.reporting.write_bench_json`.
+  seconds, metrics snapshot) as plain JSON-serialisable data.
 """
 
 from __future__ import annotations
@@ -48,9 +47,9 @@ def write_trace_jsonl(root: Span, path: pathlib.Path | str) -> pathlib.Path:
     Written atomically (tempfile + ``os.replace``) so a crashed exporter
     never leaves a truncated trace file behind.
     """
-    # Imported here, not at module level: repro.bench sits above the
+    # Imported here, not at module level: repro.io's __init__ loads the
     # drivers that pull obs in (same layering note as repro.obs.ledger).
-    from ..bench.reporting import atomic_write_text
+    from ..io.atomic import atomic_write_text
 
     target = pathlib.Path(path)
     lines = [json.dumps(span_to_dict(span), sort_keys=True)

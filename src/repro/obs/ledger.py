@@ -5,13 +5,12 @@ per-phase durations, tuple accesses, per-view refresh counters, the cost
 model's predictions, and the engine configuration.  Across nights the
 file accumulates the warehouse's maintenance *trajectory*, which is what
 turns the Figure 9 reproduction from a one-shot benchmark into something
-auditable: ``repro history`` lists the runs, ``repro regress`` compares
-the newest run against a baseline window and flags regressions.
+auditable: ``repro history`` lists the runs.
 
 Appends are crash- and concurrency-safe: each append takes an exclusive
 inter-process lock on a ``<ledger>.lock`` sibling (``fcntl.flock`` where
 available), re-reads the current contents, and rewrites the whole file
-through :func:`~repro.bench.reporting.atomic_write_text` — so a reader
+through :func:`~repro.io.atomic.atomic_write_text` — so a reader
 or a crashed writer can never observe a truncated line, and concurrent
 appenders serialise instead of interleaving.
 
@@ -55,8 +54,6 @@ import threading
 import time
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
-from statistics import median
 from typing import Any, Iterator
 
 try:  # POSIX; on other platforms appends fall back to thread-level locking
@@ -67,11 +64,8 @@ except ImportError:  # pragma: no cover
 __all__ = [
     "LEDGER_ENV_VAR",
     "LEDGER_SCHEMA_VERSION",
-    "RegressionFinding",
-    "RegressionReport",
     "RunLedger",
     "active_ledger",
-    "detect_regression",
     "set_ledger",
     "suspended_ledger",
 ]
@@ -99,10 +93,10 @@ class RunLedger:
         lock, so concurrent appenders (threads or processes) each land a
         complete line and ``run_id`` stays a gapless 1-based sequence.
         """
-        # Imported here, not at module level: the maintenance drivers pull
-        # this module in, and repro.bench sits above them in the layering
-        # (bench.figure9 imports the drivers).
-        from ..bench.reporting import atomic_write_text
+        # Imported here, not at module level: importing repro.io runs its
+        # __init__, which loads persist and, through it, the maintenance
+        # drivers that import this module.
+        from ..io.atomic import atomic_write_text
 
         with self._thread_lock, self._file_lock():
             existing = self._read_lines()
@@ -162,15 +156,6 @@ class RunLedger:
                 )
             out.append(record)
         return out
-
-    def tail(self, n: int) -> list[dict[str, Any]]:
-        return self.records()[-n:]
-
-    def __len__(self) -> int:
-        return len(self._read_lines())
-
-    def __iter__(self) -> Iterator[dict[str, Any]]:
-        return iter(self.records())
 
 
 def _parse_line(line: str) -> dict[str, Any] | None:
@@ -251,138 +236,3 @@ def suspended_ledger() -> Iterator[None]:
         yield
     finally:
         _suspended -= 1
-
-
-# ----------------------------------------------------------------------
-# Regression detection
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RegressionFinding:
-    """One metric's comparison against the baseline window."""
-
-    metric: str
-    current: float
-    baseline: float
-    ratio: float
-    regressed: bool
-
-
-@dataclass(frozen=True)
-class RegressionReport:
-    """Outcome of comparing the newest run against a baseline window."""
-
-    run_id: int
-    baseline_ids: tuple[int, ...]
-    findings: tuple[RegressionFinding, ...]
-    #: Median of the per-phase time ratios — the headline verdict number.
-    phase_ratio_median: float | None
-
-    @property
-    def regressed(self) -> bool:
-        return any(finding.regressed for finding in self.findings)
-
-
-def _phase_seconds(record: dict[str, Any]) -> dict[str, float]:
-    return {
-        phase["name"]: float(phase["seconds"])
-        for phase in record.get("phases", ())
-    }
-
-
-def _access_total(record: dict[str, Any]) -> float | None:
-    access = record.get("access")
-    if not isinstance(access, dict):
-        return None
-    total = access.get("total")
-    return float(total) if total is not None else None
-
-
-def detect_regression(
-    records: list[dict[str, Any]],
-    window: int = 5,
-    time_threshold: float = 1.5,
-    access_threshold: float = 1.05,
-    kind: str | None = None,
-) -> RegressionReport:
-    """Compare the newest record against the median of its predecessors.
-
-    *Phase times* are noisy, so they get the noise-resistant treatment
-    the benchmarks use: each phase's ratio is taken against the
-    *median* of that phase across the baseline window, and the verdict
-    ratio is the **median of those per-phase ratios** — one slow phase
-    (or one GC pause) cannot flag the run; a systemic slowdown will.
-    A phase-time regression needs the median ratio to exceed
-    *time_threshold* (default: 1.5×).
-
-    *Tuple accesses* are deterministic for a fixed workload, so their
-    threshold is tight (default: 1.05×) and each compared directly
-    against the baseline median.
-
-    *kind* restricts the comparison to records of one kind (a
-    ``maintain_lattice`` run must not be baselined against ``nightly``
-    records).  Raises ``ValueError`` when fewer than two comparable
-    records exist.
-    """
-    if kind is not None:
-        records = [r for r in records if r.get("kind") == kind]
-    if len(records) < 2:
-        raise ValueError(
-            "regression detection needs a current run plus at least one "
-            f"baseline record ({len(records)} comparable record(s) found)"
-        )
-    current = records[-1]
-    baseline = records[-1 - window:-1]
-
-    findings: list[RegressionFinding] = []
-
-    current_phases = _phase_seconds(current)
-    phase_ratios: list[float] = []
-    for name, seconds in sorted(current_phases.items()):
-        history = [
-            _phase_seconds(record).get(name)
-            for record in baseline
-        ]
-        history = [value for value in history if value]
-        if not history or seconds <= 0:
-            continue
-        base = median(history)
-        if base <= 0:
-            continue
-        phase_ratios.append(seconds / base)
-    phase_ratio_median: float | None = None
-    if phase_ratios:
-        phase_ratio_median = median(phase_ratios)
-        findings.append(RegressionFinding(
-            metric="phase_seconds(median-of-ratios)",
-            current=sum(current_phases.values()),
-            baseline=float("nan"),
-            ratio=phase_ratio_median,
-            regressed=phase_ratio_median > time_threshold,
-        ))
-
-    current_access = _access_total(current)
-    access_history = [
-        value for value in (_access_total(record) for record in baseline)
-        if value is not None and value > 0
-    ]
-    if current_access is not None and access_history:
-        base = median(access_history)
-        ratio = current_access / base
-        findings.append(RegressionFinding(
-            metric="access_total",
-            current=current_access,
-            baseline=base,
-            ratio=ratio,
-            regressed=ratio > access_threshold,
-        ))
-
-    return RegressionReport(
-        run_id=int(current.get("run_id", len(records))),
-        baseline_ids=tuple(
-            int(record.get("run_id", index + 1))
-            for index, record in enumerate(baseline)
-        ),
-        findings=tuple(findings),
-        phase_ratio_median=phase_ratio_median,
-    )

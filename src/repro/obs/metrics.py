@@ -6,7 +6,7 @@ refresh actions by kind, epochs published, query latencies served.
 
 The registry is a plain process-wide object — no background threads, no
 export protocol — because the consumers are the ``repro trace`` CLI, the
-benchmark JSON, and tests.  Instrumented code only touches the registry
+metrics exporter, and tests.  Instrumented code only touches the registry
 while tracing is enabled (see :func:`repro.obs.tracing.enabled`), so the
 benchmark path stays metric-free when tracing is off.
 

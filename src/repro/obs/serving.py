@@ -201,9 +201,9 @@ class SlowQuerySampler:
 
     def write_jsonl(self, path) -> Any:
         """Export the retained samples as JSON lines (atomic write)."""
-        # Imported here, not at module level: repro.bench sits above the
+        # Imported here, not at module level: repro.io's __init__ loads the
         # drivers that pull obs in (same layering note as obs.export).
-        from ..bench.reporting import atomic_write_text
+        from ..io.atomic import atomic_write_text
 
         lines = [json.dumps(record, sort_keys=True)
                  for record in self.dump()]

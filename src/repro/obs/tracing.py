@@ -21,10 +21,10 @@ it on or keep it off:
   instrumentation cannot perturb a measurement no matter what the code
   under test requests.
 
-Spans nest per thread.  Work dispatched to executor threads does not
-inherit the dispatching thread's stack automatically; pass the dispatch
-site's ``current_span()`` as ``parent=`` to attach worker spans correctly
-(see :func:`repro.lattice.plan.propagate_lattice`).
+Spans nest per thread.  Maintenance runs on one thread, so its spans
+form one tree.  A span opened on a thread with no open span of its own
+(a :class:`~repro.serve.QueryServer` worker answering a query, say) is
+parented at the recorder's root.
 """
 
 from __future__ import annotations

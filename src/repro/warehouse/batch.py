@@ -25,7 +25,6 @@ instrumentation bug, and silently accepting them would corrupt the report.
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -132,45 +131,26 @@ class BatchWindowClock:
         report = clock.report
 
     Extra keyword arguments become tags on the phase's span (visible in
-    traces, ignored otherwise), and ``parent=`` forwards an explicit parent
-    span — needed when phases run on executor worker threads, whose span
-    stacks are independent of the dispatching thread's.
-
-    Thread-safe: concurrent phases from different threads record
-    independently; each thread's nesting depth is tracked separately.
-    Re-entering a phase *name* that is currently open (in any thread)
-    raises :class:`~repro.errors.MaintenanceError`.
+    traces, ignored otherwise).  A clock belongs to one maintenance run on
+    one thread.  Re-entering a phase *name* that is currently open raises
+    :class:`~repro.errors.MaintenanceError`.
     """
 
     def __init__(self) -> None:
         self.report = BatchReport()
-        self._lock = threading.Lock()
-        self._open_names: set[str] = set()
-        self._local = threading.local()
-
-    def _depth_stack(self) -> list[str]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
+        self._open: list[str] = []
 
     @contextmanager
-    def _timed(self, name: str, offline: bool,
-               parent: "tracing.Span | None" = None,
-               **tags: Any) -> Iterator[None]:
-        with self._lock:
-            if name in self._open_names:
-                raise MaintenanceError(
-                    f"batch phase {name!r} re-entered while still open"
-                )
-            self._open_names.add(name)
-        stack = self._depth_stack()
-        depth = len(stack)
-        stack.append(name)
+    def _timed(self, name: str, offline: bool, **tags: Any) -> Iterator[None]:
+        if name in self._open:
+            raise MaintenanceError(
+                f"batch phase {name!r} re-entered while still open"
+            )
+        depth = len(self._open)
+        self._open.append(name)
         window = "offline" if offline else "online"
         started = time.perf_counter()
-        span_cm = tracing.span(name, parent=parent, window=window, **tags)
+        span_cm = tracing.span(name, window=window, **tags)
         span = span_cm.__enter__()
         try:
             yield
@@ -182,17 +162,13 @@ class BatchWindowClock:
                 elapsed = time.perf_counter() - started
             else:
                 elapsed = span.seconds
-            stack.pop()
-            with self._lock:
-                self._open_names.discard(name)
-                self.report.phases.append(Phase(name, elapsed, offline, depth))
+            self._open.pop()
+            self.report.phases.append(Phase(name, elapsed, offline, depth))
 
-    def online(self, name: str, parent: "tracing.Span | None" = None,
-               **tags: Any) -> Iterator[None]:
+    def online(self, name: str, **tags: Any) -> Iterator[None]:
         """Time an online phase (warehouse available to readers)."""
-        return self._timed(name, offline=False, parent=parent, **tags)
+        return self._timed(name, offline=False, **tags)
 
-    def offline(self, name: str, parent: "tracing.Span | None" = None,
-                **tags: Any) -> Iterator[None]:
+    def offline(self, name: str, **tags: Any) -> Iterator[None]:
         """Time an offline phase (inside the batch window)."""
-        return self._timed(name, offline=True, parent=parent, **tags)
+        return self._timed(name, offline=True, **tags)

@@ -127,12 +127,13 @@ class TestWarehouseRoundTrip:
 
     def test_verify_detects_corruption(self, warehouse, pos, tmp_path):
         from repro.errors import MaintenanceError
+        from repro.warehouse.health import inject_corruption
 
         warehouse.define_summary_table(sid_definition(pos))
+        # A wrong view saved consistently: the files match their manifest,
+        # so only recomputation can tell.
+        inject_corruption(warehouse, "drop", view_name="SID_sales")
         save_warehouse(warehouse, tmp_path / "wh")
-        view_file = tmp_path / "wh" / "view_SID_sales.jsonl"
-        lines = view_file.read_text().splitlines()
-        view_file.write_text("\n".join(lines[:-1]) + "\n")  # drop a row
         with pytest.raises(MaintenanceError):
             load_warehouse(tmp_path / "wh", verify=True)
 
@@ -149,3 +150,122 @@ class TestWarehouseRoundTrip:
         loaded = load_warehouse(tmp_path / "wh", verify=True)
         (row,) = loaded.view("SID_sales").table.rows()
         assert row[4] is None  # SUM over the single null qty
+
+
+TABLE_FILES = ["stores.jsonl", "pos.jsonl", "view_SID_sales.jsonl"]
+
+
+def retail_warehouse():
+    from repro.workload import (
+        RetailConfig,
+        build_retail_warehouse,
+        generate_retail,
+    )
+
+    data = generate_retail(RetailConfig(pos_rows=2_000, seed=7))
+    return data, build_retail_warehouse(data)
+
+
+def table_contents(warehouse) -> dict:
+    tables = {f"dim:{name}": d.table for name, d in warehouse.dimensions.items()}
+    tables.update({f"fact:{name}": f.table for name, f in warehouse.facts.items()})
+    tables.update({f"view:{name}": v.table for name, v in warehouse.views.items()})
+    return {name: table.sorted_rows() for name, table in tables.items()}
+
+
+class TestDamagedSaves:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        _, warehouse = retail_warehouse()
+        save_warehouse(warehouse, tmp_path / "wh")
+        return tmp_path / "wh"
+
+    @pytest.mark.parametrize("filename", TABLE_FILES)
+    def test_cut_at_a_line_boundary_is_rejected(self, saved, filename):
+        path = saved / filename
+        lines = path.read_text().splitlines(keepends=True)
+        assert len(lines) > 2
+        path.write_text("".join(lines[: len(lines) // 2]))
+        with pytest.raises(PersistenceError, match="rows"):
+            load_warehouse(saved)
+
+    @pytest.mark.parametrize("filename", TABLE_FILES)
+    def test_cut_mid_line_is_rejected(self, saved, filename):
+        path = saved / filename
+        text = path.read_text()
+        middle = len(text) // 2
+        while text[middle - 1] == "\n":
+            middle += 1
+        path.write_text(text[:middle])
+        with pytest.raises(PersistenceError, match="not a JSON row"):
+            load_warehouse(saved)
+
+    def test_missing_table_file_is_rejected(self, saved):
+        (saved / "pos.jsonl").unlink()
+        with pytest.raises(PersistenceError, match="cannot read"):
+            load_warehouse(saved)
+
+    def test_manifest_records_row_counts(self, saved):
+        manifest = json.loads((saved / "manifest.json").read_text())
+        stored = (saved / "pos.jsonl").read_text().splitlines()
+        assert manifest["files"]["pos.jsonl"]["rows"] == len(stored) == 2_000
+
+
+class TestInterruptedResave:
+    # stores, items, pos, four views, then the manifest.
+    WRITES = 8
+
+    @pytest.mark.parametrize("k", range(WRITES))
+    def test_failed_kth_write_never_loads_a_different_warehouse(
+        self, k, tmp_path, monkeypatch
+    ):
+        from repro.io import persist
+        from repro.warehouse.nightly import run_nightly_maintenance
+        from repro.workload import update_generating_changes
+
+        data, warehouse = retail_warehouse()
+        target = tmp_path / "wh"
+        save_warehouse(warehouse, target)
+        previous = table_contents(load_warehouse(target))
+
+        warehouse.stage_changes("pos", update_generating_changes(
+            data.pos, data.config, 200, data.rng
+        ))
+        run_nightly_maintenance(warehouse)
+        assert table_contents(warehouse) != previous
+
+        writes = []
+        real_write = persist.atomic_write_text
+
+        def failing_write(path, text):
+            writes.append(path)
+            if len(writes) == k + 1:
+                raise OSError("disk full")
+            return real_write(path, text)
+
+        monkeypatch.setattr(persist, "atomic_write_text", failing_write)
+        with pytest.raises(OSError, match="disk full"):
+            save_warehouse(warehouse, target)
+        monkeypatch.undo()
+
+        try:
+            loaded = load_warehouse(target)
+        except PersistenceError:
+            return
+        assert table_contents(loaded) == previous
+
+    def test_write_count_matches_the_warehouse(self, tmp_path, monkeypatch):
+        from repro.io import persist
+
+        _, warehouse = retail_warehouse()
+        writes = []
+        real_write = persist.atomic_write_text
+
+        def counting_write(path, text):
+            writes.append(path.name)
+            return real_write(path, text)
+
+        monkeypatch.setattr(persist, "atomic_write_text", counting_write)
+        save_warehouse(warehouse, tmp_path / "wh")
+        assert len(writes) == self.WRITES
+        assert writes[-1] == "manifest.json"

@@ -1,4 +1,4 @@
-"""The persistent run ledger: atomic appends, history, regression verdicts."""
+"""The persistent run ledger: atomic appends, history, per-run recording."""
 
 import json
 import threading
@@ -9,7 +9,6 @@ from repro.obs.ledger import (
     LEDGER_SCHEMA_VERSION,
     RunLedger,
     active_ledger,
-    detect_regression,
     set_ledger,
     suspended_ledger,
 )
@@ -51,7 +50,7 @@ class TestAppend:
         records = ledger.records()
         assert [r["run_id"] for r in records] == [1, 2]
         assert records[1]["kind"] == "nightly"
-        assert len(ledger) == 2
+        assert len(ledger.records()) == 2
 
     def test_concurrent_appends_land_byte_intact(self, tmp_path):
         """Acceptance: threads hammering append() must leave every line
@@ -258,88 +257,3 @@ class TestDriverRecording:
         assert record["changes"]["insertions"] + record["changes"]["deletions"] > 0
         assert len(record["views"]) == 4
 
-
-class TestDetectRegression:
-    def baseline(self, ledger, n=4):
-        for _ in range(n):
-            ledger.append(run_record())
-
-    def test_unchanged_run_passes(self, tmp_path):
-        ledger = RunLedger(tmp_path / "runs.jsonl")
-        self.baseline(ledger)
-        ledger.append(run_record())
-        report = detect_regression(ledger.records())
-        assert not report.regressed
-        assert report.run_id == 5
-        assert report.phase_ratio_median == pytest.approx(1.0)
-
-    def test_synthetically_slowed_run_flagged(self, tmp_path):
-        """Acceptance: a run 3x slower across phases must be flagged."""
-        ledger = RunLedger(tmp_path / "runs.jsonl")
-        self.baseline(ledger)
-        ledger.append(run_record(propagate_s=0.030, refresh_s=0.060))
-        report = detect_regression(ledger.records())
-        assert report.regressed
-        assert report.phase_ratio_median == pytest.approx(3.0)
-        flagged = [f for f in report.findings if f.regressed]
-        assert [f.metric for f in flagged] == ["phase_seconds(median-of-ratios)"]
-
-    def test_single_slow_phase_does_not_flag(self, tmp_path):
-        """Median-of-ratios: one outlier phase (a GC pause) is noise."""
-        ledger = RunLedger(tmp_path / "runs.jsonl")
-        self.baseline(ledger)
-        ledger.append(run_record(propagate_s=0.010, refresh_s=0.200))
-        report = detect_regression(ledger.records())
-        assert report.phase_ratio_median == pytest.approx(5.5)  # median of {1, 10}
-        # With only two phases the median still moves; widen to three so the
-        # majority rules.
-        ledger2 = RunLedger(ledger.path.with_name("three.jsonl"))
-        for _ in range(4):
-            record = run_record()
-            record["phases"].append(
-                {"name": "apply-base", "seconds": 0.005, "offline": True}
-            )
-            ledger2.append(record)
-        slow = run_record(refresh_s=0.200)
-        slow["phases"].append(
-            {"name": "apply-base", "seconds": 0.005, "offline": True}
-        )
-        ledger2.append(slow)
-        report = detect_regression(ledger2.records())
-        assert not report.regressed
-
-    def test_access_total_regression_flagged(self, tmp_path):
-        """Tuple accesses are deterministic: a 10% jump is a regression
-        even though times are unchanged."""
-        ledger = RunLedger(tmp_path / "runs.jsonl")
-        self.baseline(ledger)
-        ledger.append(run_record(access_total=5_500))
-        report = detect_regression(ledger.records())
-        assert report.regressed
-        flagged = {f.metric for f in report.findings if f.regressed}
-        assert flagged == {"access_total"}
-
-    def test_kind_filter_excludes_other_kinds(self, tmp_path):
-        ledger = RunLedger(tmp_path / "runs.jsonl")
-        self.baseline(ledger)
-        ledger.append(run_record(kind="nightly", propagate_s=1.0, refresh_s=1.0))
-        ledger.append(run_record())
-        report = detect_regression(ledger.records(), kind="maintain_lattice")
-        assert not report.regressed  # the slow nightly run is not baseline
-
-    def test_too_few_records_raises(self, tmp_path):
-        ledger = RunLedger(tmp_path / "runs.jsonl")
-        ledger.append(run_record())
-        with pytest.raises(ValueError, match="at least one baseline"):
-            detect_regression(ledger.records())
-
-    def test_window_bounds_the_baseline(self, tmp_path):
-        ledger = RunLedger(tmp_path / "runs.jsonl")
-        for _ in range(3):
-            ledger.append(run_record(propagate_s=1.0, refresh_s=1.0))  # old
-        for _ in range(5):
-            ledger.append(run_record())  # recent baseline
-        ledger.append(run_record())
-        report = detect_regression(ledger.records(), window=5)
-        assert report.baseline_ids == (4, 5, 6, 7, 8)
-        assert not report.regressed

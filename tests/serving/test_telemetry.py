@@ -103,6 +103,21 @@ def test_metrics_endpoint_counts_every_query_with_tracing_off(retail):
     assert samples['repro_serve_latency_s_bucket{le="1.0"}'] == pytest.approx(
         TOTAL_QUERIES
     )
+    assert samples['repro_serve_latency_s_bucket{le="+Inf"}'] == (
+        samples["repro_serve_latency_s_count"]
+    )
+    # Every sample belongs to a family declared by a `# TYPE` line (a
+    # histogram's `_bucket`/`_sum`/`_count` series to the histogram's).
+    typed = {
+        line.split()[2] for line in body.splitlines()
+        if line.startswith("# TYPE ")
+    }
+    for key in samples:
+        family = key.split("{", 1)[0]
+        for suffix in ("_bucket", "_sum", "_count"):
+            if family.endswith(suffix) and family[: -len(suffix)] in typed:
+                family = family[: -len(suffix)]
+        assert family in typed, f"sample without a TYPE line: {key}"
     hits = samples["repro_serve_cache_hits"]
     misses = samples["repro_serve_cache_misses"]
     assert hits + misses == TOTAL_QUERIES, (

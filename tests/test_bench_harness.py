@@ -1,7 +1,5 @@
 """The Figure 9 harness itself: scaling, measurement, and shape checkers."""
 
-import json
-
 import pytest
 
 from repro.bench import (
@@ -17,12 +15,7 @@ from repro.bench import (
     measure_point,
     scaled,
 )
-from repro.bench import reporting
-from repro.bench.reporting import (
-    atomic_write_text,
-    check_deletions_drop_with_pos_size,
-    write_bench_json,
-)
+from repro.bench.reporting import check_deletions_drop_with_pos_size
 from repro.views import compute_rows
 from repro.workload import (
     RetailConfig,
@@ -136,71 +129,6 @@ class TestFormatting:
         assert "[REPRODUCED]" in text
 
 
-class TestAtomicWrites:
-    def test_write_replaces_contents(self, tmp_path):
-        target = tmp_path / "out.txt"
-        target.write_text("old")
-        result = atomic_write_text(target, "new")
-        assert result == target
-        assert target.read_text() == "new"
-
-    def test_no_temp_files_left_behind(self, tmp_path):
-        target = tmp_path / "out.txt"
-        atomic_write_text(target, "payload")
-        assert list(tmp_path.iterdir()) == [target]
-
-    def test_failure_preserves_previous_contents(self, tmp_path, monkeypatch):
-        target = tmp_path / "out.txt"
-        target.write_text("previous")
-
-        def broken_replace(src, dst):
-            raise OSError("disk on fire")
-
-        monkeypatch.setattr(reporting.os, "replace", broken_replace)
-        with pytest.raises(OSError, match="disk on fire"):
-            atomic_write_text(target, "partial")
-        assert target.read_text() == "previous"
-        # The temp file was cleaned up rather than stranded.
-        assert list(tmp_path.iterdir()) == [target]
-
-
-class TestWriteBenchJson:
-    def test_sections_accumulate_across_runs(self, tmp_path):
-        target = tmp_path / "bench.json"
-        write_bench_json("micro", {"speedup": 2.0}, target)
-        write_bench_json("lattice", {"views": 5}, target)
-        data = json.loads(target.read_text())
-        assert data["micro"] == {"speedup": 2.0}
-        assert data["lattice"] == {"views": 5}
-        assert data["schema_version"] == 1
-
-    def test_dict_sections_merge_key_by_key(self, tmp_path):
-        target = tmp_path / "bench.json"
-        write_bench_json("micro", {"a": 1, "b": 2}, target)
-        write_bench_json("micro", {"b": 3, "c": 4}, target)
-        data = json.loads(target.read_text())
-        assert data["micro"] == {"a": 1, "b": 3, "c": 4}
-
-    def test_corrupt_existing_file_is_recovered(self, tmp_path):
-        target = tmp_path / "bench.json"
-        target.write_text("{ not json")
-        write_bench_json("micro", {"a": 1}, target)
-        assert json.loads(target.read_text())["micro"] == {"a": 1}
-
-    def test_interrupted_write_keeps_old_document(self, tmp_path, monkeypatch):
-        target = tmp_path / "bench.json"
-        write_bench_json("micro", {"a": 1}, target)
-        before = target.read_text()
-        monkeypatch.setattr(
-            reporting.os, "replace",
-            lambda src, dst: (_ for _ in ()).throw(OSError("interrupted")),
-        )
-        with pytest.raises(OSError):
-            write_bench_json("micro", {"a": 2}, target)
-        assert target.read_text() == before
-        assert json.loads(before)["micro"] == {"a": 1}
-
-
 class TestMeasurePoint:
     def test_leaves_warehouse_consistent(self):
         data = generate_retail(RetailConfig(pos_rows=1000, seed=91))
@@ -228,30 +156,3 @@ class TestMeasurePoint:
             result.propagate_lattice_s + result.refresh_s
         )
 
-
-class TestLatencyPercentiles:
-    def test_exact_on_known_samples(self):
-        from repro.bench.serve_bench import latency_percentiles_ms
-
-        samples = [i / 1000.0 for i in range(1, 101)]   # 1ms .. 100ms
-        stats = latency_percentiles_ms(samples)
-        assert stats["p50"] == pytest.approx(50.0)
-        assert stats["p95"] == pytest.approx(95.0)
-        assert stats["p99"] == pytest.approx(99.0)
-        assert stats["max"] == pytest.approx(100.0)
-
-    def test_monotone_regardless_of_order(self):
-        import random
-
-        from repro.bench.serve_bench import latency_percentiles_ms
-
-        samples = [random.Random(17).uniform(0.0001, 0.5) for _ in range(37)]
-        stats = latency_percentiles_ms(samples)
-        assert 0 < stats["p50"] <= stats["p95"] <= stats["p99"] <= stats["max"]
-
-    def test_empty_and_singleton(self):
-        from repro.bench.serve_bench import latency_percentiles_ms
-
-        assert latency_percentiles_ms([])["p99"] is None
-        stats = latency_percentiles_ms([0.002])
-        assert stats["p50"] == stats["p99"] == stats["max"] == 2.0

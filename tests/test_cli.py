@@ -1,11 +1,25 @@
 """The command-line interface."""
 
+import argparse
+import socket
+
 import pytest
 
 from repro.cli import build_parser, main
 
 
 class TestParser:
+    def test_subcommand_set_is_pinned(self):
+        """Adding or removing a subcommand has to be deliberate."""
+        (subparsers,) = [
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert sorted(subparsers.choices) == sorted([
+            "audit", "explain", "figure9", "history", "lattice", "lineage",
+            "maintain", "select", "serve-metrics", "status", "top", "trace",
+        ])
+
     def test_requires_a_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
@@ -148,27 +162,6 @@ class TestExplain:
         assert "error" in out and "ratio" in out
         assert "MIN/MAX recompute scans" in out
 
-    def test_execute_merges_bench_json(self, tmp_path, capsys, monkeypatch):
-        import json
-
-        monkeypatch.delenv("REPRO_TRACE", raising=False)
-        target = tmp_path / "BENCH.json"
-        code = main([
-            "explain", "--pos-rows", "1000", "--changes", "100",
-            "--execute", "--bench-json", str(target),
-        ])
-        assert code == 0
-        data = json.loads(target.read_text())
-        section = data["predicted_vs_actual"]
-        assert section["workload"] == "update"
-        assert section["nodes"]
-        for payload in section["nodes"].values():
-            assert {"predicted", "actual", "error_pct"} <= set(payload)
-        assert (
-            section["predicted_with_lattice"]
-            < section["predicted_without_lattice"]
-        )
-
     def test_execute_refuses_under_kill_switch(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE", "0")
         code = main([
@@ -202,52 +195,21 @@ class TestLedgerCommands:
         monkeypatch.delenv("REPRO_LEDGER", raising=False)
         assert main(["history"]) == 2
 
-    def test_regress_passes_unchanged_runs(self, tmp_path, capsys, monkeypatch):
-        self.seeded_ledger(tmp_path, monkeypatch)
-        assert main(["regress"]) == 0
-        assert "no regression" in capsys.readouterr().out
-
-    def test_regress_flags_synthetically_slowed_run(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        import json
-
-        path = self.seeded_ledger(tmp_path, monkeypatch)
-        records = [
-            json.loads(line) for line in path.read_text().splitlines()
-        ]
-        slowed = dict(records[-1])
-        slowed["run_id"] = len(records) + 1
-        slowed["phases"] = [
-            {**phase, "seconds": phase["seconds"] * 10}
-            for phase in slowed["phases"]
-        ]
-        with path.open("a") as handle:
-            handle.write(json.dumps(slowed) + "\n")
-        assert main(["regress"]) == 1
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_regress_schema_error_exits_2(self, tmp_path, capsys, monkeypatch):
+    def test_history_schema_error_exits_2(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "runs.jsonl"
         # Mid-file corruption is unrecoverable; only a truncated *trailing*
         # line (crash mid-append) is tolerated.
         path.write_text('{broken\n{"kind": "nightly", "run_id": 1}\n')
         monkeypatch.setenv("REPRO_LEDGER", str(path))
-        assert main(["regress"]) == 2
-
-    def test_regress_with_single_run_cannot_judge(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        self.seeded_ledger(tmp_path, monkeypatch, runs=1)
-        assert main(["regress"]) == 0
-        assert "cannot judge" in capsys.readouterr().out
-
+        assert main(["history"]) == 2
 
 class TestMetricsCommand:
+    """``trace --format json|prom`` prints the metrics registry."""
+
     def test_prom_format(self, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_TRACE", raising=False)
         code = main([
-            "metrics", "--format", "prom",
+            "trace", "--format", "prom",
             "--pos-rows", "1000", "--changes", "100",
         ])
         assert code == 0
@@ -260,7 +222,8 @@ class TestMetricsCommand:
 
         monkeypatch.delenv("REPRO_TRACE", raising=False)
         code = main([
-            "metrics", "--pos-rows", "1000", "--changes", "100",
+            "trace", "--format", "json",
+            "--pos-rows", "1000", "--changes", "100",
         ])
         assert code == 0
         data = json.loads(capsys.readouterr().out)
@@ -268,7 +231,7 @@ class TestMetricsCommand:
 
     def test_refuses_under_kill_switch(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE", "0")
-        assert main(["metrics"]) == 2
+        assert main(["trace", "--format", "json"]) == 1
 
 
 class TestStatusCommand:
@@ -366,3 +329,43 @@ class TestAuditCommand:
         assert set(report["views"]) == {
             "SID_sales", "sCD_sales", "SiC_sales", "sR_sales"
         }
+
+
+class TestServingCommands:
+    def test_serve_metrics_serves_queries_and_publishes_epochs(self, capsys):
+        code = main([
+            "serve-metrics", "--port", "0", "--duration", "0.5",
+            "--pos-rows", "2000", "--changes", "100",
+            "--maintenance-interval", "0.1",
+        ])
+        assert code == 0
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        served, published = last.split("; ")
+        queries = int(served.split()[1].replace(",", ""))
+        epochs = int(published.split()[0])
+        assert queries >= 1 and epochs >= 1, last
+
+    def test_top_renders_one_frame(self, capsys):
+        from repro.serve import QueryServer
+        from repro.workload import (
+            RetailConfig,
+            build_retail_warehouse,
+            generate_retail,
+        )
+
+        data = generate_retail(RetailConfig(pos_rows=500, seed=3))
+        warehouse = build_retail_warehouse(data)
+        with QueryServer(warehouse, max_workers=1, expose_http=0) as server:
+            code = main(["top", "--url", server.exporter.url, "--frames", "1"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("queries ")
+        assert "latency ms" in out
+
+    def test_top_against_a_closed_port_exits_2(self, capsys):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        code = main(["top", "--url", f"http://127.0.0.1:{port}", "--frames", "1"])
+        assert code == 2
+        assert "cannot scrape" in capsys.readouterr().err

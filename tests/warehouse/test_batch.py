@@ -108,26 +108,6 @@ class TestNestedPhases:
                 pass
         assert clock.report.seconds_for("apply-base") > 0
 
-    def test_depths_are_per_thread(self):
-        import threading
-
-        clock = BatchWindowClock()
-        recorded = []
-
-        def worker():
-            with clock.online("worker-phase"):
-                pass
-            recorded.append(True)
-
-        with clock.online("outer"):
-            thread = threading.Thread(target=worker)
-            thread.start()
-            thread.join()
-        by_name = {phase.name: phase for phase in clock.report.phases}
-        # The worker thread's phase is outermost *for its thread*.
-        assert by_name["worker-phase"].depth == 0
-        assert by_name["outer"].depth == 0
-
 
 class TestZeroDurationPhases:
     def test_zero_duration_phase_is_recorded(self):
@@ -232,23 +212,3 @@ class TestSpanBackedClock:
         assert len(clock.report.phases) == 2
         assert clock.report.online_seconds > 0
         assert clock.report.offline_seconds > 0
-
-    def test_explicit_parent_attaches_worker_phase(self):
-        import threading
-
-        clock = BatchWindowClock()
-        with trace() as recorder:
-            with clock.online("level") as _:
-                anchor = recorder.current()
-
-                def worker():
-                    with clock.online("node", parent=anchor):
-                        pass
-
-                thread = threading.Thread(target=worker)
-                thread.start()
-                thread.join()
-        level = next(
-            span for span in recorder.root.walk() if span.name == "level"
-        )
-        assert [child.name for child in level.children] == ["node"]
