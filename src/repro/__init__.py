@@ -49,7 +49,6 @@ from .core import (
     MinMaxPolicy,
     PropagateOptions,
     RefreshStats,
-    RefreshVariant,
     SummaryDelta,
     apply_refresh,
     compute_summary_delta,
@@ -159,7 +158,6 @@ __all__ = [
     "QueryPlan",
     "QueryRouter",
     "RefreshStats",
-    "RefreshVariant",
     "ReproError",
     "Schema",
     "SchemaError",

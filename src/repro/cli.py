@@ -532,7 +532,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     print(
         f"refresh: predicted lower bound "
         f"{estimate.refresh_accesses:,.0f}, measured "
-        f"{measured_refresh:,.0f} accesses (gap = MIN/MAX recompute scans)"
+        f"{measured_refresh:,.0f} accesses (gap = MIN/MAX recompute probes)"
     )
     return 0
 

@@ -19,7 +19,7 @@ from .recompute import (
     plan_index_recompute,
     recompute_groups_via_index,
 )
-from .refresh import RefreshStats, RefreshVariant, apply_refresh, refresh
+from .refresh import RefreshStats, apply_refresh, refresh
 
 __all__ = [
     "GroupRecomputeResult",
@@ -28,7 +28,6 @@ __all__ = [
     "MinMaxPolicy",
     "PropagateOptions",
     "RefreshStats",
-    "RefreshVariant",
     "SummaryDelta",
     "apply_refresh",
     "base_recompute_fn",

@@ -20,13 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from ..relational.aggregation import group_by as physical_group_by
-from ..relational.expressions import col
 from ..relational.operators import select
-from ..relational.table import Table
 from ..views.materialize import MaterializedView
 from ..warehouse.batch import BatchReport, BatchWindowClock
 from ..warehouse.changes import ChangeSet
+from .recompute import RecomputeCounts, recompute_groups_via_scan
 from .refresh import RefreshStats
 
 
@@ -61,8 +59,9 @@ def maintain_by_group_recompute(
 
     Phase 1 (online) computes the set of affected group keys from the
     change set.  Phase 2 (offline) applies base changes, recomputes those
-    groups in one pass over fact ⋈ dimensions, splices the fresh rows into
-    a copy of the view and publishes it as the next epoch.
+    groups in one pass over fact ⋈ dimensions (the scan gather of
+    :mod:`repro.core.recompute`, every aggregate), splices the fresh rows
+    into a copy of the view and publishes it as the next epoch.
     """
     clock = clock or BatchWindowClock()
     definition = view.definition
@@ -77,25 +76,11 @@ def maintain_by_group_recompute(
 
     stats = RefreshStats(delta_rows=len(affected))
     with clock.offline(f"group-recompute:{view.name}"):
-        source = fact.join_dimensions(fact.table, definition.dimensions)
-        if definition.where is not None:
-            source = select(source, definition.where)
-        key_positions = source.schema.positions(definition.group_by)
-        filtered = Table(f"affected_{definition.name}", source.schema)
-        for row in source.scan():
-            if tuple(row[p] for p in key_positions) in affected:
-                filtered.insert(row)
-        aggregates = [
-            (output.name,
-             output.function.argument if output.function.argument is not None
-             else col(source.schema.columns[0]),
-             output.function.base_reducer())
-            for output in definition.aggregates
-        ]
-        fresh = physical_group_by(filtered, definition.group_by, aggregates)
-
-        arity = len(definition.group_by)
-        fresh_by_key = {row[:arity]: row for row in fresh.scan()}
+        fresh = recompute_groups_via_scan(
+            definition, affected, definition.aggregates,
+            RecomputeCounts("scan", groups=len(affected)),
+        )
+        fresh_by_key = {key: key + values for key, values in fresh.items()}
         shadow = view.begin_version()
         table = shadow.table
         index = shadow.group_key_index()

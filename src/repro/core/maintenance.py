@@ -7,8 +7,9 @@ table, timing each phase with the batch-window clock:
    change set — the summary table is not locked;
 2. *apply base changes* (offline): update the base fact table;
 3. *refresh* (offline): apply the delta to a copy of the summary table,
-   recomputing MIN/MAX groups from the updated base data where Figure 7
-   requires it, and publish the copy as the view's next epoch.
+   reading the MIN/MAX values of the groups Figure 7 flags from the
+   updated base data (:func:`base_recompute_fn`), and publish the copy
+   as the view's next epoch.
 
 Maintaining *many* views together, sharing work along the D-lattice, is the
 job of :mod:`repro.lattice.plan`.
@@ -18,76 +19,38 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..relational.aggregation import group_by as physical_group_by
-from ..relational.expressions import col
-from ..relational.operators import select
-from ..relational.table import Table
+from ..obs import tracing
 from ..views.definition import SummaryViewDefinition
 from ..views.materialize import MaterializedView
 from ..warehouse.batch import BatchReport, BatchWindowClock
 from ..warehouse.changes import ChangeSet
 from .deltas import SummaryDelta
 from .propagate import PropagateOptions, compute_summary_delta
+from .recompute import recompute_extrema
 from .refresh import GroupKey, RecomputeFn, RefreshStats, apply_refresh
 
 
-def base_recompute_fn(
-    definition: SummaryViewDefinition,
-    use_index: bool = True,
-) -> RecomputeFn:
-    """Build the batched MIN/MAX recomputation callback for a view.
+def base_recompute_fn(definition: SummaryViewDefinition) -> RecomputeFn:
+    """Figure 7's recompute callback for *definition*: group keys → each
+    group's MIN/MAX values, read from the fact table as it stands when
+    called — i.e. after the deferred changes have been applied, matching
+    the paper's assumption.
 
-    The callback reads the fact table *as it stands when called* — i.e.
-    after the deferred changes have been applied, matching the paper's
-    assumption — and chooses between two strategies per invocation:
-
-    * **index-assisted** (:mod:`repro.core.recompute`): probe a composite
-      fact index with the candidate keys each group implies — the
-      RDBMS-optimizer plan, cost independent of the fact-table size;
-    * **batched scan**: one filtered pass over fact ⋈ dimensions for all
-      requested groups — the fallback when no feasible index exists or the
-      probe count would exceed the scan.
-
-    Both produce identical values (cross-tested); ``use_index=False``
-    forces the scan.
+    Each call takes the cheapest exact plan of
+    :func:`repro.core.recompute.recompute_extrema` — the ordered index
+    probe, the pooled index gather or the scan — under a ``recompute``
+    span tagged with the ``plan`` and counting ``groups``, ``probes`` and
+    ``gathered_rows``.
     """
 
-    def recompute_by_scan(keys: list[GroupKey]) -> dict[GroupKey, tuple]:
-        wanted = set(keys)
-        source = definition.fact.join_dimensions(
-            definition.fact.table, definition.dimensions,
-            definition.referenced_columns(),
-        )
-        if definition.where is not None:
-            source = select(source, definition.where)
-        key_positions = source.schema.positions(definition.group_by)
-
-        filtered = Table(f"recompute_{definition.name}", source.schema)
-        for row in source.scan():
-            if tuple(row[p] for p in key_positions) in wanted:
-                filtered.insert(row)
-
-        aggregates = [
-            (output.name,
-             output.function.argument if output.function.argument is not None
-             else col(source.schema.columns[0]),
-             output.function.base_reducer())
-            for output in definition.aggregates
-        ]
-        grouped = physical_group_by(filtered, definition.group_by, aggregates)
-        arity = len(definition.group_by)
-        return {row[:arity]: row[arity:] for row in grouped.scan()}
-
     def recompute(keys: list[GroupKey]) -> dict[GroupKey, tuple]:
-        if use_index:
-            from .recompute import plan_index_recompute, recompute_groups_via_index
-
-            plan = plan_index_recompute(definition)
-            if plan is not None:
-                estimated_probes = plan.estimated_probes_per_group * len(keys)
-                if estimated_probes < len(definition.fact.table):
-                    return recompute_groups_via_index(plan, keys)
-        return recompute_by_scan(keys)
+        with tracing.span("recompute", view=definition.name) as span:
+            values, counts = recompute_extrema(definition, keys)
+            span.set_tag("plan", counts.plan)
+            span.add("groups", counts.groups)
+            span.add("probes", counts.probes)
+            span.add("gathered_rows", counts.gathered_rows)
+        return values
 
     return recompute
 

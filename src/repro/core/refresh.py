@@ -6,26 +6,20 @@ values) is located through the table's group-by index and then:
 
 * **inserted** when no corresponding tuple exists;
 * **deleted** when the group's new ``COUNT(*)`` reaches zero;
-* **recomputed from base data** when a MIN/MAX extremum may have been
-  deleted (see :class:`~repro.core.deltas.MinMaxPolicy` for the exact
-  trigger); or
+* **recomputed** when a MIN/MAX extremum may have been deleted (see
+  :class:`~repro.core.deltas.MinMaxPolicy` for the exact trigger): its
+  counts and sums by the update arithmetic, its MIN/MAX values from base
+  data; or
 * **updated in place** otherwise, with per-aggregate combination rules
   (add for counts/sums, fold for MIN/MAX) and null handling driven by the
   companion ``COUNT(e)`` columns.
 
-Two execution variants are provided, mirroring Section 4.2's closing
-observation:
-
-* ``CURSOR`` — the embedded-SQL style of Figure 2: per delta tuple, index
-  lookup then immediate insert/update/delete;
-* ``OUTER_JOIN`` — the "summary-delta join" the paper says database vendors
-  should build in: all decisions are computed first against a read-only
-  view of the table, then applied in one batch.
-
-Both variants share the decision logic and produce identical final states.
-:func:`refresh` runs either on a private shadow copy of a view's table;
-:func:`apply_refresh` — the one way a maintained view changes — runs the
-batch form on a shadow and publishes it as the view's next epoch, so a
+The refresh is the "summary-delta join" Section 4.2 says database vendors
+should build in: every decision is made first, against the table as it
+stands (:func:`decide_all`), then the actions are applied by kind as
+batches.  :func:`refresh` runs it on a private shadow copy of a view's
+table; :func:`apply_refresh` — the one way a maintained view changes —
+runs it on a shadow and publishes that as the view's next epoch, so a
 published table is never mutated (the paper's batch window, §1, without
 stopping readers).
 
@@ -33,18 +27,16 @@ Group lookup goes through :class:`GroupLocator`: one hash probe per delta
 tuple on the summary table's group-key index (built once if missing,
 maintained incrementally thereafter), making refresh O(|summary-delta|).
 
-Engineering note on recomputation: Figure 7 recomputes a group "from the
-base data for t's group" — in the paper's RDBMS that is one query per
-group.  Issuing one scan per group would distort our cost model (we have no
-optimizer to pick per-group index plans for arbitrary dimension attributes),
-so recomputation is *batched*: all groups flagged for recompute in one
-refresh are recomputed in a single pass over the base data.  The result is
-identical; only the access pattern differs.
+Recomputation: Figure 7 recomputes a group "from the base data for t's
+group".  Only its MIN/MAX values need the base data — COUNT(*), COUNT(e)
+and SUM are self-maintainable (§3.1) — so :func:`decide` builds a flagged
+group's row by the same arithmetic as an update, and the recompute
+callback, called once per refresh with every flagged group, answers only
+the MIN/MAX values (:mod:`repro.core.recompute`).
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -59,20 +51,15 @@ from ..views.materialize import MaterializedView, ShadowVersion, index_group_key
 from .deltas import MinMaxPolicy, SummaryDelta, del_column, ins_column
 
 GroupKey = tuple[Any, ...]
-#: Batched recompute callback: group keys -> recomputed aggregate values
-#: (one tuple of aggregate-column values per surviving group).
+#: Batched recompute callback: group keys -> each group's MIN/MAX values
+#: from base data, in the order of the view's MIN/MAX aggregates (``None``
+#: for a column with no non-NULL value; a group absent from the result
+#: has no value in any column).
 RecomputeFn = Callable[[list[GroupKey]], dict[GroupKey, tuple[Any, ...]]]
 #: Fault-injection hook for :func:`apply_refresh`: invoked with the stage
 #: name (``"build"`` before the shadow refresh, ``"publish"`` after the
 #: shadow is complete but before the swap) and may raise.
 StageHook = Callable[[str], None]
-
-
-class RefreshVariant(enum.Enum):
-    """How refresh decisions are executed (same decisions either way)."""
-
-    CURSOR = "cursor"
-    OUTER_JOIN = "outer_join"
 
 
 class GroupLocator:
@@ -216,19 +203,42 @@ class RefreshPlan:
                     f"view {definition.name!r}: cannot refresh aggregate kind "
                     f"{kind!r}"
                 )
+        #: (SUM position, its COUNT(e) position) per SUM column.
+        self.sums = [
+            (column.storage_index, column.count_index)
+            for column in self.summable if column.is_sum
+        ]
 
 
 @dataclass
 class RefreshActions:
-    """Deferred refresh actions (used by both variants for recompute, and
-    by the OUTER_JOIN variant for everything)."""
+    """Figure 7's decisions for one summary delta, by kind, made against
+    the table as it stands and applied afterwards as batches.
+
+    ``recomputes`` holds the groups whose MIN/MAX values must be read from
+    base data, as ``(slot, key, row)``: *slot* is ``None`` when the group
+    is new to the view (its row is inserted, not updated in place), and
+    *row* is the group's new row by the update arithmetic — COUNT(*),
+    COUNT(e) and SUM from the old row plus the delta, or from the delta
+    alone for a new group — whose MIN/MAX columns
+    :func:`recomputed_rows` overwrites with the recomputed values.
+    """
 
     inserts: list[Row] = field(default_factory=list)
     deletes: list[int] = field(default_factory=list)
     updates: list[tuple[int, Row]] = field(default_factory=list)
-    #: (slot, key); slot is None when the recomputed group is new to the
-    #: view and its result must be inserted rather than updated in place.
-    recomputes: list[tuple[int | None, GroupKey]] = field(default_factory=list)
+    recomputes: list[tuple[int | None, GroupKey, Row]] = field(
+        default_factory=list
+    )
+
+
+def _null_empty_sums(plan: RefreshPlan, row: Row) -> Row:
+    """*row* with every SUM whose COUNT(e) is 0 set to NULL."""
+    cleared = list(row)
+    for position, count in plan.sums:
+        if row[count] == 0:
+            cleared[position] = None
+    return tuple(cleared)
 
 
 def decide(
@@ -241,7 +251,6 @@ def decide(
     actions: RefreshActions,
 ) -> None:
     """Classify one delta tuple into an action (Figure 7's per-tuple body)."""
-    g = plan.group_arity
     cs = plan.count_star_index
 
     if old_row is None:
@@ -257,23 +266,31 @@ def decide(
                 f"COUNT(*) {delta_count_star!r}; deletions cannot apply to a "
                 "group absent from the view"
             )
-        if plan.policy is MinMaxPolicy.SPLIT:
+        new_row = delta_row[: plan.n_columns]
+        for _sum, count in plan.sums:
+            if new_row[count] == 0:
+                # Contributions cancelled within the delta (dimension-change
+                # cross terms, §4.1.4) can leave a SUM of 0 over no non-NULL
+                # value: the group's SUM is NULL, as recomputation gives.
+                new_row = _null_empty_sums(plan, new_row)
+                break
+        if plan.policy is not MinMaxPolicy.SPLIT:
+            actions.inserts.append(new_row)
+            return
+        new_row = list(new_row)
+        for column in plan.minmax:
+            new_row[column.storage_index] = delta_row[column.delta_ins_index]
+        if any(
+            delta_row[column.delta_del_index] is not None
+            for column in plan.minmax
+        ):
             # A deletion-side footprint on a NEW group means contributions
-            # were cancelled (dimension-change cross terms); the net
-            # extremum cannot be derived from the delta — recompute the
-            # whole group from base data and insert the result.
-            if any(
-                delta_row[column.delta_del_index] is not None
-                for column in plan.minmax
-            ):
-                actions.recomputes.append((None, key))
-                return
-            new_row = list(delta_row[: plan.n_columns])
-            for column in plan.minmax:
-                new_row[column.storage_index] = delta_row[column.delta_ins_index]
-            actions.inserts.append(tuple(new_row))
-        else:
-            actions.inserts.append(tuple(delta_row[: plan.n_columns]))
+            # were cancelled: the net extremum cannot be derived from the
+            # delta, so the MIN/MAX values are recomputed; the counts and
+            # sums are the delta's.
+            actions.recomputes.append((None, key, tuple(new_row)))
+            return
+        actions.inserts.append(tuple(new_row))
         return
 
     new_count_star = old_row[cs] + delta_row[cs]
@@ -286,26 +303,7 @@ def decide(
         actions.deletes.append(slot)
         return
 
-    # MIN/MAX recompute check (Figure 7).
-    for column in plan.minmax:
-        old_extreme = old_row[column.storage_index]
-        if old_extreme is None:
-            continue
-        new_count_e = old_row[column.count_index] + delta_row[column.count_index]
-        if new_count_e <= 0:
-            continue
-        if plan.policy is MinMaxPolicy.SPLIT:
-            threat = delta_row[column.delta_del_index]
-        else:
-            threat = delta_row[column.storage_index]
-        if threat is None:
-            continue
-        beats = threat <= old_extreme if column.is_min else threat >= old_extreme
-        if beats:
-            actions.recomputes.append((slot, key))
-            return
-
-    # Plain in-place update.
+    # The update arithmetic, which is also a recomputed group's row.
     new_row = list(old_row)
     new_row[cs] = new_count_star
     for column in plan.summable:
@@ -325,20 +323,34 @@ def decide(
                 new_row[column.storage_index] = old_value + delta_value
         else:
             new_row[column.storage_index] = old_value + delta_value
+    threatened = False
     for column in plan.minmax:
+        old_extreme = old_row[column.storage_index]
         new_count_e = old_row[column.count_index] + delta_row[column.count_index]
         if new_count_e == 0:
             new_row[column.storage_index] = None
             continue
         if plan.policy is MinMaxPolicy.SPLIT:
             incoming = delta_row[column.delta_ins_index]
+            threat = delta_row[column.delta_del_index]
         else:
-            incoming = delta_row[column.storage_index]
+            incoming = threat = delta_row[column.storage_index]
+        # Figure 7's recompute check: a stored extremum the delta may have
+        # deleted.  Under SPLIT a deletion-side value on a column that
+        # stored none can only cancel an insertion-side one (§4.1.4 cross
+        # terms), which the fold alone would keep.
+        if threat is not None and (
+            (threat <= old_extreme if column.is_min else threat >= old_extreme)
+            if old_extreme is not None
+            else plan.policy is MinMaxPolicy.SPLIT
+        ):
+            threatened = True
         fold = null_min if column.is_min else null_max
-        new_row[column.storage_index] = fold(
-            old_row[column.storage_index], incoming
-        )
-    actions.updates.append((slot, tuple(new_row)))
+        new_row[column.storage_index] = fold(old_extreme, incoming)
+    if threatened:
+        actions.recomputes.append((slot, key, tuple(new_row)))
+    else:
+        actions.updates.append((slot, tuple(new_row)))
 
 
 def decide_all(
@@ -364,11 +376,16 @@ def decide_all(
 
 
 def recomputed_rows(
-    name: str, actions: RefreshActions, recompute: RecomputeFn | None
+    name: str,
+    plan: RefreshPlan,
+    actions: RefreshActions,
+    recompute: RecomputeFn | None,
 ) -> list[tuple[int | None, Row]]:
     """The ``(slot, new row)`` of every group flagged for recomputation
-    (slot ``None``: the group is new to the view), from one batched call
-    to *recompute*."""
+    (slot ``None``: the group is new to the view): the row the update
+    arithmetic built, with the MIN/MAX values from one batched call to
+    *recompute*.  A column whose new COUNT(e) is positive must have a
+    recomputed value, and one whose COUNT(e) is zero must have none."""
     if not actions.recomputes:
         return []
     if recompute is None:
@@ -377,16 +394,21 @@ def recomputed_rows(
             f"{len(actions.recomputes)} group(s) but no recompute source "
             "was provided"
         )
-    fresh = recompute([key for _slot, key in actions.recomputes])
+    fresh = recompute([key for _slot, key, _row in actions.recomputes])
+    absent = (None,) * len(plan.minmax)
     rows = []
-    for slot, key in actions.recomputes:
-        values = fresh.get(key)
-        if values is None:
-            raise InconsistentDeltaError(
-                f"view {name!r}: group {key!r} flagged for recomputation "
-                "has no base rows, but its COUNT(*) is positive"
-            )
-        rows.append((slot, key + values))
+    for slot, key, row in actions.recomputes:
+        new_row = list(row)
+        for column, value in zip(plan.minmax, fresh.get(key, absent)):
+            count_e = row[column.count_index]
+            if (count_e > 0) != (value is not None):
+                raise InconsistentDeltaError(
+                    f"view {name!r}: group {key!r} flagged for "
+                    f"recomputation has COUNT(e) {count_e} but its base "
+                    f"rows give {'MIN' if column.is_min else 'MAX'} {value!r}"
+                )
+            new_row[column.storage_index] = value
+        rows.append((slot, tuple(new_row)))
     return rows
 
 
@@ -394,7 +416,6 @@ def refresh(
     shadow: ShadowVersion,
     delta: SummaryDelta,
     recompute: RecomputeFn | None = None,
-    variant: RefreshVariant = RefreshVariant.OUTER_JOIN,
 ) -> RefreshStats:
     """Apply *delta* to *shadow* (paper, Figure 7); return what was done.
 
@@ -406,11 +427,12 @@ def refresh(
     view — no freshness, no lineage, no new epoch; :func:`apply_refresh`
     is how a view changes.
 
-    *recompute* supplies batched base-data recomputation for MIN/MAX; it is
-    required only when the view has MIN/MAX aggregates and a deletion (or,
-    under the PAPER policy, any change) threatens a stored extremum.  It is
-    called against the *updated* base data, per the paper's assumption that
-    base-table changes are applied before refresh.
+    *recompute* supplies the MIN/MAX values of the groups Figure 7 flags
+    (:data:`RecomputeFn`); it is required only when the view has MIN/MAX
+    aggregates and a deletion (or, under the PAPER policy, any change)
+    threatens a stored extremum.  It is called against the *updated* base
+    data, per the paper's assumption that base-table changes are applied
+    before refresh.
     """
     if isinstance(shadow, MaterializedView):
         raise MaintenanceError(
@@ -418,11 +440,9 @@ def refresh(
             f"published view {shadow.name!r}; use apply_refresh"
         )
     _check_delta_matches(shadow, delta)
-    with tracing.span(
-        "refresh", view=shadow.definition.name, variant=variant.value,
-    ) as span:
+    with tracing.span("refresh", view=shadow.definition.name) as span:
         locator = GroupLocator(shadow)
-        stats = _refresh_impl(shadow, delta, recompute, variant, locator)
+        stats = _refresh_impl(shadow, delta, recompute, locator)
         _record_refresh_stats(span, stats, locator)
         return stats
 
@@ -442,9 +462,8 @@ def apply_refresh(
        private :class:`~repro.views.materialize.ShadowVersion` whose
        certificate is seeded O(1) from the live one;
     2. Figure 7 refreshes the shadow in its batch "summary-delta join"
-       form (:attr:`RefreshVariant.OUTER_JOIN`): nobody observes a
-       private shadow's intermediate states, so there is nothing a
-       per-tuple cursor could buy;
+       form, the groups it flags for recomputation taking their MIN/MAX
+       values from *recompute*;
     3. the shadow is compacted (:meth:`Table.compact`: the slots the
        refresh's deletions emptied are filled from the tail), so a
        published table is dense and readers scan it without a liveness
@@ -468,9 +487,7 @@ def apply_refresh(
         if failure_hook is not None:
             failure_hook("build")
         locator = GroupLocator(shadow)
-        stats = _refresh_impl(
-            shadow, delta, recompute, RefreshVariant.OUTER_JOIN, locator
-        )
+        stats = _refresh_impl(shadow, delta, recompute, locator)
         if failure_hook is not None:
             failure_hook("publish")
         with tracing.span("publish", view=view.name) as publish_span:
@@ -527,56 +544,26 @@ def _refresh_impl(
     shadow: ShadowVersion,
     delta: SummaryDelta,
     recompute: RecomputeFn | None,
-    variant: RefreshVariant,
     locator: GroupLocator,
 ) -> RefreshStats:
+    """All decisions against the pre-apply table state, then the actions
+    grouped by kind — the recomputed groups last, as new rows and as
+    updates — through the table's batch mutators, which maintain indexes
+    and the certificate a batch at a time and charge access stats once per
+    batch."""
     plan = RefreshPlan(shadow.definition, delta.policy)
     stats = RefreshStats(delta_rows=len(delta.table))
     table = shadow.table
-    name = shadow.definition.name
-    g = plan.group_arity
-
-    if variant is RefreshVariant.CURSOR:
-        # Per-tuple: look up, decide, apply immediately (recompute deferred —
-        # see the module docstring).
-        actions = RefreshActions()
-        for delta_row in delta.table.scan():
-            key = delta_row[:g]
-            slot = locator.slot_of(key)
-            old_row = table.row_at(slot) if slot is not None else None
-            local = RefreshActions()
-            decide(plan, name, old_row, delta_row, key, slot, local)
-            for row in local.inserts:
-                table.insert(row)
-                stats.inserted += 1
-            for doomed in local.deletes:
-                table.delete_slot(doomed)
-                stats.deleted += 1
-            for update_slot, new_row in local.updates:
-                table.update_slot(update_slot, new_row)
-                stats.updated += 1
-            actions.recomputes.extend(local.recomputes)
-        for slot, row in recomputed_rows(name, actions, recompute):
-            if slot is None:
-                table.insert(row)
-            else:
-                table.update_slot(slot, row)
-            stats.recomputed += 1
-    else:
-        # OUTER_JOIN, batch form: all decisions against the pre-apply
-        # table state, then the actions grouped by kind — the recomputed
-        # groups last, as new rows and as updates — through the table's
-        # batch mutators, which maintain indexes and the certificate a
-        # batch at a time and charge access stats once per batch — totals
-        # identical to the cursor path.
-        actions = decide_all(shadow, delta, plan, locator)
-        stats.inserted = table.insert_many(actions.inserts)
-        stats.deleted = table.delete_slots(actions.deletes)
-        stats.updated = table.update_slots(actions.updates)
-        recomputed = recomputed_rows(name, actions, recompute)
-        stats.recomputed = table.insert_many(
-            [row for slot, row in recomputed if slot is None]
-        ) + table.update_slots(
-            [update for update in recomputed if update[0] is not None]
-        )
+    actions = decide_all(shadow, delta, plan, locator)
+    stats.inserted = table.insert_many(actions.inserts)
+    stats.deleted = table.delete_slots(actions.deletes)
+    stats.updated = table.update_slots(actions.updates)
+    recomputed = recomputed_rows(
+        shadow.definition.name, plan, actions, recompute
+    )
+    stats.recomputed = table.insert_many(
+        [row for slot, row in recomputed if slot is None]
+    ) + table.update_slots(
+        [update for update in recomputed if update[0] is not None]
+    )
     return stats

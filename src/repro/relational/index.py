@@ -192,6 +192,22 @@ class HashIndex:
             return [slot for slot in found if slot is not None]
         return list(chain.from_iterable(filter(None, found)))
 
+    def probe_any(self, keys: Iterable[tuple[Any, ...]]) -> tuple[bool, int]:
+        """Probe *keys* in order up to the first that has an entry: whether
+        one did, and how many keys were probed, each charged as one
+        lookup.  Dead slots leave the index eagerly, so an entry stands for
+        a live row."""
+        entries = self._entries
+        probed = 0
+        hit = False
+        for key in keys:
+            probed += 1
+            if key in entries:
+                hit = True
+                break
+        charge_access("index_lookups", probed)
+        return hit, probed
+
     def lookup_one(self, key: tuple[Any, ...]) -> int | None:
         """Return the single slot for *key*, or ``None`` when absent.
 

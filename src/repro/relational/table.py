@@ -811,9 +811,10 @@ class Table:
     def track_domain(self, column: str) -> None:
         """Maintain the set of distinct values of *column* incrementally.
 
-        Used by index-assisted recomputation plans
-        (:mod:`repro.core.recompute`) to enumerate candidate index keys for
-        low-cardinality columns (e.g. ``date``).  Idempotent.  The initial
+        Used by index recomputation plans (:mod:`repro.core.recompute`) to
+        enumerate candidate index keys for low-cardinality columns (e.g.
+        ``date``), and for foreign keys whose dimension a view does not
+        join.  Idempotent.  The initial
         counts are one C-level count of the live column, uncharged.
         """
         position = self.schema.position(column)

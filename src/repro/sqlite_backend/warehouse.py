@@ -195,7 +195,7 @@ class SqliteWarehouse:
         ).fetchall()
         stats.delta_rows = len(delta_rows)
 
-        recomputes: list[tuple[int, tuple]] = []
+        recomputes: list[tuple[int, tuple, tuple]] = []
         for delta_row in delta_rows:
             key = tuple(delta_row[:arity])
             matches = self.connection.execute(lookup_sql, key).fetchall()
@@ -224,7 +224,9 @@ class SqliteWarehouse:
                 stats.updated += 1
             recomputes.extend(actions.recomputes)
 
-        for slot, key in recomputes:
+        # The whole group from one SQL query per group — the independent
+        # oracle — not the update arithmetic each entry also carries.
+        for slot, key, _arithmetic in recomputes:
             fresh = self.connection.execute(recompute_sql, key).fetchone()
             if fresh is None or fresh[plan.count_star_index - arity] in (0, None):
                 raise InconsistentDeltaError(

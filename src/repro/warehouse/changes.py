@@ -205,8 +205,8 @@ class ChangeSet:
         # the same at |base| / |deletions| of about 8 on both benchmark
         # fact tables, the scan winning below and the index above
         # (EXPERIMENTS.md "PR 28") — the probes-against-scan comparison
-        # ``base_recompute_fn`` makes for MIN/MAX recomputation, with the
-        # per-row costs measured.
+        # the MIN/MAX recompute's gather makes, with the per-row costs
+        # measured.
         if index is not None and 8 * remaining < len(base):
             span.set_tag("plan", "index")
             keys = dict.fromkeys(index.keys_of(columns))

@@ -312,7 +312,7 @@ def _audit_view(
 ) -> ViewAuditResult:
     """Audit one view.  *parent_view*/*edge* are the D-lattice derivation
     source when the parent is itself materialised (else ``None``)."""
-    from ..core.maintenance import base_recompute_fn
+    from ..core.recompute import recompute_groups
     from ..views.materialize import compute_rows
 
     name = view.definition.name
@@ -359,8 +359,13 @@ def _audit_view(
         sampled = rng.sample(rows, k) if k else []
         drilldown_checked = len(sampled)
         if sampled:
-            recompute = base_recompute_fn(view.definition)
-            derived = recompute([row[:arity] for row in sampled])
+            # Whole rows, every aggregate folded from the group's fact
+            # rows: refresh's recompute reads only MIN/MAX and trusts the
+            # arithmetic for the rest, which is what this checks.
+            derived, _counts = recompute_groups(
+                view.definition, [row[:arity] for row in sampled],
+                view.definition.aggregates,
+            )
             bad = 0
             for row in sampled:
                 values = derived.get(row[:arity])

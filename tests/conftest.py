@@ -223,3 +223,24 @@ def per_child():
     unsupported edge takes.  Session-scoped so Hypothesis tests can use
     it."""
     return _fused_scan_declined
+
+
+@contextmanager
+def recorded_recomputes():
+    """``with recorded_recomputes() as runs: ...`` appends, to *runs*,
+    ``(view name, RecomputeCounts)`` for every call the engine's recompute
+    callback (:func:`repro.core.base_recompute_fn`) makes in the block,
+    whether or not spans are recorded."""
+    from repro.core import maintenance
+
+    runs = []
+    recompute_extrema = maintenance.recompute_extrema
+
+    def recorded(definition, keys):
+        values, counts = recompute_extrema(definition, keys)
+        runs.append((definition.name, counts))
+        return values, counts
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(maintenance, "recompute_extrema", recorded)
+        yield runs

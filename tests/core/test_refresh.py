@@ -5,7 +5,6 @@ import pytest
 from repro.core import (
     MinMaxPolicy,
     PropagateOptions,
-    RefreshVariant,
     apply_refresh,
     base_recompute_fn,
     compute_summary_delta,
@@ -25,8 +24,7 @@ from ..conftest import (
 
 
 def run_maintenance(pos, view, change_rows, delete_rows=(), *,
-                    policy=MinMaxPolicy.PAPER,
-                    variant=RefreshVariant.CURSOR):
+                    policy=MinMaxPolicy.PAPER):
     """Propagate, apply base changes, refresh; return the stats."""
     changes = ChangeSet("pos", pos.table.schema)
     changes.insert_many(change_rows)
@@ -35,54 +33,45 @@ def run_maintenance(pos, view, change_rows, delete_rows=(), *,
         view.definition, changes, PropagateOptions(policy=policy)
     )
     changes.apply_to(pos.table)
-    return refresh(
-        view, delta,
-        recompute=base_recompute_fn(view.definition),
-        variant=variant,
-    )
+    return refresh(view, delta, recompute=base_recompute_fn(view.definition))
 
 
-@pytest.mark.parametrize("variant", [RefreshVariant.CURSOR, RefreshVariant.OUTER_JOIN])
-class TestBothVariants:
-    def test_insert_new_group(self, pos, variant):
+class TestActions:
+    def test_insert_new_group(self, pos):
         view = build_shadow(sid_definition(pos))
-        stats = run_maintenance(pos, view, [(4, 13, 9, 2, 1.3)], variant=variant)
+        stats = run_maintenance(pos, view, [(4, 13, 9, 2, 1.3)])
         assert stats.inserted == 1 and stats.updated == 0
         assert_view_matches_recomputation(view)
 
-    def test_update_existing_group(self, pos, variant):
+    def test_update_existing_group(self, pos):
         view = build_shadow(sid_definition(pos))
-        stats = run_maintenance(pos, view, [(1, 10, 1, 7, 1.0)], variant=variant)
+        stats = run_maintenance(pos, view, [(1, 10, 1, 7, 1.0)])
         assert stats.updated == 1 and stats.inserted == 0
         assert_view_matches_recomputation(view)
 
-    def test_delete_group_when_count_reaches_zero(self, pos, variant):
+    def test_delete_group_when_count_reaches_zero(self, pos):
         view = build_shadow(sid_definition(pos))
-        stats = run_maintenance(
-            pos, view, [], [(2, 12, 3, 5, 1.6)], variant=variant
-        )
+        stats = run_maintenance(pos, view, [], [(2, 12, 3, 5, 1.6)])
         assert stats.deleted == 1
         assert_view_matches_recomputation(view)
 
-    def test_mixed_batch(self, pos, variant):
+    def test_mixed_batch(self, pos):
         view = build_shadow(sid_definition(pos))
         stats = run_maintenance(
             pos, view,
             [(1, 10, 1, 7, 1.0), (4, 13, 9, 2, 1.3)],
             [(2, 12, 3, 5, 1.6)],
-            variant=variant,
         )
         assert (stats.inserted, stats.updated, stats.deleted) == (1, 1, 1)
         assert_view_matches_recomputation(view)
 
-    def test_cancelling_changes_leave_view_intact(self, pos, variant):
+    def test_cancelling_changes_leave_view_intact(self, pos):
         view = build_shadow(sid_definition(pos))
         before = view.table.sorted_rows()
         stats = run_maintenance(
             pos, view,
             [(1, 10, 1, 2, 1.0)],
             [(1, 10, 1, 2, 1.0)],
-            variant=variant,
         )
         assert stats.deleted == 0
         assert view.table.sorted_rows() == before
@@ -189,9 +178,8 @@ class TestPublishedViewGuard:
         changes.delete((2, 12, 3, 5, 1.6))
         delta = compute_summary_delta(view.definition, changes)
         changes.apply_to(pos.table)
-        for variant in RefreshVariant:
-            with pytest.raises(MaintenanceError, match="apply_refresh"):
-                refresh(view, delta, base_recompute_fn(view.definition), variant)
+        with pytest.raises(MaintenanceError, match="apply_refresh"):
+            refresh(view, delta, base_recompute_fn(view.definition))
         assert view.pin() is pinned
         assert view.table.rows() == rows
         assert view.certificate.value == certificate

@@ -1,12 +1,11 @@
-"""Access accounting of Figure 7: the per-tuple cursor and the batch
-"summary-delta join" that ``apply_refresh`` publishes, each applied to a
-shadow copy of the view, charge the same units per operation and leave
-the same rows and certificate."""
+"""Access accounting of Figure 7: the batch "summary-delta join" applied
+to a shadow copy of the view by ``refresh`` and the one ``apply_refresh``
+publishes charge the same units per operation and leave the same rows and
+certificate."""
 
 import pytest
 
 from repro.core import (
-    RefreshVariant,
     apply_refresh,
     base_recompute_fn,
     compute_summary_delta,
@@ -48,9 +47,9 @@ def refreshed(definition_factory, changes, apply):
     return view, target, stats, charged, size_before
 
 
-def cursor_on_shadow(view, delta, recompute):
+def on_shadow(view, delta, recompute):
     shadow = view.begin_version()
-    return refresh(shadow, delta, recompute, RefreshVariant.CURSOR), shadow
+    return refresh(shadow, delta, recompute), shadow
 
 
 def published(view, delta, recompute):
@@ -60,26 +59,26 @@ def published(view, delta, recompute):
 @pytest.mark.parametrize(
     "definition_factory", [sid_definition, sic_definition, minmax_definition]
 )
-def test_cursor_and_published_batch_charge_the_same(definition_factory):
+def test_shadow_and_published_refresh_charge_the_same(definition_factory):
     changes = ChangeSet("pos", make_pos(make_stores(), make_items()).table.schema)
     changes.insert_many(INSERTS)
     changes.delete_many(DELETES)
 
-    untouched, shadow, cursor_stats, cursor, _size = refreshed(
-        definition_factory, changes, cursor_on_shadow
+    untouched, shadow, shadow_stats, on_copy, _size = refreshed(
+        definition_factory, changes, on_shadow
     )
     view, _view, batch_stats, batch, _size = refreshed(
         definition_factory, changes, published
     )
 
-    assert batch == cursor
-    assert batch_stats == cursor_stats
+    assert batch == on_copy
+    assert batch_stats == shadow_stats
     assert view.table.sorted_rows() == shadow.table.sorted_rows()
     assert view.certificate.value == shadow.certificate.value
     assert_view_matches_recomputation(view)
 
     # Only the publish is visible: it pinned the batches to epoch 1, and
-    # the cursor's shadow left its view at epoch 0 with no manifest.
+    # the unpublished shadow left its view at epoch 0 with no manifest.
     (manifest,) = view.lineage.manifests_since(0)
     assert (manifest.epoch, manifest.batches) == (1, tuple(sorted(
         batch_id for batch_id in changes.lineage
@@ -93,7 +92,7 @@ def test_units_per_operation_are_pinned():
     changes = ChangeSet("pos", make_pos(make_stores(), make_items()).table.schema)
     changes.insert_many(INSERTS)
     changes.delete_many(DELETES)
-    for apply in (cursor_on_shadow, published):
+    for apply in (on_shadow, published):
         _view, _target, stats, charged, size_before = refreshed(
             sid_definition, changes, apply
         )

@@ -1,10 +1,13 @@
 """Seeded retail cycles' counts, pinned exactly.
 
 A maintenance cycle is deterministic for a fixed seed: the tuple-access
-totals, every node's summary-delta size and every view's refresh outcome
-repeat run for run.  A refactor that claims to change no behaviour must
-leave all three untouched, with and without the D-lattice.  The counts do
-not depend on tracing, nor on which fold ran: the lattice cycles run
+totals, every node's summary-delta size, every view's refresh outcome and
+the plan and counts of every MIN/MAX recompute repeat run for run.  A
+refactor that claims to change no behaviour must leave all four
+untouched, with and without the D-lattice.  The counts do not depend on
+tracing (each cycle runs under ``trace()``, which ``REPRO_TRACE=0`` turns
+into a no-op, and the recompute spans, when recorded, repeat the
+callbacks' own counts), nor on which fold ran: the lattice cycles run
 again under the ``interpreted`` fixture, with every group-by and
 projection on the interpreter (the fused sibling kernel stays compiled),
 and repeat the compiled counts.  They are taken under the one refresh
@@ -26,6 +29,7 @@ import pytest
 
 from repro.lattice import maintain_lattice
 from repro.lattice import plan
+from repro.obs import tracing
 from repro.relational import aggregation
 from repro.relational.stats import measuring
 from repro.workload import (
@@ -36,6 +40,8 @@ from repro.workload import (
     insertion_generating_changes,
     update_generating_changes,
 )
+
+from ..conftest import recorded_recomputes
 
 WORKLOADS = {
     "update": lambda data: update_generating_changes(
@@ -78,23 +84,34 @@ REFRESH = {
     },
 }
 
-# Keyed by (workload, use_lattice).
+# Per view that recomputes: (plan, groups, probes, gathered_rows) of its
+# one recompute call — the same with and without the lattice.  SiC_sales
+# takes the ordered probe: MIN(date) is read from the index, no fact row.
+RECOMPUTE = {
+    "update": {"SiC_sales": ("ordered", 229, 9307, 0)},
+    "insertion": {},
+    "expiration": {"SiC_sales": ("ordered", 667, 17524, 0)},
+}
+
+# Keyed by (workload, use_lattice).  The update and expiration totals count
+# the ordered probe's index lookups and its per-group scan of the items
+# dimension; no fact row is gathered for a recompute.
 ACCESS = {
     ("update", True): {
-        "rows_scanned": 78939,
-        "rows_inserted": 53325,
+        "rows_scanned": 82199,
+        "rows_inserted": 30785,
         "rows_deleted": 1917,
         "rows_updated": 2749,
-        "index_lookups": 28507,
-        "total": 165437,
+        "index_lookups": 17814,
+        "total": 135464,
     },
     ("update", False): {
-        "rows_scanned": 100525,
-        "rows_inserted": 71325,
+        "rows_scanned": 103785,
+        "rows_inserted": 48785,
         "rows_deleted": 1917,
         "rows_updated": 2749,
-        "index_lookups": 30665,
-        "total": 207181,
+        "index_lookups": 19972,
+        "total": 177208,
     },
     ("insertion", True): {
         "rows_scanned": 35551,
@@ -113,20 +130,20 @@ ACCESS = {
         "total": 119638,
     },
     ("expiration", True): {
-        "rows_scanned": 73307,
-        "rows_inserted": 51490,
+        "rows_scanned": 161231,
+        "rows_inserted": 25211,
         "rows_deleted": 1617,
         "rows_updated": 672,
-        "index_lookups": 23065,
-        "total": 150151,
+        "index_lookups": 21392,
+        "total": 210123,
     },
     ("expiration", False): {
-        "rows_scanned": 82129,
-        "rows_inserted": 58717,
+        "rows_scanned": 170053,
+        "rows_inserted": 32438,
         "rows_deleted": 1617,
         "rows_updated": 672,
-        "index_lookups": 23886,
-        "total": 167021,
+        "index_lookups": 22213,
+        "total": 226993,
     },
 }
 
@@ -166,6 +183,17 @@ def cycle_id(params):
     return name + "-interpreted" if interpreted else name
 
 
+def recompute_counts(runs):
+    """Per view, the plan and counts of each recompute call in *runs*
+    (:func:`recorded_recomputes`)."""
+    counts = {}
+    for name, run in runs:
+        counts.setdefault(name, []).append(
+            (run.plan, run.groups, run.probes, run.gathered_rows)
+        )
+    return {name: tuple(calls) for name, calls in counts.items()}
+
+
 def counting_fallbacks(patch, fallbacks):
     """Count, into *fallbacks*, the group-bys folded by the interpreter
     and the sibling groups the fused kernel declines."""
@@ -191,39 +219,62 @@ def cycle(request):
     engine = (request.getfixturevalue("interpreted") if interpreted
               else nullcontext)
     fallbacks = Counter()
-    with engine(), pytest.MonkeyPatch.context() as patch:
+    with engine(), pytest.MonkeyPatch.context() as patch, \
+            recorded_recomputes() as runs:
         counting_fallbacks(patch, fallbacks)
-        warehouse, access, result = run_cycle(workload, use_lattice)
-    return workload, use_lattice, warehouse, access, result, fallbacks
+        # ``top`` is a no-op span under ``REPRO_TRACE=0``.
+        with tracing.trace(), tracing.span("cycle") as top:
+            warehouse, access, result = run_cycle(workload, use_lattice)
+    return workload, use_lattice, warehouse, access, result, fallbacks, (
+        runs, top
+    )
 
 
 def test_views_converge(cycle):
-    _, _, warehouse, _, _, _ = cycle
+    _, _, warehouse, _, _, _, _ = cycle
     assert all(warehouse.verify_views().values())
 
 
 def test_access_units(cycle):
-    workload, use_lattice, _, access, _, _ = cycle
+    workload, use_lattice, _, access, _, _, _ = cycle
     assert access.as_dict() == ACCESS[workload, use_lattice]
 
 
 def test_delta_rows(cycle):
-    workload, _, _, _, result, _ = cycle
+    workload, _, _, _, result, _, _ = cycle
     assert delta_rows(result) == DELTA_ROWS[workload]
 
 
 def test_refresh_stats(cycle):
-    workload, _, _, _, result, _ = cycle
+    workload, _, _, _, result, _, _ = cycle
     assert refresh_outcomes(result) == REFRESH[workload]
 
 
 def test_no_fold_leaves_the_kernels(request, cycle):
     """Zero declines off the interpreter; on it, the interpreted fold
     really ran, and the fused kernel still declined nothing."""
-    _, _, _, _, _, fallbacks = cycle
+    _, _, _, _, _, fallbacks, _ = cycle
     _, _, interpreted = request.node.callspec.params["cycle"]
     assert fallbacks["fused_declines"] == 0
     if interpreted:
         assert fallbacks["interpreted_folds"] > 0
     else:
         assert fallbacks["interpreted_folds"] == 0
+
+
+def test_recompute_plans_and_counts(cycle):
+    """Each recomputing view's plan and counts, from the callback itself
+    and — when spans are recorded — from its ``recompute`` span."""
+    workload, _, _, _, _, _, (runs, top) = cycle
+    expected = {
+        view: (counts,) for view, counts in RECOMPUTE[workload].items()
+    }
+    assert recompute_counts(runs) == expected
+    if isinstance(top, tracing.Span):
+        spans = {}
+        for span in top.find_all("recompute"):
+            spans.setdefault(span.tags["view"], []).append((
+                span.tags["plan"], span.counters["groups"],
+                span.counters["probes"], span.counters["gathered_rows"],
+            ))
+        assert {view: tuple(runs) for view, runs in spans.items()} == expected

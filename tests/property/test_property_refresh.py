@@ -3,7 +3,7 @@
     for any base data and any consistent change set,
     maintain(view, changes) == recompute(view after changes)
 
-across view shapes, min/max policies, and refresh variants.
+across view shapes and min/max policies.
 """
 
 import pytest
@@ -13,11 +13,9 @@ from repro.aggregates import Count, CountStar, Max, Min, Sum
 from repro.core import (
     MinMaxPolicy,
     PropagateOptions,
-    RefreshVariant,
     apply_refresh,
     base_recompute_fn,
     compute_summary_delta,
-    refresh,
 )
 from repro.relational import col
 from repro.views import MaterializedView, SummaryViewDefinition, compute_rows
@@ -122,29 +120,6 @@ def test_maintenance_equals_recomputation(shape, policy, base, inserted, delete_
     apply_refresh(view, delta, recompute=base_recompute_fn(view.definition))
 
     assert view.table.sorted_rows() == compute_rows(view.definition).sorted_rows()
-
-
-@settings(max_examples=30, deadline=None)
-@given(base=fact_rows, inserted=fact_rows, delete_picks=st.lists(st.integers(0, 10_000), max_size=15))
-def test_refresh_variants_agree(base, inserted, delete_picks):
-    """CURSOR and OUTER_JOIN refresh produce identical final states."""
-    results = []
-    for variant in RefreshVariant:
-        pos = build_fact(base)
-        view = MaterializedView.build(make_view(pos, "minmax")).begin_version()
-        to_insert, to_delete = split_changes(base, inserted, delete_picks)
-        changes = ChangeSet("pos", pos.table.schema)
-        changes.insert_many(to_insert)
-        changes.delete_many(to_delete)
-        delta = compute_summary_delta(view.definition, changes)
-        changes.apply_to(pos.table)
-        refresh(
-            view, delta,
-            recompute=base_recompute_fn(view.definition),
-            variant=variant,
-        )
-        results.append(view.table.sorted_rows())
-    assert results[0] == results[1]
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,5 +1,7 @@
 """Theorem 5.1 executed in SQL: the D-lattice on the SQLite backend."""
 
+import re
+
 import pytest
 
 from repro.aggregates import CountStar, Min, Sum
@@ -191,9 +193,13 @@ def test_declined_shape_end_to_end_agrees_with_sqlite(case, policy, per_child,
     recomputed = changes_rows["recomputed"][policy]
     assert (result.stats["by_category"].recomputed,
             result.stats["by_region"].recomputed) == recomputed
-    assert sorted(name for name in folds if name.startswith("recompute")) == [
-        f"recompute_{view}"
-        for view, n in zip(("by_category", "by_region"), recomputed) if n
+    # A recompute folds its gathered rows after the dimension join, so the
+    # folded table is ``join(recompute_<view>,<dimension>)``.
+    assert sorted(
+        re.search(r"recompute_(\w+)", name).group(1)
+        for name in folds if "recompute_" in name
+    ) == [
+        view for view, n in zip(("by_category", "by_region"), recomputed) if n
     ], "a recomputed group was not folded by the interpreted fold"
 
     sqlite_pos = make_pos(make_stores(), make_items())

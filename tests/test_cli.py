@@ -160,7 +160,7 @@ class TestExplain:
         out = capsys.readouterr().out
         assert "predicted vs actual" in out
         assert "error" in out and "ratio" in out
-        assert "MIN/MAX recompute scans" in out
+        assert "MIN/MAX recompute probes" in out
 
     def test_execute_refuses_under_kill_switch(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE", "0")

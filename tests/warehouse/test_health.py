@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.core import apply_refresh, base_recompute_fn, compute_summary_delta
+from repro.lattice import maintain_lattice
 from repro.obs import RunLedger, set_ledger
 from repro.obs.metrics import MetricsRegistry
 from repro.warehouse import (
@@ -335,3 +336,36 @@ class TestFreshnessPlumbing:
         view = warehouse.view("SID_sales")
         assert view.freshness.last_refresh_run_id == record["run_id"]
         assert view.freshness.last_refresh_kind == "nightly"
+
+
+class TestDrilldownRederivesWholeRows:
+    def test_recomputed_group_with_a_corrupt_sum_is_a_drilldown_mismatch(
+        self, small_warehouse
+    ):
+        """Refresh reads a recomputed group's MIN/MAX from base data and
+        trusts the update arithmetic for its COUNT and SUM; the sampled
+        audit re-derives every aggregate, so a wrong SUM published with a
+        consistent certificate is still caught."""
+        warehouse, pos = small_warehouse
+        pos.table.track_domain("date")
+        warehouse.stage_deletions("pos", [(3, 10, 1, 6, 1.0)])  # a minimum
+        result = maintain_lattice(
+            warehouse.views_over("pos"), warehouse.pending_changes("pos")
+        )
+        warehouse.discard_pending("pos")
+        assert result.stats["SiC_sales"].recomputed == 1
+
+        view = warehouse.view("SiC_sales")
+        shadow = view.begin_version()
+        slot = shadow.group_key_index().lookup_one((3, "fruit"))
+        row = list(shadow.table.row_at(slot))
+        row[shadow.table.schema.position("TotalQuantity")] += 1
+        shadow.table.update_slot(slot, tuple(row))
+        view.publish(shadow)
+
+        report = audit_warehouse(
+            warehouse, sample=len(view.table), rng=random.Random(1),
+            metrics=MetricsRegistry(),
+        )
+        assert report.failed_views == ["SiC_sales"]
+        assert report.results["SiC_sales"].failures == ("drilldown-mismatch",)
