@@ -91,7 +91,6 @@ from .lattice import (
     build_lattice_for_views,
     combined_lattice,
     cube_lattice,
-    greedy_select,
     maintain_lattice,
     make_lattice_friendly,
     propagate_lattice,
@@ -183,7 +182,6 @@ __all__ = [
     "compute_summary_delta_combined",
     "cube_lattice",
     "format_span_tree",
-    "greedy_select",
     "install_recorder",
     "lit",
     "maintain_by_group_recompute",

@@ -12,8 +12,6 @@ Commands
 ``maintain``
     One nightly maintenance run over a synthetic warehouse, with the
     batch-window report and a rematerialisation comparison.
-``select``
-    HRU greedy view selection over the combined lattice.
 ``trace``
     Run one nightly maintenance over the Figure 9 retail workload under
     the observability layer and print the span tree, the metrics snapshot,
@@ -153,33 +151,6 @@ def _cmd_maintain(args: argparse.Namespace) -> int:
     rematerialize_with_lattice(views)
     print(f"(rematerialising instead would have taken "
           f"{time.perf_counter() - started:.3f}s of batch window)")
-    return 0
-
-
-def _cmd_select(args: argparse.Namespace) -> int:
-    from .lattice import (
-        combined_lattice,
-        exact_node_sizes,
-        greedy_select,
-        grouping_label,
-    )
-    from .workload import RetailConfig, generate_retail
-
-    data = generate_retail(RetailConfig(pos_rows=args.pos_rows))
-    lattice = combined_lattice([
-        data.stores.hierarchy.levels,
-        data.items.hierarchy.levels,
-        ("date",),
-    ])
-    source = data.pos.join_dimensions(data.pos.table, ["stores", "items"])
-    sizes = exact_node_sizes(lattice, source)
-    selection = greedy_select(lattice, sizes, view_budget=args.budget)
-    order = ["storeID", "city", "region", "itemID", "category", "date"]
-    print(f"HRU greedy selection (budget {args.budget} beyond the top view):")
-    for step in selection.steps:
-        print(f"  {grouping_label(step.node, order):<32} "
-              f"size {sizes[step.node]:>8,}  benefit {step.benefit:>12,.0f}")
-    print(f"total query cost: {selection.total_cost:,.0f}")
     return 0
 
 
@@ -841,11 +812,6 @@ def build_parser() -> argparse.ArgumentParser:
     maintain.add_argument("--workload", choices=["update", "insert"],
                           default="update")
     maintain.set_defaults(func=_cmd_maintain)
-
-    select = sub.add_parser("select", help="HRU greedy view selection")
-    select.add_argument("--pos-rows", type=int, default=10_000)
-    select.add_argument("--budget", type=int, default=5)
-    select.set_defaults(func=_cmd_select)
 
     trace = sub.add_parser(
         "trace",

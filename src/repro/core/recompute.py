@@ -139,27 +139,33 @@ class IndexRecomputePlan:
 
     def candidate_sources(
         self, ordered: Collection[int] = (),
-    ) -> tuple[list[Callable[[GroupKey], Sequence[Any]]], int]:
-        """Per index column, the function from a group key to that
-        column's candidate values, over dimension attribute → keys maps
-        and tracked-domain lists built once here; and the dimension rows
-        the per-group plan this stands for scans for each group, which is
-        what callers charge.  The columns at the index positions in
-        *ordered* list their non-NULL candidates in ascending order
-        (``TypeError`` when they do not sort): the order the ordered probe
-        walks them in.  Only the unordered lists are every candidate, NULL
-        included, so only they may fix a column's values in a probe."""
+    ) -> tuple[
+        list[Callable[[GroupKey], Sequence[Any]]],
+        dict[int, Callable[[GroupKey], Sequence[Any]]],
+        int,
+    ]:
+        """Per index column, the function from a group key to every
+        candidate value of that column, NULL included; per index position
+        in *ordered*, the function to the same candidates without NULL in
+        ascending order (``TypeError`` when they do not sort), the order
+        the ordered probe walks them in; and the dimension rows read to
+        build both.  One pass builds both from dimension attribute → keys
+        maps and tracked-domain lists, so every group of a call shares
+        them.  Only the unordered candidates may fix a column's values in
+        a probe."""
         fact = self.definition.fact
         sources: list[Callable[[GroupKey], Sequence[Any]]] = []
+        walks: dict[int, Callable[[GroupKey], Sequence[Any]]] = {}
         scanned = 0
         for position, provider in enumerate(self.providers):
             sort = position in ordered
             if provider.kind == "fixed":
                 p = provider.group_position
-                sources.append(
-                    (lambda key, p=p: () if key[p] is None else (key[p],))
-                    if sort else (lambda key, p=p: (key[p],))
-                )
+                sources.append(lambda key, p=p: (key[p],))
+                if sort:
+                    walks[position] = (
+                        lambda key, p=p: () if key[p] is None else (key[p],)
+                    )
                 continue
             if provider.kind == "domain":
                 values = list(fact.table.domain(provider.column) or ())
@@ -175,20 +181,25 @@ class IndexRecomputePlan:
                 keys_of: dict[tuple, list[Any]] = {}
                 for combination, value in zip(zip(*attributes), values):
                     keys_of.setdefault(combination, []).append(value)
-                if sort:
-                    keys_of = {
-                        combination: _ascending(keys)
-                        for combination, keys in keys_of.items()
-                    }
                 sources.append(
                     lambda key, keys_of=keys_of, where=where:
                     keys_of.get(tuple(key[i] for i in where), ())
                 )
-            else:
                 if sort:
-                    values = _ascending(values)
+                    ascending_of = {
+                        combination: _ascending(keys)
+                        for combination, keys in keys_of.items()
+                    }
+                    walks[position] = (
+                        lambda key, ascending_of=ascending_of, where=where:
+                        ascending_of.get(tuple(key[i] for i in where), ())
+                    )
+            else:
                 sources.append(lambda key, values=values: values)
-        return sources, scanned
+                if sort:
+                    ascending = _ascending(values)
+                    walks[position] = lambda key, ascending=ascending: ascending
+        return sources, walks, scanned
 
 
 def _pinned_group_attributes(
@@ -367,8 +378,8 @@ def probe_extrema(
     from the extreme end; each value is probed with every combination of
     the other columns' candidates, NULL included, and the first value with
     an index entry is the extremum.  Each probe is charged as one index
-    lookup, and the dimension scans of
-    :meth:`IndexRecomputePlan.candidate_sources` once per group.  One
+    lookup, and the dimension rows
+    :meth:`IndexRecomputePlan.candidate_sources` reads once per call.  One
     group at a time, each probe one dictionary lookup."""
     columns = plan.extremum_columns
     if columns is None:
@@ -376,15 +387,14 @@ def probe_extrema(
             f"view {plan.definition.name!r}: the ordered probe is not exact "
             f"over the index on {plan.index.columns}"
         )
-    sources, scanned = plan.candidate_sources()
     try:
-        walks, _scanned = plan.candidate_sources(
+        sources, walks, scanned = plan.candidate_sources(
             ordered={position for position, _is_min in columns}
         )
     except TypeError:
         return None
+    charge_access("rows_scanned", scanned)
     wanted = list(dict.fromkeys(keys))
-    charge_access("rows_scanned", scanned * len(wanted))
     probe = plan.index.probe_any
     probes = 0
     found: dict[GroupKey, tuple] = {}
@@ -484,8 +494,8 @@ def recompute_groups_via_index(
     """
     definition = plan.definition
     wanted = dict.fromkeys(keys)
-    sources, scanned = plan.candidate_sources()
-    charge_access("rows_scanned", scanned * len(wanted))
+    sources, _walks, scanned = plan.candidate_sources()
+    charge_access("rows_scanned", scanned)
     probe_keys = list(chain.from_iterable(
         product(*[source(key) for source in sources]) for key in wanted
     ))

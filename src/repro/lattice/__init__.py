@@ -1,5 +1,5 @@
-"""Lattice machinery: cube lattices, the derives relation, D-lattices,
-multi-view maintenance plans, and HRU view selection."""
+"""Lattice machinery: cube lattices, the derives relation, D-lattices and
+multi-view maintenance plans, over one small standard-library DAG type."""
 
 from .cost import (
     LatticeStatistics,
@@ -25,6 +25,7 @@ from .cube import (
     restrict_to,
     top,
 )
+from .dag import DAG
 from .derives import EdgeQuery, derive, try_derive
 from .dlattice import check_theorem_5_1, delta_name, summary_delta_lattice
 from .optimize import (
@@ -43,15 +44,10 @@ from .plan import (
     refresh_lattice,
     rematerialize_with_lattice,
 )
-from .selection import (
-    SelectionResult,
-    SelectionStep,
-    exact_node_sizes,
-    greedy_select,
-)
 from .vlattice import PlanNode, ViewLattice
 
 __all__ = [
+    "DAG",
     "EdgeQuery",
     "LatticeMaintenanceResult",
     "LatticeStatistics",
@@ -59,8 +55,6 @@ __all__ = [
     "PlanCostEstimate",
     "PlanNode",
     "PredictionRow",
-    "SelectionResult",
-    "SelectionStep",
     "ViewLattice",
     "actual_node_accesses",
     "actual_refresh_accesses",
@@ -76,9 +70,7 @@ __all__ = [
     "derive",
     "engine_config",
     "estimate_plan_cost",
-    "exact_node_sizes",
     "expected_groups",
-    "greedy_select",
     "grouping_label",
     "hierarchy_chain",
     "maintain_lattice",

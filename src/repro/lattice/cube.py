@@ -19,10 +19,9 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable, Sequence
 
-import networkx as nx
-
 from ..errors import LatticeError
 from ..warehouse.dimension import DimensionHierarchy
+from .dag import DAG
 
 GroupingSet = frozenset
 
@@ -32,7 +31,7 @@ def hierarchy_chain(hierarchy: DimensionHierarchy) -> tuple[str, ...]:
     return hierarchy.levels
 
 
-def combined_lattice(chains: Sequence[Sequence[str]]) -> nx.DiGraph:
+def combined_lattice(chains: Sequence[Sequence[str]]) -> DAG:
     """Direct product of per-dimension grouping chains (Figure 5).
 
     Each chain lists one dimension's grouping attributes from finest to
@@ -54,7 +53,7 @@ def combined_lattice(chains: Sequence[Sequence[str]]) -> nx.DiGraph:
     if len(set(all_attrs)) != len(all_attrs):
         raise LatticeError(f"chains share attributes: {all_attrs}")
 
-    graph = nx.DiGraph()
+    graph = DAG()
     # Depth d in [0, len(chain)]: group by chain[d], or drop when d == len.
     depth_choices = [range(len(chain) + 1) for chain in normalized]
     for depths in product(*depth_choices):
@@ -76,12 +75,12 @@ def _node_for(chains: Sequence[tuple[str, ...]], depths: Sequence[int]) -> Group
     return frozenset(attrs)
 
 
-def cube_lattice(attributes: Iterable[str]) -> nx.DiGraph:
+def cube_lattice(attributes: Iterable[str]) -> DAG:
     """The plain 2^k cube lattice over *attributes* (Figure 4)."""
     return combined_lattice([[attribute] for attribute in attributes])
 
 
-def top(graph: nx.DiGraph) -> GroupingSet:
+def top(graph: DAG) -> GroupingSet:
     """The unique finest node (no incoming edges)."""
     roots = [node for node in graph.nodes if graph.in_degree(node) == 0]
     if len(roots) != 1:
@@ -89,7 +88,7 @@ def top(graph: nx.DiGraph) -> GroupingSet:
     return roots[0]
 
 
-def bottom(graph: nx.DiGraph) -> GroupingSet:
+def bottom(graph: DAG) -> GroupingSet:
     """The unique coarsest node (no outgoing edges)."""
     leaves = [node for node in graph.nodes if graph.out_degree(node) == 0]
     if len(leaves) != 1:
@@ -97,14 +96,14 @@ def bottom(graph: nx.DiGraph) -> GroupingSet:
     return leaves[0]
 
 
-def remove_node(graph: nx.DiGraph, node: GroupingSet) -> nx.DiGraph:
+def remove_node(graph: DAG, node: GroupingSet) -> DAG:
     """Partially-materialised lattice step (Section 3.4): drop *node*,
     reconnecting every (ancestor, descendant) pair across it."""
     if node not in graph:
         raise LatticeError(f"node {set(node)!r} not in lattice")
     result = graph.copy()
-    parents = list(result.predecessors(node))
-    children = list(result.successors(node))
+    parents = result.predecessors(node)
+    children = result.successors(node)
     result.remove_node(node)
     for parent in parents:
         for child in children:
@@ -112,7 +111,7 @@ def remove_node(graph: nx.DiGraph, node: GroupingSet) -> nx.DiGraph:
     return result
 
 
-def restrict_to(graph: nx.DiGraph, keep: Iterable[GroupingSet]) -> nx.DiGraph:
+def restrict_to(graph: DAG, keep: Iterable[GroupingSet]) -> DAG:
     """Drop every node not in *keep*, preserving derivability edges.
 
     The result is the partially-materialised lattice over exactly the kept
@@ -123,9 +122,7 @@ def restrict_to(graph: nx.DiGraph, keep: Iterable[GroupingSet]) -> nx.DiGraph:
     missing = keep_set - set(graph.nodes)
     if missing:
         raise LatticeError(f"nodes not in lattice: {[set(m) for m in missing]}")
-    closure = nx.transitive_closure_dag(graph)
-    sub = closure.subgraph(keep_set).copy()
-    return nx.transitive_reduction(sub)
+    return graph.transitive_closure().subgraph(keep_set).transitive_reduction()
 
 
 def grouping_label(node: GroupingSet, order: Sequence[str]) -> str:

@@ -15,9 +15,8 @@ correspondence.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from ..core.deltas import MinMaxPolicy, delta_schema
+from .dag import DAG
 from .vlattice import ViewLattice
 
 
@@ -26,9 +25,9 @@ def delta_name(view_name: str) -> str:
     return f"sd_{view_name}"
 
 
-def summary_delta_lattice(lattice: ViewLattice) -> nx.DiGraph:
+def summary_delta_lattice(lattice: ViewLattice) -> DAG:
     """The D-lattice graph: the V-lattice with nodes renamed ``sd_…``."""
-    return nx.relabel_nodes(lattice.graph, delta_name, copy=True)
+    return lattice.graph.relabel(delta_name)
 
 
 def check_theorem_5_1(lattice: ViewLattice, policy: MinMaxPolicy) -> bool:

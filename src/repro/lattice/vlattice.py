@@ -20,10 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import networkx as nx
-
 from ..errors import LatticeError
 from ..views.definition import SummaryViewDefinition
+from .dag import DAG
 from .derives import EdgeQuery, try_derive
 
 #: Multiplicative cost penalty per dimension join annotated on an edge.
@@ -54,7 +53,7 @@ class ViewLattice:
         self,
         nodes: dict[str, PlanNode],
         order: Sequence[str],
-        graph: nx.DiGraph,
+        graph: DAG,
         edges: dict[tuple[str, str], EdgeQuery],
     ):
         self.nodes = nodes
@@ -87,8 +86,9 @@ class ViewLattice:
 
         # Full derives DAG (parent -> child).
         edges: dict[tuple[str, str], EdgeQuery] = {}
-        full = nx.DiGraph()
-        full.add_nodes_from(names)
+        full = DAG()
+        for name in names:
+            full.add_node(name)
         for child in definitions:
             for parent in definitions:
                 if child.name == parent.name:
@@ -105,10 +105,8 @@ class ViewLattice:
             if full.has_edge(child_name, parent_name) and parent_name > child_name:
                 full.remove_edge(parent_name, child_name)
                 edges.pop((parent_name, child_name), None)
-        if not nx.is_directed_acyclic_graph(full):
-            raise LatticeError("derives relation contains a cycle")
-
-        hasse = nx.transitive_reduction(full)
+        full.topological_order()   # raises LatticeError on a cycle
+        hasse = full.transitive_reduction()
 
         def estimated_size(name: str) -> float:
             if size_hints is not None and name in size_hints:
@@ -134,8 +132,7 @@ class ViewLattice:
                 by_name[name], parent=best, edge=edges[(best, name)]
             )
 
-        order = list(nx.topological_sort(hasse))
-        return ViewLattice(nodes, order, hasse, edges)
+        return ViewLattice(nodes, hasse.topological_order(), hasse, edges)
 
     # ------------------------------------------------------------------
 
@@ -209,14 +206,6 @@ class ViewLattice:
             return self.nodes[name]
         except KeyError:
             raise LatticeError(f"no view named {name!r} in the lattice") from None
-
-    def parent_edges(self) -> list[EdgeQuery]:
-        """The chosen derivation edges, in topological order."""
-        return [
-            self.nodes[name].edge
-            for name in self.order
-            if self.nodes[name].edge is not None
-        ]
 
     def describe(self) -> str:
         """Multi-line plan description (matches the Figure 8 annotations)."""

@@ -14,7 +14,8 @@
 
 Both generators read the fact table as it stands and never mutate it;
 the returned :class:`~repro.warehouse.changes.ChangeSet` is applied later
-by the maintenance run.
+by the maintenance run.  Each stages its rows as one lineage batch, the
+one delivery a generated change set stands for.
 """
 
 from __future__ import annotations
@@ -43,18 +44,18 @@ def update_generating_changes(
             f"cannot delete {half} rows from a fact table of {len(existing)}"
         )
     changes = ChangeSet(pos.name, pos.table.schema)
+    with changes.batch():
+        # Insertions: reuse (storeID, itemID, date) of sampled existing rows
+        # so they land in existing groups; fresh quantity and price.
+        for template in rng.choices(existing, k=half):
+            store_id, item_id, date = template[0], template[1], template[2]
+            qty = rng.randint(1, 10)
+            price = round(rng.uniform(1.0, 60.0), 2)
+            changes.insert((store_id, item_id, date, qty, price))
 
-    # Insertions: reuse (storeID, itemID, date) of sampled existing rows so
-    # they land in existing groups; fresh quantity and price.
-    for template in rng.choices(existing, k=half):
-        store_id, item_id, date = template[0], template[1], template[2]
-        qty = rng.randint(1, 10)
-        price = round(rng.uniform(1.0, 60.0), 2)
-        changes.insert((store_id, item_id, date, qty, price))
-
-    # Deletions: distinct existing row occurrences.
-    for row in rng.sample(existing, half):
-        changes.delete(row)
+        # Deletions: distinct existing row occurrences.
+        for row in rng.sample(existing, half):
+            changes.delete(row)
     return changes
 
 
@@ -75,9 +76,10 @@ def expiration_changes(
     doomed_dates = set(sorted(set(dates))[:n_oldest_dates])
     position = pos.table.schema.position("date")
     changes = ChangeSet(pos.name, pos.table.schema)
-    for row in pos.table.scan():
-        if row[position] in doomed_dates:
-            changes.delete(row)
+    with changes.batch():
+        for row in pos.table.scan():
+            if row[position] in doomed_dates:
+                changes.delete(row)
     return changes
 
 
@@ -96,11 +98,12 @@ def insertion_generating_changes(
     dates = pos.table.column_values("date")
     max_date = max(dates) if dates else config.n_dates
     changes = ChangeSet(pos.name, pos.table.schema)
-    for _ in range(size):
-        store_id = sample_identifier(rng, config.n_stores, config.skew)
-        item_id = sample_identifier(rng, config.n_items, config.skew)
-        date = max_date + rng.randint(1, n_new_dates)
-        qty = rng.randint(1, 10)
-        price = round(rng.uniform(1.0, 60.0), 2)
-        changes.insert((store_id, item_id, date, qty, price))
+    with changes.batch():
+        for _ in range(size):
+            store_id = sample_identifier(rng, config.n_stores, config.skew)
+            item_id = sample_identifier(rng, config.n_items, config.skew)
+            date = max_date + rng.randint(1, n_new_dates)
+            qty = rng.randint(1, 10)
+            price = round(rng.uniform(1.0, 60.0), 2)
+            changes.insert((store_id, item_id, date, qty, price))
     return changes

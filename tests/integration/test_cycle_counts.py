@@ -94,24 +94,24 @@ RECOMPUTE = {
 }
 
 # Keyed by (workload, use_lattice).  The update and expiration totals count
-# the ordered probe's index lookups and its per-group scan of the items
-# dimension; no fact row is gathered for a recompute.
+# the ordered probe's index lookups and its one scan of the items dimension
+# per recompute call; no fact row is gathered for a recompute.
 ACCESS = {
     ("update", True): {
-        "rows_scanned": 82199,
+        "rows_scanned": 36599,
         "rows_inserted": 30785,
         "rows_deleted": 1917,
         "rows_updated": 2749,
         "index_lookups": 17814,
-        "total": 135464,
+        "total": 89864,
     },
     ("update", False): {
-        "rows_scanned": 103785,
+        "rows_scanned": 58185,
         "rows_inserted": 48785,
         "rows_deleted": 1917,
         "rows_updated": 2749,
         "index_lookups": 19972,
-        "total": 177208,
+        "total": 131608,
     },
     ("insertion", True): {
         "rows_scanned": 35551,
@@ -130,20 +130,20 @@ ACCESS = {
         "total": 119638,
     },
     ("expiration", True): {
-        "rows_scanned": 161231,
+        "rows_scanned": 28031,
         "rows_inserted": 25211,
         "rows_deleted": 1617,
         "rows_updated": 672,
         "index_lookups": 21392,
-        "total": 210123,
+        "total": 76923,
     },
     ("expiration", False): {
-        "rows_scanned": 170053,
+        "rows_scanned": 36853,
         "rows_inserted": 32438,
         "rows_deleted": 1617,
         "rows_updated": 672,
         "index_lookups": 22213,
-        "total": 226993,
+        "total": 93793,
     },
 }
 

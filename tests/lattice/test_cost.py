@@ -19,9 +19,7 @@ from repro.lattice import (
     collect_statistics,
     compare_plan,
     estimate_plan_cost,
-    exact_node_sizes,
     expected_groups,
-    greedy_select,
     maintain_lattice,
     span_access_units,
 )
@@ -205,80 +203,3 @@ class TestPredictedVsActual:
         root = recorder.finish()
         measured = sum(actual_refresh_accesses(root).values())
         assert estimate.refresh_accesses <= measured
-
-
-class TestSelectionAgreement:
-    """exact_node_sizes / greedy_select vs the cost model's statistics.
-
-    Both layers estimate group cardinalities for the same lattice; they
-    must agree — the HRU selector sizes full views by distinct group
-    counts, and the cost model uses materialised row counts, which are the
-    same quantity for a maintained view.
-    """
-
-    def test_exact_sizes_match_materialized_row_counts(self):
-        data, views, _changes = retail_setup()
-        source = data.pos.join_dimensions(
-            data.pos.table, ["stores", "items"]
-        )
-        from repro.lattice import combined_lattice
-
-        lattice = combined_lattice([
-            data.stores.hierarchy.levels,
-            data.items.hierarchy.levels,
-            ("date",),
-        ])
-        sizes = exact_node_sizes(lattice, source)
-        by_group_by = {
-            frozenset(view.definition.group_by): view for view in views
-        }
-        matched = 0
-        for node, size in sizes.items():
-            view = by_group_by.get(frozenset(node))
-            if view is None:
-                continue
-            assert size == len(view.table), view.name
-            matched += 1
-        assert matched >= 2  # the retail views overlap the cube lattice
-
-    def test_greedy_select_stable_under_cost_model_statistics(self):
-        """Replacing exact sizes with the cost model's group counts (exact
-        for materialised views, arity proxy otherwise) must not change
-        which views HRU picks first — the documented agreement factor is
-        PREDICTION_FACTOR on any node both sides size."""
-        data, views, changes = retail_setup()
-        source = data.pos.join_dimensions(
-            data.pos.table, ["stores", "items"]
-        )
-        from repro.lattice import combined_lattice
-
-        lattice = combined_lattice([
-            data.stores.hierarchy.levels,
-            data.items.hierarchy.levels,
-            ("date",),
-        ])
-        exact = exact_node_sizes(lattice, source)
-
-        vlattice = build_lattice_for_views(views)
-        stats = collect_statistics(vlattice, changes, views=views)
-        by_group_by = {
-            frozenset(view.definition.group_by): view.name for view in views
-        }
-        model_sizes = dict(exact)
-        for node in lattice.nodes:
-            name = by_group_by.get(frozenset(node))
-            if name is not None:
-                model_sizes[node] = int(stats.groups_of(name))
-
-        for node, size in model_sizes.items():
-            if exact[node] > 0 and size > 0:
-                ratio = size / exact[node]
-                assert (
-                    1.0 / PREDICTION_FACTOR <= ratio <= PREDICTION_FACTOR
-                ), node
-
-        budget = 3
-        with_exact = greedy_select(lattice, exact, view_budget=budget)
-        with_model = greedy_select(lattice, model_sizes, view_budget=budget)
-        assert with_exact.selected == with_model.selected
-

@@ -1,10 +1,10 @@
 """Figure 4: the data-cube lattice, and partial materialisation (§3.4)."""
 
-import networkx as nx
 import pytest
 
 from repro.errors import LatticeError
 from repro.lattice import (
+    DAG,
     bottom,
     cube_lattice,
     grouping_label,
@@ -37,11 +37,12 @@ class TestFigure4:
         assert len(figure4.edges) == 12
 
     def test_every_node_reachable_from_top(self, figure4):
-        reachable = nx.descendants(figure4, top(figure4))
+        reachable = figure4.descendants(top(figure4))
         assert len(reachable) == 7
 
     def test_is_a_dag(self, figure4):
-        assert nx.is_directed_acyclic_graph(figure4)
+        # topological_order raises LatticeError on a cycle.
+        assert len(figure4.topological_order()) == 8
 
     def test_example_edge(self, figure4):
         assert figure4.has_edge(
@@ -103,3 +104,29 @@ class TestLabels:
 
     def test_empty_label(self):
         assert grouping_label(frozenset(), []) == "()"
+
+
+class TestDAG:
+    def test_cycle_raises_lattice_error(self):
+        graph = DAG()
+        graph.add_edge("a", "b")
+        graph.add_edge("b", "a")
+        with pytest.raises(LatticeError, match="cycle"):
+            graph.topological_order()
+
+    def test_ties_break_in_insertion_order(self):
+        graph = DAG()
+        for node in ("root", "z", "a", "m"):
+            graph.add_node(node)
+        graph.add_edge("root", "m")
+        graph.add_edge("root", "z")
+        graph.add_edge("z", "a")
+        assert graph.topological_order() == ["root", "m", "z", "a"]
+
+    def test_relabel_keeps_edges_and_attributes(self):
+        graph = DAG()
+        graph.add_node("a", levels=(0,))
+        graph.add_edge("a", "b")
+        renamed = graph.relabel(str.upper)
+        assert renamed.edges == [("A", "B")]
+        assert renamed.nodes["A"] == {"levels": (0,)}

@@ -1,7 +1,11 @@
 """The command-line interface."""
 
 import argparse
+import os
 import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +21,7 @@ class TestParser:
         ]
         assert sorted(subparsers.choices) == sorted([
             "audit", "explain", "figure9", "history", "lattice", "lineage",
-            "maintain", "select", "serve-metrics", "status", "top", "trace",
+            "maintain", "serve-metrics", "status", "top", "trace",
         ])
 
     def test_requires_a_command(self):
@@ -41,6 +45,26 @@ class TestCommands:
         assert "SID_sales <- base data" in out
         assert "24 candidate views" in out
 
+    def test_lattice_runs_on_the_standard_library_alone(self):
+        """No third-party package is needed: with every site-packages
+        directory gone from ``sys.path``, ``repro`` imports and a command
+        that builds the lattices runs."""
+        script = (
+            "import sys\n"
+            "sys.path = [p for p in sys.path\n"
+            "            if 'site-packages' not in p and 'dist-packages' not in p]\n"
+            "import repro.cli\n"
+            "raise SystemExit(repro.cli.main(['lattice', '--pos-rows', '1000']))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "24 candidate views" in result.stdout
+
     def test_maintain_reports_stats(self, capsys):
         code = main([
             "maintain", "--pos-rows", "2000", "--changes", "200",
@@ -57,12 +81,6 @@ class TestCommands:
         ])
         assert code == 0
         assert "inserted" in capsys.readouterr().out
-
-    def test_select_lists_picks(self, capsys):
-        assert main(["select", "--pos-rows", "1000", "--budget", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "HRU greedy selection" in out
-        assert "total query cost" in out
 
     def test_figure9_tiny_scale(self, capsys):
         code = main(["figure9", "a", "--scale", "0.002"])

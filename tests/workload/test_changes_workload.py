@@ -126,3 +126,17 @@ class TestExpiration:
         pos = make_pos(stores, items, rows=[])
         changes = expiration_changes(pos)
         assert changes.is_empty()
+
+
+@pytest.mark.parametrize("generate", [
+    lambda data: update_generating_changes(data.pos, data.config, 200, data.rng),
+    lambda data: insertion_generating_changes(
+        data.pos, data.config, 150, data.rng
+    ),
+    lambda data: expiration_changes(data.pos, 1),
+], ids=["update", "insertion", "expiration"])
+def test_generated_change_set_is_one_lineage_batch(data, generate):
+    """A generated change set is one delivery: its rows share one batch."""
+    changes = generate(data)
+    assert changes.size() > 1
+    assert len(changes.lineage) == 1
