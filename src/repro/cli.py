@@ -165,7 +165,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         trace_summary,
         write_trace_jsonl,
     )
-    from .obs.tracing import trace_kill_switch
+    from .obs.tracing import span, trace_kill_switch
     from .warehouse.nightly import run_nightly_maintenance
     from .workload import (
         RetailConfig,
@@ -199,9 +199,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         pending.delete(row)
 
     registry().reset()
-    with trace() as recorder:
+    # Only this run's spans: an ambient recorder (REPRO_TRACE=1) holds
+    # every earlier run's too.
+    with trace(), span("trace") as root:
         result = run_nightly_maintenance(warehouse)
-    root = recorder.finish()
     summary = trace_summary(root, registry())
     window = summary["window"]
 

@@ -3,8 +3,8 @@
 Figure 7 recomputes a group whose stored extremum a deletion may have
 removed.  Only MIN and MAX need the base data for that: COUNT(*),
 COUNT(e) and SUM are self-maintainable (§3.1, Def. 3.1), so refresh
-builds a recomputed group's row from the old row and the delta like any
-other update (:func:`repro.core.refresh.decide`), and the recompute
+builds a recomputed group's columns from the old rows and the delta like
+any other update (:func:`repro.core.refresh.decide_columns`), and the recompute
 callback answers only the MIN/MAX values of the groups it is given.
 :func:`recompute_extrema` does that with the cheapest of three plans:
 

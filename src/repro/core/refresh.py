@@ -15,40 +15,39 @@ values) is located through the table's group-by index and then:
   companion ``COUNT(e)`` columns.
 
 The refresh is the "summary-delta join" Section 4.2 says database vendors
-should build in: every decision is made first, against the table as it
-stands (:func:`decide_all`), then the actions are applied by kind as
-batches.  :func:`refresh` runs it on a private shadow copy of a view's
-table; :func:`apply_refresh` — the one way a maintained view changes —
-runs it on a shadow and publishes that as the view's next epoch, so a
-published table is never mutated (the paper's batch window, §1, without
-stopping readers).
+should build in, one column kernel per refresh (:func:`decide_columns`):
+one batched probe of the group keys (:class:`GroupLocator`, over the
+summary table's group-key index: O(|summary-delta|)), one gather of the
+matched rows' aggregate columns, and every decision made against the
+table as it stands with ``map``/``zip``/``compress``; the actions then
+apply by kind as batches, an update writing the aggregate columns only.
+:func:`refresh` runs it on a private shadow copy of a view's table;
+:func:`apply_refresh` — the one way a maintained view changes — runs it on
+a shadow and publishes that as the view's next epoch, so a published table
+is never mutated (the paper's batch window, §1, without stopping readers).
 
-Group lookup goes through :class:`GroupLocator`: one hash probe per delta
-tuple on the summary table's group-key index (built once if missing,
-maintained incrementally thereafter), making refresh O(|summary-delta|).
-
-Recomputation: Figure 7 recomputes a group "from the base data for t's
-group".  Only its MIN/MAX values need the base data — COUNT(*), COUNT(e)
-and SUM are self-maintainable (§3.1) — so :func:`decide` builds a flagged
-group's row by the same arithmetic as an update, and the recompute
-callback, called once per refresh with every flagged group, answers only
-the MIN/MAX values (:mod:`repro.core.recompute`).
+Recomputation: only a flagged group's MIN/MAX values need base data —
+COUNT(*), COUNT(e) and SUM are self-maintainable (§3.1) and come from the
+update arithmetic — so the recompute callback, called once per refresh
+with every flagged group, answers only those (:mod:`repro.core.recompute`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from collections import deque
+from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import add, ge, is_not, le, not_
+from typing import Any, Callable, Sequence
 
 from ..errors import InconsistentDeltaError, MaintenanceError
 from ..obs import metrics as obs_metrics
 from ..obs import tracing
 from ..obs.lineage import record_publish as lineage_record_publish
-from ..relational.table import Row, charge_access
-from ..relational.types import null_max, null_min
+from ..relational.table import Table, charge_access
 from ..views.definition import SummaryViewDefinition
 from ..views.materialize import MaterializedView, ShadowVersion, index_group_key
-from .deltas import MinMaxPolicy, SummaryDelta, del_column, ins_column
+from .deltas import MinMaxPolicy, SummaryDelta, del_column, delta_schema, ins_column
 
 GroupKey = tuple[Any, ...]
 #: Batched recompute callback: group keys -> each group's MIN/MAX values
@@ -73,9 +72,9 @@ class GroupLocator:
     with no group-by is a single-row table: its first live slot is the
     group's row.
 
-    ``probes`` counts index probes; the surrounding refresh span records
-    it as ``index_probes`` and the metrics registry as
-    ``refresh.index_probes``.
+    ``probes`` counts index probes (one ``index_lookups`` each, charged
+    once per batch); the refresh span records it as ``index_probes`` and
+    the metrics registry as ``refresh.index_probes``.
     """
 
     __slots__ = ("_table", "_index", "probes")
@@ -84,20 +83,19 @@ class GroupLocator:
         definition = shadow.definition
         self._table = shadow.table
         self.probes = 0
-        self._index = None
-        if definition.group_by:
-            index = shadow.group_key_index()
-            if index is None:
-                index = index_group_key(shadow.table, definition)
-            self._index = index
+        # The view's own index when it has one (create_index returns it).
+        self._index = (index_group_key(shadow.table, definition)
+                       if definition.group_by else None)
 
-    def slot_of(self, key: GroupKey) -> int | None:
-        """Slot of the live summary row whose group-by values equal *key*,
-        or ``None`` when the group is absent from the view."""
+    def slots_of(self, key_columns: Sequence[Sequence[Any]],
+                 n: int) -> list[int | None]:
+        """The slot of each of *n* group keys' live summary row (``None``:
+        absent), the keys given column-wise; no key tuple outlives its
+        probe."""
         if self._index is None:
-            return next((slot for slot, _row in self._table.slots()), None)
-        self.probes += 1
-        return self._index.lookup_one(key)
+            return [next((slot for slot, _row in self._table.slots()), None)] * n
+        self.probes += n
+        return self._index.lookup_each(zip(*key_columns))
 
 
 @dataclass
@@ -135,15 +133,6 @@ class _MinMaxColumn:
     delta_del_index: int    # SPLIT policy: deletion-side delta column
 
 
-@dataclass(frozen=True)
-class _SummableColumn:
-    """Refresh metadata for a COUNT/SUM aggregate column."""
-
-    storage_index: int
-    is_sum: bool            # SUM(e): governed by COUNT(e); COUNTs are not
-    count_index: int        # governing COUNT(e) position (-1 for counts)
-
-
 class RefreshPlan:
     """Positional metadata compiled once per (definition, policy) pair."""
 
@@ -153,263 +142,241 @@ class RefreshPlan:
         self.n_columns = len(storage)
         self.count_star_index = storage.position(definition.count_star_column())
         self.policy = policy
-
-        self.summable: list[_SummableColumn] = []
+        #: The aggregate columns: what an update writes.
+        self.aggregate_names = storage.columns[self.group_arity:]
+        #: COUNT(*) and COUNT(e) positions.
+        self.counts: list[int] = []
+        #: (SUM position, its COUNT(e) position) per SUM column.
+        self.sums: list[tuple[int, int]] = []
         self.minmax: list[_MinMaxColumn] = []
-        delta = None
+        delta = delta_schema(definition, policy)
         for output in definition.aggregates:
             position = storage.position(output.name)
             kind = output.function.kind
             if kind in ("count_star", "count"):
-                self.summable.append(_SummableColumn(position, is_sum=False, count_index=-1))
-            elif kind == "sum":
-                count_name = definition.count_column_for(output.function.argument)
-                if count_name is None:
-                    raise MaintenanceError(
-                        f"view {definition.name!r}: SUM column {output.name!r} "
-                        "has no companion COUNT(e); resolve the definition first"
-                    )
-                self.summable.append(
-                    _SummableColumn(position, is_sum=True,
-                                    count_index=storage.position(count_name))
-                )
-            elif kind in ("min", "max"):
-                count_name = definition.count_column_for(output.function.argument)
-                if count_name is None:
-                    raise MaintenanceError(
-                        f"view {definition.name!r}: {kind.upper()} column "
-                        f"{output.name!r} has no companion COUNT(e); resolve "
-                        "the definition first"
-                    )
-                if policy is MinMaxPolicy.SPLIT:
-                    from .deltas import delta_schema
-
-                    delta = delta or delta_schema(definition, policy)
-                    ins_index = delta.position(ins_column(output.name))
-                    del_index = delta.position(del_column(output.name))
-                else:
-                    ins_index = del_index = -1
-                self.minmax.append(
-                    _MinMaxColumn(
-                        storage_index=position,
-                        is_min=(kind == "min"),
-                        count_index=storage.position(count_name),
-                        delta_ins_index=ins_index,
-                        delta_del_index=del_index,
-                    )
-                )
-            else:
+                self.counts.append(position)
+                continue
+            if kind not in ("sum", "min", "max"):
                 raise MaintenanceError(
                     f"view {definition.name!r}: cannot refresh aggregate kind "
                     f"{kind!r}"
                 )
-        #: (SUM position, its COUNT(e) position) per SUM column.
-        self.sums = [
-            (column.storage_index, column.count_index)
-            for column in self.summable if column.is_sum
-        ]
+            count_name = definition.count_column_for(output.function.argument)
+            if count_name is None:
+                raise MaintenanceError(
+                    f"view {definition.name!r}: {kind.upper()} column "
+                    f"{output.name!r} has no companion COUNT(e); resolve "
+                    "the definition first"
+                )
+            count = storage.position(count_name)
+            if kind == "sum":
+                self.sums.append((position, count))
+                continue
+            split = policy is MinMaxPolicy.SPLIT
+            self.minmax.append(_MinMaxColumn(
+                position, kind == "min", count,
+                delta.position(ins_column(output.name)) if split else -1,
+                delta.position(del_column(output.name)) if split else -1,
+            ))
+        #: The aggregates of a group with no rows, which a group new to the
+        #: view is updated from: every COUNT 0, every SUM/MIN/MAX NULL.
+        self.empty_aggregates = tuple(
+            0 if position in self.counts else None
+            for position in range(self.group_arity, self.n_columns)
+        )
 
 
 @dataclass
 class RefreshActions:
-    """Figure 7's decisions for one summary delta, by kind, made against
-    the table as it stands and applied afterwards as batches.
+    """Figure 7's decisions for one summary delta, by kind, column-wise:
+    new groups' storage columns, emptied groups' slots, updated groups'
+    slots and aggregate columns, and the groups to recompute — slots
+    (``None``: new to the view) and storage columns by the arithmetic."""
 
-    ``recomputes`` holds the groups whose MIN/MAX values must be read from
-    base data, as ``(slot, key, row)``: *slot* is ``None`` when the group
-    is new to the view (its row is inserted, not updated in place), and
-    *row* is the group's new row by the update arithmetic — COUNT(*),
-    COUNT(e) and SUM from the old row plus the delta, or from the delta
-    alone for a new group — whose MIN/MAX columns
-    :func:`recomputed_rows` overwrites with the recomputed values.
-    """
-
-    inserts: list[Row] = field(default_factory=list)
-    deletes: list[int] = field(default_factory=list)
-    updates: list[tuple[int, Row]] = field(default_factory=list)
-    recomputes: list[tuple[int | None, GroupKey, Row]] = field(
-        default_factory=list
-    )
+    inserts: list[Sequence[Any]]
+    deletes: list[int]
+    update_at: list[int]
+    updates: list[Sequence[Any]]
+    recompute_at: list[int | None]
+    recomputes: list[Sequence[Any]]
 
 
-def _null_empty_sums(plan: RefreshPlan, row: Row) -> Row:
-    """*row* with every SUM whose COUNT(e) is 0 set to NULL."""
-    cleared = list(row)
-    for position, count in plan.sums:
-        if row[count] == 0:
-            cleared[position] = None
-    return tuple(cleared)
+def _keys(columns: Sequence[Sequence[Any]], n: int) -> list[GroupKey]:
+    """The *n* group keys of the group-by *columns* (``()`` with none)."""
+    return list(zip(*columns)) if columns else [()] * n
 
 
-def decide(
-    plan: RefreshPlan,
-    definition_name: str,
-    old_row: Row | None,
-    delta_row: Row,
-    key: GroupKey,
-    slot: int | None,
-    actions: RefreshActions,
-) -> None:
-    """Classify one delta tuple into an action (Figure 7's per-tuple body)."""
-    cs = plan.count_star_index
+def _split(
+    columns: Sequence[Sequence[Any]], mask: list[bool]
+) -> tuple[list[Sequence[Any]], list[Sequence[Any]]]:
+    """*columns* cut in two by *mask*: the values it picks, the rest."""
+    if all(mask):
+        return list(columns), [[] for _ in columns]
+    if not any(mask):
+        return [[] for _ in columns], list(columns)
+    rest = list(map(not_, mask))
+    return ([list(compress(column, mask)) for column in columns],
+            [list(compress(column, rest)) for column in columns])
 
-    if old_row is None:
-        delta_count_star = delta_row[cs]
-        if delta_count_star == 0:
-            # A perfectly cancelled delta on a group absent from the view —
-            # possible under combined fact+dimension changes (§4.1.4 cross
-            # terms): a no-op, not an error.
-            return
-        if delta_count_star is None or delta_count_star < 0:
-            raise InconsistentDeltaError(
-                f"view {definition_name!r}: delta for new group {key!r} has "
-                f"COUNT(*) {delta_count_star!r}; deletions cannot apply to a "
-                "group absent from the view"
+
+def _inconsistency(
+    name: str,
+    keys: list[GroupKey],
+    found: list[bool],
+    delta_counts: Sequence[Any],
+    old_counts: Sequence[int],
+) -> InconsistentDeltaError:
+    """The error for the first delta tuple, in delta order, that leaves
+    its group a COUNT(*) no table can hold: NULL or negative."""
+    for key, held, delta, old in zip(keys, found, delta_counts, old_counts):
+        if delta is None or old + delta < 0:
+            what = (
+                f"COUNT(*) would become {None if delta is None else old + delta}"
+                if held else f"is a new group whose delta has COUNT(*) "
+                f"{delta!r}; deletions cannot apply to a group absent from "
+                "the view"
             )
-        new_row = delta_row[: plan.n_columns]
-        for _sum, count in plan.sums:
-            if new_row[count] == 0:
-                # Contributions cancelled within the delta (dimension-change
-                # cross terms, §4.1.4) can leave a SUM of 0 over no non-NULL
-                # value: the group's SUM is NULL, as recomputation gives.
-                new_row = _null_empty_sums(plan, new_row)
-                break
-        if plan.policy is not MinMaxPolicy.SPLIT:
-            actions.inserts.append(new_row)
-            return
-        new_row = list(new_row)
-        for column in plan.minmax:
-            new_row[column.storage_index] = delta_row[column.delta_ins_index]
-        if any(
-            delta_row[column.delta_del_index] is not None
-            for column in plan.minmax
-        ):
-            # A deletion-side footprint on a NEW group means contributions
-            # were cancelled: the net extremum cannot be derived from the
-            # delta, so the MIN/MAX values are recomputed; the counts and
-            # sums are the delta's.
-            actions.recomputes.append((None, key, tuple(new_row)))
-            return
-        actions.inserts.append(tuple(new_row))
-        return
+            return InconsistentDeltaError(f"view {name!r}: group {key!r} {what}")
+    raise AssertionError("no inconsistent delta tuple")
 
-    new_count_star = old_row[cs] + delta_row[cs]
-    if new_count_star < 0:
-        raise InconsistentDeltaError(
-            f"view {definition_name!r}: group {key!r} COUNT(*) would become "
-            f"{new_count_star}"
-        )
-    if new_count_star == 0:
-        actions.deletes.append(slot)
-        return
 
-    # The update arithmetic, which is also a recomputed group's row.
-    new_row = list(old_row)
-    new_row[cs] = new_count_star
-    for column in plan.summable:
-        if column.storage_index == cs:
-            continue
-        old_value = old_row[column.storage_index]
-        delta_value = delta_row[column.storage_index]
-        if column.is_sum:
-            new_count_e = old_row[column.count_index] + delta_row[column.count_index]
-            if new_count_e == 0:
-                new_row[column.storage_index] = None
-            elif delta_value is None:
-                new_row[column.storage_index] = old_value
-            elif old_value is None:
-                new_row[column.storage_index] = delta_value
-            else:
-                new_row[column.storage_index] = old_value + delta_value
-        else:
-            new_row[column.storage_index] = old_value + delta_value
-    threatened = False
+def _held_aggregates(
+    table: Table, plan: RefreshPlan, slots: list[int | None], found: list[bool]
+) -> dict[int, Sequence[Any]]:
+    """The aggregate columns, by storage position, of the rows at *slots*
+    where *found* (one gather), else the empty group's."""
+    gathered = table.take(list(compress(slots, found)), plan.aggregate_names)
+    if all(found):
+        return dict(enumerate(gathered, plan.group_arity))
+    at = list(compress(range(len(found)), found))
+    old = {}
+    for position, values, empty in zip(
+        range(plan.group_arity, plan.n_columns), gathered, plan.empty_aggregates
+    ):
+        column = old[position] = [empty] * len(found)
+        deque(map(column.__setitem__, at, values), 0)
+    return old
+
+
+def _update_arithmetic(
+    plan: RefreshPlan,
+    old: dict[int, Sequence[Any]],
+    delta: Sequence[Sequence[Any]],
+) -> tuple[dict[int, list[Any]], list[bool]]:
+    """Figure 7's update arithmetic, a column at a time: the groups' new
+    aggregate columns by storage position, from the old ones (*old*) and
+    the *delta*'s, and which groups the delta may have deleted a stored
+    MIN/MAX extremum of."""
+    split = plan.policy is MinMaxPolicy.SPLIT
+    new = {p: list(map(add, old[p], delta[p])) for p in plan.counts}
+    for position, count in plan.sums:
+        # NULL where the new COUNT(e) is 0; a NULL side takes the other's.
+        new[position] = [
+            None if c == 0 else d if o is None else o if d is None else o + d
+            for o, d, c in zip(old[position], delta[position], new[count])
+        ]
+    threatened = [False] * len(new[plan.count_star_index])
     for column in plan.minmax:
-        old_extreme = old_row[column.storage_index]
-        new_count_e = old_row[column.count_index] + delta_row[column.count_index]
-        if new_count_e == 0:
-            new_row[column.storage_index] = None
-            continue
-        if plan.policy is MinMaxPolicy.SPLIT:
-            incoming = delta_row[column.delta_ins_index]
-            threat = delta_row[column.delta_del_index]
-        else:
-            incoming = threat = delta_row[column.storage_index]
-        # Figure 7's recompute check: a stored extremum the delta may have
-        # deleted.  Under SPLIT a deletion-side value on a column that
-        # stored none can only cancel an insertion-side one (§4.1.4 cross
-        # terms), which the fold alone would keep.
-        if threat is not None and (
-            (threat <= old_extreme if column.is_min else threat >= old_extreme)
-            if old_extreme is not None
-            else plan.policy is MinMaxPolicy.SPLIT
-        ):
-            threatened = True
-        fold = null_min if column.is_min else null_max
-        new_row[column.storage_index] = fold(old_extreme, incoming)
-    if threatened:
-        actions.recomputes.append((slot, key, tuple(new_row)))
-    else:
-        actions.updates.append((slot, tuple(new_row)))
+        position, olds = column.storage_index, old[column.storage_index]
+        incoming = delta[column.delta_ins_index if split else position]
+        threats = delta[column.delta_del_index if split else position]
+        counts = new[column.count_index]
+        beats = le if column.is_min else ge
+        # The fold skips NULLs; the column is NULL where COUNT(e) is 0.
+        new[position] = [
+            None if c == 0 else i if o is None
+            else o if i is None or beats(o, i) else i
+            for o, i, c in zip(olds, incoming, counts)
+        ]
+        # Figure 7's recompute check.  Under SPLIT a deletion-side value
+        # on a column that stored none can only cancel an insertion-side
+        # one (§4.1.4 cross terms), which the fold alone would keep.
+        threatened = [
+            was or (t is not None and c != 0
+                    and (beats(t, o) if o is not None else split))
+            for was, o, t, c in zip(threatened, olds, threats, counts)
+        ]
+    return new, threatened
 
 
-def decide_all(
-    shadow: ShadowVersion,
+def decide_columns(
+    table: Table,
     delta: SummaryDelta,
     plan: RefreshPlan,
     locator: GroupLocator,
 ) -> RefreshActions:
-    """Figure 7's decision for every delta tuple against the table as it
-    stands — the read-only half of the "summary-delta join": one scan of
-    the delta, one locator probe per tuple, the matched summary rows
-    gathered column-wise in one pass."""
-    actions = RefreshActions()
-    delta_rows = delta.table.rows()
-    charge_access("rows_scanned", len(delta_rows))
-    keys = [delta_row[:plan.group_arity] for delta_row in delta_rows]
-    slots = list(map(locator.slot_of, keys))
-    old_rows = zip(*shadow.table.take([s for s in slots if s is not None]))
-    for delta_row, key, slot in zip(delta_rows, keys, slots):
-        old_row = next(old_rows) if slot is not None else None
-        decide(plan, shadow.definition.name, old_row, delta_row, key, slot, actions)
-    return actions
+    """Figure 7's decision for every delta tuple against *table* as it
+    stands, a column at a time (the read-only half of the summary-delta
+    join).  A group new to the view takes the update arithmetic from the
+    empty group, so under SPLIT a deletion-side value on it — a
+    contribution cancelled inside the delta — flags it for recompute."""
+    n = len(delta.table)
+    charge_access("rows_scanned", n)
+    arity, cs = plan.group_arity, plan.count_star_index
+    columns = delta.table.columns()
+    slots = locator.slots_of(columns[:arity], n)
+    found = list(map(is_not, slots, repeat(None)))
+    old = _held_aggregates(table, plan, slots, found)
+    if None in columns[cs] or min(map(add, old[cs], columns[cs]), default=0) < 0:
+        raise _inconsistency(
+            delta.definition.name, _keys(columns[:arity], n), found,
+            columns[cs], old[cs],
+        )
+    new, threatened = _update_arithmetic(plan, old, columns)
+
+    # Every group as one bundle of columns, cut by kind.
+    rows = [slots, found, threatened, *columns[:arity],
+            *(new[position] for position in range(arity, plan.n_columns))]
+    deletes: list[int] = []
+    if 0 in new[cs]:
+        # An emptied group is deleted; a perfectly cancelled delta on a
+        # group absent from the view — possible under combined
+        # fact+dimension changes (§4.1.4 cross terms) — is a no-op.
+        rows, emptied = _split(rows, list(map(bool, new[cs])))
+        deletes = list(compress(emptied[0], emptied[1]))
+    flagged, rows = _split(rows, rows[2])
+    updated, inserted = _split(rows, rows[1])
+    return RefreshActions(
+        inserts=inserted[3:],
+        deletes=deletes,
+        update_at=updated[0],
+        updates=updated[3 + arity:],
+        recompute_at=flagged[0],
+        recomputes=flagged[3:],
+    )
 
 
-def recomputed_rows(
+def apply_recomputes(
     name: str,
     plan: RefreshPlan,
     actions: RefreshActions,
     recompute: RecomputeFn | None,
-) -> list[tuple[int | None, Row]]:
-    """The ``(slot, new row)`` of every group flagged for recomputation
-    (slot ``None``: the group is new to the view): the row the update
-    arithmetic built, with the MIN/MAX values from one batched call to
-    *recompute*.  A column whose new COUNT(e) is positive must have a
-    recomputed value, and one whose COUNT(e) is zero must have none."""
-    if not actions.recomputes:
-        return []
+) -> None:
+    """Overwrite the MIN/MAX columns of ``actions.recomputes`` with each
+    flagged group's values from one batched call to *recompute*.  A
+    column whose new COUNT(e) is positive must have a recomputed value,
+    and one whose COUNT(e) is zero must have none."""
+    slots = actions.recompute_at
+    if not slots:
+        return
     if recompute is None:
         raise MaintenanceError(
             f"view {name!r}: refresh needs base-data recomputation for "
-            f"{len(actions.recomputes)} group(s) but no recompute source "
-            "was provided"
+            f"{len(slots)} group(s) but no recompute source was provided"
         )
-    fresh = recompute([key for _slot, key, _row in actions.recomputes])
-    absent = (None,) * len(plan.minmax)
-    rows = []
-    for slot, key, row in actions.recomputes:
-        new_row = list(row)
-        for column, value in zip(plan.minmax, fresh.get(key, absent)):
-            count_e = row[column.count_index]
+    columns = actions.recomputes
+    keys = _keys(columns[:plan.group_arity], len(slots))
+    fresh = recompute(keys)
+    found = list(map(fresh.get, keys, repeat((None,) * len(plan.minmax))))
+    for column, values in zip(plan.minmax, zip(*found)):
+        for key, count_e, value in zip(keys, columns[column.count_index], values):
             if (count_e > 0) != (value is not None):
                 raise InconsistentDeltaError(
                     f"view {name!r}: group {key!r} flagged for "
                     f"recomputation has COUNT(e) {count_e} but its base "
                     f"rows give {'MIN' if column.is_min else 'MAX'} {value!r}"
                 )
-            new_row[column.storage_index] = value
-        rows.append((slot, tuple(new_row)))
-    return rows
+        columns[column.storage_index] = list(values)
 
 
 def refresh(
@@ -554,16 +521,17 @@ def _refresh_impl(
     plan = RefreshPlan(shadow.definition, delta.policy)
     stats = RefreshStats(delta_rows=len(delta.table))
     table = shadow.table
-    actions = decide_all(shadow, delta, plan, locator)
-    stats.inserted = table.insert_many(actions.inserts)
+    actions = decide_columns(table, delta, plan, locator)
+    stats.inserted = table.append_batch(actions.inserts)
     stats.deleted = table.delete_slots(actions.deletes)
-    stats.updated = table.update_slots(actions.updates)
-    recomputed = recomputed_rows(
-        shadow.definition.name, plan, actions, recompute
+    stats.updated = table.update_columns(
+        actions.update_at, plan.aggregate_names, actions.updates
     )
-    stats.recomputed = table.insert_many(
-        [row for slot, row in recomputed if slot is None]
-    ) + table.update_slots(
-        [update for update in recomputed if update[0] is not None]
+    apply_recomputes(shadow.definition.name, plan, actions, recompute)
+    held = list(map(is_not, actions.recompute_at, repeat(None)))
+    updates, inserts = _split(actions.recomputes, held)
+    stats.recomputed = table.append_batch(inserts) + table.update_columns(
+        list(compress(actions.recompute_at, held)),
+        plan.aggregate_names, updates[plan.group_arity:],
     )
     return stats

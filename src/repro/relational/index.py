@@ -215,16 +215,35 @@ class HashIndex:
         matches — callers use this for keys they expect to be unique (e.g.
         a summary table's group-by columns).
         """
-        charge_access("index_lookups", 1)
-        found = self._entries.get(key)
-        if found is None or self.unique:
-            return found
-        if len(found) > 1:
+        return self.lookup_each((key,))[0]
+
+    def lookup_each(self, keys: Iterable[tuple[Any, ...]]) -> list[int | None]:
+        """:meth:`lookup_one` for each of *keys*, in order: one C-level
+        pass over a unique index, charged as one lookup per key, once for
+        the batch."""
+        found = list(map(self._entries.get if self.unique else self._only, keys))
+        charge_access("index_lookups", len(found))
+        return found
+
+    def _only(self, key: tuple[Any, ...]) -> int | None:
+        bucket = self._entries.get(key)
+        if bucket is None:
+            return None
+        if len(bucket) > 1:
             raise TableError(
-                f"index on {self.columns}: key {key!r} matches {len(found)} rows, "
-                "expected at most one"
+                f"index on {self.columns}: key {key!r} matches {len(bucket)} "
+                "rows, expected at most one"
             )
-        return found[0]
+        return bucket[0]
+
+    def holds(self, columns: Sequence[Sequence[Any]], slots: Sequence[int]) -> bool:
+        """Whether each row of a batch given column-wise is filed under
+        its key at the slot in step with it in *slots* (uncharged): for a
+        unique index, one C-level pass."""
+        keys = zip(*[columns[p] for p in self._positions])
+        if self.unique:
+            return list(map(self._entries.get, keys)) == list(slots)
+        return all(slot in self.slots_of(key) for key, slot in zip(keys, slots))
 
     def keys(self) -> Iterable[tuple[Any, ...]]:
         """Iterate over the distinct keys currently present."""

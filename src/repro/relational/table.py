@@ -20,7 +20,8 @@ indexes stay valid; freed slots are recycled by later insertions.
 from __future__ import annotations
 
 from array import array
-from collections import Counter
+from bisect import bisect_left
+from collections import Counter, deque
 from itertools import compress
 from operator import itemgetter
 from typing import Any, Callable, Collection, Iterable, Iterator, Sequence
@@ -65,6 +66,16 @@ def transpose_rows(rows: Collection[Sequence[Any]], arity: int) -> list[Sequence
     if len(rows) < _TRANSPOSE_BY_COLUMN_ROWS:
         return list(zip(*rows))
     return [list(map(itemgetter(i), rows)) for i in range(arity)]
+
+
+def _gatherer(slots: Sequence[int]) -> Callable[[Sequence[Any]], Sequence[Any]]:
+    """One callable that gathers the values at *slots* from any column:
+    an ``itemgetter`` over them, a C-level gather with no call per
+    value (``itemgetter`` of one slot returns the bare value)."""
+    if len(slots) == 1:
+        (slot,) = slots
+        return lambda col: (col[slot],)
+    return itemgetter(*slots) if slots else lambda col: ()
 
 
 def _typed_column(values: Sequence[Any]) -> Any:
@@ -235,20 +246,24 @@ class ColumnStore:
         if self._written is not None:
             self._written.update(range(n))
 
-    def fill(self, slots: Sequence[int], columns: Sequence[Sequence[Any]]) -> None:
-        """Store the rows given column-wise at *slots*, which become live."""
+    def write(self, slots: Sequence[int], positions: Sequence[int],
+              columns: Sequence[Sequence[Any]]) -> None:
+        """Store *columns*, one per position in *positions*, at *slots*;
+        the rows' other values and their liveness stay as they are."""
         if self._written is not None:
             self._written.update(slots)
         cols = self._columns
-        for i, values in enumerate(columns):
-            col = cols[i]
+        for position, values in zip(positions, columns):
+            col = cols[position]
             try:
-                for slot, value in zip(slots, values):
-                    col[slot] = value
+                deque(map(col.__setitem__, slots, values), 0)
             except (TypeError, OverflowError):
-                col = cols[i] = list(col)
-                for slot, value in zip(slots, values):
-                    col[slot] = value
+                col = cols[position] = list(col)
+                deque(map(col.__setitem__, slots, values), 0)
+
+    def fill(self, slots: Sequence[int], columns: Sequence[Sequence[Any]]) -> None:
+        """Store the rows given column-wise at *slots*, which become live."""
+        self.write(slots, range(self._arity), columns)
         valid = self._valid
         for slot in slots:
             self._dead -= 1 - valid[slot]
@@ -305,8 +320,9 @@ class ColumnStore:
         """Those of *slots* that hold a live row here, ascending; a slot
         past the end (appended by a clone, or truncated away) holds none."""
         valid = self._valid
-        size = len(valid)
-        return [slot for slot in sorted(slots) if slot < size and valid[slot]]
+        ordered = sorted(slots)
+        ordered = ordered[:bisect_left(ordered, len(valid))]
+        return list(compress(ordered, map(valid.__getitem__, ordered)))
 
     def compact(self) -> list[tuple[int, int]]:
         """Fill every tombstone with a row from the tail and truncate;
@@ -326,9 +342,9 @@ class ColumnStore:
         moves = list(zip(tail, holes))
         if self._written is not None:
             self._written.update(tail, holes)
+        gather = _gatherer(tail)
         for col in self._columns:
-            for source, target in moves:
-                col[target] = col[source]
+            deque(map(col.__setitem__, holes, gather(col)), 0)
             del col[live:]
         self._valid = bytearray(b"\x01") * live
         self._dead = 0
@@ -340,11 +356,13 @@ class ColumnStore:
         self, slots: Sequence[int], positions: Sequence[int] | None = None
     ) -> list[list[Any]]:
         """Gather the column values at *slots* (assumed live), one output
-        list per column, or per column position asked for."""
+        list per column, or per column position asked for: one
+        :func:`_gatherer` serves every column."""
         columns = self._columns
         if positions is not None:
             columns = [columns[p] for p in positions]
-        return [list(map(col.__getitem__, slots)) for col in columns]
+        gather = _gatherer(slots)
+        return [list(gather(col)) for col in columns]
 
     def gather(self, positions: Sequence[int]) -> list[Any]:
         """Live values of the chosen columns, in slot order.
@@ -465,13 +483,17 @@ class Table:
         """Column-wise gather of the rows stored at *slots*: one output
         list per column, or per column in *names*.
 
-        Every slot must be live; a tombstoned slot raises.  Does not
-        charge access stats (callers charge what they consume), matching
-        :meth:`columns`.
+        Every slot must be live; a tombstoned slot, or one outside the
+        storage, raises.  Does not charge access stats (callers charge
+        what they consume), matching :meth:`columns`.
         """
         store = self._store
         positions = None if names is None else self.schema.positions(names)
         valid = store._valid  # noqa: SLF001 — liveness check
+        if slots and not 0 <= min(slots) <= max(slots) < len(valid):
+            raise TableError(
+                f"table {self.name!r}: a slot lies outside 0..{len(valid) - 1}"
+            )
         if not all(map(valid.__getitem__, slots)):
             dead = next(slot for slot in slots if not valid[slot])
             raise TableError(f"table {self.name!r}: slot {dead} is empty")
@@ -701,39 +723,34 @@ class Table:
             observer.row_updated(old_row, stored)
         charge_access("rows_updated", 1)
 
-    def update_slots(self, updates: Sequence[tuple[int, Sequence[Any]]]) -> int:
-        """Apply many in-place updates as one batch, validated as a whole
-        first: arity, live and distinct slots, and unique keys against the
-        table as the batch leaves it (a key the batch vacates is free, so
-        rows may hand keys on to each other or swap them)."""
-        updates = list(updates)
-        if not updates:
-            return 0
-        slots = [slot for slot, _row in updates]
-        new = list(zip(*[self._check_arity(row) for _slot, row in updates]))
+    def update_columns(self, slots: Sequence[int], names: Sequence[str],
+                       columns: Sequence[Sequence[Any]]) -> int:
+        """Overwrite the columns *names* of the rows at *slots* in place,
+        one sequence per name in step with *slots*; return how many rows.
+        Only columns no index keys on and no domain tracks may be named,
+        so no row's keys move.  The batch is validated whole first
+        (columns, lengths, live and distinct slots); observers hear one
+        ``rows_updated`` and the store records the slots written."""
+        slots = list(slots)
+        positions = self.schema.positions(names)
+        guarded = self._domains.keys() | {
+            position for index in self._indexes.values()
+            for position in self.schema.positions(index.columns)
+        }
+        if guarded.intersection(positions):
+            raise TableError(f"table {self.name!r}: {list(names)} include an "
+                             "indexed or domain-tracked column")
+        if len(columns) != len(positions) or set(map(len, columns)) - {len(slots)}:
+            raise TableError(f"table {self.name!r}: ragged column batch for "
+                             f"{len(slots)} slots and columns {list(names)}")
         old = self._take_distinct(slots)
-        moves = [
-            (index, [move for move in zip(index.keys_of(old), index.keys_of(new),
-                                          slots) if move[0] != move[1]])
-            for index in self._indexes.values()
-        ]
-        for index, moved in moves:
-            index.check_addable([new_key for _old, new_key, _slot in moved],
-                                vacated=[old_key for old_key, _new, _slot in moved])
-        for index, moved in moves:
-            for old_key, _new, slot in moved:
-                index.remove_key(old_key, slot)
-            for _old, new_key, slot in moved:
-                index.add_key(new_key, slot)
-        for position, counts in self._domains.items():
-            for old_value, new_value in zip(old[position], new[position]):
-                if old_value != new_value:
-                    forget_values(counts, (old_value,))
-                    counts[new_value] = counts.get(new_value, 0) + 1
-        self._store.fill(slots, new)
+        new = list(old)
+        for position, values in zip(positions, columns):
+            new[position] = values
+        self._store.write(slots, positions, columns)
         self._notify("updated", len(slots), old, new)
-        charge_access("rows_updated", len(updates))
-        return len(updates)
+        charge_access("rows_updated", len(slots))
+        return len(slots)
 
     def delete_where(self, predicate: Callable[[Row], bool]) -> int:
         """Delete all rows satisfying *predicate*; return how many."""
@@ -902,11 +919,9 @@ class Table:
         """Whether every index files each of the rows *columns*, live at
         *slots*, under its key at its slot: :meth:`verify_indexes` for the
         rows of a few slots (what :meth:`take_live` returns), uncharged."""
-        for index in self._indexes.values():
-            for key, slot in zip(index.keys_of(columns), slots):
-                if slot not in index.slots_of(key):
-                    return False
-        return True
+        return all(
+            index.holds(columns, slots) for index in self._indexes.values()
+        )
 
     # ------------------------------------------------------------------
     # Convenience

@@ -37,7 +37,6 @@ import time
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 from ..obs import metrics as obs_metrics
 from ..obs import serving as obs_serving
@@ -277,14 +276,6 @@ class QueryServer:
         """
         request_id = obs_serving.next_request_id()
         return self._pool.submit(self.answer, query, use_cache, request_id)
-
-    def answer_many(
-        self, queries: Sequence[AggregateQuery] | Iterable[AggregateQuery],
-        use_cache: bool = True,
-    ) -> list[Table]:
-        """Fan a batch of queries out on the pool; results in input order."""
-        futures = [self.submit(query, use_cache) for query in queries]
-        return [future.result() for future in futures]
 
     def _record(
         self, start: float, cache_state: str, plan, request_id: int

@@ -8,20 +8,24 @@ lookup per delta tuple, per-group SQL recomputation for threatened MIN/MAX
 extrema.
 
 Only the paper's MIN/MAX policy is supported here (the SPLIT policy is an
-engine-side extension).  The refresh *decision* logic is shared with the
-in-memory engine (:func:`repro.core.refresh.decide`), so the two backends
-cannot drift semantically; the cross-validation tests assert they produce
-identical summary tables on identical workloads.
+engine-side extension).  The refresh *decision* is Figure 7's per-tuple
+body, :func:`decide`, written out row by row apart from the in-memory
+engine's column kernel (:func:`repro.core.refresh.decide_columns`) — it
+takes both policies, so it is also the kernel's reference — and the
+cross-validation tests assert the two backends produce identical summary
+tables on identical workloads.
 """
 
 from __future__ import annotations
 
 import sqlite3
 from dataclasses import dataclass
+from typing import Any
 
 from ..core.deltas import MinMaxPolicy
-from ..core.refresh import RefreshActions, RefreshPlan, RefreshStats, decide
+from ..core.refresh import RefreshPlan, RefreshStats
 from ..errors import InconsistentDeltaError, MaintenanceError
+from ..relational.types import null_max, null_min
 from ..views.definition import SummaryViewDefinition
 from ..warehouse.changes import ChangeSet
 from ..warehouse.fact import FactTable
@@ -39,6 +43,71 @@ from .sqlgen import (
     materialize_select_sql,
     summary_delta_select_sql,
 )
+
+
+Row = tuple[Any, ...]
+
+
+def decide(
+    plan: RefreshPlan,
+    definition_name: str,
+    old_row: Row | None,
+    delta_row: Row,
+    key: Row,
+) -> tuple[str, Row | None]:
+    """Figure 7's per-tuple body: ``(action, new row)`` for one delta
+    tuple and its group's row (*old_row*; ``None``: updated from the
+    empty group).  ``"recompute"`` rows still need their MIN/MAX from
+    base data; ``"delete"`` and ``"none"`` (a cancelled delta on an
+    absent group, §4.1.4) carry no row."""
+    cs = plan.count_star_index
+    held = old_row is not None
+    if not held:
+        old_row = key + plan.empty_aggregates
+    count = None if delta_row[cs] is None else old_row[cs] + delta_row[cs]
+    if count is None or count < 0:
+        raise InconsistentDeltaError(
+            f"view {definition_name!r}: group {key!r} COUNT(*) would become "
+            f"{count}" if held else f"view {definition_name!r}: delta for "
+            f"new group {key!r} has COUNT(*) {delta_row[cs]!r}"
+        )
+    new_row = list(old_row)
+    for position in plan.counts:
+        new_row[position] = old_row[position] + delta_row[position]
+    for position, count in plan.sums:
+        old_value, delta_value = old_row[position], delta_row[position]
+        if new_row[count] == 0:
+            new_row[position] = None
+        elif old_value is None or delta_value is None:
+            new_row[position] = delta_value if old_value is None else old_value
+        else:
+            new_row[position] = old_value + delta_value
+    if new_row[cs] == 0:
+        return ("delete" if held else "none"), None
+    threatened = False
+    for column in plan.minmax:
+        old_extreme = old_row[column.storage_index]
+        if new_row[column.count_index] == 0:
+            new_row[column.storage_index] = None
+            continue
+        if plan.policy is MinMaxPolicy.SPLIT:
+            incoming = delta_row[column.delta_ins_index]
+            threat = delta_row[column.delta_del_index]
+        else:
+            incoming = threat = delta_row[column.storage_index]
+        # Figure 7's recompute check (SPLIT: a deletion-side value counts
+        # even where no extremum was stored).
+        if threat is not None and (
+            (threat <= old_extreme if column.is_min else threat >= old_extreme)
+            if old_extreme is not None
+            else plan.policy is MinMaxPolicy.SPLIT
+        ):
+            threatened = True
+        fold = null_min if column.is_min else null_max
+        new_row[column.storage_index] = fold(old_extreme, incoming)
+    if threatened:
+        return "recompute", tuple(new_row)
+    return ("update" if held else "insert"), tuple(new_row)
 
 
 @dataclass
@@ -195,7 +264,7 @@ class SqliteWarehouse:
         ).fetchall()
         stats.delta_rows = len(delta_rows)
 
-        recomputes: list[tuple[int, tuple, tuple]] = []
+        recomputes: list[tuple[int, tuple]] = []
         for delta_row in delta_rows:
             key = tuple(delta_row[:arity])
             matches = self.connection.execute(lookup_sql, key).fetchall()
@@ -208,25 +277,26 @@ class SqliteWarehouse:
                 slot, old_row = matches[0][0], tuple(matches[0][1:])
             else:
                 slot, old_row = None, None
-            actions = RefreshActions()
-            decide(plan, definition.name, old_row, tuple(delta_row), key,
-                   slot, actions)
-            for row in actions.inserts:
-                self.connection.execute(insert_sql, row)
+            action, new_row = decide(
+                plan, definition.name, old_row, tuple(delta_row), key
+            )
+            if action == "insert":
+                self.connection.execute(insert_sql, new_row)
                 stats.inserted += 1
-            for doomed in actions.deletes:
+            elif action == "delete":
                 self.connection.execute(
-                    f"DELETE FROM {view_q} WHERE rowid = ?", (doomed,)
+                    f"DELETE FROM {view_q} WHERE rowid = ?", (slot,)
                 )
                 stats.deleted += 1
-            for update_slot, new_row in actions.updates:
-                self.connection.execute(update_sql, new_row + (update_slot,))
+            elif action == "update":
+                self.connection.execute(update_sql, new_row + (slot,))
                 stats.updated += 1
-            recomputes.extend(actions.recomputes)
+            elif action == "recompute":
+                recomputes.append((slot, key))
 
         # The whole group from one SQL query per group — the independent
-        # oracle — not the update arithmetic each entry also carries.
-        for slot, key, _arithmetic in recomputes:
+        # oracle — not the update arithmetic.
+        for slot, key in recomputes:
             fresh = self.connection.execute(recompute_sql, key).fetchone()
             if fresh is None or fresh[plan.count_star_index - arity] in (0, None):
                 raise InconsistentDeltaError(

@@ -92,7 +92,7 @@ class TestLocator:
         assert view.group_key_index() is None
         (slot,) = [slot for slot, _row in view.table.slots()]
         locator = GroupLocator(view)
-        assert locator.slot_of(()) == slot
+        assert locator.slots_of([], 2) == [slot, slot]
         assert locator.probes == 0
         changes = ChangeSet("pos", pos.table.schema)
         changes.insert_many(INSERTS)

@@ -29,7 +29,9 @@ from repro.relational.index import HashIndex
 from repro.relational.schema import Schema
 from repro.relational.table import transpose_rows
 
-from .test_batch_mutators import COLUMNS, distinct_live, values
+from .test_batch_mutators import distinct_live, values
+
+COLUMNS = ["u", "a", "b"]
 
 INDEXES = [["u"], ["a"], ["b"], ["a", "b"], ["b", "a", "u"]]
 
@@ -73,8 +75,11 @@ def apply(table, steps):
             by_slot = {}
             for chosen, a, b in payload:
                 for slot in distinct_live(table, [chosen]):
-                    by_slot[slot] = (table.row_at(slot)[0], a, b)
-            table.update_slots(list(by_slot.items()))
+                    by_slot[slot] = (a, b)
+            table.update_columns(
+                list(by_slot), ["a", "b"],
+                [list(column) for column in zip(*by_slot.values())] or [[], []],
+            )
 
 
 def entries(index):
@@ -182,7 +187,8 @@ class TestUniqueIndex:
                     for slot in distinct_live(table, [chosen]):
                         u, _a, b = table.row_at(slot)
                         by_slot[slot] = (next(fresh) if rekey else u, a, b)
-                table.update_slots(list(by_slot.items()))
+                for slot, row in by_slot.items():
+                    table.update_slot(slot, row)
             else:
                 rows = [(next(fresh), a, b) for a, b in payload]
                 if kind == "append" and rows:

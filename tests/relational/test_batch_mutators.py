@@ -1,9 +1,10 @@
 """Batch table mutators: equal to the per-row methods, all or nothing.
 
-``insert_many`` / ``append_batch`` / ``delete_slots`` / ``update_slots``
+``insert_many`` / ``append_batch`` / ``delete_slots`` / ``update_columns``
 are batch kernels over the table's columns; the per-row methods (``insert`` /
 ``delete_slot`` / ``update_slot``) are the reference they are replayed
-against here.
+against here.  ``update_columns`` writes only columns no index keys on and
+no domain tracks (here ``c``), so it never moves a key.
 """
 
 import itertools
@@ -15,7 +16,7 @@ from repro.errors import TableError
 from repro.obs.audit import ViewCertificate
 from repro.relational import Table
 
-COLUMNS = ["u", "a", "b"]
+COLUMNS = ["u", "a", "b", "c"]
 
 # Values include duplicates, nulls, and ones no typed column can hold.
 values = st.one_of(st.integers(0, 3), st.sampled_from([None, 1.5, 2 ** 63, "x"]))
@@ -27,16 +28,18 @@ steps = st.lists(st.one_of(
               st.lists(st.tuples(values, values), max_size=6)),
     st.tuples(st.just("delete"), picks),
     st.tuples(st.just("update"), st.lists(
-        st.tuples(st.integers(0, 60), values, st.booleans()), max_size=6
+        st.tuples(st.integers(0, 60), values), max_size=6
     )),
 ), max_size=25)
 
 
 def build():
     """Typed columns, a unique and two plain indexes, two tracked
-    domains, three tombstones to recycle, and a certificate."""
+    domains, a free column, three tombstones to recycle, and a
+    certificate."""
     table = Table("t", COLUMNS)
-    table.append_batch([list(range(8)), [0, 1, 2, 3] * 2, [0, 0, 1, 1] * 2])
+    table.append_batch([list(range(8)), [0, 1, 2, 3] * 2, [0, 0, 1, 1] * 2,
+                        [0] * 8])
     table.create_index(["u"], unique=True)
     table.create_index(["a"])
     table.create_index(["a", "b"])
@@ -60,7 +63,7 @@ def replay(batch, single, history, fresh):
     at a time; *fresh* hands out values for the unique column."""
     for kind, payload in history:
         if kind in ("insert", "append"):
-            rows = [(next(fresh), a, b) for a, b in payload]
+            rows = [(next(fresh), a, b, a) for a, b in payload]
             if kind == "append" and rows:
                 batch.append_batch([list(column) for column in zip(*rows)])
             else:
@@ -74,13 +77,12 @@ def replay(batch, single, history, fresh):
                 single.delete_slot(slot)
         else:
             by_slot = {}
-            for chosen, value, rekey in payload:
+            for chosen, value in payload:
                 for slot in distinct_live(single, [chosen]):
-                    u, a, _b = single.row_at(slot)
-                    by_slot[slot] = (next(fresh) if rekey else u, a, value)
-            batch.update_slots(list(by_slot.items()))
-            for slot, row in by_slot.items():
-                single.update_slot(slot, row)
+                    by_slot[slot] = value
+            batch.update_columns(list(by_slot), ["c"], [list(by_slot.values())])
+            for slot, value in by_slot.items():
+                single.update_slot(slot, single.row_at(slot)[:3] + (value,))
 
 
 def assert_same(batch, single, batch_certificate, single_certificate):
@@ -147,7 +149,7 @@ def test_observer_without_batch_callbacks_receives_every_row():
     recorder = table.attach_observer(Recorder())
     table.insert_many([(3, "z"), (4, None)])
     table.append_batch([[5], ["w"]])
-    table.update_slots([(0, (1, "X")), (3, (4, "v"))])
+    table.update_columns([0, 3], ["b"], [["X", "v"]])
     table.delete_slots([1, 4])
     assert recorder.events == [
         ("inserted", (3, "z")), ("inserted", (4, None)), ("inserted", (5, "w")),
@@ -175,7 +177,7 @@ class TestBadBatchLeavesTheTableAlone:
         table, certificate = build()
         before = snapshot(table, certificate)
         with pytest.raises(TableError, match="arity"):
-            table.insert_many([(50, 1, 1), (51, 2), (52, 3, 3)])
+            table.insert_many([(50, 1, 1, 1), (51, 2), (52, 3, 3, 3)])
         assert snapshot(table, certificate) == before
         assert table.verify_indexes()
 
@@ -183,19 +185,25 @@ class TestBadBatchLeavesTheTableAlone:
         table, certificate = build()
         before = snapshot(table, certificate)
         with pytest.raises(TableError, match="ragged"):
-            table.append_batch([[50, 51], [1], [1, 1]])
+            table.append_batch([[50, 51], [1], [1, 1], [1, 1]])
         assert snapshot(table, certificate) == before
 
     @pytest.mark.parametrize("mutate", [
-        lambda table: table.insert_many([(50, 1, 1), (0, 2, 2)]),   # u=0 taken
-        lambda table: table.insert_many([(50, 1, 1), (50, 2, 2)]),  # twice
-        lambda table: table.append_batch([[50, 2], [1, 1], [1, 1]]),
-        lambda table: table.update_slots([(0, (9, 0, 0)), (2, (3, 0, 0))]),
-        lambda table: table.update_slots([(0, (9, 0, 0)), (2, (8, 0))]),
-        lambda table: table.update_slots([(0, (9, 0, 0)), (1, (8, 0, 0))]),
-        lambda table: table.update_slots([(0, (9, 0, 0)), (0, (8, 0, 0))]),
+        lambda table: table.insert_many([(50, 1, 1, 1), (0, 2, 2, 2)]),  # u=0
+        lambda table: table.insert_many([(50, 1, 1, 1), (50, 2, 2, 2)]),  # twice
+        lambda table: table.append_batch([[50, 2], [1, 1], [1, 1], [1, 1]]),
+        lambda table: table.update_columns([0, 2], ["c"], [[9]]),   # ragged
+        lambda table: table.update_columns([0, 2], ["c", "c"], [[9, 8]]),
+        lambda table: table.update_columns([0, 1], ["c"], [[9, 8]]),  # 1 empty
+        lambda table: table.update_columns([0, 0], ["c"], [[9, 8]]),  # twice
+        lambda table: table.update_columns([0, 99], ["c"], [[9, 8]]),  # past end
+        lambda table: table.update_columns([-1, 0], ["c"], [[9, 8]]),
+        lambda table: table.update_columns([0, 2], ["u"], [[9, 8]]),  # indexed
+        lambda table: table.update_columns([0, 2], ["c", "b"],        # tracked
+                                           [[9, 8], [1, 1]]),
         lambda table: table.delete_slots([0, 1]),                   # 1 is empty
         lambda table: table.delete_slots([0, 2, 0]),
+        lambda table: table.delete_slots([0, 99]),
     ])
     def test_columnar_batches_are_validated_whole(self, mutate):
         table, certificate = build()
@@ -207,8 +215,8 @@ class TestBadBatchLeavesTheTableAlone:
 
 
 @pytest.mark.parametrize("mutate", [
-    lambda table: table.insert((0, 1, 1)),               # u=0 taken
-    lambda table: table.update_slot(2, (0, 2, 1)),       # u=0 taken
+    lambda table: table.insert((0, 1, 1, 1)),            # u=0 taken
+    lambda table: table.update_slot(2, (0, 2, 1, 0)),    # u=0 taken
 ], ids=["insert", "update_slot"])
 def test_refused_single_row_write_leaves_the_table_alone(mutate):
     """Regression: a single-row write refused by a unique index used to
@@ -222,20 +230,46 @@ def test_refused_single_row_write_leaves_the_table_alone(mutate):
     assert table.verify_indexes()
 
 
-def test_update_batch_may_hand_unique_keys_on():
-    """Uniqueness is checked against the table as the batch leaves it: a
-    key one update vacates is free for another — a chain, a swap — while a
-    key that stays taken, or is claimed twice, still refuses the batch."""
-    table, certificate = build()              # u: 0 2 3 5 7 live
-    table.update_slots([(0, (2, 0, 0)), (2, (9, 2, 0))])        # 2 handed on
-    table.update_slots([(3, (5, 3, 1)), (5, (3, 1, 0))])        # 3 <-> 5
-    assert sorted(table.column_values("u")) == [2, 3, 5, 7, 9]
-    assert table.row_at(3) == (5, 3, 1) and table.row_at(5) == (3, 1, 0)
-    assert table.verify_indexes()
-    assert certificate.value == ViewCertificate.from_rows(table.rows()).value
+def test_update_columns_refuses_a_tracked_column():
+    """A column a tracked domain counts is refused even with no index on
+    it, and the table is left as it was."""
+    table, certificate = build()
+    table.track_domain("c")
     before = snapshot(table, certificate)
-    for bad in ([(0, (3, 0, 0)), (3, (7, 3, 1))],               # 7 stays taken
-                [(0, (8, 0, 0)), (3, (8, 3, 1))]):              # 8 twice
-        with pytest.raises(TableError, match="unique"):
-            table.update_slots(bad)
-        assert snapshot(table, certificate) == before
+    with pytest.raises(TableError, match="domain-tracked"):
+        table.update_columns([0, 2], ["c"], [[5, 6]])
+    assert snapshot(table, certificate) == before
+
+
+def test_update_columns_shifts_the_certificate_and_records_written_slots():
+    """On a clone, an update feeds the observer the old and new rows (two
+    digests a row) and the store's written-slots record, and writes only
+    the named column: keys, domains and indexes stay put."""
+    source, _certificate = build()
+    table = source.copy()
+    certificate = table.attach_observer(
+        ViewCertificate.from_rows(table.rows())
+    )
+    digests = certificate.digests_computed
+    keys = table.index_on(["u"])
+    before = {slot: row for slot, row in table.slots()}
+    assert table.update_columns([5, 0], ["c"], [[7, None]]) == 2
+    assert table.written_slots() == {0, 5}
+    assert certificate.digests_computed == digests + 4
+    assert certificate.value == ViewCertificate.from_rows(table.rows()).value
+    assert table.row_at(5) == before[5][:3] + (7,)
+    assert table.row_at(0) == before[0][:3] + (None,)
+    assert [keys.lookup_one((u,)) for u in (0, 5)] == [0, 5]
+    assert table.domain("a") == source.domain("a")
+    assert table.verify_indexes()
+    assert table.update_columns([], ["c"], [[]]) == 0
+    assert table.written_slots() == {0, 5}
+
+
+def test_update_columns_demotes_a_typed_column():
+    """A value a typed column cannot hold turns it into a list, with every
+    value of the batch written."""
+    table = Table("t", ["k", "v"])
+    table.append_batch([[1, 2, 3], [10, 20, 30]])
+    table.update_columns([0, 2], ["v"], [[11, 2 ** 63]])
+    assert table.rows() == [(1, 11), (2, 20), (3, 2 ** 63)]

@@ -300,7 +300,7 @@ clone_history = st.lists(st.one_of(
     st.tuples(st.just("delete_slot"), st.integers(0, 50)),
     st.tuples(st.just("delete_slots"), picks),
     st.tuples(st.just("update_slot"), st.tuples(st.integers(0, 50), values)),
-    st.tuples(st.just("update_slots"), st.tuples(picks, values)),
+    st.tuples(st.just("update_columns"), st.tuples(picks, values)),
     st.tuples(st.just("truncate"), st.none()),
     st.tuples(st.just("compact"), st.none()),
 ), max_size=25)
@@ -321,14 +321,12 @@ def apply_clone_history(table, steps):
             table.delete_slot(pick(argument))
         elif kind == "delete_slots":
             table.delete_slots(sorted({pick(n) for n in argument}))
-        elif kind == "update_slot":
+        elif kind == "update_slot":     # re-keys the row in the index on "a"
             slot = pick(argument[0])
-            table.update_slot(slot, (table.row_at(slot)[0], argument[1]))
+            table.update_slot(slot, (argument[1], table.row_at(slot)[1]))
         else:
-            table.update_slots([
-                (slot, (table.row_at(slot)[0], argument[1]))
-                for slot in sorted({pick(n) for n in argument[0]})
-            ])
+            slots = sorted({pick(n) for n in argument[0]})
+            table.update_columns(slots, ["b"], [[argument[1]] * len(slots)])
 
 
 class TestWrittenSlotsProperty:
@@ -342,8 +340,7 @@ class TestWrittenSlotsProperty:
     ):
         base = Table("t", ["a", "b"])
         base.append_batch([[0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 5]])  # typed
-        base.create_index(["a"])
-        base.create_index(["a", "b"])
+        base.create_index(["a"])    # "b" stays free for update_columns
         if holes:    # tombstones and free slots in the source, for certain
             base.delete_slots([1, 4])
         apply_history(base, before)

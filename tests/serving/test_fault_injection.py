@@ -394,7 +394,7 @@ WORKLOADS = {
 }
 
 #: The shadow table's batch mutators, compaction included.
-MUTATORS = ("insert_many", "delete_slots", "update_slots", "compact")
+MUTATORS = ("append_batch", "delete_slots", "update_columns", "compact")
 
 
 def prepared(workload):

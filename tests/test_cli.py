@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs import tracing
 
 
 class TestParser:
@@ -138,6 +139,18 @@ class TestCommands:
             assert f"node:{name}" in out
             assert f"refresh:{name}" in out
         assert "DISAGREE" not in out
+
+    def test_trace_twice_under_an_ambient_recorder(self, capsys, monkeypatch):
+        """Regression: under the recorder ``REPRO_TRACE=1`` installs,
+        ``trace`` summed the spans of every earlier run in the process
+        against its own run's clock, and a second run disagreed."""
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        monkeypatch.setattr(tracing, "_active", tracing.TraceRecorder())
+        for _run in range(2):
+            code = main(["trace", "--pos-rows", "1000", "--changes", "100"])
+            out = capsys.readouterr().out
+            assert code == 0
+            assert "DISAGREE" not in out and "refresh:SID_sales" in out
 
     def test_trace_refuses_under_kill_switch(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE", "0")
