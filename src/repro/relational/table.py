@@ -743,6 +743,8 @@ class Table:
         if len(columns) != len(positions) or set(map(len, columns)) - {len(slots)}:
             raise TableError(f"table {self.name!r}: ragged column batch for "
                              f"{len(slots)} slots and columns {list(names)}")
+        if not slots:
+            return 0
         old = self._take_distinct(slots)
         new = list(old)
         for position, values in zip(positions, columns):
