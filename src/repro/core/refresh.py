@@ -460,6 +460,7 @@ def apply_refresh(
         with tracing.span("publish", view=view.name) as publish_span:
             publish_span.add("compacted_rows", shadow.table.compact())
             published = view.publish(shadow)
+        view.last_delta = (published.epoch, delta)
         span.set_tag("epoch", published.epoch)
         _record_refresh_stats(span, stats, locator)
         if tracing.enabled():

@@ -20,7 +20,7 @@ Example::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from ..aggregates.base import AggregateFunction
 from ..errors import DefinitionError
@@ -31,11 +31,15 @@ from ..relational.table import Table
 from ..views.definition import SummaryViewDefinition
 from ..views.materialize import (
     MaterializedView,
+    ShadowVersion,
     compute_rows,
     project_user_columns,
 )
 from ..warehouse.catalog import Warehouse
 from ..warehouse.fact import FactTable
+
+if TYPE_CHECKING:
+    from ..core.deltas import SummaryDelta
 
 
 @dataclass(frozen=True)
@@ -209,6 +213,24 @@ class QueryRouter:
         current at plan time, even if maintenance publishes new versions
         while the evaluation scans.
         """
+        return self.evaluate(plan, pending_deltas)[1]
+
+    def evaluate(
+        self,
+        plan: QueryPlan,
+        pending_deltas: "dict | None" = None,
+        previous: "tuple[Table, SummaryDelta] | None" = None,
+    ) -> tuple[Table, Table]:
+        """:meth:`answer_plan`'s answer and the full table it projects
+        (the query's storage columns, COUNT(e) companions included).
+
+        *previous* — the full answer at the epoch before the pinned one
+        and the summary delta its source view published in between, for
+        a plan that :meth:`rolls_forward` — is rolled forward instead of
+        reading the view: the edge query rolls the view's delta up to the
+        answer's (Theorem 5.1) and Figure 7 applies that to a copy, in
+        O(|delta|) rather than O(|view|).
+        """
         query = plan.query
         source_name = (
             plan.source_view.name if plan.source_view is not None else "base"
@@ -221,6 +243,9 @@ class QueryRouter:
             resolved = query.definition.resolved()
             if plan.source_view is None:
                 full = compute_rows(resolved, name="__query__")
+            elif previous is not None:
+                span.set_tag("rolled_forward", True)
+                full = _roll_forward(plan.edge, *previous)
             else:
                 source = plan.source_view
                 table = plan.source_table
@@ -233,11 +258,39 @@ class QueryRouter:
                         source, pending_deltas[source.name], table=table
                     ).table
                 full = plan.edge.apply(table, name="__query__")
-            return _project_user_columns(full, resolved, query)
+            return full, _project_user_columns(full, resolved, query)
+
+    @staticmethod
+    def rolls_forward(plan: QueryPlan) -> bool:
+        """Whether *plan*'s answer can be rolled forward over its source
+        view's summary delta: COUNT and SUM only, which are
+        self-maintainable (§3.1) and so need no base data, and no
+        dimension join, whose rows may have changed in between."""
+        edge = plan.edge
+        return edge is not None and not edge.dimension_joins and all(
+            output.function.kind not in ("min", "max")
+            for output in edge.child.aggregates
+        )
 
     def explain(self, query: AggregateQuery) -> str:
         """Human-readable routing decision."""
         return self.plan(query).describe()
+
+
+def _roll_forward(edge: EdgeQuery, full: Table, delta: "SummaryDelta") -> Table:
+    """*full*, an answer derived along *edge*, with the edge's roll-up of
+    the source view's *delta* refreshed into a copy of it."""
+    from ..core.deltas import SummaryDelta
+    from ..core.refresh import refresh
+
+    answer = edge.child
+    rolled = edge.apply_delta(delta.table, delta.policy, name="__query__")
+    # Never published, so no certificate; refresh builds the group-key
+    # index on the first copy, and later copies carry it.
+    shadow = ShadowVersion(answer, full.copy(), None, 0)
+    refresh(shadow, SummaryDelta(answer, rolled, delta.policy))
+    shadow.table.compact()
+    return shadow.table
 
 
 def _project_user_columns(

@@ -35,6 +35,7 @@ from .index import HashIndex
 from .operators import (
     distinct,
     hash_join,
+    left_outer_join,
     project,
     rows_from,
     select,
@@ -76,6 +77,7 @@ __all__ = [
     "group_by",
     "hash_join",
     "is_null",
+    "left_outer_join",
     "lit",
     "measuring",
     "null_max",

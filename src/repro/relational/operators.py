@@ -254,6 +254,49 @@ def hash_join(
     return result
 
 
+def left_outer_join(
+    left: Table,
+    right: Table,
+    on: Sequence[tuple[str, str]],
+    name: str | None = None,
+) -> Table:
+    """Left outer equi-join; unmatched left rows pad the right side with nulls.
+
+    The paper (Section 4.2) observes that refresh "can be thought of as a
+    left outer-join between the summary-delta table and the summary table";
+    :mod:`repro.core.refresh` runs that join a column at a time.
+    """
+    if not on:
+        raise TableError("left_outer_join requires at least one join column pair")
+    left_cols = [pair[0] for pair in on]
+    right_cols = [pair[1] for pair in on]
+    left_positions = left.schema.positions(left_cols)
+    right.schema.positions(right_cols)  # validate
+
+    out_schema = left.schema.concat(right.schema, prefix_conflicts=right.name)
+    result = Table(name or f"louter({left.name},{right.name})", out_schema)
+    null_pad = (None,) * len(right.schema)
+
+    right_index = right.index_on(right_cols)
+    if right_index is None:
+        transient = right.copy()
+        transient.create_index(right_cols)
+        right_index = transient.index_on(right_cols)
+        right_source: Table = transient
+    else:
+        right_source = right
+
+    for left_row in left.scan():
+        key = tuple(left_row[p] for p in left_positions)
+        slots = [] if any(v is None for v in key) else right_index.lookup(key)
+        if slots:
+            for slot in slots:
+                result.insert(left_row + right_source.row_at(slot))
+        else:
+            result.insert(left_row + null_pad)
+    return result
+
+
 def rows_from(schema: Schema | Iterable[str], rows: Iterable[Sequence[Any]],
               name: str = "inline") -> Table:
     """Build an ad-hoc table from raw rows (test and example helper)."""

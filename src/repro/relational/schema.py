@@ -60,6 +60,14 @@ class Schema:
         """Return tuple positions for several columns at once."""
         return tuple(self.position(column) for column in columns)
 
+    def position_map(self) -> dict[str, int]:
+        """Return a fresh ``{column: position}`` mapping.
+
+        Batch kernel emitters resolve every referenced column up front from
+        one mapping instead of issuing per-column :meth:`position` calls.
+        """
+        return dict(self._positions)
+
     def __contains__(self, column: object) -> bool:
         return column in self._positions
 

@@ -37,11 +37,13 @@ import time
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 from ..obs import metrics as obs_metrics
 from ..obs import serving as obs_serving
 from ..obs import tracing
-from ..query.router import AggregateQuery, QueryRouter
+from ..core.deltas import SummaryDelta
+from ..query.router import AggregateQuery, QueryPlan, QueryRouter
 from ..relational.table import Table
 from ..warehouse.catalog import Warehouse
 
@@ -75,9 +77,11 @@ class QueryResultCache:
 
     ``get`` returns a hit only when the caller's *stamp* — derived from
     the routed view's pinned epoch — equals the stamp
-    the entry was stored under; anything else is treated as a miss and
-    the stale entry is dropped.  All operations take one lock, so the
-    cache is safe under the server's thread pool.
+    the entry was stored under; anything else is treated as a miss.  A
+    stale entry stays until ``put`` replaces it: ``previous`` hands its
+    full answer out to be rolled forward to the new epoch.  All
+    operations take one lock, so the cache is safe under the server's
+    thread pool.
     """
 
     def __init__(self, capacity: int = 128):
@@ -85,7 +89,8 @@ class QueryResultCache:
             raise ValueError(f"cache capacity must be positive, got {capacity}")
         self.capacity = capacity
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[tuple, tuple[CacheStamp, Table]]" = OrderedDict()
+        #: key -> (stamp, answer, full answer or None)
+        self._entries: "OrderedDict[tuple, tuple]" = OrderedDict()
 
     def __len__(self) -> int:
         with self._lock:
@@ -96,18 +101,26 @@ class QueryResultCache:
             entry = self._entries.get(key)
             if entry is None:
                 return None
-            cached_stamp, table = entry
+            cached_stamp, table, _full = entry
             if cached_stamp != stamp:
-                # The view moved on to a new epoch; the entry can
-                # never become valid again.
-                del self._entries[key]
                 return None
             self._entries.move_to_end(key)
             return table
 
-    def put(self, key: tuple, stamp: CacheStamp, table: Table) -> None:
+    def previous(self, key: tuple) -> tuple[CacheStamp, Table] | None:
+        """The stamp and full answer of *key*'s entry, if it kept one."""
         with self._lock:
-            self._entries[key] = (stamp, table)
+            entry = self._entries.get(key)
+            if entry is None or entry[2] is None:
+                return None
+            return entry[0], entry[2]
+
+    def put(
+        self, key: tuple, stamp: CacheStamp, table: Table,
+        full: Table | None = None,
+    ) -> None:
+        with self._lock:
+            self._entries[key] = (stamp, table, full)
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
@@ -256,9 +269,10 @@ class QueryServer:
                         self.stats.note(hit=True, base_fallback=False)
                         self._record(start, "hit", plan, request_id)
                         return cached
-                result = self.router.answer_plan(plan)
+                previous = self._previous(key, plan) if cacheable else None
+                full, result = self.router.evaluate(plan, previous=previous)
                 if cacheable:
-                    self.cache.put(key, stamp, result)
+                    self.cache.put(key, stamp, result, full)
                 cache_state = "miss" if cacheable else "bypass"
                 span.set_tag("cache", cache_state)
                 self.stats.note(
@@ -268,6 +282,24 @@ class QueryServer:
                 self._record(start, cache_state, plan, request_id)
                 return result
 
+    def _previous(
+        self, key: tuple, plan: QueryPlan
+    ) -> tuple[Table, SummaryDelta] | None:
+        """For a miss: *key*'s cached full answer from the epoch just
+        before *plan*'s, and the summary delta the source view published
+        since, when the answer can be rolled forward over it."""
+        entry = self.cache.previous(key)
+        last = plan.source_view.last_delta
+        if entry is None or last is None or not self.router.rolls_forward(plan):
+            return None
+        (name, epoch), full = entry
+        published, delta = last
+        if name != plan.source_view.name or not (
+            epoch + 1 == published == plan.source_epoch
+        ):
+            return None
+        return full, delta
+
     def submit(self, query: AggregateQuery, use_cache: bool = True) -> Future:
         """Schedule one query on the pool; returns its future.
 
@@ -276,6 +308,14 @@ class QueryServer:
         """
         request_id = obs_serving.next_request_id()
         return self._pool.submit(self.answer, query, use_cache, request_id)
+
+    def answer_many(
+        self, queries: Sequence[AggregateQuery] | Iterable[AggregateQuery],
+        use_cache: bool = True,
+    ) -> list[Table]:
+        """Fan a batch of queries out on the pool; results in input order."""
+        futures = [self.submit(query, use_cache) for query in queries]
+        return [future.result() for future in futures]
 
     def _record(
         self, start: float, cache_state: str, plan, request_id: int

@@ -155,6 +155,10 @@ class SummaryViewDefinition:
             referenced |= self.where.columns()
         return referenced
 
+    def source_schema(self) -> Schema:
+        """Schema of the joined source relation (fact-side names win)."""
+        return Schema(self.source_columns())
+
     def attribute_owner(self, attribute: str) -> str:
         """Return ``'fact'`` or the owning dimension's name for *attribute*."""
         if attribute in self.fact.columns:

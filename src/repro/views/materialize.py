@@ -212,6 +212,10 @@ class MaterializedView:
         #: committed refreshes (which batches became visible, with their
         #: ingest→publish lags).  See :mod:`repro.obs.lineage`.
         self.lineage = ViewLineage()
+        #: ``(epoch, delta)``: the summary delta the last
+        #: :func:`~repro.core.refresh.apply_refresh` published as *epoch*
+        #: (what a cached answer one epoch older is rolled forward with).
+        self.last_delta = None
         #: Epoch retention tracking: weak references to the *tables* of
         #: superseded epochs (the table is what a pinned plan actually
         #: holds onto, so its liveness is the retention signal), plus the

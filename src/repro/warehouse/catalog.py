@@ -147,6 +147,14 @@ class Warehouse:
         """Per-view freshness trackers, keyed by view name."""
         return {name: view.freshness for name, view in self.views.items()}
 
+    def pending_counts(self, fact_name: str) -> dict[str, int]:
+        """Deferred change counts for *fact_name*: insertions, deletions."""
+        changes = self.pending_changes(fact_name)
+        return {
+            "insertions": len(changes.insertions),
+            "deletions": len(changes.deletions),
+        }
+
     def verify_certificates(self) -> dict[str, bool]:
         """Certificate-based consistency check of every summary table.
 

@@ -7,7 +7,11 @@ summary tables and deltas — NULL measures, emptied groups, cancelled and
 negative new-group deltas, threatened and unthreatened extrema, and under
 SPLIT the deletion-side footprint on a new group — the two take the same
 actions and leave the same table under both MIN/MAX policies, and raise
-the same exception class on an inconsistent delta.
+the same exception class on an inconsistent delta.  Since the reference
+shares :class:`~repro.core.refresh.RefreshPlan` with the kernel, both are
+also checked against an oracle that knows neither: base rows changed and
+aggregated from scratch, and literal rows for the cases where this
+refresh's results differ from earlier versions'.
 """
 
 import pytest
@@ -281,6 +285,7 @@ def test_split_footprint_on_a_new_group_recomputes():
     ([row((3, 2), -1, 0, 0, None, None, 0)], "new group"),
     ([row((3, 2), None, 0, 0, None, None, 0)], "new group"),
     ([row((1, 1), -4, -6, -3, 2, 4, -3)], "COUNT"),
+    ([row((1, 1), None, 0, 0, None, None, 0)], "COUNT\\(\\*\\) would become None"),
     # The first inconsistent tuple in delta order is the one reported.
     ([row((1, 1), -4, -6, -3, 2, 4, -3), row((3, 2), -1, 0, 0, None, None, 0)],
      "COUNT"),
@@ -294,3 +299,101 @@ def test_inconsistent_deltas_raise(policy, changes, message):
     with pytest.raises(InconsistentDeltaError, match=message):
         refresh(view.begin_version(), delta, fake_recompute(STORED, []))
     check(STORED, changes, policy)
+
+
+def refreshed(stored, changes, policy, recompute):
+    """The rows of a view holding *stored* after *changes* are refreshed
+    in, and the refresh's stats."""
+    view, delta = prepared(stored, changes, policy)
+    shadow = view.begin_version()
+    stats = refresh(shadow, delta, recompute)
+    return shadow.table.sorted_rows(), stats
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
+def test_new_group_whose_count_e_nets_to_zero_has_null_extrema(policy):
+    """The delta's extremum of a column with no value left is stale: the
+    new group's MIN/MAX is NULL, as recomputation gives."""
+    change = delta_row(policy, (3, 2), 1, None, 0, 5, 6, 0)
+    rows, stats = refreshed(STORED, [change], policy, None)
+    assert row((3, 2), 1, None, 0, None, None, 0) in rows
+    assert (stats.inserted, stats.recomputed) == (1, 0)
+
+
+def test_split_deletion_side_only_on_an_empty_column_inserts():
+    """Under SPLIT, deletion-side values on a new group's column whose
+    COUNT(e) nets to 0 cancel inside the delta and leave nothing to
+    recompute: the group is inserted, with NULL extrema."""
+    change = row((3, 2), 1, 2, 1, None, None, 0) + (None, 4, None, 4)
+    rows, stats = refreshed(STORED, [change], MinMaxPolicy.SPLIT, None)
+    assert row((3, 2), 1, 2, 1, None, None, 0) in rows
+    assert (stats.inserted, stats.recomputed) == (1, 0)
+
+
+# The from-scratch oracle: each group's base rows as (qty, price) pairs,
+# either measure possibly NULL.
+measure = st.one_of(st.none(), st.integers(0, 5))
+base_rows = st.lists(st.tuples(measure, measure), max_size=4)
+
+
+def aggregate(key, rows):
+    """The view's stored row of group *key* from its base *rows*."""
+    qty = [q for q, _ in rows if q is not None]
+    price = [p for _, p in rows if p is not None]
+    return row(key, len(rows), sum(qty) if qty else None, len(qty),
+               min(price, default=None), max(price, default=None), len(price))
+
+
+def change_delta(policy, key, inserted, deleted):
+    """The summary-delta tuple of inserting and deleting base rows of
+    group *key*: counts and sums net, MIN/MAX over every changed value,
+    and under SPLIT each side's extremum."""
+    def values(rows, at):
+        return [r[at] for r in rows if r[at] is not None]
+
+    qty_in, qty_out = values(inserted, 0), values(deleted, 0)
+    price_in, price_out = values(inserted, 1), values(deleted, 1)
+    both = price_in + price_out
+    tuple_ = row(
+        key, len(inserted) - len(deleted),
+        sum(qty_in) - sum(qty_out) if qty_in or qty_out else None,
+        len(qty_in) - len(qty_out),
+        min(both, default=None), max(both, default=None),
+        len(price_in) - len(price_out),
+    )
+    if policy is MinMaxPolicy.SPLIT:
+        tuple_ += (min(price_in, default=None), min(price_out, default=None),
+                   max(price_in, default=None), max(price_out, default=None))
+    return tuple_
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_refresh_equals_recomputation_from_base_rows(policy, data):
+    """Base rows per group, some deleted and some inserted: the refreshed
+    view is the view aggregated from the changed base rows, and kernel and
+    reference agree on the way there."""
+    before, after, changes = {}, {}, []
+    for key in data.draw(st.lists(st.sampled_from(KEYS), unique=True)):
+        rows = data.draw(base_rows)
+        kept = data.draw(st.lists(st.booleans(), min_size=len(rows),
+                                  max_size=len(rows)))
+        inserted = data.draw(base_rows)
+        deleted = [r for r, keep in zip(rows, kept) if not keep]
+        before[key] = rows
+        after[key] = [r for r, keep in zip(rows, kept) if keep] + inserted
+        if inserted or deleted:
+            changes.append(change_delta(policy, key, inserted, deleted))
+    stored = [aggregate(key, rows) for key, rows in before.items() if rows]
+
+    def recompute(keys):
+        extrema = [STORAGE.index("low"), STORAGE.index("high")]
+        return {key: tuple(aggregate(key, after[key])[at] for at in extrema)
+                for key in keys}
+
+    rows, _stats = refreshed(stored, changes, policy, recompute)
+    assert rows == sorted(
+        aggregate(key, rows) for key, rows in after.items() if rows
+    )
+    check(stored, changes, policy)

@@ -11,6 +11,7 @@ from repro.relational import (
     col,
     distinct,
     hash_join,
+    left_outer_join,
     lit,
     project,
     rows_from,
@@ -281,6 +282,22 @@ def test_passed_through_columns_are_copied(build):
         assert [column.typecode for column in result.columns()] == ["q", "d"]
         result.insert((9, None))
     assert source.rows() == [(None, "x"), (2, 2.5), (3, 3.5)]
+
+
+class TestLeftOuterJoin:
+    def test_unmatched_left_rows_padded(self, left, right):
+        result = left_outer_join(left, right, on=[("k", "k")])
+        padded = [row for row in result.rows() if row[2] is None]
+        # The null-key row never matches and is padded.
+        assert (None, "n", None, None) in padded
+
+    def test_all_left_rows_present(self, left, right):
+        result = left_outer_join(left, right, on=[("k", "k")])
+        assert len(result) == 4
+
+    def test_empty_on_raises(self, left, right):
+        with pytest.raises(TableError):
+            left_outer_join(left, right, on=[])
 
 
 class TestRowsFrom:

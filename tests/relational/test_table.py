@@ -236,15 +236,19 @@ history = st.lists(st.one_of(
 
 
 def apply_history(table, steps):
+    """Steps write columns "a" and "b"; a third column, where a table has
+    one, gets 0 on insertion and keeps its value on update."""
+    pad = (0,) * (len(table.schema) - 2)
     for kind, first, second in steps:
         live = [slot for slot, _row in table.slots()]
         if kind == "insert":
-            table.insert((first, second))
+            table.insert((first, second, *pad))
         elif live and kind == "delete":
             table.delete_slot(live[first % len(live)])
         elif live:
             slot = live[first % len(live)]
-            table.update_slot(slot, (table.row_at(slot)[0], second))
+            row = table.row_at(slot)
+            table.update_slot(slot, (row[0], second, *row[2:]))
 
 
 class TestCloneProperty:
@@ -292,11 +296,11 @@ class TestCloneProperty:
 
 # A clone's history, through every mutator a table has: single and batch
 # forms, truncation, compaction.  Slot arguments pick among the live rows.
-pairs = st.tuples(values, values)
+triples = st.tuples(values, values, values)
 picks = st.lists(st.integers(0, 50), min_size=1, max_size=4)
 clone_history = st.lists(st.one_of(
-    st.tuples(st.just("insert"), pairs),
-    st.tuples(st.just("insert_many"), st.lists(pairs, max_size=4)),
+    st.tuples(st.just("insert"), triples),
+    st.tuples(st.just("insert_many"), st.lists(triples, max_size=4)),
     st.tuples(st.just("delete_slot"), st.integers(0, 50)),
     st.tuples(st.just("delete_slots"), picks),
     st.tuples(st.just("update_slot"), st.tuples(st.integers(0, 50), values)),
@@ -321,12 +325,12 @@ def apply_clone_history(table, steps):
             table.delete_slot(pick(argument))
         elif kind == "delete_slots":
             table.delete_slots(sorted({pick(n) for n in argument}))
-        elif kind == "update_slot":     # re-keys the row in the index on "a"
+        elif kind == "update_slot":     # re-keys the row in both indexes
             slot = pick(argument[0])
-            table.update_slot(slot, (argument[1], table.row_at(slot)[1]))
-        else:
+            table.update_slot(slot, (argument[1], *table.row_at(slot)[1:]))
+        else:   # writes the unindexed column only
             slots = sorted({pick(n) for n in argument[0]})
-            table.update_columns(slots, ["b"], [[argument[1]] * len(slots)])
+            table.update_columns(slots, ["c"], [[argument[1]] * len(slots)])
 
 
 class TestWrittenSlotsProperty:
@@ -338,9 +342,10 @@ class TestWrittenSlotsProperty:
     def test_a_clone_differs_from_its_source_only_where_it_wrote(
         self, holes, before, steps
     ):
-        base = Table("t", ["a", "b"])
-        base.append_batch([[0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 5]])  # typed
-        base.create_index(["a"])    # "b" stays free for update_columns
+        base = Table("t", ["a", "b", "c"])
+        base.append_batch([list(range(6)) for _ in "abc"])  # typed
+        base.create_index(["a"])
+        base.create_index(["a", "b"])   # "c" stays free for update_columns
         if holes:    # tombstones and free slots in the source, for certain
             base.delete_slots([1, 4])
         apply_history(base, before)
