@@ -9,16 +9,82 @@ rows.
 
 Indexes are maintained incrementally by :class:`~repro.relational.table.Table`
 as rows are inserted and deleted, so a refresh run pays only per-touched-row
-index maintenance, as a real RDBMS would.
+index maintenance, as a real RDBMS would; a batch of rows rewrites each
+bucket it touches once (:meth:`HashIndex.add_keys`,
+:meth:`HashIndex.remove_keys`).
+
+No entry is an object the cyclic garbage collector tracks: a slot is an
+``int`` and a bucket of slots is an immutable ``bytes`` value.  The
+collector's full passes are proportional to the containers it tracks, and
+a 500k-row fact table has some 316k keys (EXPERIMENTS.md, "The fact
+index without a Python object per key").
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from array import array
+from collections import deque
+from itertools import compress, repeat
+from operator import add, eq, not_
+from struct import Struct
 from typing import Any, Iterable, Sequence
 
 from ..errors import TableError
 from .stats import charge_access
+
+#: One slot as a bucket holds it: a native signed 64-bit integer, the
+#: item of ``array('q')``, so a bucket converts to and from an array at
+#: C level.
+_SLOT = Struct("q")
+_pack = _SLOT.pack
+
+#: Past this many bytes (64 slots) :func:`_group` stops re-concatenating
+#: a key's run per row and spills the key's further slots to one join at
+#: the end, so a hot key costs linear time.
+_SPILL_BYTES = 64 * _SLOT.size
+
+
+class _Buckets(dict):
+    """A non-unique index's key → bucket map.
+
+    A subclass only so that it is not an exact ``dict``: the collector
+    untracks an exact dict whose keys and values are all untracked, and
+    re-tracks it as a *young* object as soon as a fresh key tuple goes
+    in, after which every young pass walks all of its entries.  A
+    subclass stays tracked and ages into the oldest generation like any
+    other long-lived object, out of the young passes."""
+
+    __slots__ = ()
+
+
+def _slots(bucket: bytes) -> list[int]:
+    return array("q", bucket).tolist()
+
+
+def _group(runs: dict, keys: Iterable[tuple[Any, ...]],
+           slots: Iterable[int]) -> dict:
+    """File *slots* into *runs* under their *keys*, in step: each key's
+    run is its slots packed as a bucket is, in order.  A run grows by
+    concatenation up to ``_SPILL_BYTES``; a key's slots past that are
+    joined onto it once, at the end.  One pass, and nothing the collector
+    tracks per key (an ``array`` is tracked, so it is not used)."""
+    get = runs.get
+    spill: dict[tuple[Any, ...], list[bytes]] = {}
+    for key, packed in zip(keys, map(_pack, slots)):
+        run = get(key)
+        if run is None:
+            runs[key] = packed
+        elif len(run) < _SPILL_BYTES:
+            runs[key] = run + packed
+        else:
+            more = spill.get(key)
+            if more is None:
+                spill[key] = [packed]
+            else:
+                more.append(packed)
+    for key, more in spill.items():
+        runs[key] += b"".join(more)
+    return runs
 
 
 class HashIndex:
@@ -28,11 +94,13 @@ class HashIndex:
     owning table's internal row list.  Deleted slots are tombstoned by the
     table; the index removes slots eagerly so lookups never see dead rows.
 
-    There is one representation per ``unique`` value.  A unique index maps
-    each key to its one slot, a bare ``int``: a summary table's group-key
-    index holds one entry per group, and a container per entry would be
-    one garbage-collected object per group for nothing.  Any other index
-    maps each key to a list of slots, in the order they were added.
+    There is one representation per ``unique`` value, and neither holds a
+    container for the cyclic collector.  A unique index maps each key to
+    its one slot, a bare ``int``: a summary table's group-key index holds
+    one entry per group.  Any other index maps each key to a *bucket*: one
+    immutable ``bytes`` value, the key's slots packed as native ``'q'`` in
+    the order they were added.  A write replaces a bucket rather than
+    changing it, so a :meth:`clone` shares every bucket with its twin.
     Callers read either through :meth:`slots_of` and the lookups.
 
     Parameters
@@ -47,7 +115,7 @@ class HashIndex:
         summary tables' group-by columns use this; fact tables do not.
     """
 
-    __slots__ = ("columns", "_positions", "unique", "_entries", "_owned")
+    __slots__ = ("columns", "_positions", "unique", "_entries")
 
     def __init__(self, columns: Sequence[str], positions: Sequence[int], unique: bool = False):
         if not columns:
@@ -55,13 +123,8 @@ class HashIndex:
         self.columns = tuple(columns)
         self._positions = tuple(positions)
         self.unique = unique
-        #: key → slot when unique, key → list of slots otherwise.
-        self._entries: dict[tuple[Any, ...], Any] = {}
-        #: Non-unique only: ``None`` until the first :meth:`clone`; from
-        #: then on the keys whose bucket list this index has copied since,
-        #: any other bucket possibly being shared with a twin and so copied
-        #: before a write.
-        self._owned: set[tuple[Any, ...]] | None = None
+        #: key → slot when unique, key → bucket otherwise.
+        self._entries: dict[tuple[Any, ...], Any] = {} if unique else _Buckets()
 
     def key_of(self, row: Sequence[Any]) -> tuple[Any, ...]:
         """Extract this index's key tuple from a full row."""
@@ -73,23 +136,48 @@ class HashIndex:
             f"unique index on {self.columns} violated by key {key!r}"
         )
 
+    def _absent(self, key: tuple[Any, ...]) -> TableError:
+        return TableError(f"index on {self.columns}: key {key!r} not present")
+
+    def _unregistered(self, key: tuple[Any, ...], slot: int) -> TableError:
+        return TableError(
+            f"index on {self.columns}: slot {slot} not registered for key {key!r}"
+        )
+
     def add(self, row: Sequence[Any], slot: int) -> None:
         """Register *row* stored at *slot*."""
         self.add_key(self.key_of(row), slot)
 
     def add_key(self, key: tuple[Any, ...], slot: int) -> None:
         """Register the row with index key *key* stored at *slot*."""
+        self.add_keys((key,), (slot,))
+
+    def add_keys(self, keys: Sequence[tuple[Any, ...]], slots: Sequence[int]) -> None:
+        """Register a batch of rows: their index *keys*, in step with the
+        distinct *slots* they are stored at.  Each bucket the batch touches
+        is rewritten once, the batch's slots for it appended in order.  A
+        unique violation raises with the index unchanged."""
         entries = self._entries
         if self.unique:
-            if key in entries:
-                raise self._violation(key)
-            entries[key] = slot
+            before = len(entries)
+            if not entries.keys().isdisjoint(keys):
+                raise self._violation(next(key for key in keys if key in entries))
+            entries.update(zip(keys, slots))
+            if len(entries) != before + len(keys):
+                deque(map(entries.pop, keys, repeat(None)), 0)
+                seen: set[tuple[Any, ...]] = set()
+                raise self._violation(
+                    next(key for key in keys if key in seen or seen.add(key))
+                )
             return
-        bucket = entries.get(key)
-        if bucket is None:
-            entries[key] = [slot]
+        if len(set(keys)) == len(keys):
+            packed: Iterable[bytes] = map(_pack, slots)
         else:
-            self._writable(key, bucket).append(slot)
+            runs = _group({}, keys, slots)
+            keys, packed = runs.keys(), runs.values()
+        entries.update(zip(
+            keys, map(add, map(entries.get, keys, repeat(b"")), packed)
+        ))
 
     def remove(self, row: Sequence[Any], slot: int) -> None:
         """Unregister *row* previously stored at *slot*."""
@@ -97,38 +185,54 @@ class HashIndex:
 
     def remove_key(self, key: tuple[Any, ...], slot: int) -> None:
         """Unregister the row with index key *key* stored at *slot*."""
-        entries = self._entries
-        found = entries.get(key)
-        if found is None:
-            raise TableError(f"index on {self.columns}: key {key!r} not present")
-        if self.unique:
-            if found != slot:
-                raise self._unregistered(key, slot)
-            del entries[key]
-            return
-        bucket = self._writable(key, found)
-        try:
-            bucket.remove(slot)
-        except ValueError:
-            raise self._unregistered(key, slot) from None
-        if not bucket:
-            del entries[key]
+        self.remove_keys((key,), (slot,))
 
-    def _unregistered(self, key: tuple[Any, ...], slot: int) -> TableError:
-        return TableError(
-            f"index on {self.columns}: slot {slot} not registered for key {key!r}"
-        )
+    def remove_keys(self, keys: Sequence[tuple[Any, ...]], slots: Sequence[int]) -> None:
+        """Unregister a batch of rows: their index *keys*, in step with the
+        distinct *slots* they were stored at.  Everything is checked
+        before anything changes: a key not present, or a slot not filed
+        under its key, raises with the index unchanged.  Keys whose bucket
+        is exactly the one slot removed leave in one C-level pass; every
+        other touched bucket is rewritten once."""
+        entries = self._entries
+        found = list(map(entries.get, keys))
+        if None in found:
+            raise self._absent(next(compress(keys, map(eq, found, repeat(None)))))
+        if self.unique:
+            if found != list(slots):
+                key, slot = next(pair for pair, held in zip(zip(keys, slots), found)
+                                 if pair[1] != held)
+                raise self._unregistered(key, slot)
+            deque(map(entries.__delitem__, keys), 0)
+            return
+        whole = list(map(eq, found, map(_pack, slots)))
+        rest = list(map(not_, whole))
+        rewritten = _group({}, compress(keys, rest), compress(slots, rest))
+        for key, run in rewritten.items():
+            gone = set(_slots(run))
+            held = _slots(entries[key])
+            kept = [slot for slot in held if slot not in gone]
+            if len(kept) != len(held) - len(gone):
+                raise self._unregistered(key, min(gone.difference(held)))
+            rewritten[key] = array("q", kept).tobytes()
+        deque(map(entries.__delitem__, compress(keys, whole)), 0)
+        for key, bucket in rewritten.items():
+            if bucket:
+                entries[key] = bucket
+            else:
+                del entries[key]
 
     def keys_of(self, columns: Sequence[Sequence[Any]]) -> list[tuple[Any, ...]]:
         """This index's key tuples for a batch of rows given column-wise
-        (what a batch mutator feeds ``add_key``/``remove_key``, in step
+        (what a batch mutator feeds ``add_keys``/``remove_keys``, in step
         with the rows' slots)."""
         return list(zip(*[columns[p] for p in self._positions]))
 
     def load(self, keys: Iterable[tuple[Any, ...]], slots: Iterable[int]) -> None:
         """Fill this new index in one pass over a whole table: the rows'
         key tuples, in step with their *slots*.  A unique violation raises
-        mid-way, so the table registers the index only once this returns."""
+        mid-way, so the table registers the index only once this returns.
+        A non-unique index's buckets are built by one :func:`_group`."""
         entries = self._entries
         if self.unique:
             keys = keys if isinstance(keys, list) else list(keys)
@@ -141,13 +245,7 @@ class HashIndex:
                         raise self._violation(key)
                     seen.add(key)
             return
-        get = entries.get
-        for key, slot in zip(keys, slots):
-            bucket = get(key)
-            if bucket is None:
-                entries[key] = [slot]
-            else:
-                bucket.append(slot)
+        _group(entries, keys, slots)
 
     def check_addable(self, keys: Iterable[tuple], vacated: Iterable[tuple] = ()) -> None:
         """Raise, with nothing changed, if adding *keys* would break
@@ -161,22 +259,13 @@ class HashIndex:
                     raise self._violation(key)
                 seen.add(key)
 
-    def _writable(self, key: tuple[Any, ...], bucket: list[int]) -> list[int]:
-        """*bucket* if this index alone holds it, else a private copy
-        installed in its place."""
-        owned = self._owned
-        if owned is not None and key not in owned:
-            bucket = self._entries[key] = bucket.copy()
-            owned.add(key)
-        return bucket
-
     def slots_of(self, key: tuple[Any, ...]) -> list[int]:
         """The row slots filed under *key*, in the order they were added
-        (empty when absent); uncharged, and read-only."""
+        (empty when absent); uncharged."""
         found = self._entries.get(key)
         if found is None:
             return []
-        return [found] if self.unique else found
+        return [found] if self.unique else _slots(found)
 
     def lookup(self, key: tuple[Any, ...]) -> list[int]:
         """Return the row slots whose key equals *key* (empty when absent)."""
@@ -185,12 +274,13 @@ class HashIndex:
 
     def lookup_many(self, keys: Iterable[tuple[Any, ...]]) -> list[int]:
         """The slots filed under any of *keys*, key by key in order, as one
-        flat list; charged as one lookup per key, once for the batch."""
+        flat list; charged as one lookup per key, once for the batch.  A
+        non-unique index's buckets are flattened by one ``bytes.join``."""
         found = list(map(self._entries.get, keys))
         charge_access("index_lookups", len(found))
         if self.unique:
             return [slot for slot in found if slot is not None]
-        return list(chain.from_iterable(filter(None, found)))
+        return _slots(b"".join(filter(None, found)))
 
     def probe_any(self, keys: Iterable[tuple[Any, ...]]) -> tuple[bool, int]:
         """Probe *keys* in order up to the first that has an entry: whether
@@ -229,12 +319,12 @@ class HashIndex:
         bucket = self._entries.get(key)
         if bucket is None:
             return None
-        if len(bucket) > 1:
+        if len(bucket) > _SLOT.size:
             raise TableError(
-                f"index on {self.columns}: key {key!r} matches {len(bucket)} "
-                "rows, expected at most one"
+                f"index on {self.columns}: key {key!r} matches "
+                f"{len(bucket) // _SLOT.size} rows, expected at most one"
             )
-        return bucket[0]
+        return _SLOT.unpack(bucket)[0]
 
     def holds(self, columns: Sequence[Sequence[Any]], slots: Sequence[int]) -> bool:
         """Whether each row of a batch given column-wise is filed under
@@ -254,19 +344,18 @@ class HashIndex:
         return len(self._entries)
 
     def clone(self) -> "HashIndex":
-        """A private copy with the same entries, in one ``dict.copy()``.
-        A unique index's entries are bare slots, so that is all; any other
-        index shares its bucket lists with the twin, and whichever side
-        writes to one first copies it (lookups hand out buckets read-only
-        already)."""
+        """A private copy with the same entries, in one C-level dict copy.
+        Neither a slot nor a bucket can change in place, so the twins
+        share them and each replaces what it writes.  A unique index's
+        map is copied by ``dict.copy()``, which clones the hash table
+        even after deletions; building a dict from it (what the
+        ``_Buckets`` copy does) re-hashes every key tuple, 2.5x slower at
+        310k keys."""
         twin = HashIndex(self.columns, self._positions, unique=self.unique)
-        twin._entries = self._entries.copy()
-        if not self.unique:
-            twin._owned = set()
-            self._owned = set()
+        entries = self._entries
+        twin._entries = entries.copy() if self.unique else _Buckets(entries)
         return twin
 
     def clear(self) -> None:
         """Drop all entries (used when a table is truncated or rebuilt)."""
         self._entries.clear()
-        self._owned = None

@@ -46,18 +46,26 @@ _PROMOTE_PROBE = 16
 #: rows)`` per column stays linear.  Measured (EXPERIMENTS.md "PR 15"):
 #: at 16,384 rows the per-column form is 1.2x (arity 8) to 2.6x (arity 2)
 #: faster and at 500,000 x 5 it is 3.1x; below 4,096 rows the star call
-#: wins at arity 5 and up, by at most 1.5x.
-_TRANSPOSE_BY_COLUMN_ROWS = 16_384
+#: wins at arity 5 and up, by at most 1.5x (under 0.1 ms a call).  The
+#: star call also holds one tracked iterator per row for its duration: a
+#: few thousand of them outlive two young collections and count toward
+#: CPython's trigger for a full one, which is 30 ms over a heap with no
+#: container per index key (one such pass per ``bulk-coarse`` cycle was
+#: traced to this), so the star call is kept to batches that cannot
+#: set off more than one young collection.
+_TRANSPOSE_BY_COLUMN_ROWS = 1_024
 
 
-def forget_values(counts: dict[Any, int], values: Iterable[Any]) -> None:
-    """Drop one occurrence of each of *values* from a tracked domain."""
-    for value in values:
-        remaining = counts.get(value, 0) - 1
-        if remaining <= 0:
-            counts.pop(value, None)
-        else:
+def _tally(counts: dict[Any, int], values: Iterable[Any], sign: int = 1) -> None:
+    """Add (*sign* 1) or drop (*sign* −1) one occurrence of each of
+    *values* in a tracked domain: one ``Counter`` of the batch, then one
+    update per distinct value; a value whose count reaches 0 leaves."""
+    for value, n in Counter(values).items():
+        remaining = counts.get(value, 0) + sign * n
+        if remaining > 0:
             counts[value] = remaining
+        else:
+            counts.pop(value, None)
 
 
 def transpose_rows(rows: Collection[Sequence[Any]], arity: int) -> list[Sequence[Any]]:
@@ -546,8 +554,7 @@ class Table:
         for index, key in keyed:
             index.add_key(key, slot)
         for position, counts in self._domains.items():
-            value = stored[position]
-            counts[value] = counts.get(value, 0) + 1
+            _tally(counts, (stored[position],))
         self._live_count += 1
         for observer in self._observers:
             observer.row_inserted(stored)
@@ -618,7 +625,9 @@ class Table:
         """The insert kernel, with no access accounting: unique keys checked
         before anything is written, free slots refilled (most recently
         freed first, as single inserts do), the rest appended in one batch;
-        then one pass per index and tracked domain, one observer call."""
+        then one bucket rewrite per touched index key
+        (:meth:`HashIndex.add_keys`), one ``Counter`` per tracked domain,
+        one observer call."""
         store = self._store
         keyed = [(index, index.keys_of(columns)) for index in self._indexes.values()]
         for index, keys in keyed:
@@ -637,11 +646,9 @@ class Table:
         if keyed:
             slots = reused + list(range(base, base + n - reuse))
             for index, keys in keyed:
-                for key, slot in zip(keys, slots):
-                    index.add_key(key, slot)
+                index.add_keys(keys, slots)
         for position, counts in self._domains.items():
-            for value in columns[position]:
-                counts[value] = counts.get(value, 0) + 1
+            _tally(counts, columns[position])
         self._live_count += n
         self._notify("inserted", n, columns)
 
@@ -666,7 +673,7 @@ class Table:
         self._store.set(slot, None)
         self._free_slots.append(slot)
         for position, counts in self._domains.items():
-            forget_values(counts, (row[position],))
+            _tally(counts, (row[position],), -1)
         self._live_count -= 1
         for observer in self._observers:
             observer.row_deleted(row)
@@ -675,17 +682,17 @@ class Table:
 
     def delete_slots(self, slots: Sequence[int]) -> int:
         """Delete many slots as one batch (one gather of the doomed rows, one
-        pass per index and tracked domain, one observer call); an empty or
-        repeated slot raises with nothing deleted."""
+        bucket rewrite per touched index key, one ``Counter`` per tracked
+        domain, one observer call); an empty or repeated slot raises with
+        nothing deleted."""
         slots = list(slots)
         columns = self._take_distinct(slots)
         for index in self._indexes.values():
-            for key, slot in zip(index.keys_of(columns), slots):
-                index.remove_key(key, slot)
+            index.remove_keys(index.keys_of(columns), slots)
         self._store.kill(slots)
         self._free_slots.extend(slots)
         for position, counts in self._domains.items():
-            forget_values(counts, columns[position])
+            _tally(counts, columns[position], -1)
         self._live_count -= len(slots)
         self._notify("deleted", len(slots), columns)
         charge_access("rows_deleted", len(slots))
@@ -716,8 +723,8 @@ class Table:
         for position, counts in self._domains.items():
             old_value, new_value = old_row[position], stored[position]
             if old_value != new_value:
-                forget_values(counts, (old_value,))
-                counts[new_value] = counts.get(new_value, 0) + 1
+                _tally(counts, (old_value,), -1)
+                _tally(counts, (new_value,))
         self._store.set(slot, stored)
         for observer in self._observers:
             observer.row_updated(old_row, stored)
@@ -786,11 +793,9 @@ class Table:
             sources, targets = zip(*moves)
             columns = store.take(targets)
             for index in self._indexes.values():
-                for key, source, target in zip(
-                    index.keys_of(columns), sources, targets
-                ):
-                    index.remove_key(key, source)
-                    index.add_key(key, target)
+                keys = index.keys_of(columns)
+                index.remove_keys(keys, sources)
+                index.add_keys(keys, targets)
         self._free_slots.clear()
         return len(moves)
 

@@ -190,7 +190,8 @@ class ChangeSet:
             # insertion was arity-checked against this same schema when it
             # entered the change tables.
             span.add("deleted", base.delete_slots(doomed_slots))
-            span.add("inserted", base.insert_many(self.insertions.scan()))
+            charge_access("rows_scanned", len(self.insertions))
+            span.add("inserted", base.append_batch(self.insertions.columns()))
 
     def _resolve_deletions(self, base: Table, span: Any) -> list[int]:
         """The slots of *base* the deferred deletions remove, in scan

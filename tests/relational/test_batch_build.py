@@ -147,6 +147,58 @@ class TestCreateIndex:
             HashIndex(["k"], [0], unique=True).load([(1,), (2,), (1,)], range(3))
 
 
+class TestBuckets:
+    """A non-unique index's buckets under batch writes: a hot key, a NULL
+    key and table clones writing the same shared bucket, checked against
+    a rebuild (``verify_indexes``) after every step."""
+
+    HOT = (9, 9)
+
+    @pytest.mark.parametrize("typed", [False, True])
+    def test_hot_key_null_key_and_clone_twins(self, typed):
+        table = build(typed)
+        index = table.create_index(["a", "b"])
+        fresh = itertools.count(1000)
+        table.insert_many([(next(fresh), *self.HOT) for _ in range(2000)])
+        assert table.verify_indexes()
+        hot = index.slots_of(self.HOT)
+        assert hot == list(range(8, 2008))           # insertion order
+
+        table.delete_slots(hot[::2])                  # half, as one batch
+        assert table.verify_indexes()
+        assert index.slots_of(self.HOT) == hot[1::2]
+        table.insert_many([(next(fresh), *self.HOT) for _ in range(1000)])
+        assert table.verify_indexes()
+        # Refills take the most recently freed slots first, appended in turn.
+        assert index.slots_of(self.HOT) == hot[1::2] + hot[::2][::-1]
+
+        table.insert_many([(next(fresh), None, None), (next(fresh), None, None)])
+        assert table.verify_indexes()
+        nulls = index.slots_of((None, None))
+        assert len(nulls) == 2 and index.lookup_many([(None, None)]) == nulls
+        with pytest.raises(TableError, match="matches 2 rows"):
+            index.lookup_each([(0, 0), (None, None)])
+        table.delete_slots(nulls[:1])
+        assert index.lookup_each([(None, None)]) == nulls[1:]
+        assert table.verify_indexes()
+
+        kept = entries(index)
+        twin = table.copy()
+        twin_index = twin.index_on(["a", "b"])
+        table.delete_slots(index.slots_of(self.HOT)[:500])
+        twin.delete_slots(twin_index.slots_of(self.HOT)[-700:])
+        twin.insert_many([(next(fresh), *self.HOT) for _ in range(300)])
+        table.compact()
+        for each in (table, twin):
+            assert each.verify_indexes()
+        assert len(index.slots_of(self.HOT)) == 1500
+        assert len(twin_index.slots_of(self.HOT)) == 1600
+        twin.delete_slots(twin_index.slots_of(self.HOT))
+        assert twin.verify_indexes() and twin_index.slots_of(self.HOT) == []
+        assert len(index.slots_of(self.HOT)) == 1500 and table.verify_indexes()
+        assert kept[(None, None)] == nulls[1:]
+
+
 unique_history = st.lists(st.one_of(
     st.tuples(st.sampled_from(["insert", "append"]),
               st.lists(st.tuples(a_values, values), max_size=6)),

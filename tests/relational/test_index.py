@@ -1,9 +1,11 @@
 """HashIndex behaviour in isolation."""
 
+import gc
+
 import pytest
 
 from repro.errors import TableError
-from repro.relational import HashIndex
+from repro.relational import HashIndex, Table
 
 
 @pytest.fixture
@@ -85,6 +87,30 @@ class TestClone:
         assert index.lookup((2, "y")) == [2] and twin.lookup((2, "y")) == []
         assert index.lookup((3, "z")) == [9] and twin.lookup((3, "z")) == []
 
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_both_twins_write_the_same_shared_bucket(self, index, batch):
+        """Each side replaces the shared bucket with its own; neither sees
+        the other's slots, whether a write is one row or a batch."""
+        twin = index.clone()
+        key = (1, "x")
+        if batch:
+            twin.add_keys([key, key, (4, "w")], [7, 8, 3])
+            index.remove_keys([key], [0])
+            index.add_keys([key], [5])
+            twin.remove_keys([key, key], [1, 7])
+        else:
+            twin.add_key(key, 7)
+            twin.add_key(key, 8)
+            twin.add_key((4, "w"), 3)
+            index.remove_key(key, 0)
+            index.add_key(key, 5)
+            twin.remove_key(key, 1)
+            twin.remove_key(key, 7)
+        assert index.slots_of(key) == [1, 5]
+        assert twin.slots_of(key) == [0, 8]
+        assert index.slots_of((4, "w")) == [] and twin.slots_of((4, "w")) == [3]
+        assert index.slots_of((2, "y")) == twin.slots_of((2, "y")) == [2]
+
     def test_clone_of_a_clone_after_writes(self, index):
         twin = index.clone()
         twin.add((1, "x", 5), 7)
@@ -94,6 +120,70 @@ class TestClone:
         assert index.lookup((1, "x")) == [0, 1]
         assert twin.lookup((1, "x")) == [0, 1, 7, 8]
         assert third.lookup((1, "x")) == [1, 7]
+
+
+class TestBatch:
+    def test_slots_keep_insertion_order(self, index):
+        index.add_keys([(1, "x"), (3, "z"), (1, "x")], [9, 4, 2])
+        index.add_key((1, "x"), 6)
+        assert index.slots_of((1, "x")) == [0, 1, 9, 2, 6]
+        assert index.lookup_many([(3, "z"), (9, "q"), (1, "x")]) == [4, 0, 1, 9, 2, 6]
+        index.remove_keys([(1, "x"), (1, "x")], [9, 0])
+        assert index.slots_of((1, "x")) == [1, 2, 6]
+
+    def test_a_bad_removal_leaves_the_index_unchanged(self, index):
+        before = {key: index.slots_of(key) for key in index.keys()}
+        with pytest.raises(TableError, match="not registered"):
+            index.remove_keys([(2, "y"), (1, "x")], [2, 7])
+        with pytest.raises(TableError, match="not present"):
+            index.remove_keys([(2, "y"), (9, "z")], [2, 0])
+        assert {key: index.slots_of(key) for key in index.keys()} == before
+
+    def test_unique_batch_violation_leaves_the_index_unchanged(self):
+        idx = HashIndex(["a"], [0], unique=True)
+        idx.add_keys([(1,), (2,)], [0, 1])
+        for keys in ([(3,), (2,)], [(3,), (4,), (3,)]):
+            with pytest.raises(TableError, match="unique"):
+                idx.add_keys(keys, [5, 6, 7][:len(keys)])
+            assert {key: idx.slots_of(key) for key in idx.keys()} == {(1,): [0], (2,): [1]}
+
+
+class TestCollector:
+    """A non-unique index holds nothing the cyclic collector tracks per
+    key: each bucket is ``bytes`` and the map is one object."""
+
+    ROWS = 20_000
+
+    @staticmethod
+    def tracked():
+        gc.collect()
+        return len(gc.get_objects())
+
+    def buckets(self, index):
+        return list(index._entries.values())  # noqa: SLF001
+
+    def test_the_index_is_invisible_to_the_collector(self):
+        n = self.ROWS
+        table = Table("t", ["a", "b", "v"])
+        table.append_batch([[i % 4_000 for i in range(n)],
+                            [i % 3 for i in range(n)], list(range(n))])
+        before = self.tracked()
+        index = table.create_index(["a", "b"])
+        assert self.tracked() - before < 10
+        assert 4_000 <= len(index) < n
+        assert not any(map(gc.is_tracked, self.buckets(index)))
+        # Batch writes, a clone and compaction keep it that way.
+        table.delete_slots(range(0, n, 3))
+        table.insert_many([(i % 50, 0, -i) for i in range(n // 2)])
+        copy = table.copy()
+        copy.delete_slots(range(1, n, 5))
+        copy.compact()
+        assert table.verify_indexes() and copy.verify_indexes()
+        before = self.tracked()
+        third = copy.copy()
+        assert self.tracked() - before < 40
+        for each in (table, copy, third):
+            assert not any(map(gc.is_tracked, self.buckets(each.index_on(["a", "b"]))))
 
 
 class TestUnique:
