@@ -437,8 +437,9 @@ def apply_refresh(
        filter;
     4. :meth:`~repro.views.materialize.MaterializedView.publish` validates
        the shadow's incrementally-maintained certificate against the rows
-       stored at the slots the shadow wrote and installs it with one
-       reference swap.  Steps 3 and 4 run under a ``publish`` span that
+       stored at the slots the shadow wrote, hashing each once, and the
+       base's per-slot digests there, and installs it with one reference
+       swap.  Steps 3 and 4 run under a ``publish`` span that
        counts ``compacted_rows``, ``written_slots`` and ``validated_rows``.
 
     A failure anywhere — including the injected *failure_hook*, invoked

@@ -10,12 +10,18 @@ observable quantity instead of an assumption:
   tuples.  The combiner is modular addition, so the certificate is
   *invertible*: removing a row subtracts its digest, which is what lets
   refresh maintain it in O(|summary-delta|) rather than O(|view|).
+  :func:`columns_digests` hashes a batch given column-wise, one hash call
+  per row.
 * :class:`ViewCertificate` — the live, incrementally maintained
-  certificate of one summary table.  It is a table mutation observer
+  certificate of one summary table, with a per-slot digest column whose
+  sum over the live slots is the certificate: each written row is hashed
+  once, and the digest of a row replaced or deleted is read from the
+  column, never re-hashed.  It is a table mutation observer
   (:meth:`repro.relational.table.Table.attach_observer`), so every
-  mutation path — both refresh variants on a shadow copy,
-  rematerialisation — keeps it consistent without the callers knowing it
-  exists.
+  mutation path — refresh on a shadow copy, the group-recompute
+  baseline, compaction — keeps it consistent without the callers knowing
+  it exists, and ``publish`` checks the rows at the written slots against
+  the column (:meth:`repro.views.materialize.MaterializedView.publish`).
 * :class:`ViewFreshness` — per-view freshness: last refresh timestamp,
   run id, kind, and cumulative delta rows applied.
 * :class:`IntegrityEvent` — one alertable integrity finding, with a
@@ -34,8 +40,12 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import sys
 import time
+from array import array
+from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Iterable, Sequence
 
 from .tracing import current_span
@@ -47,6 +57,7 @@ __all__ = [
     "ViewCertificate",
     "ViewFreshness",
     "columns_certificate",
+    "columns_digests",
     "record_events",
     "row_digest",
     "rows_certificate",
@@ -61,8 +72,10 @@ _PACK_LEN = struct.Struct("<I").pack
 #: a subclass may override ``__str__``/``__eq__``).
 _BY_VALUE_TYPES = frozenset({int, float, bool, str, type(None)})
 
-#: Rows digested per block by :func:`columns_certificate`.
+#: Rows digested per block by :func:`columns_digests`.
 _BLOCK_ROWS = 1 << 15
+
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def _canonical_bytes(value: Any) -> bytes:
@@ -108,24 +121,24 @@ def _cell_part(value: Any) -> bytes:
     return _PACK_LEN(len(cell)) + cell
 
 
-def columns_certificate(columns: Sequence[Sequence[Any]], count: int) -> int:
-    """The certificate of *count* rows given column-wise.
+def columns_digests(columns: Sequence[Sequence[Any]], count: int) -> array:
+    """Each of *count* rows' :func:`row_digest`, the rows given
+    column-wise, in row order as an ``array('Q')``.
 
-    Equal, bit for bit, to ``sum(row_digest(row))`` over the transposed
-    rows, but the per-row interpreter work is one hash call: each column
-    is first mapped to its cells' hash input through a table holding one
-    entry per *distinct* value.  Sharing an entry between equal values is
-    sound for the built-in scalars only (``0 == 0.0 == False`` all
-    canonicalise to ``i0``; a ``Decimal`` equal to an ``int`` does not),
-    so a column holding any other type is canonicalised cell by cell.
-    Rows are taken a block at a time, which bounds the working memory
-    whatever the table's size.  *count* is needed for zero-arity rows,
-    which have no column to measure.
+    The per-row interpreter work is one hash call: each column is first
+    mapped to its cells' hash input through a table holding one entry per
+    *distinct* value.  Sharing an entry between equal values is sound for
+    the built-in scalars only (``0 == 0.0 == False`` all canonicalise to
+    ``i0``; a ``Decimal`` equal to an ``int`` does not), so a column
+    holding any other type is canonicalised cell by cell.  Rows are taken
+    a block at a time, which bounds the working memory whatever the
+    table's size.  *count* is needed for zero-arity rows, which have no
+    column to measure.
     """
     if not columns:
-        return (count * row_digest(())) & CERT_MASK
+        return array("Q", [row_digest(())]) * count
     blake2b = hashlib.blake2b
-    total = 0
+    digests = array("Q")
     for start in range(0, count, _BLOCK_ROWS):
         parts = []
         for column in columns:
@@ -138,12 +151,20 @@ def columns_certificate(columns: Sequence[Sequence[Any]], count: int) -> int:
                 parts.append(map(table.__getitem__, cells))
             else:
                 parts.append(map(_cell_part, cells))
-        digests = b"".join([
+        digests.frombytes(b"".join([
             blake2b(row, digest_size=8).digest()
             for row in map(b"".join, zip(*parts))
-        ])
-        total += sum(struct.unpack(f"<{len(digests) // 8}Q", digests))
-    return total & CERT_MASK
+        ]))
+    if _BIG_ENDIAN:
+        digests.byteswap()  # a digest reads as a little-endian integer
+    return digests
+
+
+def columns_certificate(columns: Sequence[Sequence[Any]], count: int) -> int:
+    """The certificate of *count* rows given column-wise: the sum of their
+    :func:`columns_digests`, equal bit for bit to ``sum(row_digest(row))``
+    over the transposed rows."""
+    return sum(columns_digests(columns, count)) & CERT_MASK
 
 
 def rows_certificate(rows: Iterable[Iterable[Any]]) -> int:
@@ -162,39 +183,65 @@ class ViewCertificate:
     """The incrementally maintained certificate of one summary table.
 
     Attach to the view's stored table as a mutation observer; the value
-    then tracks the table's live contents exactly: an insert adds the
-    row's digest, a delete subtracts it, an update does both.  Each
-    observer callback charges the ``cert_digests`` counter on the active
-    span — the proof obligation that certificate maintenance is
-    O(|summary-delta|) (counters scale with rows touched, never with the
-    view size).
+    then tracks the table's live contents exactly.  Beside it the
+    certificate keeps a *digest column*, :attr:`digests`: at index *s*,
+    the :func:`row_digest` of the row stored at slot *s*, so the value is
+    the column's sum over the live slots.  An insert hashes the new rows
+    and adds their digests; an update hashes the new rows and swaps them
+    for the old rows' digests, read from the column; a delete subtracts
+    the column's digests and hashes nothing; a compaction moves digests
+    with the rows it moves.  Each row hashed charges the ``cert_digests``
+    counter on the active span — the proof obligation that certificate
+    maintenance is O(|summary-delta|) (counters scale with rows written,
+    never with the view size).
     """
 
-    __slots__ = ("value", "digests_computed")
+    __slots__ = ("value", "digests", "digests_computed")
 
-    def __init__(self, value: int = 0):
+    def __init__(self, value: int = 0, digests: array | None = None):
         self.value = value & CERT_MASK
+        #: Slot *s*'s row digest at index *s*, meaningful at live slots
+        #: only; a slot past the end reads as 0.
+        self.digests = array("Q") if digests is None else digests
         #: Total digests computed over this certificate's lifetime (the
         #: O(|delta|) accounting the acceptance tests assert on).
         self.digests_computed = 0
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[Any]]) -> "ViewCertificate":
-        rows = list(rows)
-        certificate = cls(rows_certificate(rows))
-        certificate.digests_computed = len(rows)
-        return certificate
-
-    @classmethod
     def from_columns(
         cls, columns: Sequence[Sequence[Any]], count: int
     ) -> "ViewCertificate":
-        """Certificate of *count* rows given column-wise (what
-        ``Table.columns()`` returns, so a table is never transposed
-        into tuples)."""
-        certificate = cls(columns_certificate(columns, count))
+        """Certificate of *count* rows given column-wise, stored at slots
+        0 to *count* − 1 (what a dense table's ``Table.columns()``
+        returns, so a table is never transposed into tuples)."""
+        digests = columns_digests(columns, count)
+        certificate = cls(sum(digests), digests)
         certificate.digests_computed = count
         return certificate
+
+    @classmethod
+    def from_table(cls, table) -> "ViewCertificate":
+        """Certificate of a table's live rows, each digest at its slot
+        (0 at a dead one)."""
+        certificate = cls.from_columns(table.columns(), len(table))
+        slots = table.live_slots()
+        if len(slots) and slots[-1] != len(slots) - 1:
+            packed, certificate.digests = certificate.digests, array(
+                "Q", bytes(8 * (slots[-1] + 1))
+            )
+            deque(map(certificate.digests.__setitem__, slots, packed), 0)
+        return certificate
+
+    def at(self, slots: Sequence[int]) -> tuple[int, ...]:
+        """The digest column at *slots*, in their order (0 past its end):
+        one C-level gather."""
+        digests = self.digests
+        if max(slots, default=-1) >= len(digests):
+            return tuple(digests[slot] if slot < len(digests) else 0
+                         for slot in slots)
+        if len(slots) > 1:
+            return itemgetter(*slots)(digests)
+        return tuple(map(digests.__getitem__, slots))
 
     def _charge(self, n: int) -> None:
         self.digests_computed += n
@@ -202,41 +249,46 @@ class ViewCertificate:
         if span is not None:
             span.add("cert_digests", n)
 
+    def _store(self, slots: Sequence[int], digests: Sequence[int]) -> None:
+        column = self.digests
+        reach = max(slots, default=-1) + 1 - len(column)
+        if reach > 0:
+            column.frombytes(bytes(8 * reach))
+        deque(map(column.__setitem__, slots, digests), 0)
+
     # -- table observer protocol --------------------------------------
+    # Each mutation arrives as a batch: the slots it wrote and, for an
+    # insert or an update, the rows now stored there, column-wise.
 
-    def row_inserted(self, row: tuple) -> None:
-        self.value = (self.value + row_digest(row)) & CERT_MASK
-        self._charge(1)
+    def rows_inserted(self, slots: Sequence[int],
+                      columns: Sequence[Sequence[Any]]) -> None:
+        digests = columns_digests(columns, len(slots))
+        self._store(slots, digests)
+        self.value = (self.value + sum(digests)) & CERT_MASK
+        self._charge(len(slots))
 
-    def row_deleted(self, row: tuple) -> None:
-        self.value = (self.value - row_digest(row)) & CERT_MASK
-        self._charge(1)
+    def rows_deleted(self, slots: Sequence[int],
+                     columns: Sequence[Sequence[Any]]) -> None:
+        self.value = (self.value - sum(self.at(slots))) & CERT_MASK
 
-    def row_updated(self, old_row: tuple, new_row: tuple) -> None:
-        self.value = (
-            self.value - row_digest(old_row) + row_digest(new_row)
-        ) & CERT_MASK
-        self._charge(2)
+    def rows_updated(self, slots: Sequence[int],
+                     columns: Sequence[Sequence[Any]]) -> None:
+        digests = columns_digests(columns, len(slots))
+        old = sum(self.at(slots))
+        self._store(slots, digests)
+        self.value = (self.value - old + sum(digests)) & CERT_MASK
+        self._charge(len(slots))
 
-    # Batch forms (rows column-wise): the same sums, one hash call per row.
-
-    def _shift(self, sign: int, columns: Sequence[Sequence[Any]], count: int) -> None:
-        digests = columns_certificate(columns, count)
-        self.value = (self.value + sign * digests) & CERT_MASK
-        self._charge(count)
-
-    def rows_inserted(self, columns: Sequence[Sequence[Any]], count: int) -> None:
-        self._shift(1, columns, count)
-
-    def rows_deleted(self, columns: Sequence[Sequence[Any]], count: int) -> None:
-        self._shift(-1, columns, count)
-
-    def rows_updated(self, old: Sequence[Any], new: Sequence[Any], count: int) -> None:
-        self._shift(-1, old, count)
-        self._shift(1, new, count)
+    def rows_moved(self, sources: Sequence[int], targets: Sequence[int],
+                   size: int) -> None:
+        """A compaction moved the rows at *sources* to *targets* and cut
+        the table to *size* slots."""
+        self._store(targets, self.at(sources))
+        del self.digests[size:]
 
     def truncated(self) -> None:
         self.value = 0
+        del self.digests[:]
 
     # -- presentation --------------------------------------------------
 

@@ -23,7 +23,7 @@ This module threads an identity through the whole pipeline:
   epoch's certificate.
 * :class:`ViewLineage` — the per-view manifest log, mirroring
   :class:`~repro.obs.audit.ViewFreshness`.  It indexes manifests by
-  batch id and *refuses duplicates*: a batch id landing in a second
+  runs of consecutive batch ids and *refuses duplicates*: a batch id landing in a second
   manifest for the same view means the same deferred changes were
   applied twice, which corrupts aggregates — the no-loss/no-duplication
   invariant the property suite checks is enforced at record time.
@@ -39,6 +39,8 @@ from __future__ import annotations
 
 import threading
 import time
+from bisect import bisect_left, bisect_right
+from itertools import chain
 from typing import Any, Iterable, Iterator, Mapping
 
 from ..errors import LineageError
@@ -301,11 +303,23 @@ class ViewLineage:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._manifests: list[EpochManifest] = []
-        self._by_batch: dict[int, EpochManifest] = {}
+        # The published batch ids as disjoint runs in id order: run *i*
+        # is ``_lows[i]`` to ``_highs[i]``, every id of it published in
+        # ``_owners[i]``.  One entry per run of a manifest, not per batch:
+        # a view refreshed every cycle publishes batches without end.
+        self._lows: list[int] = []
+        self._highs: list[int] = []
+        self._owners: list[EpochManifest] = []
+        self._published = 0
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._manifests)
+
+    def _owner(self, batch_id: int) -> EpochManifest | None:
+        """The manifest that published *batch_id* (lock held)."""
+        i = bisect_right(self._lows, batch_id) - 1
+        return self._owners[i] if i >= 0 and self._highs[i] >= batch_id else None
 
     def record(
         self,
@@ -319,22 +333,25 @@ class ViewLineage:
         manifest = EpochManifest(
             view, epoch, refresh_count, publish_ts, lineage
         )
+        runs = manifest.intervals()
         with self._lock:
-            duplicates = [
-                batch_id for batch_id in manifest.batches
-                if batch_id in self._by_batch
-            ]
-            if duplicates:
-                prior = self._by_batch[duplicates[0]]
-                raise LineageError(
-                    f"batch {duplicates[0]} already published to view "
-                    f"{view!r} in epoch {prior.epoch} (refresh "
-                    f"{prior.refresh_count}); applying it again would "
-                    "double-count its changes"
-                )
+            for lo, hi in runs:     # the lowest batch id published before
+                i = bisect_left(self._highs, lo)
+                if i < len(self._lows) and self._lows[i] <= hi:
+                    prior = self._owners[i]
+                    raise LineageError(
+                        f"batch {max(lo, self._lows[i])} already published "
+                        f"to view {view!r} in epoch {prior.epoch} (refresh "
+                        f"{prior.refresh_count}); applying it again would "
+                        "double-count its changes"
+                    )
+            for lo, hi in runs:
+                i = bisect_left(self._lows, lo)
+                self._lows.insert(i, lo)
+                self._highs.insert(i, hi)
+                self._owners.insert(i, manifest)
             self._manifests.append(manifest)
-            for batch_id in manifest.batches:
-                self._by_batch[batch_id] = manifest
+            self._published += len(manifest._ingest)
         return manifest
 
     def manifests(self) -> list[EpochManifest]:
@@ -353,29 +370,40 @@ class ViewLineage:
     def manifest_for(self, batch_id: int) -> EpochManifest | None:
         """The manifest containing *batch_id*, or ``None`` if unpublished."""
         with self._lock:
-            return self._by_batch.get(batch_id)
+            return self._owner(batch_id)
 
     def published_batches(self) -> frozenset[int]:
         with self._lock:
-            return frozenset(self._by_batch)
+            return frozenset(chain.from_iterable(
+                map(range, self._lows, [hi + 1 for hi in self._highs])
+            ))
 
     def batches_published(self) -> int:
         with self._lock:
-            return len(self._by_batch)
+            return self._published
 
     def pending_against(self, lineage: BatchLineage) -> BatchLineage:
         """The batches of *lineage* not yet published to this view."""
-        return lineage.difference(self.published_batches())
+        with self._lock:
+            published = frozenset(
+                batch_id for batch_id in lineage._ingest
+                if self._owner(batch_id) is not None
+            )
+        return lineage.difference(published)
 
     def as_dict(self) -> dict[str, Any]:
         with self._lock:
             last = self._manifests[-1] if self._manifests else None
+            intervals: list[list[int]] = []
+            for lo, hi in zip(self._lows, self._highs):
+                if intervals and lo == intervals[-1][1] + 1:
+                    intervals[-1][1] = hi
+                else:
+                    intervals.append([lo, hi])
             return {
                 "manifests": len(self._manifests),
-                "batches_published": len(self._by_batch),
-                "intervals": [
-                    list(run) for run in compress_intervals(self._by_batch)
-                ],
+                "batches_published": self._published,
+                "intervals": intervals,
                 "last_manifest": last.as_dict() if last is not None else None,
             }
 

@@ -40,7 +40,9 @@ _pack = _SLOT.pack
 
 #: Past this many bytes (64 slots) :func:`_group` stops re-concatenating
 #: a key's run per row and spills the key's further slots to one join at
-#: the end, so a hot key costs linear time.
+#: the end, and :meth:`HashIndex.remove_keys` filters a bucket once
+#: instead of cutting slots out of it one by one, so a hot key costs
+#: linear time.
 _SPILL_BYTES = 64 * _SLOT.size
 
 
@@ -192,8 +194,10 @@ class HashIndex:
         distinct *slots* they were stored at.  Everything is checked
         before anything changes: a key not present, or a slot not filed
         under its key, raises with the index unchanged.  Keys whose bucket
-        is exactly the one slot removed leave in one C-level pass; every
-        other touched bucket is rewritten once."""
+        is exactly the one slot removed leave in one C-level pass; from
+        every other touched bucket of up to ``_SPILL_BYTES`` each slot is
+        cut out where ``bytes.find`` meets it at a slot boundary, and a
+        longer bucket is filtered once."""
         entries = self._entries
         found = list(map(entries.get, keys))
         if None in found:
@@ -207,9 +211,30 @@ class HashIndex:
             return
         whole = list(map(eq, found, map(_pack, slots)))
         rest = list(map(not_, whole))
-        rewritten = _group({}, compress(keys, rest), compress(slots, rest))
-        for key, run in rewritten.items():
-            gone = set(_slots(run))
+        size = _SLOT.size
+        rewritten: dict[tuple[Any, ...], bytes] = {}
+        spilled: dict[tuple[Any, ...], set[int]] = {}
+        for key, slot in zip(compress(keys, rest), compress(slots, rest)):
+            bucket = rewritten.get(key)
+            if bucket is None:
+                bucket = entries[key]
+                if len(bucket) > _SPILL_BYTES:
+                    # Cutting slots out one by one would copy a long bucket
+                    # once a slot: it is filtered once instead, below.
+                    gone = spilled.get(key)
+                    if gone is None:
+                        spilled[key] = {slot}
+                    else:
+                        gone.add(slot)
+                    continue
+            packed = _pack(slot)
+            at = bucket.find(packed)
+            while at > 0 and at % size:     # a match across two slots
+                at = bucket.find(packed, at + 1)
+            if at < 0:
+                raise self._unregistered(key, slot)
+            rewritten[key] = bucket[:at] + bucket[at + size:]
+        for key, gone in spilled.items():
             held = _slots(entries[key])
             kept = [slot for slot in held if slot not in gone]
             if len(kept) != len(held) - len(gone):

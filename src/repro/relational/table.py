@@ -495,9 +495,13 @@ class Table:
         storage, raises.  Does not charge access stats (callers charge
         what they consume), matching :meth:`columns`.
         """
-        store = self._store
         positions = None if names is None else self.schema.positions(names)
-        valid = store._valid  # noqa: SLF001 — liveness check
+        self._check_live(slots)
+        return self._store.take(slots, positions)
+
+    def _check_live(self, slots: Sequence[int]) -> None:
+        """Raise unless every one of *slots* holds a live row."""
+        valid = self._store._valid  # noqa: SLF001 — liveness check
         if slots and not 0 <= min(slots) <= max(slots) < len(valid):
             raise TableError(
                 f"table {self.name!r}: a slot lies outside 0..{len(valid) - 1}"
@@ -505,7 +509,6 @@ class Table:
         if not all(map(valid.__getitem__, slots)):
             dead = next(slot for slot in slots if not valid[slot])
             raise TableError(f"table {self.name!r}: slot {dead} is empty")
-        return store.take(slots, positions)
 
     def written_slots(self) -> set[int] | None:
         """The slots this table's storage has written since :meth:`copy`
@@ -516,11 +519,20 @@ class Table:
         and observers, so it needs nothing from them to be complete."""
         return self._store.written_slots()
 
+    def live_slots(self) -> Sequence[int]:
+        """The slots holding a live row, ascending."""
+        return self._store.live_slots()
+
+    def live_among(self, slots: Iterable[int]) -> list[int]:
+        """Those of *slots* that hold a live row here, ascending; a slot
+        that is tombstoned or past the end holds none."""
+        return self._store.live_among(slots)
+
     def take_live(self, slots: Iterable[int]) -> tuple[list[int], list[list[Any]]]:
         """The live rows among *slots* of this table, as (their
         slots, ascending; their columns).  Unlike :meth:`take`, a slot
         that is tombstoned or past the end simply holds no row: this is
-        how one table is read at slots another one wrote.  Uncharged."""
+        how a table is read at the slots it wrote.  Uncharged."""
         live = self._store.live_among(slots)
         return live, self._store.take(live)
 
@@ -556,8 +568,7 @@ class Table:
         for position, counts in self._domains.items():
             _tally(counts, (stored[position],))
         self._live_count += 1
-        for observer in self._observers:
-            observer.row_inserted(stored)
+        self._notify("inserted", [slot], [(value,) for value in stored])
         charge_access("rows_inserted", 1)
         return slot
 
@@ -643,27 +654,22 @@ class Table:
         if n > reuse:
             rest = [col[reuse:] for col in columns] if reuse else columns
             store.append_batch(rest, n - reuse)
-        if keyed:
-            slots = reused + list(range(base, base + n - reuse))
-            for index, keys in keyed:
-                index.add_keys(keys, slots)
+        slots = reused + list(range(base, base + n - reuse)) \
+            if keyed or self._observers else []
+        for index, keys in keyed:
+            index.add_keys(keys, slots)
         for position, counts in self._domains.items():
             _tally(counts, columns[position])
         self._live_count += n
-        self._notify("inserted", n, columns)
+        self._notify("inserted", slots, columns)
 
-    def _notify(self, event: str, count: int, *batches: Sequence[Any]) -> None:
-        """One call per observer for a batch mutation of *count* rows, each
-        of *batches* column-wise: ``rows_<event>(*batches, count)``, or for
-        an observer without it ``row_<event>`` once per row."""
+    def _notify(self, event: str, slots: Sequence[int],
+                columns: Sequence[Sequence[Any]]) -> None:
+        """One ``rows_<event>(slots, columns)`` call per observer: the
+        slots a mutation wrote, and the rows it inserted or deleted there
+        or left there by an update, column-wise."""
         for observer in self._observers:
-            whole = getattr(observer, "rows_" + event, None)
-            if whole is not None:
-                whole(*batches, count)
-                continue
-            per_row = getattr(observer, "row_" + event)
-            for rows in zip(*(zip(*columns) for columns in batches)):
-                per_row(*rows)
+            getattr(observer, "rows_" + event)(slots, columns)
 
     def delete_slot(self, slot: int) -> Row:
         """Delete the row at *slot*; return the removed row."""
@@ -675,8 +681,7 @@ class Table:
         for position, counts in self._domains.items():
             _tally(counts, (row[position],), -1)
         self._live_count -= 1
-        for observer in self._observers:
-            observer.row_deleted(row)
+        self._notify("deleted", [slot], [(value,) for value in row])
         charge_access("rows_deleted", 1)
         return row
 
@@ -694,17 +699,20 @@ class Table:
         for position, counts in self._domains.items():
             _tally(counts, columns[position], -1)
         self._live_count -= len(slots)
-        self._notify("deleted", len(slots), columns)
+        self._notify("deleted", slots, columns)
         charge_access("rows_deleted", len(slots))
         return len(slots)
 
     def _take_distinct(self, slots: list[int]) -> list[list[Any]]:
         """:meth:`take`, refusing a batch that names a slot twice."""
+        self._check_distinct(slots)
+        return self.take(slots)
+
+    def _check_distinct(self, slots: list[int]) -> None:
         if len(set(slots)) != len(slots):
             raise TableError(
                 f"table {self.name!r}: a slot appears twice in one batch"
             )
-        return self.take(slots)
 
     def update_slot(self, slot: int, new_row: Sequence[Any]) -> None:
         """Replace the row at *slot* in place, keeping indexes consistent.
@@ -726,8 +734,7 @@ class Table:
                 _tally(counts, (old_value,), -1)
                 _tally(counts, (new_value,))
         self._store.set(slot, stored)
-        for observer in self._observers:
-            observer.row_updated(old_row, stored)
+        self._notify("updated", [slot], [(value,) for value in stored])
         charge_access("rows_updated", 1)
 
     def update_columns(self, slots: Sequence[int], names: Sequence[str],
@@ -737,7 +744,9 @@ class Table:
         Only columns no index keys on and no domain tracks may be named,
         so no row's keys move.  The batch is validated whole first
         (columns, lengths, live and distinct slots); observers hear one
-        ``rows_updated`` and the store records the slots written."""
+        ``rows_updated`` with the rows as written, for which only the
+        columns not named are gathered, and the store records the slots
+        written."""
         slots = list(slots)
         positions = self.schema.positions(names)
         guarded = self._domains.keys() | {
@@ -752,12 +761,15 @@ class Table:
                              f"{len(slots)} slots and columns {list(names)}")
         if not slots:
             return 0
-        old = self._take_distinct(slots)
-        new = list(old)
-        for position, values in zip(positions, columns):
-            new[position] = values
-        self._store.write(slots, positions, columns)
-        self._notify("updated", len(slots), old, new)
+        self._check_distinct(slots)
+        self._check_live(slots)
+        store = self._store
+        store.write(slots, positions, columns)
+        if self._observers:
+            new = dict(zip(positions, columns))
+            kept = [p for p in range(len(self.schema)) if p not in new]
+            new.update(zip(kept, store.take(slots, kept)))
+            self._notify("updated", slots, [new[p] for p in sorted(new)])
         charge_access("rows_updated", len(slots))
         return len(slots)
 
@@ -785,18 +797,26 @@ class Table:
     def compact(self) -> int:
         """Make the table dense: every tombstone filled with a row moved
         from the tail, the indexes re-pointed at the moved rows, no free
-        slot left.  O(tombstones); the rows are the same bag, so observers
-        hear nothing and nothing is charged.  Returns the rows moved."""
+        slot left.  O(tombstones); the rows are the same bag, so nothing
+        is charged, and observers hear only ``rows_moved(sources,
+        targets, size)``: where the rows went, and the slot count left.
+        Returns the rows moved."""
         store = self._store
+        size = store.size()
         moves = store.compact()
+        sources: Sequence[int] = ()
+        targets: Sequence[int] = ()
         if moves:
-            sources, targets = zip(*moves)
+            sources, targets = transpose_rows(moves, 2)
             columns = store.take(targets)
             for index in self._indexes.values():
                 keys = index.keys_of(columns)
                 index.remove_keys(keys, sources)
                 index.add_keys(keys, targets)
         self._free_slots.clear()
+        if store.size() != size:
+            for observer in self._observers:
+                observer.rows_moved(sources, targets, store.size())
         return len(moves)
 
     # ------------------------------------------------------------------
@@ -804,11 +824,15 @@ class Table:
     # ------------------------------------------------------------------
 
     def attach_observer(self, observer: Any) -> Any:
-        """Attach a mutation observer (duck-typed: ``row_inserted(row)``,
-        ``row_deleted(row)``, ``row_updated(old, new)``, ``truncated()``).
+        """Attach a mutation observer (duck-typed: ``rows_inserted``,
+        ``rows_deleted`` and ``rows_updated``, each called with the slots
+        written and the rows inserted, deleted or now stored there,
+        column-wise; ``rows_moved(sources, targets, size)``;
+        ``truncated()``).
 
         Observers see every mutation path — inserts, slot deletes, in-place
-        updates, truncation — which is what lets a
+        updates, compaction, truncation, single rows as one-row batches —
+        which is what lets a
         :class:`~repro.obs.audit.ViewCertificate` stay consistent through
         refresh and atomic rollback alike.  Copies
         (:meth:`copy`) do not inherit observers.

@@ -24,7 +24,7 @@ from ..obs.audit import (
     CERT_MASK,
     ViewCertificate,
     ViewFreshness,
-    columns_certificate,
+    columns_digests,
 )
 from ..obs.lineage import ViewLineage
 from ..obs.tracing import current_span
@@ -235,7 +235,8 @@ class MaterializedView:
         consistency certificate attached, kept in sync from here on
         through the table's mutation observers.  The certificate is a full
         digest of ``table.columns()`` — not ``scan()`` — because
-        certificate bookkeeping must not charge tuple-access accounting."""
+        certificate bookkeeping must not charge tuple-access accounting;
+        it keeps each row's digest at the row's slot."""
         definition = self.definition
         if table.schema != definition.storage_schema():
             raise DefinitionError(
@@ -245,7 +246,7 @@ class MaterializedView:
             )
         if definition.group_by:
             index_group_key(table, definition)
-        certificate = ViewCertificate.from_columns(table.columns(), len(table))
+        certificate = ViewCertificate.from_table(table)
         table.attach_observer(certificate)
         return certificate
 
@@ -293,11 +294,13 @@ class MaterializedView:
         The copy (:meth:`Table.copy`: a structural clone, O(|view|) bytes
         at memcpy speed, no row moved) carries the rows, indexes and
         domains but not the observers; the shadow gets its own
-        certificate, seeded O(1) from the current one's digest-sum and
-        maintained incrementally while the refresh mutates the shadow
-        table.  Every row of the shadow starts in the slot it has in the
-        current version and the shadow's storage records the slots written
-        from here on — what :meth:`publish` re-reads.
+        certificate: the current one's value, and a copy of its per-slot
+        digest column made by one more memcpy, maintained incrementally
+        while the refresh mutates the shadow table (a written row is
+        hashed once; the row it replaces is read from the column).  Every
+        row of the shadow starts in the slot it has in the current
+        version and the shadow's storage records the slots written from
+        here on — what :meth:`publish` re-reads.
 
         *table* — an earlier epoch's table a reader pinned — is copied
         instead of the current one, for a read that compensates it
@@ -308,10 +311,12 @@ class MaterializedView:
         current = self._version
         if table is None:
             copy = current.table.copy()
-            certificate = ViewCertificate(current.certificate.value)
+            certificate = ViewCertificate(
+                current.certificate.value, current.certificate.digests[:]
+            )
         else:
             copy = table.copy()
-            certificate = ViewCertificate.from_columns(copy.columns(), len(copy))
+            certificate = ViewCertificate.from_table(copy)
         copy.attach_observer(certificate)
         return ShadowVersion(self.definition, copy, certificate, current.epoch)
 
@@ -326,23 +331,28 @@ class MaterializedView:
         **What is re-read.**  The shadow's storage recorded every slot
         written since it was cloned (:meth:`Table.written_slots` — kept by
         the store's write primitives, below the table's indexes and
-        observers).  The certificate the shadow *should* carry is the base
-        version's, less the digest of the base's live rows at those
-        slots, plus the digest of the shadow's live rows at them, both
-        gathered from storage now; the rows at the written slots must
-        also be filed in the shadow's indexes where they are stored.
-        Every other slot is a memcpy of the base, whose own certificate
-        was validated when it was published (or digested in full when it
-        was installed), so re-digesting it would prove nothing new: the
-        pass is O(slots written), not O(|view|).  Where that argument has
-        nothing to stand on or nothing to save, every stored row is
-        digested as before: a shadow whose table is no clone (it records
-        no written slots), and a shadow that wrote half the view or more.
+        observers).  Only the shadow's live rows at those slots are
+        gathered and hashed, once each; no row of the base is read.  Three
+        checks, in this order:
+
+        1. the maintained certificate equals the base version's, less the
+           base's per-slot digests at the written slots live in the base,
+           plus the new digests (``certificate mismatch``);
+        2. each row at a written slot is filed in the shadow's indexes
+           where it is stored (``index mismatch``);
+        3. each new digest equals the shadow's digest column at its slot
+           (``certificate mismatch``), so the column the next shadow
+           copies is exact.
+
+        Every other slot is a memcpy of the base, rows and digests alike,
+        and the base's column was checked the same way when it was
+        published (or digested in full when it was installed), so the
+        pass is O(slots written), not O(|view|).
 
         On success the swap is a single reference assignment; committed
         epochs are never unpublished, and a refused shadow leaves the
         published version as it was.  The span the caller opened, if any,
-        gets ``written_slots`` and ``validated_rows`` (rows digested).
+        gets ``written_slots`` and ``validated_rows`` (rows hashed).
         """
         with self._publish_lock:
             current = self._version
@@ -362,38 +372,37 @@ class MaterializedView:
     def _validate(self, base: ViewVersion, shadow: ShadowVersion) -> None:
         """Raise :class:`PublishError` unless *shadow*'s storage bears out
         its maintained certificate (see :meth:`publish`)."""
-        table = shadow.table
+        table, certificate = shadow.table, shadow.certificate
         written = table.written_slots()
-        if written is not None:
-            slots, new = table.take_live(written)
-        if written is None or 2 * len(written) >= len(table):
-            validated = len(table)
-            expected = columns_certificate(table.columns(), validated)
-        else:
-            gone, old = base.table.take_live(written)
-            validated = len(gone) + len(slots)
-            expected = (
-                base.certificate.value
-                - columns_certificate(old, len(gone))
-                + columns_certificate(new, len(slots))
-            ) & CERT_MASK
+        slots, new = table.take_live(written)
+        digests = columns_digests(new, len(slots))
+        gone = base.table.live_among(written)
+        expected = (
+            base.certificate.value - sum(base.certificate.at(gone))
+            + sum(digests)
+        ) & CERT_MASK
         span = current_span()
         if span is not None:
-            span.add("validated_rows", validated)
-            if written is not None:
-                span.add("written_slots", len(written))
-        if shadow.certificate.value != expected:
+            span.add("validated_rows", len(slots))
+            span.add("written_slots", len(written))
+        if certificate.value != expected:
             raise PublishError(
                 f"certificate mismatch publishing epoch "
                 f"{shadow.epoch} of {self.name!r}: maintained "
-                f"{shadow.certificate.hex}, recomputed "
+                f"{certificate.hex}, recomputed "
                 f"{ViewCertificate(expected).hex}"
             )
-        if written is not None and not table.indexes_hold(slots, new):
+        if not table.indexes_hold(slots, new):
             raise PublishError(
                 f"index mismatch publishing epoch {shadow.epoch} of "
                 f"{self.name!r}: a row at a written slot is not indexed "
                 f"there"
+            )
+        if certificate.at(slots) != tuple(digests):
+            raise PublishError(
+                f"certificate mismatch publishing epoch {shadow.epoch} of "
+                f"{self.name!r}: the digest column disagrees with a row at "
+                f"a written slot"
             )
 
     def _swap_in(

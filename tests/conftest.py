@@ -155,6 +155,19 @@ def assert_view_matches_recomputation(view) -> None:
     )
 
 
+def assert_digest_column(table, certificate) -> None:
+    """*certificate*'s digest column holds each live row's ``row_digest``
+    at the row's slot, and its sum over the live slots is the
+    certificate (which is the certificate of the table's rows)."""
+    from repro.obs.audit import CERT_MASK, row_digest, rows_certificate
+
+    expected = {slot: row_digest(row) for slot, row in table.slots()}
+    column = certificate.digests
+    assert {slot: column[slot] for slot in expected} == expected
+    assert certificate.value == sum(expected.values()) & CERT_MASK \
+        == rows_certificate(table.rows())
+
+
 def per_node_deltas(lattice, changes, policy=None) -> dict:
     """One pipeline per lattice node, in topological order: roots from the
     change set, every other node through its Theorem 5.1 edge over its

@@ -104,5 +104,53 @@ def test_units_per_operation_are_pinned():
             "rows_inserted": 1 + size_before,
             "rows_updated": 1,
             "rows_deleted": 2,
-            "cert_digests": 1 + 2 * 1 + 2,   # an update digests old and new
+            # A written row is hashed once; the row an update replaces and
+            # a deleted row are read from the digest column.
+            "cert_digests": 1 + 1 + 0,
         }
+
+
+def test_a_refresh_hashes_each_written_row_at_most_twice(monkeypatch):
+    """SID_sales as above: the new group's row and the updated group's
+    new row are hashed once when written and once when publish checks
+    them; the updated group's old row and the emptied groups' rows are
+    read from the digest column, never hashed (the digest input of a row
+    is its cells' canonical parts, joined)."""
+    import hashlib
+
+    from repro.obs import audit
+
+    pos = make_pos(make_stores(), make_items())
+    view = MaterializedView.build(sid_definition(pos))
+    changes = ChangeSet("pos", pos.table.schema)
+    changes.insert_many(INSERTS)
+    changes.delete_many(DELETES)
+    delta = compute_summary_delta(view.definition, changes)
+    changes.apply_to(pos.table)
+    before = set(view.table.rows())
+
+    hashed = []
+
+    class Recording:
+        @staticmethod
+        def blake2b(data=b"", **kwargs):
+            hashed.append(data)
+            return hashlib.blake2b(data, **kwargs)
+
+    monkeypatch.setattr(audit, "hashlib", Recording)
+    apply_refresh(view, delta)
+    monkeypatch.undo()
+
+    def times(row):
+        return hashed.count(b"".join(map(audit._cell_part, row)))  # noqa: SLF001
+
+    after = set(view.table.rows())
+    written, gone = after - before, before - after
+    assert len(written) == 2 and len(gone) == 3   # new and updated; old, emptied
+    assert [times(row) for row in written] == [2, 2]
+    assert [times(row) for row in gone] == [0, 0, 0]
+    # The rest: rows compaction moved into the emptied slots, checked there
+    # by publish once each.
+    moved = [row for row in after & before if times(row)]
+    assert [times(row) for row in moved] == [1] * len(moved)
+    assert len(hashed) == 4 + len(moved) and len(moved) <= 2

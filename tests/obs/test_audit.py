@@ -17,6 +17,7 @@ from repro.obs.audit import (
     record_events,
     row_digest,
     columns_certificate,
+    columns_digests,
     rows_certificate,
 )
 from repro.obs.metrics import MetricsRegistry
@@ -24,7 +25,11 @@ from repro.relational import Table
 from repro.views import MaterializedView
 from repro.warehouse import ChangeSet
 
-from ..conftest import assert_view_matches_recomputation, sid_definition
+from ..conftest import (
+    assert_digest_column,
+    assert_view_matches_recomputation,
+    sid_definition,
+)
 
 
 class TestRowDigest:
@@ -114,7 +119,12 @@ class TestBatchKernel:
         expected = reference_certificate(rows)
         assert columns_certificate(columns, len(rows)) == expected
         assert rows_certificate(rows) == expected
-        assert ViewCertificate.from_rows(rows).value == expected
+        assert list(columns_digests(columns, len(rows))) == \
+            list(map(row_digest, rows))
+        if rows and rows[0]:
+            certificate = ViewCertificate.from_columns(columns, len(rows))
+            assert certificate.value == expected
+            assert certificate.digests == columns_digests(columns, len(rows))
 
     def test_zero_arity_rows_count(self):
         assert columns_certificate([], 3) == reference_certificate([()] * 3)
@@ -171,41 +181,69 @@ class TestBatchKernel:
 
 
 class TestViewCertificate:
-    def test_from_rows_matches_incremental(self):
-        rows = [(1, "a", 2.0), (2, "b", 3.5)]
-        built = ViewCertificate.from_rows(rows)
+    ROWS = [(1, "a", 2.0), (2, "b", 3.5)]
+    COLUMNS = [list(column) for column in zip(*ROWS)]
+
+    def test_from_columns_matches_incremental(self):
+        built = ViewCertificate.from_columns(self.COLUMNS, 2)
         incremental = ViewCertificate()
-        for row in rows:
-            incremental.row_inserted(row)
-        assert built.value == incremental.value == rows_certificate(rows)
+        incremental.rows_inserted([0, 1], self.COLUMNS)
+        assert built.value == incremental.value == rows_certificate(self.ROWS)
+        assert built.digests == incremental.digests == \
+            array("Q", map(row_digest, self.ROWS))
 
     def test_invertible(self):
         certificate = ViewCertificate()
-        certificate.row_inserted((1, 2))
-        certificate.row_inserted((3, 4))
-        certificate.row_deleted((1, 2))
-        certificate.row_deleted((3, 4))
+        certificate.rows_inserted([0, 1], [(1, 3), (2, 4)])
+        certificate.rows_deleted([1], [(3,), (4,)])
+        certificate.rows_deleted([0], [(1,), (2,)])
         assert certificate.value == 0
 
     def test_update_is_delete_plus_insert(self):
         one = ViewCertificate()
-        one.row_inserted((1, 2))
-        one.row_updated((1, 2), (1, 3))
+        one.rows_inserted([0], [(1,), (2,)])
+        one.rows_updated([0], [(1,), (3,)])
         other = ViewCertificate()
-        other.row_inserted((1, 3))
-        assert one.value == other.value
+        other.rows_inserted([0], [(1,), (3,)])
+        assert (one.value, one.digests) == (other.value, other.digests)
+
+    def test_a_delete_reads_the_column_and_hashes_nothing(self):
+        """The deleted rows' values are not what is subtracted: the
+        digests kept at their slots are."""
+        certificate = ViewCertificate()
+        certificate.rows_inserted([0, 1], [(1, 3), (2, 4)])
+        certificate.rows_deleted([0], [("ignored",), (None,)])
+        assert certificate.value == row_digest((3, 4))
+        assert certificate.digests_computed == 2
+
+    def test_rows_moved_carries_digests_and_cuts_the_column(self):
+        certificate = ViewCertificate()
+        certificate.rows_inserted([0, 1, 2, 3], [(1, 2, 3, 4)])
+        certificate.rows_deleted([0, 2], [(1, 3)])
+        certificate.rows_moved((3,), (0,), 2)
+        assert certificate.digests == array(
+            "Q", [row_digest((4,)), row_digest((2,))]
+        )
+        assert certificate.value == rows_certificate([(2,), (4,)])
+
+    def test_a_slot_past_the_column_reads_zero(self):
+        certificate = ViewCertificate.from_columns([[1]], 1)
+        assert list(certificate.at([2, 0])) == [0, row_digest((1,))]
+        certificate.rows_inserted([3], [(5,)])
+        assert list(certificate.digests) == [row_digest((1,)), 0, 0,
+                                             row_digest((5,))]
 
     def test_truncated_resets(self):
-        certificate = ViewCertificate.from_rows([(1,), (2,)])
+        certificate = ViewCertificate.from_columns([[1, 2]], 2)
         certificate.truncated()
-        assert certificate.value == 0
+        assert (certificate.value, len(certificate.digests)) == (0, 0)
 
     def test_digest_accounting(self):
         certificate = ViewCertificate()
-        certificate.row_inserted((1,))
-        certificate.row_updated((1,), (2,))
-        certificate.row_deleted((2,))
-        assert certificate.digests_computed == 4  # 1 + 2 + 1
+        certificate.rows_inserted([0], [(1,)])
+        certificate.rows_updated([0], [(2,)])
+        certificate.rows_deleted([0], [(2,)])
+        assert certificate.digests_computed == 2  # 1 + 1 + 0
 
     def test_charges_span_counter(self):
         certificate = ViewCertificate()
@@ -213,24 +251,24 @@ class TestViewCertificate:
             from repro.obs.tracing import span
 
             with span("work"):
-                certificate.row_inserted((1, 2))
-                certificate.row_updated((1, 2), (1, 3))
+                certificate.rows_inserted([0], [(1,), (2,)])
+                certificate.rows_updated([0], [(1,), (3,)])
         (work,) = recorder.root.children
-        assert work.counters["cert_digests"] == 3
+        assert work.counters["cert_digests"] == 2
 
     def test_hex_is_16_digits(self):
-        assert len(ViewCertificate.from_rows([(1,)]).hex) == 16
+        assert len(ViewCertificate.from_columns([[1]], 1).hex) == 16
 
 
 class TestTableObserverIntegration:
     def attach(self, rows):
         table = Table("t", ["a", "b"], rows)
-        certificate = ViewCertificate.from_rows(table.rows())
+        certificate = ViewCertificate.from_table(table)
         table.attach_observer(certificate)
         return table, certificate
 
     def assert_consistent(self, table, certificate):
-        assert certificate.value == rows_certificate(table.rows())
+        assert_digest_column(table, certificate)
 
     def test_insert(self):
         table, certificate = self.attach([(1, 2)])
@@ -251,6 +289,22 @@ class TestTableObserverIntegration:
         table, certificate = self.attach([(1, 2), (3, 4)])
         table.truncate()
         assert certificate.value == 0
+        table.insert((5, 6))
+        self.assert_consistent(table, certificate)
+
+    def test_compact(self):
+        table, certificate = self.attach([(1, 2), (3, 4), (5, 6), (7, 8)])
+        table.delete_slots([0, 3])
+        table.compact()
+        self.assert_consistent(table, certificate)
+        assert len(certificate.digests) == len(table) == 2
+
+    def test_from_table_places_digests_at_live_slots(self):
+        table = Table("t", ["a", "b"], [(1, 2), (3, 4), (5, 6)])
+        table.delete_slots([0])
+        certificate = ViewCertificate.from_table(table)
+        assert certificate.digests[0] == 0
+        self.assert_consistent(table, certificate)
 
     def test_detach_stops_tracking(self):
         table, certificate = self.attach([(1, 2)])
@@ -468,10 +522,13 @@ class TestDeltaScaling:
         assert touched == touched_large == 5 + 3 + 2 + 1
         assert small == large
         assert small["compacted_rows"] == 2
-        assert 0 < small["validated_rows"] <= (
-            2 * touched + 2 * small["compacted_rows"]
+        # Only the shadow's live rows at written slots are hashed: no row
+        # of the base, and no slot a deletion or compaction left empty.
+        assert 0 < small["validated_rows"] <= small["written_slots"] <= (
+            touched + small["compacted_rows"]
         )
-        assert small["written_slots"] <= touched + small["compacted_rows"]
-        # Nothing to save when half the view was written: the full digest.
-        full, _touched, view = publish_counts(6, insertions[:5], [])
-        assert full["validated_rows"] == len(view.table) == 6
+        # However much of the view was written, the same one pass: here
+        # 5 of 6 rows, where a full digest once took over.
+        most, _touched, view = publish_counts(6, insertions[:5], [])
+        assert most["validated_rows"] == most["written_slots"] == 5
+        assert len(view.table) == 6

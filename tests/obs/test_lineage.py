@@ -202,6 +202,34 @@ class TestManifestRecording:
         for batch_id in staged.lineage:
             assert view.lineage.manifest_for(batch_id) is None
 
+    def test_runs_index_matches_a_per_batch_index(self):
+        """The log indexes runs of consecutive ids, recorded in any order:
+        lookups, counts and intervals read as a per-batch index would,
+        and an overlap anywhere in a run names its lowest repeated id."""
+        log = ViewLineage()
+        recorded = {}
+        for epoch, ids in enumerate([(10, 11, 12), (20,), (5, 6, 8), (13, 14)], 1):
+            manifest = log.record("v", epoch, epoch, BatchLineage(
+                {batch_id: 1.0 for batch_id in ids}
+            ))
+            recorded.update(dict.fromkeys(ids, manifest))
+        for batch_id in range(30):
+            assert log.manifest_for(batch_id) is recorded.get(batch_id)
+        assert log.published_batches() == frozenset(recorded)
+        assert log.batches_published() == len(recorded)
+        assert log.as_dict()["intervals"] == [
+            list(run) for run in compress_intervals(recorded)
+        ]
+        assert sorted(log.pending_against(BatchLineage(
+            {batch_id: 1.0 for batch_id in (4, 7, 12, 21)}
+        ))) == [4, 7, 21]
+        for ids, first in [((1, 2, 7, 8, 9), 8), ((15, 16, 17, 19, 20), 20),
+                           ((3, 4, 5), 5)]:
+            with pytest.raises(LineageError, match=f"batch {first} already"):
+                log.record("v", 9, 9, BatchLineage(dict.fromkeys(ids, 1.0)))
+        assert log.published_batches() == frozenset(recorded)
+        assert len(log) == 4
+
     def test_record_publish_observes_lag_metrics(self, pos):
         registry = MetricsRegistry()
         view = make_view(pos)

@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import TableError
-from repro.obs.audit import ViewCertificate
+from repro.obs.audit import ViewCertificate, rows_certificate
 from repro.relational import Table
+
+from ..conftest import assert_digest_column
 
 COLUMNS = ["u", "a", "b", "c"]
 
@@ -47,9 +49,7 @@ def build():
     table.track_domain("b")
     for slot in (1, 4, 6):
         table.delete_slot(slot)
-    certificate = table.attach_observer(
-        ViewCertificate.from_rows(table.rows())
-    )
+    certificate = table.attach_observer(ViewCertificate.from_table(table))
     return table, certificate
 
 
@@ -60,29 +60,39 @@ def distinct_live(table, chosen):
 
 def replay(batch, single, history, fresh):
     """Apply *history* to *batch* a batch at a time and to *single* a row
-    at a time; *fresh* hands out values for the unique column."""
+    at a time; *fresh* hands out values for the unique column.  After
+    every step each table's certificate keeps each live row's digest at
+    its slot."""
     for kind, payload in history:
-        if kind in ("insert", "append"):
-            rows = [(next(fresh), a, b, a) for a, b in payload]
-            if kind == "append" and rows:
-                batch.append_batch([list(column) for column in zip(*rows)])
-            else:
-                batch.insert_many(rows)
-            for row in rows:
-                single.insert(row)
-        elif kind == "delete":
-            slots = distinct_live(single, payload)
-            batch.delete_slots(slots)
-            for slot in slots:
-                single.delete_slot(slot)
+        step(batch, single, kind, payload, fresh)
+        for table in (batch, single):
+            (certificate,) = table.observers
+            assert_digest_column(table, certificate)
+
+
+def step(batch, single, kind, payload, fresh):
+    """One step of a history, on both tables."""
+    if kind in ("insert", "append"):
+        rows = [(next(fresh), a, b, a) for a, b in payload]
+        if kind == "append" and rows:
+            batch.append_batch([list(column) for column in zip(*rows)])
         else:
-            by_slot = {}
-            for chosen, value in payload:
-                for slot in distinct_live(single, [chosen]):
-                    by_slot[slot] = value
-            batch.update_columns(list(by_slot), ["c"], [list(by_slot.values())])
-            for slot, value in by_slot.items():
-                single.update_slot(slot, single.row_at(slot)[:3] + (value,))
+            batch.insert_many(rows)
+        for row in rows:
+            single.insert(row)
+    elif kind == "delete":
+        slots = distinct_live(single, payload)
+        batch.delete_slots(slots)
+        for slot in slots:
+            single.delete_slot(slot)
+    else:
+        by_slot = {}
+        for chosen, value in payload:
+            for slot in distinct_live(single, [chosen]):
+                by_slot[slot] = value
+        batch.update_columns(list(by_slot), ["c"], [list(by_slot.values())])
+        for slot, value in by_slot.items():
+            single.update_slot(slot, single.row_at(slot)[:3] + (value,))
 
 
 def assert_same(batch, single, batch_certificate, single_certificate):
@@ -95,8 +105,7 @@ def assert_same(batch, single, batch_certificate, single_certificate):
     assert batch_certificate.value == single_certificate.value
     assert batch_certificate.digests_computed == \
         single_certificate.digests_computed
-    assert batch_certificate.value == \
-        ViewCertificate.from_rows(batch.rows()).value
+    assert batch_certificate.value == rows_certificate(batch.rows())
 
 
 class TestBatchEqualsPerRow:
@@ -114,11 +123,16 @@ class TestBatchEqualsPerRow:
 
         # Clones share index buckets with their sources (HashIndex.clone):
         # batch writes to either side must copy a bucket before touching it.
+        # Each clone's certificate copies its source's digest column, as a
+        # shadow version's does.
         kept = batch.rows()
         batch_clone, single_clone = batch.copy(), single.copy()
         certificates = [
-            clone.attach_observer(ViewCertificate.from_rows(clone.rows()))
-            for clone in (batch_clone, single_clone)
+            clone.attach_observer(ViewCertificate(
+                certificate.value, certificate.digests[:]
+            ))
+            for clone, certificate in ((batch_clone, batch_certificate),
+                                       (single_clone, single_certificate))
         ]
         replay(batch_clone, single_clone, on_clone, fresh)
         assert_same(batch_clone, single_clone, *certificates)
@@ -126,35 +140,53 @@ class TestBatchEqualsPerRow:
 
 
 class Recorder:
-    """An observer with the per-row callbacks only."""
+    """An observer that records every call it hears, with its rows
+    transposed back into tuples."""
 
     def __init__(self):
         self.events = []
 
-    def row_inserted(self, row):
-        self.events.append(("inserted", row))
+    def rows_inserted(self, slots, columns):
+        self.events.append(("inserted", list(slots), list(zip(*columns))))
 
-    def row_deleted(self, row):
-        self.events.append(("deleted", row))
+    def rows_deleted(self, slots, columns):
+        self.events.append(("deleted", list(slots), list(zip(*columns))))
 
-    def row_updated(self, old, new):
-        self.events.append(("updated", old, new))
+    def rows_updated(self, slots, columns):
+        self.events.append(("updated", list(slots), list(zip(*columns))))
+
+    def rows_moved(self, sources, targets, size):
+        self.events.append(("moved", list(sources), list(targets), size))
 
     def truncated(self):
         self.events.append(("truncated",))
 
 
-def test_observer_without_batch_callbacks_receives_every_row():
+def test_observer_hears_every_mutation_as_a_batch_with_its_slots():
+    """Batch and single-row mutators alike: the slots written and the
+    rows now there (an update's new rows, gathered whole though it wrote
+    one column), a deletion's rows, a compaction's moves."""
     table = Table("t", ["a", "b"], [(1, "x"), (2, "y")])
     recorder = table.attach_observer(Recorder())
     table.insert_many([(3, "z"), (4, None)])
     table.append_batch([[5], ["w"]])
     table.update_columns([0, 3], ["b"], [["X", "v"]])
     table.delete_slots([1, 4])
+    table.insert((6, "u"))
+    table.update_slot(0, (1, "Y"))
+    table.delete_slot(2)
+    table.compact()
+    table.truncate()
     assert recorder.events == [
-        ("inserted", (3, "z")), ("inserted", (4, None)), ("inserted", (5, "w")),
-        ("updated", (1, "x"), (1, "X")), ("updated", (4, None), (4, "v")),
-        ("deleted", (2, "y")), ("deleted", (5, "w")),
+        ("inserted", [2, 3], [(3, "z"), (4, None)]),
+        ("inserted", [4], [(5, "w")]),
+        ("updated", [0, 3], [(1, "X"), (4, "v")]),
+        ("deleted", [1, 4], [(2, "y"), (5, "w")]),
+        ("inserted", [4], [(6, "u")]),
+        ("updated", [0], [(1, "Y")]),
+        ("deleted", [2], [(3, "z")]),
+        ("moved", [3, 4], [1, 2], 3),
+        ("truncated",),
     ]
 
 
@@ -166,6 +198,7 @@ def snapshot(table, certificate):
          for key, index in table.indexes.items()},
         table.domain("a"), table.domain("b"),
         certificate.value, certificate.digests_computed,
+        certificate.digests.tolist(),
     )
 
 
@@ -242,21 +275,22 @@ def test_update_columns_refuses_a_tracked_column():
 
 
 def test_update_columns_shifts_the_certificate_and_records_written_slots():
-    """On a clone, an update feeds the observer the old and new rows (two
-    digests a row) and the store's written-slots record, and writes only
-    the named column: keys, domains and indexes stay put."""
-    source, _certificate = build()
+    """On a clone, an update feeds the observer the new rows (one digest
+    a row; the old rows' come from the digest column) and the store's
+    written-slots record, and writes only the named column: keys,
+    domains and indexes stay put."""
+    source, source_certificate = build()
     table = source.copy()
-    certificate = table.attach_observer(
-        ViewCertificate.from_rows(table.rows())
-    )
+    certificate = table.attach_observer(ViewCertificate(
+        source_certificate.value, source_certificate.digests[:]
+    ))
     digests = certificate.digests_computed
     keys = table.index_on(["u"])
     before = {slot: row for slot, row in table.slots()}
     assert table.update_columns([5, 0], ["c"], [[7, None]]) == 2
     assert table.written_slots() == {0, 5}
-    assert certificate.digests_computed == digests + 4
-    assert certificate.value == ViewCertificate.from_rows(table.rows()).value
+    assert certificate.digests_computed == digests + 2
+    assert_digest_column(table, certificate)
     assert table.row_at(5) == before[5][:3] + (7,)
     assert table.row_at(0) == before[0][:3] + (None,)
     assert [keys.lookup_one((u,)) for u in (0, 5)] == [0, 5]

@@ -139,6 +139,31 @@ class TestBatch:
             index.remove_keys([(2, "y"), (9, "z")], [2, 0])
         assert {key: index.slots_of(key) for key in index.keys()} == before
 
+    def test_a_slot_is_found_only_at_a_slot_boundary(self):
+        """Slots 0 and 1 pack to bytes that hold slot 2**32's packing at
+        offset 4: a removal must search on past that match, and a slot
+        matched only there is not registered."""
+        idx = HashIndex(["a"], [0])
+        idx.add_keys([("k",)] * 3, [0, 1, 2 ** 32])
+        with pytest.raises(TableError, match="not registered"):
+            idx.remove_keys([("k",), ("k",)], [0, 2 ** 33])
+        assert idx.slots_of(("k",)) == [0, 1, 2 ** 32]
+        idx.remove_keys([("k",)], [2 ** 32])
+        assert idx.slots_of(("k",)) == [0, 1]
+        with pytest.raises(TableError, match="not registered"):
+            idx.remove_keys([("k",)], [2 ** 32])
+        assert idx.slots_of(("k",)) == [0, 1]
+
+    def test_a_hot_key_sheds_many_slots_in_one_batch(self):
+        """Past 64 slots a bucket is filtered once, with the same checks."""
+        idx = HashIndex(["a"], [0])
+        idx.add_keys([("k",)] * 200 + [("j",)] * 3, list(range(203)))
+        with pytest.raises(TableError, match="not registered"):
+            idx.remove_keys([("k",)] * 2, [4, 500])
+        idx.remove_keys([("k",)] * 100 + [("j",)], list(range(0, 200, 2)) + [201])
+        assert idx.slots_of(("k",)) == list(range(1, 200, 2))
+        assert idx.slots_of(("j",)) == [200, 202]
+
     def test_unique_batch_violation_leaves_the_index_unchanged(self):
         idx = HashIndex(["a"], [0], unique=True)
         idx.add_keys([(1,), (2,)], [0, 1])

@@ -8,9 +8,12 @@ from repro.obs.audit import (
     CERT_MASK,
     ViewCertificate,
     columns_certificate,
+    columns_digests,
     rows_certificate,
 )
 from repro.relational import Table
+
+from ..conftest import assert_digest_column
 
 
 @pytest.fixture
@@ -235,11 +238,14 @@ history = st.lists(st.one_of(
 ), max_size=40)
 
 
-def apply_history(table, steps):
+def apply_history(table, steps, certificate=None):
     """Steps write columns "a" and "b"; a third column, where a table has
-    one, gets 0 on insertion and keeps its value on update."""
+    one, gets 0 on insertion and keeps its value on update.  After each
+    step *certificate*, if given, keeps each live row's digest."""
     pad = (0,) * (len(table.schema) - 2)
     for kind, first, second in steps:
+        if certificate is not None:
+            assert_digest_column(table, certificate)
         live = [slot for slot, _row in table.slots()]
         if kind == "insert":
             table.insert((first, second, *pad))
@@ -249,6 +255,8 @@ def apply_history(table, steps):
             slot = live[first % len(live)]
             row = table.row_at(slot)
             table.update_slot(slot, (row[0], second, *row[2:]))
+    if certificate is not None:
+        assert_digest_column(table, certificate)
 
 
 class TestCloneProperty:
@@ -262,10 +270,8 @@ class TestCloneProperty:
         table.create_index(["a"])
         table.create_index(["a", "b"])
         table.track_domain("b")
-        certificate = table.attach_observer(ViewCertificate(
-            rows_certificate(table.rows())
-        ))
-        apply_history(table, before)
+        certificate = table.attach_observer(ViewCertificate.from_table(table))
+        apply_history(table, before, certificate)
 
         clone = table.copy()
         assert rows_certificate(clone.rows()) == certificate.value
@@ -281,7 +287,7 @@ class TestCloneProperty:
         assert clone.observers == ()
 
         kept = sorted(clone.rows(), key=repr)
-        apply_history(table, on_source)
+        apply_history(table, on_source, certificate)
         assert sorted(clone.rows(), key=repr) == kept
         assert clone.verify_indexes()
         kept = sorted(table.rows(), key=repr)
@@ -310,8 +316,11 @@ clone_history = st.lists(st.one_of(
 ), max_size=25)
 
 
-def apply_clone_history(table, steps):
+def apply_clone_history(table, steps, certificate):
+    """*steps* on *table*; after each one *certificate* keeps each live
+    row's digest at its slot."""
     for kind, argument in steps:
+        assert_digest_column(table, certificate)
         live = [slot for slot, _row in table.slots()]
 
         def pick(n):
@@ -331,6 +340,7 @@ def apply_clone_history(table, steps):
         else:   # writes the unindexed column only
             slots = sorted({pick(n) for n in argument[0]})
             table.update_columns(slots, ["c"], [[argument[1]] * len(slots)])
+    assert_digest_column(table, certificate)
 
 
 class TestWrittenSlotsProperty:
@@ -348,26 +358,34 @@ class TestWrittenSlotsProperty:
         base.create_index(["a", "b"])   # "c" stays free for update_columns
         if holes:    # tombstones and free slots in the source, for certain
             base.delete_slots([1, 4])
-        apply_history(base, before)
-        base_certificate = rows_certificate(base.rows())
+        base_certificate = base.attach_observer(ViewCertificate.from_table(base))
+        apply_history(base, before, base_certificate)
 
+        # The clone's certificate copies the source's digest column, as a
+        # shadow version's does.
         clone = base.copy()
-        certificate = clone.attach_observer(ViewCertificate(base_certificate))
+        certificate = clone.attach_observer(ViewCertificate(
+            base_certificate.value, base_certificate.digests[:]
+        ))
         assert clone.written_slots() == set()
-        apply_clone_history(clone, steps)
+        apply_clone_history(clone, steps, certificate)
         written = clone.written_slots()
 
-        # The certificate derived from the written slots alone is the
-        # certificate of the whole clone, and the observer-kept one.
-        gone, old = base.take_live(written)
+        # The certificate derived from the written slots alone — the
+        # source's digest column where they were live, the clone's rows
+        # hashed where they are — is the certificate of the whole clone,
+        # and the observer-kept one; the clone's column holds the new
+        # digests.
         slots, new = clone.take_live(written)
+        digests = columns_digests(new, len(slots))
         derived = (
-            base_certificate
-            - columns_certificate(old, len(gone))
-            + columns_certificate(new, len(slots))
+            base_certificate.value
+            - sum(base_certificate.at(base.live_among(written)))
+            + sum(digests)
         ) & CERT_MASK
         assert derived == columns_certificate(clone.columns(), len(clone))
         assert derived == certificate.value
+        assert certificate.at(slots) == tuple(digests)
 
         # Slots never written hold what the source holds (or are absent or
         # dead in both); the rows at written slots are indexed there.
@@ -379,4 +397,4 @@ class TestWrittenSlotsProperty:
             assert base_rows[slot] == clone_rows[slot]
         assert clone.indexes_hold(slots, new)
         assert clone.verify_indexes() and base.verify_indexes()
-        assert rows_certificate(base.rows()) == base_certificate  # untouched
+        assert rows_certificate(base.rows()) == base_certificate.value  # untouched

@@ -322,6 +322,26 @@ def test_compaction_that_skips_the_index_is_refused(
     assert view.certificate.value == rows_certificate(view.table.rows())
 
 
+def test_a_digest_column_wrong_at_a_written_slot_is_refused(retail):
+    """Two written rows' digests swapped in the shadow's column: the
+    certificate's value and every index still agree, but the next shadow
+    would copy a column that no longer matches its rows."""
+    data, warehouse = retail
+    view = warehouse.views["SID_sales"]
+    before = snapshot_state(view)
+    shadow = view.begin_version()
+    table = shadow.table
+    for slot in (3, 7):
+        row = table.row_at(slot)
+        table.update_columns([slot], ["TotalCount"], [[row[3] + 1]])
+    digests = shadow.certificate.digests
+    digests[3], digests[7] = digests[7], digests[3]
+    with pytest.raises(PublishError, match="digest column disagrees"):
+        view.publish(shadow)
+    assert snapshot_state(view) == before
+    assert audit_warehouse(warehouse).passed
+
+
 # -- a failure after some of the shadow's mutations have landed ----------------
 #
 # Every batch mutator a refresh calls on its shadow — and the MIN/MAX

@@ -49,8 +49,7 @@ class Frozen:
     def _refuse(self, *args):
         raise PublishedEpochMutated(self.where)
 
-    row_inserted = row_deleted = row_updated = _refuse
-    rows_inserted = rows_deleted = rows_updated = truncated = _refuse
+    rows_inserted = rows_deleted = rows_updated = rows_moved = truncated = _refuse
 
 
 class Epochs:
